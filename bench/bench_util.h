@@ -92,8 +92,11 @@ inline core::ObjectBytesFn ConstantBytes(std::int64_t bytes) {
 // across PRs.
 inline void ReportPerTaskTime(benchmark::State& state, double tasks,
                               const char* counter_name = "per_task_us") {
+  // kIsRate | kInvert yields elapsed seconds / value: counting work in millionths of a task
+  // makes the counter hold microseconds per task, as its name says.
+  constexpr double kMicrosPerSecond = 1e6;
   state.counters[counter_name] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * tasks,
+      static_cast<double>(state.iterations()) * tasks / kMicrosPerSecond,
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 

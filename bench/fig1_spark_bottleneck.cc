@@ -7,9 +7,9 @@
 // over the C++ tasks), and the controller dispatches each task at ~166µs.
 //
 // Alongside the Spark reproduction, the Nimbus kCentralOnly baseline is reported twice —
-// per-task dispatch and the engine-driven batched dispatcher (DESIGN.md §8) — so the
-// figure separates how much of the central bottleneck is *per-task messaging* (recovered
-// by batching) from what only templates recover.
+// per-task dispatch and serialized dispatch, one pre-encoded buffer per worker per stage
+// (DESIGN.md §8, §10) — so the figure separates how much of the central bottleneck is
+// *per-task messaging* (recovered by batching) from what only templates recover.
 
 #include <cstdio>
 
@@ -28,9 +28,9 @@ constexpr int kTasksPerWorker = 80;
 
 // Mean completion seconds of one kCentralOnly LR iteration (C++-speed tasks; the point is
 // the *control* trajectory, which the MLlib slowdown would only dilute).
-double CentralIterationSeconds(int workers, bool batched) {
+double CentralIterationSeconds(int workers, bool serialized) {
   LrHarness h = MakeLrHarness(workers, ControlMode::kCentralOnly, {}, kTasksPerWorker);
-  h.cluster->controller().set_central_batching(batched);
+  h.cluster->controller().set_serialized_batching(serialized);
   h.app->Setup();
   h.app->RunInnerIteration();  // warm: stage plans compile, stores materialize
   const sim::TimePoint start = h.cluster->simulation().now();
@@ -45,15 +45,15 @@ void Run() {
   std::printf("Figure 1: Spark MLlib logistic regression, 100GB, 30-100 workers\n");
   std::printf("Paper completion times (s): 30w=1.44 40w=1.38 50w=1.33 60w=1.34 70w=1.38 "
               "80w=1.59 90w=1.64 100w=1.73\n\n");
-  std::printf("%8s %8s %14s %14s %14s %14s %18s\n", "workers", "tasks", "computation_s",
-              "control_s", "completion_s", "central_s", "central_batched_s");
+  std::printf("%8s %8s %14s %14s %14s %14s %21s\n", "workers", "tasks", "computation_s",
+              "control_s", "completion_s", "central_s", "central_serialized_s");
 
   double first_completion = 0.0;
   double first_compute = 0.0;
   double last_completion = 0.0;
   double last_compute = 0.0;
   double last_central = 0.0;
-  double last_batched = 0.0;
+  double last_serialized = 0.0;
   for (int workers = 30; workers <= 100; workers += 10) {
     baselines::SparkOptConfig config;
     config.workers = workers;
@@ -63,11 +63,11 @@ void Run() {
     config.task_slowdown = kMllibSlowdown;
     baselines::SparkOptRunner runner(config);
     const baselines::IterationStats stats = runner.Run(5);
-    const double central = CentralIterationSeconds(workers, /*batched=*/false);
-    const double batched = CentralIterationSeconds(workers, /*batched=*/true);
-    std::printf("%8d %8d %14.3f %14.3f %14.3f %14.3f %18.3f\n", workers,
+    const double central = CentralIterationSeconds(workers, /*serialized=*/false);
+    const double serialized = CentralIterationSeconds(workers, /*serialized=*/true);
+    std::printf("%8d %8d %14.3f %14.3f %14.3f %14.3f %21.3f\n", workers,
                 config.tasks_per_iteration, stats.compute_seconds, stats.control_seconds,
-                stats.iteration_seconds, central, batched);
+                stats.iteration_seconds, central, serialized);
     if (workers == 30) {
       first_completion = stats.iteration_seconds;
       first_compute = stats.compute_seconds;
@@ -75,7 +75,7 @@ void Run() {
     last_completion = stats.iteration_seconds;
     last_compute = stats.compute_seconds;
     last_central = central;
-    last_batched = batched;
+    last_serialized = serialized;
   }
 
   std::printf("\nShape check: computation shrinks (%.3f -> %.3f s) while completion grows "
@@ -84,10 +84,10 @@ void Run() {
               (last_compute < first_compute && last_completion > first_completion)
                   ? "REPRODUCED"
                   : "NOT reproduced");
-  std::printf("Batched central dispatch at 100 workers: %.3f s vs %.3f s per-task (%s)\n",
-              last_batched, last_central,
-              last_batched < last_central ? "batching recovers control overhead"
-                                          : "UNEXPECTED: batching did not help");
+  std::printf("Serialized central dispatch at 100 workers: %.3f s vs %.3f s per-task (%s)\n",
+              last_serialized, last_central,
+              last_serialized < last_central ? "batching recovers control overhead"
+                                             : "UNEXPECTED: batching did not help");
 }
 
 }  // namespace

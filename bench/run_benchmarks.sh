@@ -3,7 +3,7 @@
 # BENCH_table{1,2,3,4}.json + BENCH_fig8.json + BENCH_wire.json at the repo root, so every
 # PR leaves a comparable perf sample behind (the paper's Tables 1-3 are the control-plane
 # cost claims this reproduction tracks; Table 4 is this repo's shard-scaling series for the
-# runtime engine, DESIGN.md §7; Fig 8 carries the central-batched dispatch series, §8;
+# runtime engine, DESIGN.md §7; Fig 8 carries the central per-task and serialized series, §8;
 # the wire series is real-socket dispatch throughput over the TCP transport, §13).
 #
 # Usage:
@@ -103,13 +103,13 @@ for bench in table1_install table2_instantiate table3_edits table4_sharding; do
 done
 
 # Fig 8 writes its own JSON (plain driver, no google-benchmark harness) and exits nonzero
-# if either the paper shape or the central-batched >=1.5x claim fails to reproduce.
+# if either the paper shape or the central-serialized >=1.95x per-task claim fails.
 echo "== fig8_task_throughput -> $ROOT/BENCH_fig8.json"
 "$BUILD/bench/bench_fig8_task_throughput" --json "$ROOT/BENCH_fig8.json.tmp"
 mv "$ROOT/BENCH_fig8.json.tmp" "$ROOT/BENCH_fig8.json"
 
 # The wire bench runs the control plane over real loopback sockets and exits nonzero if
-# the dispatch-strategy ordering (serialized >= struct-batched >= per-task) fails.
+# the dispatch-strategy ordering (serialized >= per-task) fails.
 echo "== wire_throughput -> $ROOT/BENCH_wire.json"
 "$BUILD/bench/bench_wire_throughput" --json "$ROOT/BENCH_wire.json.tmp"
 mv "$ROOT/BENCH_wire.json.tmp" "$ROOT/BENCH_wire.json"

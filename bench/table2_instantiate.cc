@@ -160,25 +160,6 @@ std::vector<CommandId> HalfBases(const core::WorkerTemplateSet& set, std::uint64
   return bases;
 }
 
-// Struct-batched assembly: per worker, build the half's Command vector from the template
-// entries (the central-batched dispatch path, DESIGN.md §8). The baseline the serialized
-// cache must beat.
-void BM_StructBatchAssembly(benchmark::State& state) {
-  auto block = BuildMicroBlock(kPartitions, kWorkers);
-  const core::ControllerTemplate* tmpl = block->manager.Find(block->template_id);
-  core::WorkerTemplateSet set =
-      core::ProjectBlock(*tmpl, block->assignment, WorkerTemplateId(0), ConstantBytes(80));
-  runtime::InlineExecutor executor;
-  runtime::InstantiationPipeline pipeline(&executor, 1);
-  const std::vector<CommandId> bases = HalfBases(set, 1000);
-  for (auto _ : state) {
-    auto batches = pipeline.AssembleCommandBatches(set, {}, 1, TaskId(0), bases);
-    benchmark::DoNotOptimize(batches);
-  }
-  ReportPerTaskTime(state, 8000.0);
-}
-BENCHMARK(BM_StructBatchAssembly)->Unit(benchmark::kMillisecond)->MinTime(2.0);
-
 // Serialized-batch assembly, steady state: the cached per-worker wire buffers are reused,
 // so each instantiation is memcpy + three header patches per worker (DESIGN.md §10). The
 // first iteration's cold encode is amortized away by the warm-up call. Gated in

@@ -1,19 +1,17 @@
 // Wire throughput — real-socket task dispatch over the TCP transport (DESIGN.md §13).
 //
 // The simulator benches (Fig 1/8) charge modeled costs; this bench runs the identical
-// control plane over loopback TCP and measures wall-clock task throughput for the three
-// central dispatch strategies:
+// control plane over loopback TCP and measures wall-clock task throughput for the two
+// central dispatch wire forms (DESIGN.md §8):
 //  * per-task        — kCentralOnly baseline: every command is its own envelope/frame.
-//  * struct-batched  — engine-driven batching (DESIGN.md §8): one kCommand envelope per
-//                      worker per stage plan, encoded field by field at send time.
-//  * serialized      — batched dispatch shipping pre-encoded NBW1 buffers from the
+//  * serialized      — one pre-encoded NBW1 buffer per worker per stage plan from the
 //                      serialized-template cache (DESIGN.md §10): memcpy + header patch
 //                      instead of per-command encoding.
 //
 // Task durations are virtual (each node's private simulation drains instantly), so
 // wall-clock time isolates the real control-plane work: envelope encode/decode, framing,
 // syscalls, and scheduling. The shape claim driving the exit code mirrors the simulator's
-// Fig 8 ordering: serialized >= struct-batched >= per-task.
+// Fig 8 ordering: serialized >= per-task.
 //
 // With --json PATH the measured series are written as a JSON document
 // (bench/run_benchmarks.sh commits it as BENCH_wire.json).
@@ -36,7 +34,7 @@ constexpr int kRepetitions = 3;
 // Wall-clock tasks/second for one dispatch config over loopback TCP; best of
 // kRepetitions runs (each with a fresh cluster, bootstrap, and warmup) to shed scheduler
 // noise.
-double TcpThroughput(bool batched, bool serialized) {
+double TcpThroughput(bool serialized) {
   double best = 0.0;
   for (int rep = 0; rep < kRepetitions; ++rep) {
     LrHarness h;
@@ -45,7 +43,6 @@ double TcpThroughput(bool batched, bool serialized) {
     options.partitions = kTasksPerWorker * kWorkers;
     options.mode = ControlMode::kCentralOnly;
     options.transport = TransportKind::kTcp;
-    options.central_batching = batched;
     options.serialized_batching = serialized;
     h.cluster = std::make_unique<Cluster>(options);
     h.job = std::make_unique<Job>(h.cluster.get());
@@ -76,19 +73,15 @@ int Run(const char* json_path) {
   std::printf("%d workers, %d tasks/block, best of %d x %d iterations per config\n\n",
               kWorkers, kTasksPerWorker * kWorkers, kRepetitions, kMeasuredIters);
 
-  const double per_task = TcpThroughput(/*batched=*/false, /*serialized=*/false);
+  const double per_task = TcpThroughput(/*serialized=*/false);
   std::printf("%-16s %12.0f tasks/s\n", "per-task", per_task);
-  const double batched = TcpThroughput(/*batched=*/true, /*serialized=*/false);
-  std::printf("%-16s %12.0f tasks/s\n", "struct-batched", batched);
-  const double serialized = TcpThroughput(/*batched=*/true, /*serialized=*/true);
+  const double serialized = TcpThroughput(/*serialized=*/true);
   std::printf("%-16s %12.0f tasks/s\n", "serialized", serialized);
 
-  const double batched_speedup = per_task > 0.0 ? batched / per_task : 0.0;
   const double serialized_speedup = per_task > 0.0 ? serialized / per_task : 0.0;
-  const bool shape_ok = serialized >= batched && batched >= per_task;
-  std::printf("\nShape check: serialized (%.0f) >= struct-batched (%.0f) >= per-task "
-              "(%.0f): %s\n",
-              serialized, batched, per_task, shape_ok ? "REPRODUCED" : "NOT reproduced");
+  const bool shape_ok = serialized >= per_task;
+  std::printf("\nShape check: serialized (%.0f) >= per-task (%.0f): %s\n", serialized,
+              per_task, shape_ok ? "REPRODUCED" : "NOT reproduced");
 
   if (json_path != nullptr) {
     std::FILE* f = std::fopen(json_path, "w");
@@ -101,9 +94,7 @@ int Run(const char* json_path) {
     std::fprintf(f, "  \"workers\": %d,\n", kWorkers);
     std::fprintf(f, "  \"tasks_per_block\": %d,\n", kTasksPerWorker * kWorkers);
     std::fprintf(f, "  \"per_task_tasks_per_s\": %.1f,\n", per_task);
-    std::fprintf(f, "  \"struct_batched_tasks_per_s\": %.1f,\n", batched);
     std::fprintf(f, "  \"serialized_tasks_per_s\": %.1f,\n", serialized);
-    std::fprintf(f, "  \"batched_speedup\": %.3f,\n", batched_speedup);
     std::fprintf(f, "  \"serialized_speedup\": %.3f,\n", serialized_speedup);
     std::fprintf(f, "  \"shape_ok\": %s\n}\n", shape_ok ? "true" : "false");
     std::fclose(f);

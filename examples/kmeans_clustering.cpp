@@ -63,6 +63,6 @@ int main() {
   }
 
   std::printf("\nconverged after %d iterations (recoveries: %lld)\n", iter,
-              static_cast<long long>(cluster.trace().Counter("recoveries")));
+              static_cast<long long>(cluster.controller().counters().recoveries));
   return 0;
 }

@@ -1,4 +1,4 @@
-// Small statistics helpers used by benchmarks and the trace recorder.
+// Small statistics helpers used by benchmarks and the metrics registry.
 //
 // Every counter struct here self-describes to the metrics registry (DESIGN.md §12.2):
 // `kGroupName` names its group, `VisitFields` walks its exported fields in a fixed order,
@@ -109,9 +109,8 @@ struct ShardCounters : detail::ClearableCounters<ShardCounters> {
   // invalidation rebuilds; steady state is all reuses.
   std::uint64_t plan_builds = 0;
   std::uint64_t plan_reuses = 0;
-  // Batched central dispatch (DESIGN.md §8): per-worker command batches assembled by the
-  // engine instead of per-task controller dispatch.
-  std::uint64_t command_batches = 0;
+  // Commands built by the serialized central path's cold encodes (DESIGN.md §10): the
+  // explicit command lists a cached half encoding is produced from. Steady state adds none.
   std::uint64_t commands_assembled = 0;
   std::vector<std::uint64_t> preconditions_checked;   // by shard
   std::vector<std::uint64_t> validation_failures;     // by shard
@@ -135,7 +134,6 @@ struct ShardCounters : detail::ClearableCounters<ShardCounters> {
     visit("assemble_jobs", assemble_jobs);
     visit("plan_builds", plan_builds);
     visit("plan_reuses", plan_reuses);
-    visit("command_batches", command_batches);
     visit("commands_assembled", commands_assembled);
     visit("preconditions_checked", detail::SumCounters(preconditions_checked));
     visit("validation_failures", detail::SumCounters(validation_failures));
@@ -182,7 +180,7 @@ struct SerializedBatchCounters : detail::ClearableCounters<SerializedBatchCounte
 // control-plane vs data bytes separately).
 enum class MessageKind : std::uint8_t {
   kControl = 0,      // heartbeats, completions, installs, instantiations, halts, recovery
-  kCommand,          // explicit command messages (per-task dispatch, struct batches, patches)
+  kCommand,          // explicit command messages (per-task dispatch, patches)
   kSerializedBatch,  // pre-encoded command batches (wire codec, DESIGN.md §10)
   kData,             // object payloads exchanged directly between workers
 };
@@ -285,6 +283,25 @@ struct FailureCounters : detail::ClearableCounters<FailureCounters> {
     visit("injected_delays", injected_delays);
     visit("injected_duplicates", injected_duplicates);
     visit("injected_severs", injected_severs);
+  }
+};
+
+// Controller scheduling and fault-tolerance events: Naiad-style full reinstalls forced by a
+// scheduling change, task migrations planned as template edits, checkpoints taken, and
+// completed recoveries.
+struct ControllerCounters : detail::ClearableCounters<ControllerCounters> {
+  std::uint64_t naiad_reinstalls = 0;    // kStaticDataflow: migration forced a reinstall
+  std::uint64_t migrations_planned = 0;  // tasks moved by PlanRandomMigrations
+  std::uint64_t checkpoints = 0;         // checkpoints committed
+  std::uint64_t recoveries = 0;          // recoveries completed
+
+  static constexpr const char* kGroupName = "controller";
+  template <typename V>
+  void VisitFields(V&& visit) const {
+    visit("naiad_reinstalls", naiad_reinstalls);
+    visit("migrations_planned", migrations_planned);
+    visit("checkpoints", checkpoints);
+    visit("recoveries", recoveries);
   }
 };
 

@@ -14,8 +14,8 @@ constexpr std::uint32_t kControlTrack = 0;
 
 NimbusController::NimbusController(sim::Simulation* simulation, net::Transport* transport,
                                    const sim::CostModel* costs, ObjectDirectory* directory,
-                                   DurableStore* durable, sim::TraceRecorder* trace,
-                                   ControlMode mode, net::TimerQueue* timers)
+                                   DurableStore* durable, ControlMode mode,
+                                   net::TimerQueue* timers)
     : simulation_(simulation),
       transport_(transport),
       owned_timers_(timers == nullptr ? std::make_unique<net::SimTimerQueue>(simulation)
@@ -24,7 +24,6 @@ NimbusController::NimbusController(sim::Simulation* simulation, net::Transport* 
       costs_(costs),
       directory_(directory),
       durable_(durable),
-      trace_(trace),
       mode_(mode),
       control_thread_(simulation) {}
 
@@ -297,22 +296,13 @@ void NimbusController::SubmitStages(const std::vector<StageDescriptor>& stages,
 
 void NimbusController::ExecuteStagesCentrally(const std::vector<StageDescriptor>& stages,
                                               PendingBlock* block) {
-  // Central dispatch mutates the version map outside the lookahead-covered window; any
-  // overlapped validation result is stale the moment a stage lands (DESIGN.md §9).
-  InvalidateLookahead();
   for (const StageDescriptor& stage : stages) {
-    if (central_batching_) {
-      // Engine-driven path: cached stage plan + per-worker command batches (DESIGN.md §8).
-      ExecuteStageBatched(stage, block);
-      continue;
-    }
-    // Build a throwaway single-stage template and run the full dependency analysis through
-    // the same projection code the template path uses.
     NIMBUS_TRACE_SPAN(trace::Lane::kController, kControlTrack, "stage_central");
-    core::ControllerTemplate adhoc = CompileStageTemplate(stage, /*include_params=*/true);
-
-    // Capture feeds the template being recorded, charging the Table 1 install cost.
+    // Capture feeds the template being recorded, charging the Table 1 install cost. It is
+    // independent of the plan cache (capture is a one-off; the plan may already be warm).
     if (templates_.capturing()) {
+      const core::ControllerTemplate adhoc = CompileStageTemplate(stage,
+                                                                  /*include_params=*/true);
       for (const core::TemplateEntry& e : adhoc.entries()) {
         templates_.CaptureTask(e.function, e.reads, e.writes, e.placement_partition,
                                e.duration, e.returns_scalar, e.cached_params);
@@ -320,19 +310,21 @@ void NimbusController::ExecuteStagesCentrally(const std::vector<StageDescriptor>
       }
     }
 
-    core::WorkerTemplateSet set = core::ProjectBlock(
-        adhoc, assignment_, WorkerTemplateId::Invalid(), BytesFn());
-    EnsureObjectsExist(set);
-
-    // Cross-worker block inputs become explicit copies (no templates => no preconditions).
-    const std::vector<core::PatchDirective> needed = pipeline_.Validate(set, versions_);
-    if (!needed.empty()) {
-      core::Patch patch;
-      patch.directives = needed;
-      DispatchPatch(patch, block);
-      for (const core::PatchDirective& d : needed) {
-        versions_.RecordCopyToLatest(d.object, d.dst);
+    bool newly = false;
+    core::WorkerTemplateSet* set = templates_.GetOrBuildStagePlan(
+        StageSignature(stage), assignment_,
+        [this, &stage]() { return CompileStageTemplate(stage, /*include_params=*/false); },
+        BytesFn(), stage.tasks.size(), &newly);
+    if (serialized_batching_) {
+      // Plan compilation IS the dependency analysis: charged at the per-task rate on the
+      // cold build only, plus the sweep. Per-task dispatch (the paper's baseline) models
+      // re-analysis in its per-command charge instead.
+      if (newly) {
+        control_thread_.Charge(costs_->nimbus_central_schedule_per_task *
+                               static_cast<sim::Duration>(stage.tasks.size()));
       }
+      control_thread_.Charge(costs_->validate_per_entry *
+                             static_cast<sim::Duration>(set->preconditions().size()));
     }
 
     // Sparse per-entry params come from the stage descriptors themselves on this path.
@@ -342,18 +334,10 @@ void NimbusController::ExecuteStagesCentrally(const std::vector<StageDescriptor>
         params.emplace_back(static_cast<std::int32_t>(i), stage.tasks[i].params);
       }
     }
-    DispatchSetCentrally(set, params, block);
-
-    core::Patch no_patch;
-    // Patch effects were applied above; only the write deltas remain.
-    pipeline_.ApplyEffects(set, no_patch, &versions_);
+    RunSetCentrallyWithPatches(*set, params, block);
   }
   prev_executed_ = core::PatchCache::kEntryFromOutside;
 }
-
-// -----------------------------------------------------------------------------------------
-// Batched central path (DESIGN.md §8)
-// -----------------------------------------------------------------------------------------
 
 std::uint64_t NimbusController::StageSignature(const StageDescriptor& stage) const {
   // Content hash over everything that shapes the projected plan: the schedule (assignment +
@@ -414,74 +398,6 @@ core::ControllerTemplate NimbusController::CompileStageTemplate(const StageDescr
   return adhoc;
 }
 
-void NimbusController::ExecuteStageBatched(const StageDescriptor& stage,
-                                           PendingBlock* block) {
-  // lint:allow(map-invalidate) -- only reached from ExecuteStagesCentrally, which
-  // invalidates the lookahead before any stage mutates the map
-  NIMBUS_TRACE_SPAN(trace::Lane::kController, kControlTrack, "stage_batched");
-  // Capture feeds the template being recorded exactly like the per-task path does,
-  // independent of the plan cache (capture is a one-off; the plan may already be warm).
-  if (templates_.capturing()) {
-    const core::ControllerTemplate adhoc = CompileStageTemplate(stage,
-                                                                /*include_params=*/true);
-    for (const core::TemplateEntry& e : adhoc.entries()) {
-      templates_.CaptureTask(e.function, e.reads, e.writes, e.placement_partition,
-                             e.duration, e.returns_scalar, e.cached_params);
-      control_thread_.Charge(costs_->install_controller_template_per_task);
-    }
-  }
-
-  bool newly = false;
-  core::WorkerTemplateSet* set = templates_.GetOrBuildStagePlan(
-      StageSignature(stage), assignment_,
-      [this, &stage]() { return CompileStageTemplate(stage, /*include_params=*/false); },
-      BytesFn(), stage.tasks.size(), &newly);
-  if (newly) {
-    // Plan compilation IS the dependency analysis the per-task path re-runs every stage:
-    // charge it at the same per-task rate, but only on the cold build.
-    control_thread_.Charge(costs_->nimbus_central_schedule_per_task *
-                           static_cast<sim::Duration>(stage.tasks.size()));
-  }
-  EnsureObjectsExist(*set);
-
-  // Sharded precondition sweep (the plan has a valid id, so the engine caches its shard
-  // plan); failures become explicit patch copies exactly as on the per-task path.
-  std::vector<core::PatchDirective> needed;
-  if (phase_probe_) {
-    phase_probe_("validate");
-  }
-  {
-    NIMBUS_TRACE_SPAN(trace::Lane::kController, kControlTrack, "validate");
-    needed = pipeline_.Validate(*set, versions_);
-  }
-  control_thread_.Charge(costs_->validate_per_entry *
-                         static_cast<sim::Duration>(set->preconditions().size()));
-  if (!needed.empty()) {
-    core::Patch patch;
-    patch.directives = needed;
-    DispatchPatch(patch, block);
-    for (const core::PatchDirective& d : needed) {
-      versions_.RecordCopyToLatest(d.object, d.dst);
-    }
-  }
-
-  std::vector<std::pair<std::int32_t, ParameterBlob>> params;
-  for (std::size_t i = 0; i < stage.tasks.size(); ++i) {
-    if (!stage.tasks[i].params.empty()) {
-      params.emplace_back(static_cast<std::int32_t>(i), stage.tasks[i].params);
-    }
-  }
-  DispatchCentralBlock(*set, params, block);
-
-  core::Patch no_patch;
-  // Patch effects were applied above; only the write deltas remain (sharded apply).
-  if (phase_probe_) {
-    phase_probe_("apply");
-  }
-  NIMBUS_TRACE_SPAN(trace::Lane::kController, kControlTrack, "apply_effects");
-  pipeline_.ApplyEffects(*set, no_patch, &versions_);
-}
-
 void NimbusController::DispatchCentralBlock(
     const core::WorkerTemplateSet& set,
     const std::vector<std::pair<std::int32_t, ParameterBlob>>& params, PendingBlock* block) {
@@ -499,85 +415,43 @@ void NimbusController::DispatchCentralBlock(
     }
   }
 
-  if (serialized_batching_) {
-    // Serialized path (DESIGN.md §10): ship each worker's pre-encoded wire buffer. Cold
-    // batches (template just encoded) pay the encode; steady-state batches pay only the
-    // memcpy-scale patch costs — the gap Fig 8's central-serialized series measures.
-    if (phase_probe_) {
-      phase_probe_("assemble");
-    }
-    std::vector<runtime::SerializedBatch> batches =
-        pipeline_.AssembleSerializedBatches(set, params, seq, task_base, bases);
-    if (phase_probe_) {
-      phase_probe_("dispatch");
-    }
-    int participating = 0;
-    for (runtime::SerializedBatch& batch : batches) {
-      Worker* worker = FindWorker(batch.worker);
-      NIMBUS_CHECK(worker != nullptr) << "dispatch to unknown worker " << batch.worker;
-      ++participating;
-      tasks_dispatched_ += batch.task_count;
-      const std::size_t total = batch.command_count;
-      const auto n = static_cast<sim::Duration>(total);
-      const sim::Duration cost =
-          batch.reused
-              ? costs_->serialized_batch_per_worker + costs_->serialized_batch_per_task * n +
-                    costs_->serialized_patch_per_slot *
-                        static_cast<sim::Duration>(batch.params_patched)
-              : costs_->nimbus_central_batch_per_worker +
-                    costs_->serialized_batch_encode_per_task * n;
-      const std::int64_t wire = batch.wire_size;  // modeled size: the nested NBW1 bytes
-      control_thread_.Submit(cost, [this, dst = worker->address(),
-                                    bytes = std::move(batch.bytes), seq, total,
-                                    wire]() mutable {
-        wire::SerializedBatchEnvelope e;
-        e.group_seq = seq;
-        e.expected_total = total;
-        e.barrier = true;
-        e.batch = std::move(bytes);
-        transport_->Send(net::NodeAddress::Controller(), dst,
-                         MessageKind::kSerializedBatch,
-                         wire::EncodeSerializedBatchEnvelope(e), wire);
-      });
-    }
-    if (participating > 0) {
-      RegisterGroup(seq, block, participating);
-    }
-    return;
-  }
-
+  // Ship each worker's pre-encoded wire buffer (DESIGN.md §10). Cold batches (template
+  // just encoded) pay the encode; steady-state batches pay only the memcpy-scale patch
+  // costs — the gap Fig 8's central-serialized series measures.
   if (phase_probe_) {
     phase_probe_("assemble");
   }
-  std::vector<runtime::CommandBatch> batches =
-      pipeline_.AssembleCommandBatches(set, params, seq, task_base, bases);
-
+  std::vector<runtime::SerializedBatch> batches =
+      pipeline_.AssembleSerializedBatches(set, params, seq, task_base, bases);
   if (phase_probe_) {
     phase_probe_("dispatch");
   }
   int participating = 0;
-  for (runtime::CommandBatch& batch : batches) {
+  for (runtime::SerializedBatch& batch : batches) {
     Worker* worker = FindWorker(batch.worker);
     NIMBUS_CHECK(worker != nullptr) << "dispatch to unknown worker " << batch.worker;
     ++participating;
     tasks_dispatched_ += batch.task_count;
-    const std::size_t total = batch.commands.size();
-    // One scheduling charge and one message per worker: per-batch fixed cost plus the
-    // (cheaper) batched per-task cost — the gap Fig 1/8's central-batched series measures.
+    const std::size_t total = batch.command_count;
+    const auto n = static_cast<sim::Duration>(total);
     const sim::Duration cost =
-        costs_->nimbus_central_batch_per_worker +
-        costs_->nimbus_central_batched_per_task * static_cast<sim::Duration>(total);
-    const std::int64_t wire = batch.wire_size;
+        batch.reused
+            ? costs_->serialized_batch_per_worker + costs_->serialized_batch_per_task * n +
+                  costs_->serialized_patch_per_slot *
+                      static_cast<sim::Duration>(batch.params_patched)
+            : costs_->nimbus_central_batch_per_worker +
+                  costs_->serialized_batch_encode_per_task * n;
+    const std::int64_t wire = batch.wire_size;  // modeled size: the nested NBW1 bytes
     control_thread_.Submit(cost, [this, dst = worker->address(),
-                                  cmds = std::move(batch.commands), seq, total,
+                                  bytes = std::move(batch.bytes), seq, total,
                                   wire]() mutable {
-      wire::CommandsEnvelope e;
+      wire::SerializedBatchEnvelope e;
       e.group_seq = seq;
       e.expected_total = total;
       e.barrier = true;
-      e.commands = std::move(cmds);
-      transport_->Send(net::NodeAddress::Controller(), dst, MessageKind::kCommand,
-                       wire::EncodeCommandsEnvelope(e), wire);
+      e.batch = std::move(bytes);
+      transport_->Send(net::NodeAddress::Controller(), dst, MessageKind::kSerializedBatch,
+                       wire::EncodeSerializedBatchEnvelope(e), wire);
     });
   }
   if (participating > 0) {
@@ -588,6 +462,9 @@ void NimbusController::DispatchCentralBlock(
 void NimbusController::DispatchSetCentrally(
     const core::WorkerTemplateSet& set,
     const std::vector<std::pair<std::int32_t, ParameterBlob>>& params, PendingBlock* block) {
+  if (phase_probe_) {
+    phase_probe_("dispatch");
+  }
   const std::uint64_t seq = NewGroupSeq();
   const TaskId task_base = task_ids_.NextRange(set.entry_meta().size());
 
@@ -622,8 +499,9 @@ void NimbusController::DispatchSetCentrally(
         }
         ++tasks_dispatched_;
       }
-      // One shared builder with the engine's batched assembly (core::CommandFromEntry):
-      // the bit-identical-streams contract between the two dispatchers is structural.
+      // One shared builder with the engine's serialized cold encode
+      // (core::CommandFromEntry): the bit-identical-streams contract between the two wire
+      // forms is structural.
       Command cmd = core::CommandFromEntry(e, i, base, task_base, seq, override_params);
 
       // Each command is individually scheduled (per-task controller cost) and sent as its
@@ -633,14 +511,14 @@ void NimbusController::DispatchSetCentrally(
       control_thread_.Submit(per_task, [this, dst = worker->address(),
                                         cmd = std::move(cmd), seq, total, final,
                                         wire]() mutable {
-        wire::CommandsEnvelope e;
-        e.group_seq = seq;
-        e.expected_total = total;
-        e.finalize = final;
-        e.barrier = true;
-        e.commands.push_back(std::move(cmd));
+        wire::CommandsEnvelope envelope;
+        envelope.group_seq = seq;
+        envelope.expected_total = total;
+        envelope.finalize = final;
+        envelope.barrier = true;
+        envelope.commands.push_back(std::move(cmd));
         transport_->Send(net::NodeAddress::Controller(), dst, MessageKind::kCommand,
-                         wire::EncodeCommandsEnvelope(e), wire);
+                         wire::EncodeCommandsEnvelope(envelope), wire);
       });
     }
   }
@@ -776,9 +654,6 @@ const core::WorkerTemplateSet* NimbusController::ResolveLookaheadTarget(
 void NimbusController::InstantiateTemplate(
     const std::string& name, std::vector<std::pair<std::int32_t, ParameterBlob>> params,
     BlockDone done, const std::string& next_name) {
-  // lint:allow(map-invalidate) -- the bring-up stages delegate to
-  // RunSetCentrallyWithPatches (which invalidates first); the steady-state stage delegates
-  // to InstantiateSet (which consumes-or-invalidates the lookahead before mutating)
   NIMBUS_TRACE_SPAN(trace::Lane::kController, kControlTrack, "instantiate_template");
   const TemplateId tid = templates_.FindByName(name);
   NIMBUS_CHECK(tid.valid()) << "unknown template '" << name << "'";
@@ -801,7 +676,6 @@ void NimbusController::InstantiateTemplate(
       control_thread_.Charge(costs_->naiad_install_per_task *
                              static_cast<sim::Duration>(tmpl->task_count()));
     }
-    EnsureObjectsExist(*set);
     RunSetCentrallyWithPatches(*set, params, block);
     prev_executed_ = core::PatchCache::kEntryFromOutside;
     return;
@@ -826,7 +700,6 @@ void NimbusController::InstantiateTemplate(
       });
     }
     state.installed_on_workers = true;
-    EnsureObjectsExist(*set);
     RunSetCentrallyWithPatches(*set, params, block);
     prev_executed_ = core::PatchCache::kEntryFromOutside;
     return;
@@ -841,8 +714,21 @@ void NimbusController::InstantiateTemplate(
 void NimbusController::RunSetCentrallyWithPatches(
     const core::WorkerTemplateSet& set,
     const std::vector<std::pair<std::int32_t, ParameterBlob>>& params, PendingBlock* block) {
-  InvalidateLookahead();  // bring-up iterations mutate the map outside the covered window
-  const std::vector<core::PatchDirective> needed = pipeline_.Validate(set, versions_);
+  // Central dispatch mutates the version map outside the lookahead-covered window; any
+  // overlapped validation result is stale the moment a stage lands (DESIGN.md §9).
+  InvalidateLookahead();
+  EnsureObjectsExist(set);
+
+  // Sharded precondition sweep over the set's cached shard plan; failures become explicit
+  // patch copies (no templates on the workers => nothing to validate against there).
+  std::vector<core::PatchDirective> needed;
+  if (phase_probe_) {
+    phase_probe_("validate");
+  }
+  {
+    NIMBUS_TRACE_SPAN(trace::Lane::kController, kControlTrack, "validate");
+    needed = pipeline_.Validate(set, versions_);
+  }
   if (!needed.empty()) {
     core::Patch patch;
     patch.directives = needed;
@@ -851,15 +737,19 @@ void NimbusController::RunSetCentrallyWithPatches(
       versions_.RecordCopyToLatest(d.object, d.dst);
     }
   }
-  if (central_batching_ && set.id().valid()) {
-    // Template bring-up iterations ride the batched dispatcher too: the projected set
-    // already has a real id, so the engine shards and caches its plan like any other.
+
+  if (serialized_batching_) {
     DispatchCentralBlock(set, params, block);
   } else {
     DispatchSetCentrally(set, params, block);
   }
-  core::Patch no_patch;
-  pipeline_.ApplyEffects(set, no_patch, &versions_);
+
+  // Patch effects were applied above; only the write deltas remain (sharded apply).
+  if (phase_probe_) {
+    phase_probe_("apply");
+  }
+  NIMBUS_TRACE_SPAN(trace::Lane::kController, kControlTrack, "apply_effects");
+  pipeline_.ApplyEffects(set, core::Patch{}, &versions_);
 }
 
 void NimbusController::InstantiateSet(
@@ -1060,7 +950,7 @@ void NimbusController::PlanRandomMigrations(const std::string& name, int count, 
     const core::ControllerTemplate* tmpl = templates_.Find(tid);
     control_thread_.Charge(costs_->naiad_install_per_task *
                            static_cast<sim::Duration>(tmpl->task_count()));
-    trace_->IncrementCounter("naiad_reinstalls");
+    ++counters_.naiad_reinstalls;
     return;
   }
 
@@ -1109,7 +999,7 @@ void NimbusController::PlanRandomMigrations(const std::string& name, int count, 
     ++load[to];
     ++planned;
   }
-  trace_->IncrementCounter("migrations_planned", planned);
+  counters_.migrations_planned += static_cast<std::uint64_t>(planned);
 }
 
 bool NimbusController::PlanRemoveTask(const std::string& name, std::int32_t global_entry) {
@@ -1184,7 +1074,7 @@ void NimbusController::TriggerCheckpoint(std::uint64_t driver_marker,
 
   PendingBlock* block = NewPendingBlock([this, done = std::move(done)](auto) {
     checkpoint_.valid = true;
-    trace_->IncrementCounter("checkpoints");
+    ++counters_.checkpoints;
     if (done) {
       done();
     }
@@ -1385,7 +1275,7 @@ void NimbusController::RunRecovery() {
   PendingBlock* block = NewPendingBlock([this](auto) {
     recovering_ = false;
     prev_executed_ = core::PatchCache::kEntryFromOutside;
-    trace_->IncrementCounter("recoveries");
+    ++counters_.recoveries;
     if (failure_detection_) {
       timers_->Schedule(heartbeat_timeout_, [this]() { CheckHeartbeats(); });
     }

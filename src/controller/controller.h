@@ -39,7 +39,6 @@
 #include "src/runtime/shard_audit.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/simulation.h"
-#include "src/sim/trace.h"
 #include "src/task/command.h"
 #include "src/worker/worker.h"
 
@@ -62,7 +61,7 @@ class NimbusController {
   // cluster passes the node's timerfd-backed queue so detection uses real wall time.
   NimbusController(sim::Simulation* simulation, net::Transport* transport,
                    const sim::CostModel* costs, ObjectDirectory* directory,
-                   DurableStore* durable, sim::TraceRecorder* trace, ControlMode mode,
+                   DurableStore* durable, ControlMode mode,
                    net::TimerQueue* timers = nullptr);
 
   // ---- Transport-facing entry point ----
@@ -84,29 +83,17 @@ class NimbusController {
   // Recomputes every patch from scratch, disabling the patch cache of §4.2.
   void set_disable_patch_cache(bool v) { disable_patch_cache_ = v; }
 
-  // --- Batched central dispatch (DESIGN.md §8) ---
-  // Routes the central-scheduling path through the runtime engine: each submitted stage is
-  // compiled once into a cached stage plan (a worker-template set keyed by stage identity +
-  // schedule), validated/applied through the sharded pipeline, and dispatched as ONE
-  // per-worker command batch instead of one message per task. Off by default: kCentralOnly
-  // with per-task dispatch is the paper's Fig 1/8 baseline; the "central-batched" bench
-  // series and the bit-equality tests turn this on. Output (worker command streams,
-  // version-map state, scalars) is identical either way — only cost accounting and message
-  // count change.
-  void set_central_batching(bool v) { central_batching_ = v; }
-  bool central_batching() const { return central_batching_; }
-
-  // On top of central batching, ship each worker's batch as one pre-encoded wire buffer
-  // from the engine's serialized-template cache (memcpy + header patch + in-place
-  // parameter patch, DESIGN.md §10) instead of a struct vector. Workers decode the bytes
-  // back into the identical command stream, so output matches the other dispatch modes
-  // bit-for-bit; only cost accounting and wire bytes change. Implies central batching.
-  void set_serialized_batching(bool v) {
-    serialized_batching_ = v;
-    if (v) {
-      central_batching_ = true;
-    }
-  }
+  // --- Central dispatch wire form (DESIGN.md §8) ---
+  // Every central stage runs through a cached stage plan (a worker-template set keyed by
+  // stage identity + schedule), validated/applied through the sharded pipeline. This
+  // switch picks how its commands reach the workers: off (the default, and the paper's
+  // Fig 1/8 baseline) sends every command as its own message; on ships each worker ONE
+  // pre-encoded wire buffer from the engine's serialized-template cache (memcpy + header
+  // patch + in-place parameter patch, DESIGN.md §10). Workers decode the bytes back into
+  // the identical command stream, so output (worker command streams, version-map state,
+  // scalars) matches bit-for-bit; only cost accounting, message count and wire bytes
+  // change.
+  void set_serialized_batching(bool v) { serialized_batching_ = v; }
   bool serialized_batching() const { return serialized_batching_; }
 
   // ---- Cluster membership (resource manager interface, Fig 2) ----
@@ -193,6 +180,9 @@ class NimbusController {
   // failure path as a heartbeat timeout. Non-worker and already-failed peers are ignored.
   void OnPeerLost(net::NodeAddress peer);
   const FailureCounters& failure_counters() const { return failure_counters_; }
+  // Scheduling and fault-tolerance events (reinstalls, migrations, checkpoints,
+  // recoveries).
+  const ControllerCounters& counters() const { return counters_; }
 
   // Test probe invoked at the start of each instantiation-pipeline phase ("validate",
   // "apply", "assemble", "dispatch") — lets fault tests align injected failures with a
@@ -223,7 +213,6 @@ class NimbusController {
   std::uint64_t tasks_dispatched() const { return tasks_dispatched_; }
   std::uint64_t tasks_via_templates() const { return tasks_via_templates_; }
   const Worker* worker(WorkerId id) const;
-  sim::TraceRecorder* trace() { return trace_; }
 
  private:
   struct PendingBlock {
@@ -281,7 +270,8 @@ class NimbusController {
   void EnsureObjectsExist(const core::WorkerTemplateSet& set);
 
   // Runs one block of stages through the central-scheduling path, optionally while a
-  // template capture is recording.
+  // template capture is recording: per stage, capture (if recording) -> cached stage plan
+  // -> RunSetCentrallyWithPatches.
   void ExecuteStagesCentrally(const std::vector<StageDescriptor>& stages, PendingBlock* block);
 
   // Dispatches the commands of `set` individually (central path), charging per-task costs.
@@ -289,22 +279,19 @@ class NimbusController {
                             const std::vector<std::pair<std::int32_t, ParameterBlob>>& params,
                             PendingBlock* block);
 
-  // --- Batched central path (DESIGN.md §8) ---
+  // --- Stage plans (DESIGN.md §8) ---
   // Content hash identifying one stage under the current schedule (excludes per-task
   // params, which ride each dispatch as instantiation parameters).
   std::uint64_t StageSignature(const StageDescriptor& stage) const;
-  // Builds the throwaway single-stage template central dispatch projects from — the single
-  // home of the read/write resolution and placement-fallback rules (per-task path, batched
-  // path, and template capture all consume its entries). With `include_params` the stage's
-  // current params are baked as cached_params (per-task dispatch, capture); stage plans
-  // strip them (the plan caches structure, dispatch supplies fresh parameters).
+  // Builds the single-stage template a stage plan projects from — the single home of the
+  // read/write resolution and placement-fallback rules (stage plans and template capture
+  // both consume its entries). With `include_params` the stage's current params are baked
+  // as cached_params (capture); stage plans strip them (the plan caches structure,
+  // dispatch supplies fresh parameters).
   core::ControllerTemplate CompileStageTemplate(const StageDescriptor& stage,
                                                 bool include_params);
-  // One stage through the engine: cached plan -> sharded validate -> patch -> batched
-  // dispatch -> sharded apply.
-  void ExecuteStageBatched(const StageDescriptor& stage, PendingBlock* block);
-  // Dispatches `set` as one per-worker command batch assembled by the engine, charging
-  // per-batch + per-task costs (same command streams as DispatchSetCentrally).
+  // Dispatches `set` as one pre-encoded wire buffer per worker assembled by the engine,
+  // charging per-batch + per-task costs (same command streams as DispatchSetCentrally).
   void DispatchCentralBlock(const core::WorkerTemplateSet& set,
                             const std::vector<std::pair<std::int32_t, ParameterBlob>>& params,
                             PendingBlock* block);
@@ -312,8 +299,9 @@ class NimbusController {
   // Sends the patch as barrier command groups (send half on src, receive half on dst).
   void DispatchPatch(const core::Patch& patch, PendingBlock* block);
 
-  // Validates + patches + dispatches `set` through the central path (used during the
-  // template bring-up iterations).
+  // The one central-dispatch body (every submitted stage and both template bring-up
+  // iterations): create missing objects -> sharded validate -> patch copies -> dispatch
+  // per task or serialized -> sharded apply. `set` must carry a real id.
   void RunSetCentrallyWithPatches(
       const core::WorkerTemplateSet& set,
       const std::vector<std::pair<std::int32_t, ParameterBlob>>& params, PendingBlock* block);
@@ -362,7 +350,6 @@ class NimbusController {
   const sim::CostModel* costs_;
   ObjectDirectory* directory_;
   DurableStore* durable_;
-  sim::TraceRecorder* trace_;
   ControlMode mode_;
 
   sim::Processor control_thread_;
@@ -428,13 +415,13 @@ class NimbusController {
   sim::Duration heartbeat_timeout_ = 0;
   int miss_threshold_ = 1;
   FailureCounters failure_counters_;
+  ControllerCounters counters_;
   std::function<void(const char*)> phase_probe_;
 
   std::uint64_t tasks_dispatched_ = 0;
   std::uint64_t tasks_via_templates_ = 0;
   bool force_full_validation_ = false;
   bool disable_patch_cache_ = false;
-  bool central_batching_ = false;
   bool serialized_batching_ = false;
 
   IdAllocator<TaskId> task_ids_;

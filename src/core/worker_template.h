@@ -444,8 +444,9 @@ void ApplyWorkerEditOps(WorkerHalf* half, const std::vector<WorkerEditOp>& ops);
 
 // Materializes entry `index` of a worker half as an explicit command. This is THE command
 // builder for central dispatch: the per-task dispatcher calls it once per entry and the
-// engine's batched assembly calls it per half (DESIGN.md §8) — one implementation, so the
-// two paths cannot drift apart on the bit-identical-streams contract. `override_params`
+// engine's serialized cold encode calls it per half (DESIGN.md §8, §10) — one
+// implementation, so the two wire forms cannot drift apart on the bit-identical-streams
+// contract. `override_params`
 // (nullable) replaces the entry's cached params; ids derive from the caller's bases.
 Command CommandFromEntry(const WtEntry& entry, std::size_t index, CommandId command_base,
                          TaskId task_base, std::uint64_t group_seq,

@@ -36,8 +36,7 @@ Cluster::Cluster(ClusterOptions options)
   net::TimerQueue* controller_timers = tcp ? tcp_->node_timers(controller_address) : nullptr;
   controller_ = std::make_unique<NimbusController>(controller_sim, controller_transport,
                                                    &options_.costs, &directory_, &durable_,
-                                                   &trace_, options_.mode, controller_timers);
-  controller_->set_central_batching(options_.central_batching);
+                                                   options_.mode, controller_timers);
   controller_->set_serialized_batching(options_.serialized_batching);
   controller_->set_force_full_validation(options_.force_full_validation);
   controller_->set_disable_patch_cache(options_.disable_patch_cache);

@@ -27,7 +27,6 @@
 #include "src/sim/cost_model.h"
 #include "src/sim/network.h"
 #include "src/sim/simulation.h"
-#include "src/sim/trace.h"
 #include "src/worker/function_registry.h"
 #include "src/worker/worker.h"
 
@@ -38,11 +37,10 @@ enum class TransportKind {
   kTcp,  // real sockets over loopback (async epoll event loops)
 };
 
-// All construction-time knobs in one place. The control-plane switches used to be
-// post-construction setters scattered over NimbusController; they are consolidated here so
-// a cluster's configuration is complete at the constructor call. The controller setters
-// (set_central_batching etc.) remain for tests that reconfigure mid-run, but new code
-// should prefer these fields.
+// All construction-time knobs in one place, so a cluster's configuration is complete at
+// the constructor call. The matching controller setters (set_serialized_batching etc.)
+// remain for tests and benches that reconfigure a built cluster, but new code should
+// prefer these fields.
 struct ClusterOptions {
   int workers = 4;
   int partitions = 8;  // global placement-partition space
@@ -51,8 +49,9 @@ struct ClusterOptions {
   TransportKind transport = TransportKind::kSim;
 
   // --- Controller knobs (DESIGN.md §5, §8, §9) ---
-  bool central_batching = false;
-  bool serialized_batching = false;  // implies central_batching
+  // Central dispatch wire form: false = one message per command (the paper's baseline),
+  // true = one pre-encoded buffer per worker per stage (DESIGN.md §8, §10).
+  bool serialized_batching = false;
   bool force_full_validation = false;
   bool disable_patch_cache = false;
   bool lookahead_enabled = true;
@@ -126,7 +125,6 @@ class Cluster {
   FunctionRegistry& functions() { return functions_; }
   ObjectDirectory& directory() { return directory_; }
   DurableStore& durable() { return durable_; }
-  sim::TraceRecorder& trace() { return trace_; }
 
   Worker* worker(WorkerId id);
   std::vector<WorkerId> worker_ids() const;
@@ -157,7 +155,6 @@ class Cluster {
   ClusterOptions options_;
   sim::Simulation simulation_;
   sim::Network network_;
-  sim::TraceRecorder trace_;
   ObjectDirectory directory_;
   DurableStore durable_;
   FunctionRegistry functions_;

@@ -312,8 +312,8 @@ void TcpEndpoint::FlushLocked(Connection* conn) {
     return;  // connection down: frames stay queued and resend after redial/re-accept
   }
   while (!conn->send_queue.empty()) {
-    // Gather up to 16 queued frames into one writev (the struct-batched and per-task
-    // dispatch modes queue many small frames back to back).
+    // Gather up to 16 queued frames into one writev (per-task dispatch and patch copies
+    // queue many small frames back to back).
     iovec iov[16];
     int iovcnt = 0;
     std::size_t offset = conn->send_offset;

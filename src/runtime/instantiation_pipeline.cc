@@ -57,7 +57,8 @@ void InstantiationPipeline::BuildPlan(const core::CompiledInstantiation& compile
 
 InstantiationPipeline::ShardPlan& InstantiationPipeline::PlanFor(
     const core::WorkerTemplateSet& set, const core::CompiledInstantiation& compiled) {
-  // Ad-hoc sets (invalid id) never reach here: they take the flat sweeps directly.
+  // Every set the engine sees carries a real id (template projections and cached stage
+  // plans alike); an id-less set here is a programmer error.
   NIMBUS_CHECK(set.id().valid());
   // Worker-template ids are allocated contiguously from 0 (see TemplateManager), so the
   // id value doubles as the dense index, like the controller's set_states_.
@@ -159,8 +160,8 @@ std::vector<core::PatchDirective> InstantiationPipeline::MergeFailures(
   return out;
 }
 
-// The flat precondition sweep (TemplateManager::Validate's logic) over an arbitrary
-// compiled range, appending directly in compiled order.
+// The flat precondition sweep (TemplateManager::Validate's logic) over one shard's planned
+// range, appending directly in compiled order.
 namespace {
 template <typename PlannedRange>
 std::uint64_t SweepPreconditions(const PlannedRange& range, const VersionMap& versions,
@@ -182,44 +183,13 @@ std::uint64_t SweepPreconditions(const PlannedRange& range, const VersionMap& ve
   }
   return checked;
 }
-
-// Adapts raw compiled preconditions to SweepPreconditions' entry.pre shape.
-struct CompiledRangeView {
-  const std::vector<core::CompiledInstantiation::CompiledPrecondition>& pres;
-  struct Entry {
-    const core::CompiledInstantiation::CompiledPrecondition& pre;
-  };
-  struct Iterator {
-    const core::CompiledInstantiation::CompiledPrecondition* p;
-    Entry operator*() const { return Entry{*p}; }
-    Iterator& operator++() {
-      ++p;
-      return *this;
-    }
-    bool operator!=(const Iterator& o) const { return p != o.p; }
-  };
-  Iterator begin() const { return Iterator{pres.data()}; }
-  Iterator end() const { return Iterator{pres.data() + pres.size()}; }
-};
 }  // namespace
 
 std::vector<core::PatchDirective> InstantiationPipeline::Validate(
     const core::WorkerTemplateSet& set, const VersionMap& versions) {
   serial_phase_.Assert();
   // Compiling (and plan building) intern through hash maps: strictly before the batch.
-  const core::CompiledInstantiation& compiled = set.CompiledFor(versions);
-  if (!set.id().valid()) {
-    // Invalid-id sets are throwaway (the per-task central path rebuilds its projection
-    // every stage): a shard plan costs more to build than it could ever save, so they take
-    // the flat sweep directly. Cached stage plans carry real ids and shard like templates.
-    std::vector<core::PatchDirective> out;
-    shard_counters_.preconditions_checked[0] +=
-        SweepPreconditions(CompiledRangeView{compiled.preconditions}, versions, &out);
-    shard_counters_.validation_failures[0] += out.size();
-    ++shard_counters_.validate_batches;
-    return out;
-  }
-  const ShardPlan& plan = PlanFor(set, compiled);
+  const ShardPlan& plan = PlanFor(set, set.CompiledFor(versions));
   const std::size_t jobs = ValidateJobCount();
   if (jobs == 1) {
     // The controller's shipped configuration (1 shard): one contiguous sweep appending in
@@ -272,25 +242,6 @@ void InstantiationPipeline::ApplyEffects(const core::WorkerTemplateSet& set,
   // invalidation sites; this bump backstops them) is stale from here on.
   audit::BumpStamp();
   const core::CompiledInstantiation& compiled = set.CompiledFor(*versions);
-  if (!set.id().valid()) {
-    // Ad-hoc sets: flat application (TemplateManager::ApplyInstantiationEffects' logic),
-    // no shard plan.
-    for (const core::PatchDirective& d : patch.directives) {
-      versions->RecordCopyToLatest(d.object, d.dst);
-    }
-    for (const auto& delta : compiled.write_deltas) {
-      if (!versions->ExistsDense(delta.object)) {
-        versions->CreateObjectDense(delta.object, delta.primary_holder);
-      }
-      versions->AdvanceVersionsDense(delta.object, delta.primary_holder, delta.write_count);
-      for (DenseIndex holder : delta.extra_holders) {
-        versions->RecordCopyToLatestDense(delta.object, holder);
-      }
-    }
-    shard_counters_.deltas_applied[0] += compiled.write_deltas.size();
-    ++shard_counters_.apply_batches;
-    return;
-  }
   ShardPlan& plan = PlanFor(set, compiled);
 
   // Serial prologue: interning mutates the id-space hash maps, and object creation bumps
@@ -346,14 +297,6 @@ void InstantiationPipeline::EnsureObjectsExist(const core::WorkerTemplateSet& se
   serial_phase_.Assert();
   audit::BumpStamp();  // object creation is an out-of-window mutation
   const core::CompiledInstantiation& compiled = set.CompiledFor(*versions);
-  if (!set.id().valid()) {
-    for (const auto& delta : compiled.write_deltas) {
-      if (!versions->ExistsDense(delta.object)) {
-        versions->CreateObjectDense(delta.object, delta.primary_holder);
-      }
-    }
-    return;
-  }
   EnsureObjectsExistPlanned(&PlanFor(set, compiled), compiled, versions);
 }
 
@@ -458,93 +401,6 @@ std::vector<WorkerMessage> InstantiationPipeline::AssembleMessages(
 }
 
 // -----------------------------------------------------------------------------------------
-// Batched central dispatch: per-worker explicit command batches (DESIGN.md §8)
-// -----------------------------------------------------------------------------------------
-
-namespace {
-
-// Builds one half's command list through core::CommandFromEntry — the same builder the
-// per-task dispatcher uses, so the batched wire stream is bit-identical to the per-task
-// stream by construction. `sorted_params` is slot-ascending.
-void BuildHalfCommands(const core::WorkerHalf& half, const ParamList& sorted_params,
-                       std::uint64_t group_seq, TaskId task_base, CommandId base,
-                       CommandBatch* out) {
-  out->commands.reserve(half.entries.size());
-  std::int64_t wire = 0;
-  for (std::size_t i = 0; i < half.entries.size(); ++i) {
-    const core::WtEntry& e = half.entries[i];
-    const ParameterBlob* override_params = nullptr;
-    if (e.type == CommandType::kTask) {
-      const auto pit = std::lower_bound(
-          sorted_params.begin(), sorted_params.end(), e.global_entry,
-          [](const std::pair<std::int32_t, ParameterBlob>& p, std::int32_t slot) {
-            return p.first < slot;
-          });
-      if (pit != sorted_params.end() && pit->first == e.global_entry) {
-        override_params = &pit->second;
-      }
-      ++out->task_count;
-    }
-    Command cmd = core::CommandFromEntry(e, i, base, task_base, group_seq, override_params);
-    wire += cmd.WireSize();
-    out->commands.push_back(std::move(cmd));
-  }
-  out->wire_size = wire;
-}
-
-}  // namespace
-
-std::vector<CommandBatch> InstantiationPipeline::AssembleCommandBatches(
-    const core::WorkerTemplateSet& set, const ParamList& params, std::uint64_t group_seq,
-    TaskId task_base, const std::vector<CommandId>& half_bases) {
-  serial_phase_.Assert();
-  const auto& halves = set.halves();
-  NIMBUS_CHECK_EQ(half_bases.size(), halves.size());
-
-  // Sparse params sorted once by slot: each task entry pays one binary search instead of
-  // a hash probe (the per-task dispatcher's param_of map, without the allocation).
-  ParamList sorted_params = params;
-  std::stable_sort(sorted_params.begin(), sorted_params.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  std::vector<CommandBatch> batches(halves.size());
-  // Same chunking as message assembly: the engine's parallelism degree is the shard count
-  // across every stage, and chunks write disjoint batch slots.
-  const std::size_t chunks = shard_count_;
-  executor_->Run(chunks, [&](std::size_t job) {
-    NIMBUS_TRACE_SPAN(trace::Lane::kPipeline, static_cast<std::uint32_t>(job),
-                      "assemble_batch_job");
-    const std::size_t begin = job * halves.size() / chunks;
-    const std::size_t end = (job + 1) * halves.size() / chunks;
-    for (std::size_t h = begin; h < end; ++h) {
-      CommandBatch& batch = batches[h];
-      batch.worker = halves[h].worker;
-      batch.half_index = static_cast<std::uint32_t>(h);
-      if (halves[h].entries.empty()) {
-        continue;  // compacted out below; the dispatcher skips workers with no commands
-      }
-      NIMBUS_CHECK(half_bases[h].valid());
-      BuildHalfCommands(halves[h], sorted_params, group_seq, task_base, half_bases[h],
-                        &batch);
-    }
-  });
-  shard_counters_.assemble_jobs += chunks;
-
-  // Compact out empty halves, preserving half order (the per-task dispatch order).
-  std::vector<CommandBatch> out;
-  out.reserve(batches.size());
-  for (CommandBatch& b : batches) {
-    if (halves[b.half_index].entries.empty()) {
-      continue;
-    }
-    shard_counters_.commands_assembled += b.commands.size();
-    ++shard_counters_.command_batches;
-    out.push_back(std::move(b));
-  }
-  return out;
-}
-
-// -----------------------------------------------------------------------------------------
 // Serialized batches: cached wire encodings patched per instantiation (DESIGN.md §10)
 // -----------------------------------------------------------------------------------------
 
@@ -552,9 +408,11 @@ std::vector<SerializedBatch> InstantiationPipeline::AssembleSerializedBatches(
     const core::WorkerTemplateSet& set, const ParamList& params, std::uint64_t group_seq,
     TaskId task_base, const std::vector<CommandId>& half_bases) {
   serial_phase_.Assert();
+  NIMBUS_CHECK(set.id().valid());
   const auto& halves = set.halves();
   NIMBUS_CHECK_EQ(half_bases.size(), halves.size());
 
+  // Sparse params sorted once by slot, as wire::ApplyParamOverrides requires.
   ParamList sorted_params = params;
   std::stable_sort(sorted_params.begin(), sorted_params.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -562,17 +420,11 @@ std::vector<SerializedBatch> InstantiationPipeline::AssembleSerializedBatches(
   // Resolve the cached plan serially (DenseMap growth is not job-safe); jobs then touch
   // disjoint half slots only. The stamp is the set's edit generation alone: unlike shard
   // plans, the encoded bytes read nothing from the version map, so neither the map uid nor
-  // the churn epoch can make them stale. Ad-hoc sets (invalid id) get a throwaway local
-  // plan — every call is a cold encode.
-  SerializedPlan local_plan;
-  SerializedPlan* plan = &local_plan;
-  bool rebuild = true;
-  if (set.id().valid()) {
-    const auto index = static_cast<DenseIndex>(set.id().value());
-    serialized_plans_.EnsureSize(index + 1);
-    plan = &serialized_plans_[index];
-    rebuild = !plan->built || plan->set_generation != set.generation();
-  }
+  // the churn epoch can make them stale.
+  const auto index = static_cast<DenseIndex>(set.id().value());
+  serialized_plans_.EnsureSize(index + 1);
+  SerializedPlan* plan = &serialized_plans_[index];
+  const bool rebuild = !plan->built || plan->set_generation != set.generation();
   if (rebuild) {
     plan->halves.assign(halves.size(), HalfTemplate{});
     plan->set_generation = set.generation();
@@ -580,35 +432,40 @@ std::vector<SerializedBatch> InstantiationPipeline::AssembleSerializedBatches(
   }
 
   std::vector<SerializedBatch> batches(halves.size());
-  // Same chunking as the struct path: shard_count contiguous chunks of halves.
+  // Same chunking as message assembly: the engine's parallelism degree is the shard count
+  // across every stage, and chunks write disjoint batch slots.
   const std::size_t chunks = shard_count_;
   executor_->Run(chunks, [&](std::size_t job) {
     NIMBUS_TRACE_SPAN(trace::Lane::kPipeline, static_cast<std::uint32_t>(job),
                       "assemble_serialized_job");
     const std::size_t begin = job * halves.size() / chunks;
     const std::size_t end = (job + 1) * halves.size() / chunks;
-    static const ParamList kNoParams;
     for (std::size_t h = begin; h < end; ++h) {
       SerializedBatch& batch = batches[h];
       batch.worker = halves[h].worker;
       batch.half_index = static_cast<std::uint32_t>(h);
       if (halves[h].entries.empty()) {
-        continue;  // compacted out below, like the struct path
+        continue;  // compacted out below; the dispatcher skips workers with no commands
       }
       NIMBUS_CHECK(half_bases[h].valid());
       HalfTemplate& tmpl = plan->halves[h];
       if (rebuild) {
         // Cold path: build the half's commands against zero bases (cached parameters
-        // baked in, no overrides) and encode them once. The bytes are
-        // instantiation-invariant from here on.
-        CommandBatch cold;
-        cold.worker = halves[h].worker;
-        BuildHalfCommands(halves[h], kNoParams, /*group_seq=*/0, TaskId(0), CommandId(0),
-                          &cold);
-        tmpl.bytes = wire::EncodeBatch(/*group_seq=*/0, CommandId(0), TaskId(0),
-                                       cold.commands, &tmpl.slots);
-        tmpl.task_count = cold.task_count;
-        tmpl.command_count = static_cast<std::uint32_t>(cold.commands.size());
+        // baked in, no overrides) through core::CommandFromEntry — the per-task
+        // dispatcher's builder, so the two wire forms carry one command stream by
+        // construction — and encode them once. The bytes are instantiation-invariant from
+        // here on.
+        const std::vector<core::WtEntry>& entries = halves[h].entries;
+        std::vector<Command> cold;
+        cold.reserve(entries.size());
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+          tmpl.task_count += entries[i].type == CommandType::kTask ? 1 : 0;
+          cold.push_back(core::CommandFromEntry(entries[i], i, CommandId(0), TaskId(0),
+                                                /*group_seq=*/0, nullptr));
+        }
+        tmpl.bytes = wire::EncodeBatch(/*group_seq=*/0, CommandId(0), TaskId(0), cold,
+                                       &tmpl.slots);
+        tmpl.command_count = static_cast<std::uint32_t>(cold.size());
       }
       wire::PatchStats stats;
       batch.bytes = wire::ApplyParamOverrides(tmpl.bytes, tmpl.slots, sorted_params, &stats);
@@ -635,6 +492,7 @@ std::vector<SerializedBatch> InstantiationPipeline::AssembleSerializedBatches(
     } else {
       ++serialized_counters_.half_encodes;
       serialized_counters_.bytes_encoded += plan->halves[b.half_index].bytes.size();
+      shard_counters_.commands_assembled += b.command_count;
     }
     ++serialized_counters_.batches;
     serialized_counters_.commands += b.command_count;

@@ -59,22 +59,10 @@ struct WorkerMessage {
   std::int64_t wire_size = 0;  // mirrors InstantiateMsg::WireSize()
 };
 
-// One worker's fully-built share of a batched central dispatch (DESIGN.md §8): the
-// explicit command list the per-task path would have sent one message at a time, assembled
-// as one engine job and shipped as one wire message. Command/task ids are derived from the
-// caller-allocated bases, so the batch is bit-identical to the per-task stream.
-struct CommandBatch {
-  WorkerId worker;
-  std::uint32_t half_index = 0;      // index into set.halves()
-  std::vector<Command> commands;     // in the half's entry order
-  std::uint64_t task_count = 0;      // kTask commands in `commands`
-  std::int64_t wire_size = 0;        // sum of per-command wire sizes (one message)
-};
-
-// One worker's share of a batched central dispatch as a ready-to-ship wire buffer
+// One worker's share of a serialized central dispatch as a ready-to-ship wire buffer
 // (DESIGN.md §10): the pre-encoded template bytes memcpy'd, header-patched, and
 // parameter-patched for this instantiation. Decoding `bytes` yields exactly the command
-// stream a CommandBatch of the same half would carry.
+// stream the per-task dispatcher would send for the same half, one command at a time.
 struct SerializedBatch {
   WorkerId worker;
   std::uint32_t half_index = 0;       // index into set.halves()
@@ -141,24 +129,17 @@ class InstantiationPipeline {
       const VersionMap* versions = nullptr,
       std::vector<core::PatchDirective>* next_required = nullptr);
 
-  // Entry point for ad-hoc stage plans (batched central dispatch): builds, per worker
-  // half, the half's full explicit command list — exactly the commands the per-task
-  // dispatcher would emit, in the same order, with the same ids. `half_bases[h]` is the
-  // command-id base pre-allocated for half h (invalid for empty halves, which produce no
-  // batch); task ids are task_base + global entry; copy ids embed `group_seq`. Assembly
-  // runs as shard_count contiguous chunks of halves, like AssembleMessages.
-  std::vector<CommandBatch> AssembleCommandBatches(const core::WorkerTemplateSet& set,
-                                                   const ParamList& params,
-                                                   std::uint64_t group_seq, TaskId task_base,
-                                                   const std::vector<CommandId>& half_bases);
-
-  // Serialized twin of AssembleCommandBatches (DESIGN.md §10): per worker half, the
-  // pre-encoded wire buffer of the half's command list, produced from a cached template
-  // encoding by buffer copy + three header patches + in-place parameter overwrites — zero
-  // per-task allocation in steady state. The cache is keyed like shard plans (by set id)
-  // and stamped by the set's edit generation alone: the encoded bytes never read the
-  // version map, so map uid / churn epoch cannot invalidate them. Decoded output is
-  // bit-identical to the struct batches of the same arguments.
+  // Serialized central dispatch (DESIGN.md §10): per worker half, the pre-encoded wire
+  // buffer of the half's full explicit command list — exactly the commands the per-task
+  // dispatcher would emit (core::CommandFromEntry), in the same order, with the same ids.
+  // Produced from a cached template encoding by buffer copy + three header patches +
+  // in-place parameter overwrites — zero per-task allocation in steady state. `half_bases[h]`
+  // is the command-id base pre-allocated for half h (invalid for empty halves, which
+  // produce no batch); task ids are task_base + global entry; copy ids embed `group_seq`.
+  // The cache is keyed like shard plans (by set id) and stamped by the set's edit
+  // generation alone: the encoded bytes never read the version map, so map uid / churn
+  // epoch cannot invalidate them. Assembly runs as shard_count contiguous chunks of halves,
+  // like AssembleMessages.
   std::vector<SerializedBatch> AssembleSerializedBatches(
       const core::WorkerTemplateSet& set, const ParamList& params, std::uint64_t group_seq,
       TaskId task_base, const std::vector<CommandId>& half_bases);

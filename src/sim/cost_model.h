@@ -38,11 +38,9 @@ struct CostModel {
   Duration worker_receive_task = Micros(5);
 
   // ---- Batched central dispatch (engine-driven, DESIGN.md §8) ----
-  // With a cached stage plan the controller skips the per-stage dependency re-analysis and
-  // ships each worker ONE message carrying all of its commands, so the per-task controller
-  // cost drops to command construction + versioning; the message build/send overhead is
-  // paid once per worker per stage instead of once per task.
-  Duration nimbus_central_batched_per_task = Micros(45);
+  // Serialized dispatch ships each worker ONE message carrying all of its commands, so the
+  // message build/send overhead is paid once per worker per stage instead of once per
+  // task. This is that fixed per-worker cost on a cold (freshly encoded) batch.
   Duration nimbus_central_batch_per_worker = Micros(30);
 
   // ---- Pre-serialized command batches (DESIGN.md §10) ----

@@ -77,7 +77,7 @@ class Worker {
 
   // Receives a wire-encoded command batch (src/task/wire.h) forming group `group_seq`.
   // Decodes it and feeds the same ingestion path as OnCommands, so the observed command
-  // stream (and the command log) is identical to a struct-batched send of the same group.
+  // stream (and the command log) is identical to a per-task send of the same group.
   void OnSerializedCommands(std::uint64_t group_seq, ParameterBlob bytes,
                             std::size_t expected_total, bool finalize, bool barrier);
 

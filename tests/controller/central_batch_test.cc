@@ -1,11 +1,12 @@
-// Batched central dispatch (DESIGN.md §8).
+// The central dispatch path (DESIGN.md §8).
 //
-// The engine-driven central path compiles each submitted stage into a cached stage plan
-// and ships one command batch per worker instead of one message per task. Cost accounting
-// and message count change; the worker-observed command streams, the version-map state,
-// and the computed results must NOT. These tests pin that equivalence at 1/2/4 engine
-// shards against the per-task dispatcher, and cover the two plan caches (controller stage
-// plans keyed by stage identity, engine shard plans revalidated by set generation).
+// Every submitted stage compiles into a cached stage plan and runs through the sharded
+// engine; dispatch then sends one message per task or one serialized batch per worker.
+// Cost accounting and message count change with the wire form and the engine's shard
+// count; the worker-observed command streams, the version-map state, and the computed
+// results must NOT. These tests pin that equivalence at 1/2/4 engine shards against the
+// single-shard per-task run, and cover the stage-plan cache (keyed by stage identity +
+// schedule) that both wire forms share.
 
 #include <gtest/gtest.h>
 
@@ -46,15 +47,15 @@ struct CentralRun {
   std::uint64_t stage_plan_misses = 0;
 };
 
-CentralRun RunLrCentral(bool batched, std::uint32_t shards) {
+CentralRun RunLrCentral(bool serialized, std::uint32_t shards) {
   // Declared before the cluster: the controller's pipeline borrows this executor.
   runtime::InlineExecutor inline_exec;
   ClusterOptions options;
   options.workers = 4;
   options.partitions = 8;
   options.mode = ControlMode::kCentralOnly;
+  options.serialized_batching = serialized;
   Cluster cluster(options);
-  cluster.controller().set_central_batching(batched);
   if (shards != 1) {
     cluster.controller().instantiation_pipeline().Configure(&inline_exec, shards);
   }
@@ -109,14 +110,20 @@ void ExpectRunsEqual(const CentralRun& reference, const CentralRun& other,
   }
 }
 
-// The headline contract: under the InlineExecutor the batched engine path is bit-identical
-// to per-task central dispatch — same per-worker command streams (ids, before-edges,
-// params, copy ids), same version-map state, same results — at any shard count.
+// The headline contract: under the InlineExecutor batched (serialized) dispatch is
+// bit-identical to per-task central dispatch — same per-worker command streams (ids,
+// before-edges, params, copy ids), same version-map state, same results — and both wire
+// forms are invariant under the engine's shard count.
 TEST(CentralBatchTest, BatchedDispatchBitIdenticalToPerTaskAt124Shards) {
-  const CentralRun per_task = RunLrCentral(/*batched=*/false, /*shards=*/1);
+  const CentralRun per_task = RunLrCentral(/*serialized=*/false, /*shards=*/1);
   for (std::uint32_t shards : {1u, 2u, 4u}) {
-    const CentralRun batched = RunLrCentral(/*batched=*/true, shards);
-    ExpectRunsEqual(per_task, batched, "shards=" + std::to_string(shards));
+    const std::string label = "shards=" + std::to_string(shards);
+    if (shards != 1) {
+      ExpectRunsEqual(per_task, RunLrCentral(/*serialized=*/false, shards),
+                      label + " per-task");
+    }
+    ExpectRunsEqual(per_task, RunLrCentral(/*serialized=*/true, shards),
+                    label + " serialized");
   }
 }
 
@@ -124,7 +131,7 @@ TEST(CentralBatchTest, BatchedDispatchBitIdenticalToPerTaskAt124Shards) {
 // compiled once, then reused on each re-submission (kCentralOnly re-submits every
 // iteration — exactly the redundant work the cache removes).
 TEST(CentralBatchTest, StagePlanCacheCompilesEachStageShapeOnce) {
-  const CentralRun run = RunLrCentral(/*batched=*/true, /*shards=*/1);
+  const CentralRun run = RunLrCentral(/*serialized=*/true, /*shards=*/1);
   // Misses = distinct stage shapes (setup stages + inner block stages + outer block
   // stages); every later submission of the same shape must hit.
   EXPECT_GT(run.stage_plan_hits, 0u);
@@ -132,9 +139,11 @@ TEST(CentralBatchTest, StagePlanCacheCompilesEachStageShapeOnce) {
   // 6 inner iterations of a 3-stage block alone re-submit 18 stages; only the first 3 may
   // miss. Setup and the outer block contribute a handful more distinct shapes.
   EXPECT_GE(run.stage_plan_hits, run.stage_plan_misses);
-  const CentralRun per_task = RunLrCentral(/*batched=*/false, /*shards=*/1);
-  EXPECT_EQ(per_task.stage_plan_hits, 0u);   // per-task path never touches the cache
-  EXPECT_EQ(per_task.stage_plan_misses, 0u);
+  // Per-task dispatch runs through the same plan cache: the wire form changes nothing
+  // about which stage shapes compile and which reuse.
+  const CentralRun per_task = RunLrCentral(/*serialized=*/false, /*shards=*/1);
+  EXPECT_EQ(per_task.stage_plan_hits, run.stage_plan_hits);
+  EXPECT_EQ(per_task.stage_plan_misses, run.stage_plan_misses);
 }
 
 }  // namespace

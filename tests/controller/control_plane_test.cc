@@ -93,23 +93,36 @@ TEST(ControlPlaneTest, TemplatePhasesProgressAsInFig9) {
   LogisticRegressionApp app(&job, SmallConfig(6, 3));
   app.Setup();
   auto& tm = cluster.controller().templates();
+  // Central stages (setup, capture) take stage-plan slots in the projection table too, so
+  // the phases are stated over the template's own projection for the current schedule.
+  const core::Assignment assignment =
+      core::Assignment::RoundRobin(options.partitions, cluster.controller().ActiveWorkers());
 
   app.RunInnerIteration();  // capture
   EXPECT_EQ(tm.template_count(), 1u);
-  EXPECT_EQ(tm.projection_count(), 0u);
+  const TemplateId tid = tm.FindByName(app.InnerBlockName());
+  ASSERT_TRUE(tid.valid());
+  EXPECT_EQ(tm.FindProjection(tid, assignment), nullptr);
   EXPECT_EQ(cluster.controller().tasks_via_templates(), 0u);
+  const std::size_t before_projection = tm.projection_count();
 
   app.RunInnerIteration();  // projection (controller half), still central
-  EXPECT_EQ(tm.projection_count(), 1u);
+  const core::WorkerTemplateSet* projected = tm.FindProjection(tid, assignment);
+  ASSERT_NE(projected, nullptr);
+  const std::size_t projections = tm.projection_count();
+  EXPECT_EQ(projections, before_projection + 1);  // exactly the template's projection
   EXPECT_EQ(cluster.controller().tasks_via_templates(), 0u);
 
   app.RunInnerIteration();  // worker install, still central
+  EXPECT_EQ(tm.FindProjection(tid, assignment), projected);  // reused, not re-projected
+  EXPECT_EQ(tm.projection_count(), projections);
   EXPECT_EQ(cluster.controller().tasks_via_templates(), 0u);
   for (WorkerId w : cluster.worker_ids()) {
     EXPECT_EQ(cluster.worker(w)->cached_template_count(), 1u);
   }
 
   app.RunInnerIteration();  // fast path
+  EXPECT_EQ(tm.FindProjection(tid, assignment), projected);
   EXPECT_EQ(cluster.controller().tasks_via_templates(),
             static_cast<std::uint64_t>(app.TasksPerInnerBlock()));
 }
@@ -196,7 +209,7 @@ TEST(ControlPlaneTest, AutoCheckpointInsertsBetweenBlocks) {
   job.EnableAutoCheckpoint(3);
 
   app.RunInnerLoop(10);
-  EXPECT_EQ(cluster.trace().Counter("checkpoints"), 3);  // after blocks 3, 6, 9
+  EXPECT_EQ(cluster.controller().counters().checkpoints, 3u);  // after blocks 3, 6, 9
   EXPECT_GE(job.blocks_completed(), 10u);
 }
 

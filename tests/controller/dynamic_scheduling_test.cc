@@ -108,7 +108,7 @@ TEST(DynamicSchedulingTest, MigrationsKeepResultsExact) {
   for (std::size_t d = 0; d < expected.size(); ++d) {
     EXPECT_DOUBLE_EQ(expected[d], actual[d]) << "coefficient " << d;
   }
-  EXPECT_GT(cluster.trace().Counter("migrations_planned"), 0);
+  EXPECT_GT(cluster.controller().counters().migrations_planned, 0u);
 }
 
 TEST(DynamicSchedulingTest, MigrationsAreCheaperThanReinstall) {
@@ -159,7 +159,7 @@ TEST(DynamicSchedulingTest, StaticDataflowChargesReinstallForMigration) {
   // Naiad-style: any change costs a full dataflow installation.
   const auto tasks = static_cast<sim::Duration>(app.TasksPerInnerBlock());
   EXPECT_GE(busy_after - busy_before, cluster.costs().naiad_install_per_task * tasks);
-  EXPECT_EQ(cluster.trace().Counter("naiad_reinstalls"), 1);
+  EXPECT_EQ(cluster.controller().counters().naiad_reinstalls, 1u);
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ TEST(FaultRecoveryTest, CheckpointPersistsEveryLiveObject) {
   app.RunInnerLoop(2);
   job.Checkpoint(2);
 
-  EXPECT_EQ(cluster.trace().Counter("checkpoints"), 1);
+  EXPECT_EQ(cluster.controller().counters().checkpoints, 1u);
   // Every object tracked by the version map is in the durable store.
   EXPECT_EQ(cluster.durable().size(), cluster.controller().versions().object_count());
 }
@@ -82,7 +82,7 @@ TEST(FaultRecoveryTest, RecoveryMatchesFailureFreeRun) {
     }
   }
 
-  EXPECT_EQ(cluster.trace().Counter("recoveries"), 1);
+  EXPECT_EQ(cluster.controller().counters().recoveries, 1u);
   const auto actual = app.CoeffSnapshot();
   ASSERT_EQ(expected.size(), actual.size());
   for (std::size_t d = 0; d < expected.size(); ++d) {
@@ -171,7 +171,7 @@ TEST(FaultRecoveryTest, RestoreAfterLongRevocationDoesNotTripFailureDetection) {
   cluster.controller().RestoreWorkers({WorkerId(3)});
   EXPECT_TRUE(cluster.controller().HeartbeatTracked(WorkerId(3)));
   app.RunInnerLoop(2);
-  EXPECT_EQ(cluster.trace().Counter("recoveries"), 0);
+  EXPECT_EQ(cluster.controller().counters().recoveries, 0u);
 }
 
 // Satellite of DESIGN.md §14: a worker death is not polite enough to wait for an
@@ -222,7 +222,7 @@ void RunPhaseFailure(const char* phase, ControlMode mode, bool serialized_batchi
   }
 
   EXPECT_TRUE(killed) << "phase probe never fired for '" << phase << "'";
-  EXPECT_EQ(cluster.trace().Counter("recoveries"), 1);
+  EXPECT_EQ(cluster.controller().counters().recoveries, 1u);
   const auto actual = app.CoeffSnapshot();
   ASSERT_EQ(expected.size(), actual.size());
   for (std::size_t d = 0; d < expected.size(); ++d) {
@@ -269,7 +269,7 @@ struct LookaheadProbe {
   std::uint64_t hits_after_probe = 0;
   std::uint64_t hits_final = 0;
   std::uint64_t scheduled_final = 0;
-  std::int64_t recoveries = 0;
+  std::uint64_t recoveries = 0;
 };
 
 LookaheadProbe RunLookaheadProbe(bool churn) {
@@ -318,7 +318,7 @@ LookaheadProbe RunLookaheadProbe(bool churn) {
 
   out.hits_final = cluster.controller().lookahead_hits();
   out.scheduled_final = cluster.controller().lookaheads_scheduled();
-  out.recoveries = cluster.trace().Counter("recoveries");
+  out.recoveries = cluster.controller().counters().recoveries;
   out.coefficients = app.CoeffSnapshot();
   return out;
 }
@@ -343,8 +343,8 @@ TEST(FaultRecoveryTest, RevokeRestoreKeepsLookaheadAndPatchStampsValid) {
   EXPECT_GT(churned.hits_final, churned.hits_after_probe);
 
   // Revocation is not a failure: no recovery fired in either run.
-  EXPECT_EQ(control.recoveries, 0);
-  EXPECT_EQ(churned.recoveries, 0);
+  EXPECT_EQ(control.recoveries, 0u);
+  EXPECT_EQ(churned.recoveries, 0u);
 
   // Bit-identical coefficients pin the reuse (lookahead result AND patch-cache entries):
   // if any stamp let stale state through — or refused state it should have kept — the

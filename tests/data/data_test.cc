@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "src/data/durable_store.h"
 #include "src/data/object_directory.h"
 #include "src/data/object_store.h"
@@ -170,6 +173,30 @@ TEST(DurableStoreTest, WriteReadRoundTrip) {
   const auto& entry = durable.Read(LogicalObjectId(3));
   EXPECT_EQ(entry.version, 7u);
   EXPECT_DOUBLE_EQ(dynamic_cast<const VectorPayload*>(entry.payload.get())->values()[1], 6.0);
+}
+
+// Under the TCP backend every worker writes its checkpoint saves from its own event-loop
+// thread into the one shared store; no write may be lost.
+TEST(DurableStoreTest, ConcurrentWritersLoseNoEntries) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 4000;
+  DurableStore durable;
+  const VectorPayload v(std::vector<double>{1.0});
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&durable, &v, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        durable.Write(LogicalObjectId(static_cast<std::uint64_t>(t * kPerThread + i)), 1, v);
+      }
+    });
+  }
+  for (std::thread& w : writers) {
+    w.join();
+  }
+  EXPECT_EQ(durable.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  for (int id = 0; id < kThreads * kPerThread; ++id) {
+    ASSERT_TRUE(durable.Has(LogicalObjectId(static_cast<std::uint64_t>(id)))) << id;
+  }
 }
 
 TEST(ObjectDirectoryTest, VariablesAndObjects) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/apps/logistic_regression.h"
 #include "src/driver/cluster.h"
 #include "src/driver/job.h"
@@ -22,10 +24,15 @@ LogisticRegressionApp::Config SmallConfig(int partitions, int groups) {
   return config;
 }
 
+// gtest prints this struct's raw bytes into each test's name (and so its ctest name).
+// `reserved` fills what would otherwise be padding between `mode` and `name`, so those
+// bytes are always zero instead of whatever the stack held when the cases were built.
 struct ModeCase {
   ControlMode mode;
+  std::uint32_t reserved;
   const char* name;
 };
+static_assert(sizeof(ModeCase) == 16, "ModeCase must have no padding");
 
 class LrEndToEndTest : public ::testing::TestWithParam<ModeCase> {};
 
@@ -93,9 +100,9 @@ TEST_P(LrEndToEndTest, NestedLoopRunsDataDependentBranches) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, LrEndToEndTest,
-    ::testing::Values(ModeCase{ControlMode::kTemplates, "templates"},
-                      ModeCase{ControlMode::kCentralOnly, "central"},
-                      ModeCase{ControlMode::kStaticDataflow, "dataflow"}),
+    ::testing::Values(ModeCase{ControlMode::kTemplates, 0, "templates"},
+                      ModeCase{ControlMode::kCentralOnly, 0, "central"},
+                      ModeCase{ControlMode::kStaticDataflow, 0, "dataflow"}),
     [](const ::testing::TestParamInfo<ModeCase>& param_info) {
       return param_info.param.name;
     });

@@ -84,13 +84,15 @@ TEST(WaterSimTest, VolumeApproximatelyConserved) {
 }
 
 // The same program must take identical control-flow decisions (substeps, CG iterations) and
-// produce identical physics no matter which control plane runs it.
+// produce identical physics no matter which control plane runs it — including both central
+// wire forms, which share one stage-plan cache across watersim's data-dependent stages.
 TEST(WaterSimTest, ControlFlowIdenticalAcrossModes) {
-  auto run = [](ControlMode mode) {
+  auto run = [](ControlMode mode, bool serialized_batching = false) {
     ClusterOptions options;
     options.workers = 3;
     options.partitions = 4;
     options.mode = mode;
+    options.serialized_batching = serialized_batching;
     Cluster cluster(options);
     Job job(&cluster);
     WaterSimApp app(&job, SmallConfig());
@@ -102,8 +104,10 @@ TEST(WaterSimTest, ControlFlowIdenticalAcrossModes) {
 
   const auto with_templates = run(ControlMode::kTemplates);
   const auto central = run(ControlMode::kCentralOnly);
+  const auto central_serialized = run(ControlMode::kCentralOnly, /*serialized_batching=*/true);
   const auto dataflow = run(ControlMode::kStaticDataflow);
   EXPECT_EQ(with_templates, central);
+  EXPECT_EQ(with_templates, central_serialized);
   EXPECT_EQ(with_templates, dataflow);
 }
 

@@ -41,7 +41,7 @@ struct RunOutput {
   std::vector<double> coefficients;
   std::vector<double> iteration_scalars;  // completed iterations, reruns included
   std::vector<std::vector<Command>> command_logs;  // surviving workers only
-  std::int64_t recoveries = 0;
+  std::uint64_t recoveries = 0;
 };
 
 // Replays the schedule for `seed` over `transport`. The driver loop advances the injector
@@ -106,7 +106,7 @@ RunOutput RunWithSchedule(TransportKind transport, std::uint64_t seed) {
       out.command_logs.push_back(w->command_log());
     }
   }
-  out.recoveries = cluster.trace().Counter("recoveries");
+  out.recoveries = cluster.controller().counters().recoveries;
   return out;
 }
 
@@ -136,8 +136,8 @@ void RunSeed(std::uint64_t seed) {
   const RunOutput tcp = RunWithSchedule(TransportKind::kTcp, seed);
 
   // The schedule's one kill must have triggered exactly one recovery on each backend.
-  EXPECT_EQ(sim.recoveries, 1);
-  EXPECT_EQ(tcp.recoveries, 1);
+  EXPECT_EQ(sim.recoveries, 1u);
+  EXPECT_EQ(tcp.recoveries, 1u);
   ASSERT_EQ(sim.command_logs.size(), static_cast<std::size_t>(kWorkers - 1));
 
   ExpectIdentical(sim, tcp);

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -449,12 +450,13 @@ TEST(InstantiationEngineTest, ShardPlanRebuiltWhenSetGenerationBumps) {
 }
 
 // -----------------------------------------------------------------------------------------
-// Batched central dispatch: per-worker command batches (DESIGN.md §8)
+// Serialized central dispatch: per-worker wire buffers (DESIGN.md §10)
 // -----------------------------------------------------------------------------------------
 
-// Command batches must be executor- and shard-count-invariant (the batch chunks write
-// disjoint slots; this is also the sanitizer-raced coverage for the assembly stage).
-TEST(InstantiationEngineTest, CommandBatchesIdenticalAcrossExecutorsAndShards) {
+// Serialized batches must be executor- and shard-count-invariant down to the byte (the
+// assembly chunks write disjoint slots; this is also the sanitizer-raced coverage for the
+// assembly stage).
+TEST(InstantiationEngineTest, SerializedBatchesIdenticalAcrossExecutorsAndShards) {
   auto block = BuildMicroBlock(64, 8);
   core::WorkerTemplateSet set = core::ProjectBlock(
       *block->manager.Find(block->template_id), block->assignment, WorkerTemplateId(0),
@@ -475,29 +477,31 @@ TEST(InstantiationEngineTest, CommandBatchesIdenticalAcrossExecutorsAndShards) {
 
   InlineExecutor inline_exec;
   InstantiationPipeline reference_pipeline(&inline_exec, 1);
-  const std::vector<CommandBatch> reference = reference_pipeline.AssembleCommandBatches(
+  const std::vector<SerializedBatch> reference = reference_pipeline.AssembleSerializedBatches(
       set, params, /*group_seq=*/7, TaskId(500), bases);
   ASSERT_FALSE(reference.empty());
   std::size_t reference_tasks = 0;
-  for (const CommandBatch& b : reference) {
+  for (const SerializedBatch& b : reference) {
     reference_tasks += b.task_count;
   }
   EXPECT_EQ(reference_tasks, set.entry_meta().size());
 
   ThreadPoolExecutor pool(4);
-  for (std::uint32_t shards : {2u, 8u}) {
-    InstantiationPipeline pipeline(&pool, shards);
-    const std::vector<CommandBatch> got =
-        pipeline.AssembleCommandBatches(set, params, /*group_seq=*/7, TaskId(500), bases);
-    ASSERT_EQ(reference.size(), got.size()) << "shards=" << shards;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(reference[i].worker, got[i].worker);
-      EXPECT_EQ(reference[i].wire_size, got[i].wire_size);
-      EXPECT_EQ(reference[i].task_count, got[i].task_count);
-      ASSERT_EQ(reference[i].commands.size(), got[i].commands.size());
-      for (std::size_t c = 0; c < reference[i].commands.size(); ++c) {
-        EXPECT_TRUE(reference[i].commands[c] == got[i].commands[c])
-            << "shards=" << shards << " batch " << i << " command " << c;
+  for (runtime::Executor* executor :
+       std::initializer_list<runtime::Executor*>{&inline_exec, &pool}) {
+    for (std::uint32_t shards : {1u, 2u, 8u}) {
+      const std::string label =
+          std::string(executor->name()) + " shards=" + std::to_string(shards);
+      InstantiationPipeline pipeline(executor, shards);
+      const std::vector<SerializedBatch> got = pipeline.AssembleSerializedBatches(
+          set, params, /*group_seq=*/7, TaskId(500), bases);
+      ASSERT_EQ(reference.size(), got.size()) << label;
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        EXPECT_EQ(reference[i].worker, got[i].worker) << label;
+        EXPECT_EQ(reference[i].wire_size, got[i].wire_size) << label;
+        EXPECT_EQ(reference[i].task_count, got[i].task_count) << label;
+        EXPECT_EQ(reference[i].command_count, got[i].command_count) << label;
+        EXPECT_TRUE(reference[i].bytes == got[i].bytes) << label << " batch " << i;
       }
     }
   }

@@ -4,9 +4,10 @@
 // the engine's cached template encoding by memcpy + header patch + in-place parameter
 // patch. Cost accounting and wire bytes change; the decoded command streams, the
 // version-map state, and the computed results must NOT. These tests pin that equivalence
-// against both the struct-batched and the per-task dispatcher, at 1/2/4 engine shards,
-// under the InlineExecutor and a ThreadPoolExecutor, and cover the serialized-plan cache
-// (stamped by set edit generation; rebuilt plan-wide on edits).
+// against the per-task dispatcher's command builder (core::CommandFromEntry) and the
+// per-task cluster runs, at 1/2/4 engine shards, under the InlineExecutor and a
+// ThreadPoolExecutor, and cover the serialized-plan cache (stamped by set edit generation;
+// rebuilt plan-wide on edits).
 
 #include <gtest/gtest.h>
 
@@ -26,7 +27,6 @@
 namespace nimbus {
 namespace {
 
-using runtime::CommandBatch;
 using runtime::InlineExecutor;
 using runtime::InstantiationPipeline;
 using runtime::ParamList;
@@ -34,7 +34,7 @@ using runtime::SerializedBatch;
 using runtime::ThreadPoolExecutor;
 
 // -----------------------------------------------------------------------------------------
-// Engine-level equivalence: serialized batches decode to exactly the struct batches
+// Engine-level equivalence: serialized batches decode to exactly the per-task commands
 // -----------------------------------------------------------------------------------------
 
 // The LR-shaped micro block of runtime_test.cc, with cached per-task parameters so the
@@ -103,28 +103,75 @@ std::vector<CommandId> AllocateBases(const core::WorkerTemplateSet& set,
   return bases;
 }
 
-void ExpectSerializedDecodesToStruct(const std::vector<CommandBatch>& structs,
-                                     const std::vector<SerializedBatch>& serialized,
-                                     std::uint64_t group_seq, const std::string& label) {
-  ASSERT_EQ(structs.size(), serialized.size()) << label;
-  for (std::size_t i = 0; i < structs.size(); ++i) {
-    EXPECT_EQ(structs[i].worker, serialized[i].worker) << label;
-    EXPECT_EQ(structs[i].half_index, serialized[i].half_index) << label;
-    EXPECT_EQ(structs[i].task_count, serialized[i].task_count) << label;
+// One worker half's reference command stream: what the per-task dispatcher sends for the
+// same arguments, one command at a time.
+struct ReferenceHalf {
+  WorkerId worker;
+  std::uint32_t half_index = 0;
+  std::uint64_t task_count = 0;
+  std::vector<Command> commands;
+};
+
+// Builds every non-empty half's commands through core::CommandFromEntry with the
+// per-task dispatcher's parameter routing (first override per slot wins, tasks only).
+std::vector<ReferenceHalf> PerTaskReference(const core::WorkerTemplateSet& set,
+                                            const ParamList& params, std::uint64_t group_seq,
+                                            TaskId task_base,
+                                            const std::vector<CommandId>& half_bases) {
+  std::map<std::int32_t, const ParameterBlob*> param_of;
+  for (const auto& [slot, blob] : params) {
+    param_of.emplace(slot, &blob);
+  }
+  std::vector<ReferenceHalf> out;
+  for (std::size_t h = 0; h < set.halves().size(); ++h) {
+    const core::WorkerHalf& half = set.halves()[h];
+    if (half.entries.empty()) {
+      continue;
+    }
+    ReferenceHalf ref;
+    ref.worker = half.worker;
+    ref.half_index = static_cast<std::uint32_t>(h);
+    for (std::size_t i = 0; i < half.entries.size(); ++i) {
+      const core::WtEntry& e = half.entries[i];
+      const ParameterBlob* override_params = nullptr;
+      if (e.type == CommandType::kTask) {
+        ++ref.task_count;
+        const auto it = param_of.find(e.global_entry);
+        if (it != param_of.end()) {
+          override_params = it->second;
+        }
+      }
+      ref.commands.push_back(core::CommandFromEntry(e, i, half_bases[h], task_base,
+                                                    group_seq, override_params));
+    }
+    out.push_back(std::move(ref));
+  }
+  return out;
+}
+
+void ExpectSerializedDecodesToReference(const std::vector<ReferenceHalf>& reference,
+                                        const std::vector<SerializedBatch>& serialized,
+                                        std::uint64_t group_seq, const std::string& label) {
+  ASSERT_EQ(reference.size(), serialized.size()) << label;
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(reference[i].worker, serialized[i].worker) << label;
+    EXPECT_EQ(reference[i].half_index, serialized[i].half_index) << label;
+    EXPECT_EQ(reference[i].task_count, serialized[i].task_count) << label;
     const wire::DecodedBatch decoded = wire::DecodeBatch(serialized[i].bytes);
     EXPECT_EQ(decoded.header.group_seq, group_seq) << label;
-    ASSERT_EQ(decoded.commands.size(), structs[i].commands.size()) << label;
+    ASSERT_EQ(decoded.commands.size(), reference[i].commands.size()) << label;
     for (std::size_t c = 0; c < decoded.commands.size(); ++c) {
-      EXPECT_TRUE(decoded.commands[c] == structs[i].commands[c])
+      EXPECT_TRUE(decoded.commands[c] == reference[i].commands[c])
           << label << " batch " << i << " command " << c;
     }
   }
 }
 
 // The headline engine contract: decoding a serialized batch yields exactly the command
-// stream of the struct batch for the same arguments — same-size in-place patches, splices,
-// and cache reuse included — under every executor and shard count.
-TEST(SerializedBatchTest, DecodedBatchesBitIdenticalToStructBatches) {
+// stream the per-task dispatcher builds for the same arguments — cold encodes, same-size
+// in-place patches, splices, and pure memcpy reuse included — under every executor and
+// shard count.
+TEST(SerializedBatchTest, DecodedBatchesBitIdenticalToPerTaskCommands) {
   auto block = BuildMicroBlock(64, 8);
   core::WorkerTemplateSet set = core::ProjectBlock(
       *block->manager.Find(block->template_id), block->assignment, WorkerTemplateId(0),
@@ -151,12 +198,11 @@ TEST(SerializedBatchTest, DecodedBatchesBitIdenticalToStructBatches) {
                                   " shards=" + std::to_string(shards) +
                                   " seq=" + std::to_string(seq);
         const std::vector<CommandId> bases = AllocateBases(set, first_base);
-        const std::vector<CommandBatch> structs =
-            pipeline.AssembleCommandBatches(set, *p, seq, TaskId(500), bases);
         const std::vector<SerializedBatch> serialized =
             pipeline.AssembleSerializedBatches(set, *p, seq, TaskId(500), bases);
         ASSERT_FALSE(serialized.empty()) << label;
-        ExpectSerializedDecodesToStruct(structs, serialized, seq, label);
+        ExpectSerializedDecodesToReference(
+            PerTaskReference(set, *p, seq, TaskId(500), bases), serialized, seq, label);
         ++seq;
         first_base += set.entry_meta().size() * 2;
       }
@@ -210,8 +256,6 @@ bool SnapshotsEqual(const VersionMap::SnapshotState& a, const VersionMap::Snapsh
   return true;
 }
 
-enum class DispatchMode { kPerTask, kStructBatched, kSerialized };
-
 struct CentralRun {
   std::vector<double> coeffs;
   VersionMap::SnapshotState snapshot;
@@ -221,7 +265,7 @@ struct CentralRun {
   NetworkCounters network;
 };
 
-CentralRun RunLrCentral(DispatchMode mode, std::uint32_t shards, bool threaded) {
+CentralRun RunLrCentral(bool serialized, std::uint32_t shards, bool threaded) {
   // Declared before the cluster: the controller's pipeline borrows these executors.
   InlineExecutor inline_exec;
   ThreadPoolExecutor pool(3);
@@ -229,9 +273,8 @@ CentralRun RunLrCentral(DispatchMode mode, std::uint32_t shards, bool threaded) 
   options.workers = 4;
   options.partitions = 8;
   options.mode = ControlMode::kCentralOnly;
+  options.serialized_batching = serialized;
   Cluster cluster(options);
-  cluster.controller().set_central_batching(mode != DispatchMode::kPerTask);
-  cluster.controller().set_serialized_batching(mode == DispatchMode::kSerialized);
   if (shards != 1 || threaded) {
     runtime::Executor* executor = threaded ? static_cast<runtime::Executor*>(&pool)
                                            : static_cast<runtime::Executor*>(&inline_exec);
@@ -288,33 +331,28 @@ void ExpectRunsEqual(const CentralRun& reference, const CentralRun& other,
 }
 
 // The headline cluster contract: the worker-observed command streams of the serialized
-// path (decoded from wire buffers) are bit-identical to the per-task AND struct-batched
-// streams — same ids, before-edges, params, copy ids — at 1/2/4 shards.
-TEST(SerializedBatchTest, SerializedDispatchBitIdenticalToPerTaskAndStructAt124Shards) {
-  const CentralRun per_task = RunLrCentral(DispatchMode::kPerTask, 1, /*threaded=*/false);
+// path (decoded from wire buffers) are bit-identical to the per-task streams — same ids,
+// before-edges, params, copy ids — at 1/2/4 shards.
+TEST(SerializedBatchTest, SerializedDispatchBitIdenticalToPerTaskAt124Shards) {
+  const CentralRun per_task = RunLrCentral(/*serialized=*/false, 1, /*threaded=*/false);
   for (std::uint32_t shards : {1u, 2u, 4u}) {
-    const std::string label = "shards=" + std::to_string(shards);
-    const CentralRun structs =
-        RunLrCentral(DispatchMode::kStructBatched, shards, /*threaded=*/false);
-    const CentralRun serialized =
-        RunLrCentral(DispatchMode::kSerialized, shards, /*threaded=*/false);
-    ExpectRunsEqual(per_task, structs, label + " struct");
-    ExpectRunsEqual(per_task, serialized, label + " serialized");
+    const CentralRun serialized = RunLrCentral(/*serialized=*/true, shards, false);
+    ExpectRunsEqual(per_task, serialized, "shards=" + std::to_string(shards));
   }
 }
 
 // Same contract with real parallelism in the engine (the sanitizer-raced configuration:
 // serialized assembly jobs write disjoint half slots and read the shared plan).
 TEST(SerializedBatchTest, SerializedDispatchBitIdenticalUnderThreadPool) {
-  const CentralRun reference = RunLrCentral(DispatchMode::kPerTask, 1, /*threaded=*/false);
-  const CentralRun threaded = RunLrCentral(DispatchMode::kSerialized, 4, /*threaded=*/true);
+  const CentralRun reference = RunLrCentral(/*serialized=*/false, 1, /*threaded=*/false);
+  const CentralRun threaded = RunLrCentral(/*serialized=*/true, 4, /*threaded=*/true);
   ExpectRunsEqual(reference, threaded, "thread-pool serialized");
 }
 
 // Steady state must reuse cached template bytes (the whole point of the cache) and the
 // wire accounting must move from the command bucket to the serialized-batch bucket.
 TEST(SerializedBatchTest, SerializedPathReusesTemplateBytesAndTagsWireKind) {
-  const CentralRun run = RunLrCentral(DispatchMode::kSerialized, 1, /*threaded=*/false);
+  const CentralRun run = RunLrCentral(/*serialized=*/true, 1, /*threaded=*/false);
   EXPECT_GT(run.serialized.batches, 0u);
   EXPECT_GT(run.serialized.half_encodes, 0u);
   EXPECT_GT(run.serialized.half_reuses, run.serialized.half_encodes);
@@ -323,10 +361,10 @@ TEST(SerializedBatchTest, SerializedPathReusesTemplateBytesAndTagsWireKind) {
   EXPECT_EQ(run.network.bytes_for(MessageKind::kSerializedBatch),
             static_cast<std::int64_t>(run.serialized.bytes_shipped));
 
-  const CentralRun structs = RunLrCentral(DispatchMode::kStructBatched, 1, false);
-  EXPECT_EQ(structs.network.messages_for(MessageKind::kSerializedBatch), 0u);
-  EXPECT_EQ(structs.serialized.batches, 0u);
-  EXPECT_GT(structs.network.messages_for(MessageKind::kCommand), 0u);
+  const CentralRun per_task = RunLrCentral(/*serialized=*/false, 1, false);
+  EXPECT_EQ(per_task.network.messages_for(MessageKind::kSerializedBatch), 0u);
+  EXPECT_EQ(per_task.serialized.batches, 0u);
+  EXPECT_GT(per_task.network.messages_for(MessageKind::kCommand), 0u);
 }
 
 }  // namespace
