@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Runs the Table 1-4 microbenchmarks (and the Fig 8 + wire series) and writes
-# BENCH_table{1,2,3,4}.json + BENCH_fig8.json + BENCH_wire.json at the repo root, so every
-# PR leaves a comparable perf sample behind (the paper's Tables 1-3 are the control-plane
-# cost claims this reproduction tracks; Table 4 is this repo's shard-scaling series for the
-# runtime engine, DESIGN.md §7; Fig 8 carries the central per-task and serialized series, §8;
-# the wire series is real-socket dispatch throughput over the TCP transport, §13).
+# Runs the Table 1-4 microbenchmarks (and the Fig 8, wire and recovery series) and writes
+# BENCH_table{1,2,3,4}.json + BENCH_fig8.json + BENCH_wire.json + BENCH_recovery.json at
+# the repo root, plus BENCH_src.json with the src/ line count (the code-size side of each
+# sample), so every PR leaves a comparable perf sample behind (the paper's Tables 1-3 are
+# the control-plane cost claims this reproduction tracks; Table 4 is this repo's
+# shard-scaling series for the runtime engine, DESIGN.md §7; Fig 8 carries the central
+# per-task and serialized series, §8; the wire series is real-socket dispatch throughput
+# over the TCP transport, §13).
 #
 # Usage:
 #   bench/run_benchmarks.sh [extra google-benchmark flags...]
@@ -119,3 +121,16 @@ mv "$ROOT/BENCH_wire.json.tmp" "$ROOT/BENCH_wire.json"
 echo "== recovery_latency -> $ROOT/BENCH_recovery.json"
 "$BUILD/bench/bench_recovery_latency" --json "$ROOT/BENCH_recovery.json.tmp"
 mv "$ROOT/BENCH_recovery.json.tmp" "$ROOT/BENCH_recovery.json"
+
+# Code size next to the perf numbers: lines of every .h/.cc under src/ (the same count
+# perfbench reports as `src_lines`).
+echo "== src/ line count -> $ROOT/BENCH_src.json"
+python3 - "$ROOT/src" > "$ROOT/BENCH_src.json.tmp" <<'PY'
+import json, pathlib, sys
+
+files = sorted(p for p in pathlib.Path(sys.argv[1]).rglob("*")
+               if p.suffix in (".h", ".cc") and p.is_file())
+lines = sum(sum(1 for _ in open(p, "rb")) for p in files)
+print(json.dumps({"src_files": len(files), "src_lines": lines}, indent=2))
+PY
+mv "$ROOT/BENCH_src.json.tmp" "$ROOT/BENCH_src.json"

@@ -155,6 +155,11 @@ net::Transport& Cluster::transport() {
   return *sim_transport_;
 }
 
+net::TcpEndpoint& Cluster::tcp_endpoint(net::NodeAddress node) {
+  NIMBUS_CHECK(tcp_ != nullptr) << "no per-node endpoints under the simulator";
+  return *tcp_->endpoint(node);
+}
+
 void Cluster::SetDriverHandler(net::Transport::Handler handler) {
   driver_handler_ = std::move(handler);
 }

@@ -78,6 +78,9 @@ struct ClusterOptions {
 };
 
 class TcpClusterRuntime;  // per-node event loops + endpoints (cluster_tcp.cc)
+namespace net {
+class TcpEndpoint;
+}  // namespace net
 
 class Cluster {
  public:
@@ -97,6 +100,10 @@ class Cluster {
   // The transport endpoint the driver program sends through. Under the simulator this is
   // the single shared SimTransport; under TCP it is the driver node's endpoint.
   net::Transport& transport();
+
+  // The TCP endpoint of `node`, for its wire counters. TCP transport only (CHECK-fails
+  // under the simulator, which has no per-node endpoints).
+  net::TcpEndpoint& tcp_endpoint(net::NodeAddress node);
 
   // Installs the driver program's delivery handler (kBlockDone / kCheckpointDone /
   // kRecoveryNotice envelopes). Replaces any previous handler. Under TCP the handler runs

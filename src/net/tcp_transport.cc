@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <ctime>
 #include <utility>
@@ -35,6 +36,14 @@ constexpr std::uint32_t kMaxFramePayload = 1u << 30;
 // sever heals before the heartbeat path escalates.
 constexpr int kMaxRedialAttempts = 4;
 constexpr sim::Duration kRedialBackoffBase = sim::Millis(20);
+
+// Frames gathered into one writev: the kernel's per-call iovec limit.
+constexpr int kMaxGather = IOV_MAX;
+
+// The endpoint whose event loop runs on this thread (null elsewhere). Set once by
+// EventLoop on its own thread and never read across threads, so it needs no
+// synchronization; Send compares it against `this` to choose deferred vs eager flushing.
+thread_local const TcpEndpoint* t_loop_owner = nullptr;
 
 // A read/write errno that means the connection is gone (vs a programming error).
 bool IsConnectionLossErrno(int err) {
@@ -302,9 +311,38 @@ void TcpEndpoint::Send(NodeAddress src, NodeAddress dst, MessageKind kind,
         std::max(counters_.peak_queued_bytes, counters_.queued_bytes);
   }
   conn->send_queue.push_back(std::move(frame));
-  // Eager flush on the sending thread; a stalled socket leaves the tail queued and arms
-  // EPOLLOUT so the event loop finishes the job (backpressure path).
+  if (t_loop_owner == this) {
+    // Event-loop thread: the running callback's first frame to this peer leaves at once,
+    // so a lone reply or instantiate message waits for nothing the callback does after
+    // it. Later frames queue behind it, and FlushPending gathers them into one writev
+    // when the callback returns.
+    if (conn->flush_pending) {
+      return;
+    }
+    conn->flush_pending = true;
+    pending_flush_.push_back(conn);
+  }
+  // Eager flush; a stalled socket leaves the tail queued and arms EPOLLOUT so the event
+  // loop finishes the job (backpressure path).
   FlushLocked(conn);
+}
+
+void TcpEndpoint::FlushPending() {
+  for (Connection* conn : pending_flush_) {
+    conn->flush_pending = false;
+    std::lock_guard<std::mutex> lock(conn->send_mutex);
+    FlushLocked(conn);
+  }
+  pending_flush_.clear();
+}
+
+void TcpEndpoint::RewindFrontLocked(Connection* conn) {
+  if (conn->send_offset > 0) {
+    // FlushLocked already subtracted these bytes; the resend will subtract them again.
+    std::lock_guard<std::mutex> clock(counter_mutex_);
+    counters_.queued_bytes += conn->send_offset;
+  }
+  conn->send_offset = 0;
 }
 
 void TcpEndpoint::FlushLocked(Connection* conn) {
@@ -312,13 +350,14 @@ void TcpEndpoint::FlushLocked(Connection* conn) {
     return;  // connection down: frames stay queued and resend after redial/re-accept
   }
   while (!conn->send_queue.empty()) {
-    // Gather up to 16 queued frames into one writev (per-task dispatch and patch copies
-    // queue many small frames back to back).
-    iovec iov[16];
+    // Gather up to IOV_MAX queued frames into one writev (per-task dispatch and patch
+    // copies queue many small frames back to back; a deferred loop-thread flush drains a
+    // whole handler's fan-out to this peer at once).
+    iovec iov[kMaxGather];
     int iovcnt = 0;
     std::size_t offset = conn->send_offset;
     for (const auto& buf : conn->send_queue) {
-      if (iovcnt == 16) {
+      if (iovcnt == kMaxGather) {
         break;
       }
       iov[iovcnt].iov_base = const_cast<std::uint8_t*>(buf.data()) + offset;
@@ -327,14 +366,15 @@ void TcpEndpoint::FlushLocked(Connection* conn) {
       offset = 0;
     }
     const ssize_t written = ::writev(conn->fd, iov, iovcnt);
+    const int err = errno;  // before any other call can clobber it
     {
       std::lock_guard<std::mutex> clock(counter_mutex_);
       ++counters_.writev_calls;
     }
     if (written < 0) {
-      if (errno != EAGAIN && errno != EWOULDBLOCK) {
-        NIMBUS_CHECK(IsConnectionLossErrno(errno))
-            << "writev to " << conn->peer << ": " << std::strerror(errno);
+      if (err != EAGAIN && err != EWOULDBLOCK) {
+        NIMBUS_CHECK(IsConnectionLossErrno(err))
+            << "writev to " << conn->peer << ": " << std::strerror(err);
         // The peer is gone. Leave the backlog queued; the event loop observes the errored
         // socket (EPOLLERR/EPOLLHUP) and runs the loss path, which may be mid-flight on
         // another thread right now — senders never tear sockets down themselves.
@@ -389,6 +429,7 @@ void TcpEndpoint::UpdateEpoll(Connection* conn, bool want_write) {
 }
 
 void TcpEndpoint::EventLoop() {
+  t_loop_owner = this;
   epoll_event events[64];
   while (!stop_.load()) {
     const int n = ::epoll_wait(epoll_fd_, events, 64, -1);
@@ -463,9 +504,10 @@ void TcpEndpoint::HandleConnectionLoss(Connection* conn) {
     ::close(conn->fd);
     conn->fd = -1;
     // Resend the front frame from byte zero after reconnect: frame-granularity
-    // at-least-once. Deterministic fault tests only sever at quiescent points, so no
-    // frame is ever half-delivered and replays cannot duplicate.
-    conn->send_offset = 0;
+    // at-least-once. The receiver discards the dead socket's partial frame, so a frame
+    // cut mid-write is still delivered exactly once. Deterministic fault tests only sever
+    // at quiescent points, so replays cannot duplicate.
+    RewindFrontLocked(conn);
     conn->want_write = false;
   }
   conn->recv_buffer.clear();  // a partial frame from the dead socket is garbage
@@ -530,7 +572,7 @@ void TcpEndpoint::TryRedial(Connection* conn) {
   }
   std::lock_guard<std::mutex> lock(conn->send_mutex);
   conn->fd = fd;
-  conn->send_offset = 0;
+  RewindFrontLocked(conn);
   conn->want_write = false;
   conn->redial_attempts = 0;
   FlushLocked(conn);  // backlogged frames from the outage go out now
@@ -578,7 +620,7 @@ void TcpEndpoint::AcceptReady() {
     ::close(conn->fd);
   }
   conn->fd = fd;
-  conn->send_offset = 0;
+  RewindFrontLocked(conn);
   conn->want_write = false;
   conn->redial_attempts = 0;
   conn->declared_lost = false;
@@ -598,6 +640,7 @@ void TcpEndpoint::FireTimers() {
   for (auto& fn : due) {
     fn();
   }
+  FlushPending();  // what the callbacks sent: heartbeats, loss-handler fallout
 }
 
 void TcpEndpoint::ArmTimerLocked() {
@@ -681,6 +724,8 @@ void TcpEndpoint::DrainFrames(Connection* conn) {
     }
     NIMBUS_CHECK(handler_) << "no delivery handler registered for " << self_;
     handler_(NodeAddress(src), static_cast<MessageKind>(kind), std::move(payload));
+    // The handler (and the cluster's node-mutex wrapper) has returned: ship what it sent.
+    FlushPending();
   }
   if (cursor > 0) {
     rb.erase(rb.begin(), rb.begin() + static_cast<std::ptrdiff_t>(cursor));

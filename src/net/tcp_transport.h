@@ -12,9 +12,17 @@
 //   u32 payload_len   u8 kind (MessageKind; 0xFF = bootstrap hello)   i64 src   i64 dst
 //   u8[payload_len] envelope bytes
 //
-// Sends append to a per-connection queue under its mutex and flush with writev — first
-// eagerly on the calling thread, then from the event loop under EPOLLOUT when a flush
-// stalls (backpressure). Counters record queue depth, partial writes, and per-kind frame
+// Sends append to a per-connection queue under its mutex and flush with a gather writev.
+// When flushes run depends on the sending thread (DESIGN.md §13.3):
+//  * on this endpoint's own event-loop thread (delivery handlers, timer callbacks) the
+//    callback's first frame to a peer flushes at once and marks the connection pending;
+//    later frames to that peer only queue, and the loop flushes every pending connection
+//    once the callback returns, so a handler that fans out hundreds of frames pays about
+//    two writevs per peer, not one per frame;
+//  * on any other thread (the driver program, WithNode callers, bootstrap, sends before
+//    Start) every send flushes eagerly on the calling thread.
+// A stalled flush leaves the tail queued and the event loop finishes it under EPOLLOUT
+// (backpressure). Counters record queue depth, partial writes, and per-kind frame
 // traffic. Delivery invokes the registered handler on the event-loop thread; the cluster
 // wraps handlers with per-node serialization.
 //
@@ -89,7 +97,9 @@ class TcpEndpoint final : public Transport {
   void RegisterHandler(NodeAddress node, Handler handler) override;
   // Frames `bytes` and ships it on the standing connection to `dst`. `cost_bytes` is the
   // simulator's modeled size — recorded in the per-kind counters for comparability with
-  // sim runs; the socket carries the encoded envelope regardless. Thread-safe.
+  // sim runs; the socket carries the encoded envelope regardless. Thread-safe; on the
+  // event-loop thread only a callback's first frame per peer flushes at once, the rest
+  // when the callback returns.
   void Send(NodeAddress src, NodeAddress dst, MessageKind kind, ParameterBlob bytes,
             std::int64_t cost_bytes) override;
 
@@ -105,6 +115,21 @@ class TcpEndpoint final : public Transport {
     std::uint64_t connection_losses = 0;  // sockets torn down outside orderly shutdown
     std::uint64_t redials = 0;            // reconnect attempts (dialer side)
     std::uint64_t redials_succeeded = 0;  // reconnects that re-established the link
+
+    static constexpr const char* kGroupName = "tcp";
+    template <typename V>
+    void VisitFields(V&& visit) const {
+      visit("frames_sent", frames_sent);
+      visit("frames_received", frames_received);
+      visit("payload_bytes_sent", payload_bytes_sent);
+      visit("writev_calls", writev_calls);
+      visit("partial_writes", partial_writes);
+      visit("peak_queued_bytes", peak_queued_bytes);
+      visit("queued_bytes", queued_bytes);
+      visit("connection_losses", connection_losses);
+      visit("redials", redials);
+      visit("redials_succeeded", redials_succeeded);
+    }
   };
   Counters counters() const;
 
@@ -124,6 +149,10 @@ class TcpEndpoint final : public Transport {
     bool want_write = false;      // EPOLLOUT currently armed
     // Receive side: event-loop thread only.
     std::vector<std::uint8_t> recv_buffer;
+    // Deferred flush (event-loop thread only): set by the running callback's first send
+    // here, cleared when FlushPending flushes the connection. While set, sends only queue;
+    // it also keeps the connection listed once in `pending_flush_`.
+    bool flush_pending = false;
     // Redial state (event-loop thread only).
     bool dialer = false;          // this endpoint originally dialed the peer
     std::uint16_t peer_port = 0;  // the peer's listen port (dialer side; for redial)
@@ -133,9 +162,16 @@ class TcpEndpoint final : public Transport {
 
   Connection* ConnectionTo(NodeAddress peer) const;
   Connection* AdoptSocket(int fd, NodeAddress peer);
-  // Flushes `conn`'s queue with writev; arms/disarms EPOLLOUT as needed. Requires
-  // `conn->send_mutex`.
+  // Flushes `conn`'s queue with gather writes of up to IOV_MAX frames each, looping until
+  // the queue drains or the socket returns EAGAIN; arms/disarms EPOLLOUT as needed.
+  // Requires `conn->send_mutex`.
   void FlushLocked(Connection* conn);
+  // Event-loop thread: flushes every connection a loop-thread send marked pending. Runs
+  // after each delivery handler and after each timer batch, outside any node mutex.
+  void FlushPending();
+  // Rewinds the partially written front frame to byte zero for a resend on a fresh socket
+  // and returns its already-written bytes to `queued_bytes`. Requires `conn->send_mutex`.
+  void RewindFrontLocked(Connection* conn);
   void UpdateEpoll(Connection* conn, bool want_write);
   void EventLoop();
   void ReadReady(Connection* conn);
@@ -161,6 +197,8 @@ class TcpEndpoint final : public Transport {
   std::vector<std::unique_ptr<Connection>> connections_;
   // Peer DenseIndex -> connection (flat table; -1 entries are absent peers).
   std::vector<Connection*> by_peer_;
+  // Connections with deferred frames awaiting FlushPending (event-loop thread only).
+  std::vector<Connection*> pending_flush_;
   std::thread loop_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};

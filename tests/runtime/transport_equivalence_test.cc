@@ -1,14 +1,17 @@
 // Cross-transport equivalence (DESIGN.md §13): the same driver program run over the
 // deterministic simulator network and over real loopback TCP must produce bit-identical
-// results — coefficients, per-iteration scalars, and the exact command stream every worker
-// observed. The control plane is transport-agnostic; these tests are the proof.
+// results — final state, per-iteration scalars, and the exact command stream every worker
+// observed. The control plane is transport-agnostic; these tests are the proof, over LR,
+// k-means and watersim (whose worker-to-worker halo copies exercise the data plane).
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "src/apps/kmeans.h"
 #include "src/apps/logistic_regression.h"
+#include "src/apps/watersim.h"
 #include "src/driver/cluster.h"
 #include "src/driver/job.h"
 #include "src/task/command.h"
@@ -16,13 +19,35 @@
 namespace nimbus {
 namespace {
 
+using apps::KMeansApp;
 using apps::LogisticRegressionApp;
+using apps::WaterSimApp;
 
 struct RunOutput {
-  std::vector<double> coefficients;
+  std::vector<double> coefficients;  // the app's final state (LR/k-means coefficients)
   std::vector<double> iteration_scalars;
   std::vector<std::vector<Command>> command_logs;  // one per worker
 };
+
+ClusterOptions Options(TransportKind transport, ControlMode mode, int workers,
+                       int partitions) {
+  ClusterOptions options;
+  options.workers = workers;
+  options.partitions = partitions;
+  options.mode = mode;
+  options.transport = transport;
+  options.enable_command_log = true;
+  return options;
+}
+
+// Under TCP the workers' event loops ran concurrently with the driver; Quiesce
+// establishes happens-before with every node before reading their state.
+void CollectCommandLogs(Cluster* cluster, RunOutput* out) {
+  cluster->Quiesce();
+  for (WorkerId id : cluster->worker_ids()) {
+    out->command_logs.push_back(cluster->worker(id)->command_log());
+  }
+}
 
 LogisticRegressionApp::Config SmallConfig() {
   LogisticRegressionApp::Config config;
@@ -36,13 +61,8 @@ LogisticRegressionApp::Config SmallConfig() {
 
 RunOutput RunLr(TransportKind transport, ControlMode mode, bool serialized_batching,
                 int iters) {
-  ClusterOptions options;
-  options.workers = 4;
-  options.partitions = 8;
-  options.mode = mode;
-  options.transport = transport;
+  ClusterOptions options = Options(transport, mode, 4, 8);
   options.serialized_batching = serialized_batching;
-  options.enable_command_log = true;
   Cluster cluster(options);
   Job job(&cluster);
 
@@ -53,14 +73,62 @@ RunOutput RunLr(TransportKind transport, ControlMode mode, bool serialized_batch
   for (int i = 0; i < iters; ++i) {
     out.iteration_scalars.push_back(app.RunInnerIteration().FirstScalar());
   }
-
-  // Under TCP the workers' event loops ran concurrently with the driver; Quiesce
-  // establishes happens-before with every node before reading their state.
-  cluster.Quiesce();
+  CollectCommandLogs(&cluster, &out);
   out.coefficients = app.CoeffSnapshot();
-  for (WorkerId id : cluster.worker_ids()) {
-    out.command_logs.push_back(cluster.worker(id)->command_log());
+  return out;
+}
+
+RunOutput RunKMeans(TransportKind transport, ControlMode mode, int iters) {
+  Cluster cluster(Options(transport, mode, 4, 8));
+  Job job(&cluster);
+
+  KMeansApp::Config config;
+  config.partitions = 8;
+  config.reduce_groups = 4;
+  config.dim = 3;
+  config.clusters = 3;
+  config.points_per_partition = 24;
+  config.virtual_bytes_total = 64LL * 1000 * 1000;
+  KMeansApp app(&job, config);
+  app.Setup();
+
+  RunOutput out;
+  for (int i = 0; i < iters; ++i) {
+    out.iteration_scalars.push_back(app.RunIteration().FirstScalar());
   }
+  CollectCommandLogs(&cluster, &out);
+  out.coefficients = app.CentroidSnapshot();
+  return out;
+}
+
+// Two frames of the triply nested loop; every frame statistic is a scalar, the water
+// volume is the final state.
+RunOutput RunWaterSim(TransportKind transport, ControlMode mode) {
+  Cluster cluster(Options(transport, mode, 3, 4));
+  Job job(&cluster);
+
+  WaterSimApp::Config config;
+  config.partitions = 4;
+  config.reduce_groups = 2;
+  config.nx = 4;
+  config.ny = 4;
+  config.nz_local = 4;
+  config.frame_duration = 0.4;
+  config.max_substeps = 6;
+  config.max_cg_iterations = 40;
+  WaterSimApp app(&job, config);
+  app.Setup();
+
+  RunOutput out;
+  for (int frame = 0; frame < 2; ++frame) {
+    const WaterSimApp::FrameStats stats = app.RunFrame();
+    out.iteration_scalars.insert(
+        out.iteration_scalars.end(),
+        {static_cast<double>(stats.substeps), static_cast<double>(stats.total_cg_iterations),
+         stats.frame_time, stats.last_residual, stats.max_speed});
+  }
+  CollectCommandLogs(&cluster, &out);
+  out.coefficients = {app.MeasureVolume()};
   return out;
 }
 
@@ -80,6 +148,7 @@ void ExpectIdentical(const RunOutput& sim, const RunOutput& tcp) {
   // field (Command::operator== compares all of them).
   ASSERT_EQ(sim.command_logs.size(), tcp.command_logs.size());
   for (std::size_t w = 0; w < sim.command_logs.size(); ++w) {
+    EXPECT_FALSE(sim.command_logs[w].empty()) << "worker " << w << " saw no commands";
     ASSERT_EQ(sim.command_logs[w].size(), tcp.command_logs[w].size()) << "worker " << w;
     for (std::size_t c = 0; c < sim.command_logs[w].size(); ++c) {
       EXPECT_EQ(sim.command_logs[w][c], tcp.command_logs[w][c])
@@ -119,6 +188,34 @@ TEST(TransportEquivalenceTest, TcpMatchesSequentialReference) {
   for (std::size_t d = 0; d < expected.size(); ++d) {
     EXPECT_DOUBLE_EQ(expected[d], tcp.coefficients[d]) << "coefficient " << d;
   }
+}
+
+TEST(TransportEquivalenceTest, KMeansTemplatesBitIdenticalSimVsTcp) {
+  const RunOutput sim = RunKMeans(TransportKind::kSim, ControlMode::kTemplates, 4);
+  const RunOutput tcp = RunKMeans(TransportKind::kTcp, ControlMode::kTemplates, 4);
+  ASSERT_FALSE(sim.iteration_scalars.empty());
+  EXPECT_GT(sim.iteration_scalars.front(), 0.0);
+  ExpectIdentical(sim, tcp);
+}
+
+TEST(TransportEquivalenceTest, KMeansCentralOnlyBitIdenticalSimVsTcp) {
+  const RunOutput sim = RunKMeans(TransportKind::kSim, ControlMode::kCentralOnly, 3);
+  const RunOutput tcp = RunKMeans(TransportKind::kTcp, ControlMode::kCentralOnly, 3);
+  ExpectIdentical(sim, tcp);
+}
+
+TEST(TransportEquivalenceTest, WaterSimTemplatesBitIdenticalSimVsTcp) {
+  const RunOutput sim = RunWaterSim(TransportKind::kSim, ControlMode::kTemplates);
+  const RunOutput tcp = RunWaterSim(TransportKind::kTcp, ControlMode::kTemplates);
+  ASSERT_FALSE(sim.iteration_scalars.empty());
+  EXPECT_GT(sim.iteration_scalars.front(), 1.0) << "a frame takes several substeps";
+  ExpectIdentical(sim, tcp);
+}
+
+TEST(TransportEquivalenceTest, WaterSimCentralOnlyBitIdenticalSimVsTcp) {
+  const RunOutput sim = RunWaterSim(TransportKind::kSim, ControlMode::kCentralOnly);
+  const RunOutput tcp = RunWaterSim(TransportKind::kTcp, ControlMode::kCentralOnly);
+  ExpectIdentical(sim, tcp);
 }
 
 }  // namespace
