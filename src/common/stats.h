@@ -62,8 +62,11 @@ struct CacheCounters : detail::ClearableCounters<CacheCounters> {
 // jobs; `critical_path_ns` accumulates, per batch, the greedy-schedule lower bound
 // max(longest job, busy / concurrency) — on a single-core container wall clock cannot show
 // shard scaling, so benchmarks report modeled throughput from this critical path (and say
-// so). `steals` counts jobs claimed by a thread other than the job's home thread
-// (index-striped), the shared-queue analogue of work stealing.
+// so). The InlineExecutor times a whole batch with one clock read pair instead of each
+// job: on its one lane the batch's CPU is the jobs' sum, so `busy_ns` keeps its meaning and
+// each batch adds `critical_path_ns == busy_ns`. `steals` counts jobs claimed by a thread
+// other than the job's home thread (index-striped), the shared-queue analogue of work
+// stealing (always 0 inline).
 struct ExecutorCounters : detail::ClearableCounters<ExecutorCounters> {
   std::uint64_t jobs_run = 0;
   std::uint64_t batches = 0;

@@ -86,10 +86,12 @@ void SetNoDelay(int fd) {
 }
 
 // Blocking full-buffer write used only during single-threaded bootstrap (hello frames).
+// MSG_NOSIGNAL, like every socket write here: a send on a reset socket must surface as
+// EPIPE, not kill the process with SIGPIPE.
 void WriteAll(int fd, const std::uint8_t* data, std::size_t n) {
   std::size_t done = 0;
   while (done < n) {
-    const ssize_t w = ::write(fd, data + done, n - done);
+    const ssize_t w = ::send(fd, data + done, n - done, MSG_NOSIGNAL);
     NIMBUS_CHECK_GT(w, 0) << "bootstrap write: " << std::strerror(errno);
     done += static_cast<std::size_t>(w);
   }
@@ -365,7 +367,13 @@ void TcpEndpoint::FlushLocked(Connection* conn) {
       ++iovcnt;
       offset = 0;
     }
-    const ssize_t written = ::writev(conn->fd, iov, iovcnt);
+    // sendmsg is writev plus flags: MSG_NOSIGNAL turns a send on a reset or shut-down
+    // socket (SeverPeer, a peer crash) into EPIPE for the loss path below instead of a
+    // process-killing SIGPIPE. The counter stays `writev_calls`: benchmarks read that name.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
+    const ssize_t written = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
     const int err = errno;  // before any other call can clobber it
     {
       std::lock_guard<std::mutex> clock(counter_mutex_);
@@ -374,7 +382,7 @@ void TcpEndpoint::FlushLocked(Connection* conn) {
     if (written < 0) {
       if (err != EAGAIN && err != EWOULDBLOCK) {
         NIMBUS_CHECK(IsConnectionLossErrno(err))
-            << "writev to " << conn->peer << ": " << std::strerror(err);
+            << "sendmsg to " << conn->peer << ": " << std::strerror(err);
         // The peer is gone. Leave the backlog queued; the event loop observes the errored
         // socket (EPOLLERR/EPOLLHUP) and runs the loss path, which may be mid-flight on
         // another thread right now — senders never tear sockets down themselves.

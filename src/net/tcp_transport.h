@@ -12,7 +12,8 @@
 //   u32 payload_len   u8 kind (MessageKind; 0xFF = bootstrap hello)   i64 src   i64 dst
 //   u8[payload_len] envelope bytes
 //
-// Sends append to a per-connection queue under its mutex and flush with a gather writev.
+// Sends append to a per-connection queue under its mutex and flush with a gather writev
+// (issued as sendmsg with MSG_NOSIGNAL, so a reset socket reports EPIPE, never SIGPIPE).
 // When flushes run depends on the sending thread (DESIGN.md §13.3):
 //  * on this endpoint's own event-loop thread (delivery handlers, timer callbacks) the
 //    callback's first frame to a peer flushes at once and marks the connection pending;
@@ -108,7 +109,7 @@ class TcpEndpoint final : public Transport {
     std::uint64_t frames_sent = 0;
     std::uint64_t frames_received = 0;
     std::uint64_t payload_bytes_sent = 0;
-    std::uint64_t writev_calls = 0;
+    std::uint64_t writev_calls = 0;  // gather-write syscalls (sendmsg) on the send path
     std::uint64_t partial_writes = 0;  // flushes that left queued bytes behind
     std::uint64_t peak_queued_bytes = 0;
     std::uint64_t queued_bytes = 0;  // currently waiting behind the socket

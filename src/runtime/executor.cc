@@ -16,21 +16,16 @@ std::uint64_t Executor::ThreadNowNs() {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
-void Executor::AccountBatch(const std::vector<std::uint64_t>& job_busy_ns,
-                            std::uint64_t steals, std::uint64_t wall_ns) {
-  std::uint64_t busy = 0;
-  std::uint64_t longest = 0;
-  for (std::uint64_t ns : job_busy_ns) {
-    busy += ns;
-    longest = std::max(longest, ns);
-  }
-  counters_.jobs_run += job_busy_ns.size();
+void Executor::AccountBatch(std::size_t jobs, std::uint64_t busy_ns,
+                            std::uint64_t longest_job_ns, std::uint64_t steals,
+                            std::uint64_t wall_ns) {
+  counters_.jobs_run += jobs;
   counters_.batches += 1;
   counters_.steals += steals;
-  counters_.busy_ns += busy;
+  counters_.busy_ns += busy_ns;
   // Greedy-schedule lower bound for this batch on `concurrency()` lanes.
   counters_.critical_path_ns +=
-      std::max(longest, busy / static_cast<std::uint64_t>(concurrency()));
+      std::max(longest_job_ns, busy_ns / static_cast<std::uint64_t>(concurrency()));
   counters_.wall_ns += wall_ns;
 }
 
@@ -48,14 +43,15 @@ std::uint64_t WallNowNs() {
 // -----------------------------------------------------------------------------------------
 
 void InlineExecutor::Run(std::size_t count, const JobFn& fn) {
+  // One thread-clock read around the whole batch, not two per job: on one lane the jobs'
+  // CPU sums to the batch's, and the batch is its own critical path (busy == longest).
   const std::uint64_t wall_start = WallNowNs();
-  std::vector<std::uint64_t> job_busy_ns(count, 0);
+  const std::uint64_t start = ThreadNowNs();
   for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t start = ThreadNowNs();
     fn(i);
-    job_busy_ns[i] = ThreadNowNs() - start;
   }
-  AccountBatch(job_busy_ns, /*steals=*/0, WallNowNs() - wall_start);
+  const std::uint64_t busy = ThreadNowNs() - start;
+  AccountBatch(count, busy, busy, /*steals=*/0, WallNowNs() - wall_start);
 }
 
 // -----------------------------------------------------------------------------------------
@@ -145,11 +141,10 @@ void ThreadPoolExecutor::Run(std::size_t count, const JobFn& fn) {
   if (count == 1) {
     // A single job cannot parallelize: run it on the caller and skip the wakeup round
     // trip entirely (a 1-shard engine on a pool must behave like the serial engine).
-    std::vector<std::uint64_t> job_busy_ns(1, 0);
     const std::uint64_t start = ThreadNowNs();
     fn(0);
-    job_busy_ns[0] = ThreadNowNs() - start;
-    AccountBatch(job_busy_ns, /*steals=*/0, WallNowNs() - wall_start);
+    const std::uint64_t busy = ThreadNowNs() - start;
+    AccountBatch(1, busy, busy, /*steals=*/0, WallNowNs() - wall_start);
     return;
   }
   Batch batch;
@@ -174,7 +169,13 @@ void ThreadPoolExecutor::Run(std::size_t count, const JobFn& fn) {
     // Un-publish before the batch leaves scope: late-waking workers must find nullptr.
     current_ = nullptr;
   }
-  AccountBatch(batch.job_busy_ns, batch.steals.load(std::memory_order_relaxed),
+  std::uint64_t busy = 0;
+  std::uint64_t longest = 0;
+  for (std::uint64_t ns : batch.job_busy_ns) {
+    busy += ns;
+    longest = std::max(longest, ns);
+  }
+  AccountBatch(count, busy, longest, batch.steals.load(std::memory_order_relaxed),
                WallNowNs() - wall_start);
 }
 

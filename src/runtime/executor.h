@@ -17,10 +17,12 @@
 // ordering or exclusion guarantees within a batch. Run() is a barrier — state written by the
 // batch is visible to the caller when it returns.
 //
-// Every job is timed with the thread CPU clock; ExecutorCounters accumulates total busy
-// time and a per-batch critical path (max(longest job, busy/concurrency), the greedy
-// lower bound). On a single-core container, wall time cannot show shard scaling, so the
-// Table 4 bench reports modeled throughput from the critical path — see bench/table4.
+// Every pool job is timed with the thread CPU clock; ExecutorCounters accumulates total
+// busy time and a per-batch critical path (max(longest job, busy/concurrency), the greedy
+// lower bound). The inline executor reads the clock once per batch: on its one lane the
+// batch's CPU is the jobs' summed busy time and is also the critical path. On a
+// single-core container, wall time cannot show shard scaling, so the Table 4 bench
+// reports modeled throughput from the critical path — see bench/table4.
 
 #ifndef NIMBUS_SRC_RUNTIME_EXECUTOR_H_
 #define NIMBUS_SRC_RUNTIME_EXECUTOR_H_
@@ -60,10 +62,11 @@ class Executor {
   // when threads outnumber cores and the scheduler timeslices them).
   static std::uint64_t ThreadNowNs();
 
-  // Folds one finished batch's per-job busy times into the counters. `wall_ns` is the
-  // caller-side wall duration of the whole barrier.
-  void AccountBatch(const std::vector<std::uint64_t>& job_busy_ns, std::uint64_t steals,
-                    std::uint64_t wall_ns);
+  // Folds one finished batch of `jobs` into the counters: `busy_ns` is the jobs' summed
+  // thread CPU, `longest_job_ns` the largest single job's. `wall_ns` is the caller-side
+  // wall duration of the whole barrier.
+  void AccountBatch(std::size_t jobs, std::uint64_t busy_ns, std::uint64_t longest_job_ns,
+                    std::uint64_t steals, std::uint64_t wall_ns);
 
   ExecutorCounters counters_;
 };

@@ -11,7 +11,41 @@ namespace {
 inline std::uint32_t TraceTrack(WorkerId id) {
   return static_cast<std::uint32_t>(id.value());
 }
+
+// A launched command's completion callback names its (group seq, local index) by one
+// packed word, split like a copy id (kCopyIndexBits low bits of index), so the closure
+// `[this, key]` is 16 bytes and fits std::function's inline buffer: a launch allocates
+// nothing (DESIGN.md §9.3).
+std::uint64_t LaunchKey(std::uint64_t seq, std::int32_t index) {
+  NIMBUS_CHECK(index >= 0 && index < (1 << kCopyIndexBits))
+      << "command index " << index << " exceeds the launch-key field";
+  return (seq << kCopyIndexBits) | static_cast<std::uint64_t>(index);
+}
+
+std::uint64_t LaunchSeq(std::uint64_t key) { return key >> kCopyIndexBits; }
+
+std::int32_t LaunchIndex(std::uint64_t key) {
+  return static_cast<std::int32_t>(key & ((std::uint64_t{1} << kCopyIndexBits) - 1));
+}
 }  // namespace
+
+void Worker::RuntimeCommand::ResetKeepingCapacity() {
+  // Park the capacity-bearing vectors, reset the whole slot from a default, then hand the
+  // (cleared) vectors back: a field added later is reset too without being listed here.
+  std::vector<std::int32_t> kept_waiters = std::move(waiters);
+  std::vector<DenseIndex> kept_reads = std::move(reads_dense);
+  std::vector<DenseIndex> kept_writes = std::move(writes_dense);
+  ParameterBlob kept_params = std::move(cmd.params);
+  *this = RuntimeCommand{};
+  kept_waiters.clear();
+  kept_reads.clear();
+  kept_writes.clear();
+  kept_params.clear();
+  waiters = std::move(kept_waiters);
+  reads_dense = std::move(kept_reads);
+  writes_dense = std::move(kept_writes);
+  cmd.params = std::move(kept_params);
+}
 
 Worker::Worker(WorkerId id, sim::Simulation* simulation, net::Transport* transport,
                const sim::CostModel* costs, const FunctionRegistry* functions,
@@ -336,6 +370,14 @@ void Worker::MaterializeInstantiation(DenseIndex tmpl_index, const InstantiateMs
   cached.dense.resize(entries.size());
 
   Group& group = GetOrCreateGroup(msg.group_seq, /*barrier=*/true);
+  NIMBUS_CHECK(group.commands.empty())
+      << "group " << msg.group_seq << " materialized over existing commands";
+
+  // Recycled command table (DESIGN.md §9.3): take the template's spare table, the one its
+  // last pruned group handed back. A second live group of this template finds the spare
+  // gone and starts from an empty table, so live groups never share storage.
+  group.commands.swap(cached.spare_table);
+  group.template_index = tmpl_index;
 
   // Serial intern pre-pass: resolving an entry's objects to store-dense indices mutates
   // the store's interner, so it cannot ride the parallel build batch. First touch (or the
@@ -377,6 +419,8 @@ void Worker::MaterializeInstantiation(DenseIndex tmpl_index, const InstantiateMs
   // write disjoint slots of a pre-sized table and the result is executor-invariant. The
   // build only reads the cached template, the resolved dense sets, and the sorted params;
   // receive-slot binding and before-edge wiring mutate shared state and stay serial below.
+  // Every slot is reset before it is filled: a recycled slot may hold a different entry
+  // type from before an edit, and its vectors refill within their kept capacity.
   group.commands.resize(entries.size());
   const std::size_t chunks = ChunkCount(entries.size());
   executor_->Run(chunks, [&](std::size_t job) {
@@ -386,6 +430,7 @@ void Worker::MaterializeInstantiation(DenseIndex tmpl_index, const InstantiateMs
       const core::WtEntry& e = entries[i];
       const CachedTemplate::DenseSets& ds = cached.dense[i];
       RuntimeCommand& rc = group.commands[i];
+      rc.ResetKeepingCapacity();
       rc.cmd.id = CommandId(msg.command_base.value() + i);
       if (e.dead) {
         rc.cmd.type = CommandType::kDataCreate;  // benign no-op preserving the index
@@ -402,13 +447,12 @@ void Worker::MaterializeInstantiation(DenseIndex tmpl_index, const InstantiateMs
           const auto pit = std::lower_bound(
               params.begin(), params.end(), e.global_entry,
               [](const auto& p, std::int32_t slot) { return p.first < slot; });
-          if (pit != params.end() && pit->first == e.global_entry) {
-            rc.cmd.params = *pit->second;
-          } else {
-            rc.cmd.params = e.cached_params;
-          }
-          rc.reads_dense = ds.reads;
-          rc.writes_dense = ds.writes;
+          const ParameterBlob& blob =
+              pit != params.end() && pit->first == e.global_entry ? *pit->second
+                                                                  : e.cached_params;
+          rc.cmd.params.assign(blob.begin(), blob.end());
+          rc.reads_dense.assign(ds.reads.begin(), ds.reads.end());
+          rc.writes_dense.assign(ds.writes.begin(), ds.writes.end());
           break;
         }
         case CommandType::kCopySend:
@@ -634,19 +678,20 @@ void Worker::Launch(Group& group, std::int32_t index) {
       const sim::Duration cost = costs_->CheckpointWriteTime(
           rc.cmd.copy_bytes > 0 ? rc.cmd.copy_bytes
                                 : store_.Get(rc.cmd.data_object)->ByteSize());
-      const std::uint64_t seq = group.seq;
-      cores_.Submit(cost, [this, seq, index]() {
+      cores_.Submit(cost, [this, key = LaunchKey(group.seq, index)]() {
         control_phase_.Assert();  // deferred onto the serial control phase
+        const std::uint64_t seq = LaunchSeq(key);
+        const std::int32_t slot = LaunchIndex(key);
         Group* g = FindGroup(seq);
         if (g == nullptr) {
           return;
         }
-        RuntimeCommand& cmd = g->commands[static_cast<std::size_t>(index)];
+        RuntimeCommand& cmd = g->commands[static_cast<std::size_t>(slot)];
         if (store_.Has(cmd.cmd.data_object)) {
           durable_->Write(cmd.cmd.data_object, cmd.cmd.copy_version,
                           *store_.Get(cmd.cmd.data_object));
         }
-        CompleteCommand(seq, index);
+        CompleteCommand(seq, slot);
       });
       break;
     }
@@ -655,17 +700,18 @@ void Worker::Launch(Group& group, std::int32_t index) {
           << "recovery: object " << rc.cmd.data_object << " missing from durable store";
       const DurableStore::Entry& entry = durable_->Read(rc.cmd.data_object);
       const sim::Duration cost = costs_->CheckpointWriteTime(entry.payload->ByteSize());
-      const std::uint64_t seq = group.seq;
-      cores_.Submit(cost, [this, seq, index]() {
+      cores_.Submit(cost, [this, key = LaunchKey(group.seq, index)]() {
         control_phase_.Assert();  // deferred onto the serial control phase
+        const std::uint64_t seq = LaunchSeq(key);
+        const std::int32_t slot = LaunchIndex(key);
         Group* g = FindGroup(seq);
         if (g == nullptr) {
           return;
         }
-        RuntimeCommand& cmd = g->commands[static_cast<std::size_t>(index)];
+        RuntimeCommand& cmd = g->commands[static_cast<std::size_t>(slot)];
         const DurableStore::Entry& e = durable_->Read(cmd.cmd.data_object);
         store_.Put(cmd.cmd.data_object, e.version, e.payload->Clone());
-        CompleteCommand(seq, index);
+        CompleteCommand(seq, slot);
       });
       break;
     }
@@ -675,14 +721,15 @@ void Worker::Launch(Group& group, std::int32_t index) {
 void Worker::ExecuteTask(Group& group, std::int32_t index) {
   RuntimeCommand& rc = group.commands[static_cast<std::size_t>(index)];
   const sim::Duration total = rc.cmd.duration + costs_->worker_dispatch_per_task;
-  const std::uint64_t seq = group.seq;
-  cores_.Submit(total, [this, seq, index]() {
+  cores_.Submit(total, [this, key = LaunchKey(group.seq, index)]() {
     control_phase_.Assert();  // deferred onto the serial control phase
+    const std::uint64_t seq = LaunchSeq(key);
+    const std::int32_t slot = LaunchIndex(key);
     Group* g = FindGroup(seq);
     if (g == nullptr || failed_) {
       return;
     }
-    RuntimeCommand& cmd = g->commands[static_cast<std::size_t>(index)];
+    RuntimeCommand& cmd = g->commands[static_cast<std::size_t>(slot)];
     TaskContext ctx(&store_, &cmd.reads_dense, &cmd.writes_dense, &cmd.cmd.params);
     functions_->Get(cmd.cmd.function)(ctx);
     ++tasks_executed_;
@@ -698,7 +745,7 @@ void Worker::ExecuteTask(Group& group, std::int32_t index) {
           << " was marked returns_scalar but did not call ReturnScalar";
       g->scalars.push_back(ScalarResult{cmd.cmd.task_id, ctx.scalar()});
     }
-    CompleteCommand(seq, index);
+    CompleteCommand(seq, slot);
   });
 }
 
@@ -789,14 +836,21 @@ void Worker::CompleteCommand(std::uint64_t group_seq, std::int32_t index) {
   if (group->streaming) {
     group->done_ids.insert(rc.cmd.id);  // late edges may still reference this id
   }
-  // Copy the waiter list: launching a waiter can cascade into completing the whole group,
-  // which prunes it from the deque and frees `rc`.
-  const std::vector<std::int32_t> waiters = rc.waiters;
-  for (std::int32_t waiter : waiters) {
+  // Walk the waiter list by index, re-finding the group after every launch: a launch can
+  // cascade into completing the whole group, which prunes it and hands its table back to
+  // the template, so neither `rc` nor the group may be held across one. The list itself
+  // cannot change meanwhile — new edges only attach to commands that are not done.
+  for (std::size_t k = 0;; ++k) {
     group = FindGroup(group_seq);
     if (group == nullptr) {
       return;
     }
+    const std::vector<std::int32_t>& waiters =
+        group->commands[static_cast<std::size_t>(index)].waiters;
+    if (k == waiters.size()) {
+      break;
+    }
+    const std::int32_t waiter = waiters[k];
     RuntimeCommand& w = group->commands[static_cast<std::size_t>(waiter)];
     NIMBUS_CHECK_GT(w.remaining_before, 0);
     if (--w.remaining_before == 0) {
@@ -828,13 +882,17 @@ void Worker::FinishGroupIfDone(std::uint64_t seq) {
 
   // Prune completed groups from the front and unblock any waiting barrier group. Buffered
   // copy data dies with its group; any early data addressed below the retired floor can
-  // never be claimed and is dropped too.
+  // never be claimed and is dropped too. A materialized group's command table goes back
+  // to its template as the spare the next instantiation refills.
   bool pruned = false;
   while (!groups_.empty()) {
     Group& front = groups_.front();
     if (front.finalized && front.started && front.reported &&
         front.done_count == front.expected_total) {
       stale_seq_floor_ = std::max(stale_seq_floor_, front.seq);
+      if (front.template_index != kInvalidDenseIndex) {
+        templates_[front.template_index].spare_table = std::move(front.commands);
+      }
       groups_.pop_front();
       pruned = true;
     } else {

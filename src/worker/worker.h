@@ -154,6 +154,11 @@ class Worker {
     std::vector<DenseIndex> reads_dense;
     std::vector<DenseIndex> writes_dense;
     DenseIndex object_dense = kInvalidDenseIndex;  // copy-send object
+
+    // Returns every field to its default but keeps the vectors' capacity: a recycled
+    // command table (DESIGN.md §9.3) is refilled without allocating, and no field an
+    // earlier instantiation set can reach the next one.
+    void ResetKeepingCapacity();
   };
 
   // Per-group state of one copy pair's receiving half, addressed by the copy id's embedded
@@ -184,11 +189,16 @@ class Worker {
     std::unordered_map<CommandId, std::vector<std::int32_t>> pending_edges;
     std::unordered_set<CommandId> done_ids;
     std::vector<ScalarResult> scalars;
+    // The cached template this group materializes; its command table goes back to that
+    // template when the group is pruned. Invalid for streaming groups.
+    DenseIndex template_index = kInvalidDenseIndex;
   };
 
   // A cached worker template plus its entries' read/write sets resolved to store-dense
   // indices. The dense sets are (re)built lazily per entry, so edits only invalidate the
-  // slots they touch.
+  // slots they touch. `spare_table` is the command table of this template's last pruned
+  // group, kept for the next instantiation to refill in place (DESIGN.md §9.3); a group
+  // takes it while live, so two live groups of one template never share a table.
   struct CachedTemplate {
     bool installed = false;
     core::WorkerHalf half;
@@ -199,6 +209,7 @@ class Worker {
       DenseIndex object = kInvalidDenseIndex;
     };
     std::vector<DenseSets> dense;  // parallel to half.entries
+    std::vector<RuntimeCommand> spare_table;
   };
 
   // Copy data that arrived before its group existed.

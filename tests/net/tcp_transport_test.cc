@@ -2,7 +2,8 @@
 // endpoint's own event-loop thread are deferred and flushed as one gather write per
 // connection when the delivery handler returns; sends from any other thread flush eagerly.
 // Each test builds a bare loopback mesh of endpoints, bootstrapped the way the cluster
-// does it, and pins delivery (exactly once, in order) alongside the writev accounting.
+// does it, and pins delivery (exactly once, in order) alongside the writev accounting;
+// one checks that a send on a severed socket fails softly (no SIGPIPE).
 
 #include <gtest/gtest.h>
 
@@ -316,6 +317,24 @@ TEST(TcpTransportTest, SeverMidFrameResendsWholeFrameAndDrainsQueuedBytes) {
   EXPECT_GE(after.redials_succeeded, 1u);
   EXPECT_GE(after.partial_writes, 1u);
   EXPECT_LE(after.peak_queued_bytes, backlog + kHeader + sizeof(std::uint32_t));
+}
+
+// (e) A send racing a sever: SeverPeer shuts the local socket down, so the next write
+// fails. The endpoints are never started, so the send flushes eagerly on this thread and
+// no event loop runs the loss path. The write must come back as EPIPE (the process is not
+// killed by SIGPIPE) and leave the frame queued, whole, for the resend after a redial.
+TEST(TcpTransportTest, SendAfterSeverKeepsProcessAliveAndFrameQueued) {
+  Mesh mesh(2);
+  TcpEndpoint& sender = mesh.at(0);
+  sender.SeverPeer(mesh.addr(1));
+  SendFrame(sender, mesh.addr(1), Frame(7));
+
+  constexpr std::size_t kHeader = 4 + 1 + 8 + 8;
+  const TcpEndpoint::Counters after = sender.counters();
+  EXPECT_EQ(after.frames_sent, 1u);
+  EXPECT_EQ(after.writev_calls, 1u);
+  EXPECT_EQ(after.queued_bytes, kHeader + sizeof(std::uint32_t));
+  EXPECT_EQ(after.connection_losses, 0u);  // only the (unstarted) event loop declares one
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Unit tests for the worker runtime: local readiness resolution, group barriers, streaming
-// command arrival, copy matching with out-of-order data, template caching, scalars.
+// command arrival, copy matching with out-of-order data, template caching, scalars, and
+// the recycled per-template command tables.
 
 #include <gtest/gtest.h>
 
@@ -408,6 +409,215 @@ TEST(WorkerTest, FileSaveAndLoadRoundTripThroughDurableStore) {
   EXPECT_DOUBLE_EQ(
       dynamic_cast<const ScalarPayload*>(h.w(0).store().Get(LogicalObjectId(4)))->value(),
       7.5);
+}
+
+// ---- Recycled command tables (DESIGN.md §9.3) ----
+// A pruned group hands its command table back to its template, and the next
+// instantiation refills it in place. These tests pin what that must never change.
+
+core::WtEntry TaskEntry(FunctionId fn, std::int32_t global_entry,
+                        std::vector<LogicalObjectId> reads,
+                        std::vector<LogicalObjectId> writes,
+                        std::vector<std::int32_t> before = {}, bool returns_scalar = true) {
+  core::WtEntry e;
+  e.type = CommandType::kTask;
+  e.function = fn;
+  e.global_entry = global_entry;
+  e.reads = std::move(reads);
+  e.writes = std::move(writes);
+  e.before = std::move(before);
+  e.returns_scalar = returns_scalar;
+  e.duration = sim::Millis(1);
+  e.cached_params = {static_cast<std::uint8_t>(10 + global_entry)};
+  return e;
+}
+
+InstantiateMsg Instantiation(std::uint64_t seq, std::uint8_t param_for_entry0,
+                             std::vector<core::WorkerEditOp> edits = {}) {
+  InstantiateMsg msg;
+  msg.worker_template = WorkerTemplateId(1);
+  msg.group_seq = seq;
+  msg.command_base = CommandId(seq * 100);
+  msg.task_base = TaskId(seq * 100);
+  msg.params.emplace_back(0, ParameterBlob{param_for_entry0});
+  msg.edits = std::move(edits);
+  return msg;
+}
+
+// Functions for the recycled-table tests: "emit" writes its first param byte to its
+// write and reports it; "sum" reports the sum of its scalar reads.
+struct RecycleFunctions {
+  FunctionId emit;
+  FunctionId sum;
+  explicit RecycleFunctions(FunctionRegistry& registry) {
+    emit = registry.Register("emit", [](TaskContext& ctx) {
+      const double v = ctx.params().empty() ? -1.0 : ctx.params()[0];
+      for (std::size_t i = 0; i < ctx.write_count(); ++i) {
+        ctx.WriteScalar(i).set_value(v);
+      }
+      ctx.ReturnScalar(v);
+    });
+    sum = registry.Register("sum", [](TaskContext& ctx) {
+      double total = 0;
+      for (std::size_t i = 0; i < ctx.read_count(); ++i) {
+        total += ctx.ReadScalar(i);
+      }
+      ctx.ReturnScalar(total);
+    });
+  }
+};
+
+// emit(0) -> A; emit(1) -> B after 0; sum(A, B) after 1; emit(3) -> C, independent.
+core::WorkerHalf RecycleHalf(const RecycleFunctions& fns) {
+  core::WorkerHalf half;
+  half.worker = WorkerId(0);
+  half.entries.push_back(TaskEntry(fns.emit, 0, {}, {LogicalObjectId(1)}));
+  half.entries.push_back(TaskEntry(fns.emit, 1, {}, {LogicalObjectId(2)}, {0}));
+  half.entries.push_back(
+      TaskEntry(fns.sum, 2, {LogicalObjectId(1), LogicalObjectId(2)}, {}, {1}));
+  half.entries.push_back(TaskEntry(fns.emit, 3, {}, {LogicalObjectId(3)}));
+  return half;
+}
+
+// Slot 1 becomes a receive of B from worker 1 (copy index 0); slot 3 is tombstoned.
+std::vector<core::WorkerEditOp> RecycleEdits() {
+  core::WorkerEditOp replace;
+  replace.kind = core::WorkerEditOp::Kind::kReplaceWithReceive;
+  replace.index = 1;
+  replace.entry.type = CommandType::kCopyReceive;
+  replace.entry.copy_index = 0;
+  replace.entry.peer = WorkerId(1);
+  replace.entry.object = LogicalObjectId(2);
+  replace.entry.bytes = 8;
+  core::WorkerEditOp tombstone;
+  tombstone.kind = core::WorkerEditOp::Kind::kTombstone;
+  tombstone.index = 3;
+  return {replace, tombstone};
+}
+
+std::vector<std::pair<std::uint64_t, double>> ScalarPairs(const std::vector<ScalarResult>& v,
+                                                          std::size_t from) {
+  std::vector<std::pair<std::uint64_t, double>> out;
+  for (std::size_t i = from; i < v.size(); ++i) {
+    out.emplace_back(v[i].task.value(), v[i].value);
+  }
+  return out;
+}
+
+TEST(WorkerTest, EditedInstantiationOnRecycledTableMatchesFreshMaterialization) {
+  // Recycled: instantiate the original template (group 1), let it finish and hand its
+  // table back, then instantiate again with the edits piggybacked (group 2).
+  Harness recycled(1);
+  const RecycleFunctions fns(recycled.functions);
+  recycled.w(0).EnableCommandLog();
+  recycled.w(0).OnInstallTemplate(RecycleHalf(fns), WorkerTemplateId(1));
+  recycled.w(0).OnInstantiate(Instantiation(1, 5));
+  recycled.simulation.Run();
+  ASSERT_EQ(recycled.completions.size(), 1u);
+  const std::size_t log_before = recycled.w(0).command_log().size();
+  const std::size_t scalars_before = recycled.scalars.size();
+  ASSERT_EQ(log_before, 4u);
+  ASSERT_EQ(scalars_before, 4u);
+
+  recycled.w(0).OnInstantiate(Instantiation(2, 7, RecycleEdits()));
+  recycled.w(0).OnDataMessage(MakeCopyId(2, 0), LogicalObjectId(2), 1,
+                              std::make_unique<ScalarPayload>(42.0));
+  recycled.simulation.Run();
+  ASSERT_EQ(recycled.completions.size(), 2u);
+
+  // Fresh: a new worker installs the already-edited template and materializes group 2
+  // into a brand-new table.
+  Harness fresh(1);
+  const RecycleFunctions fresh_fns(fresh.functions);
+  core::WorkerHalf edited = RecycleHalf(fresh_fns);
+  core::ApplyWorkerEditOps(&edited, RecycleEdits());
+  fresh.w(0).EnableCommandLog();
+  fresh.w(0).OnInstallTemplate(edited, WorkerTemplateId(1));
+  fresh.w(0).OnInstantiate(Instantiation(2, 7));
+  fresh.w(0).OnDataMessage(MakeCopyId(2, 0), LogicalObjectId(2), 1,
+                           std::make_unique<ScalarPayload>(42.0));
+  fresh.simulation.Run();
+  ASSERT_EQ(fresh.completions.size(), 1u);
+
+  const std::vector<Command>& log = recycled.w(0).command_log();
+  const std::vector<Command> recycled_group2(
+      log.begin() + static_cast<std::ptrdiff_t>(log_before), log.end());
+  ASSERT_EQ(recycled_group2.size(), 4u);
+  EXPECT_TRUE(recycled_group2 == fresh.w(0).command_log());
+  // The replaced slot carries nothing of the task it was: no function, params or scalar.
+  EXPECT_EQ(recycled_group2[1].type, CommandType::kCopyReceive);
+  EXPECT_TRUE(recycled_group2[1].params.empty());
+  EXPECT_FALSE(recycled_group2[1].returns_scalar);
+  EXPECT_EQ(recycled_group2[3].type, CommandType::kDataCreate);
+
+  // emit(7) and sum(7 + 42): the received B, not the stale B = 11 of group 1.
+  const auto expected = std::vector<std::pair<std::uint64_t, double>>{{200, 7.0}, {202, 49.0}};
+  EXPECT_EQ(ScalarPairs(recycled.scalars, scalars_before), expected);
+  EXPECT_EQ(ScalarPairs(fresh.scalars, 0), expected);
+}
+
+TEST(WorkerTest, TwoLiveInstantiationsOfOneTemplateBothComplete) {
+  Harness h(1);
+  const RecycleFunctions fns(h.functions);
+  h.w(0).EnableCommandLog();
+  h.w(0).OnInstallTemplate(RecycleHalf(fns), WorkerTemplateId(1));
+  h.w(0).OnInstantiate(Instantiation(1, 5));
+  h.simulation.Run();  // group 1 leaves a spare table behind
+  ASSERT_EQ(h.completions.size(), 1u);
+
+  // Groups 2 and 3 materialize back to back, long before group 2's first task finishes,
+  // so both are live at once: one takes the spare, the other needs its own table.
+  h.w(0).OnInstantiate(Instantiation(2, 6));
+  h.w(0).OnInstantiate(Instantiation(3, 8));
+  h.simulation.Run();
+  ASSERT_EQ(h.completions.size(), 3u);
+  EXPECT_EQ(h.completions[1].second, 2u);
+  EXPECT_EQ(h.completions[2].second, 3u);
+
+  std::vector<std::uint64_t> ids;
+  for (const Command& c : h.w(0).command_log()) {
+    ids.push_back(c.id.value());
+  }
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{100, 101, 102, 103, 200, 201, 202, 203, 300, 301,
+                                             302, 303}));
+  const auto expected = std::vector<std::pair<std::uint64_t, double>>{
+      {200, 6.0}, {203, 13.0}, {201, 11.0}, {202, 17.0},
+      {300, 8.0}, {303, 13.0}, {301, 11.0}, {302, 19.0}};
+  EXPECT_EQ(ScalarPairs(h.scalars, 4), expected);
+}
+
+TEST(WorkerTest, HaltWithLiveGroupThenInstantiateMaterializesCleanly) {
+  Harness h(1);
+  const RecycleFunctions fns(h.functions);
+  h.w(0).EnableCommandLog();
+  h.w(0).OnInstallTemplate(RecycleHalf(fns), WorkerTemplateId(1));
+  h.w(0).OnInstantiate(Instantiation(1, 5));
+  h.simulation.Run();  // group 1 leaves a spare table behind
+
+  // Group 2 takes the spare and is mid-flight (materialized, first tasks running) when
+  // the halt drops it.
+  h.w(0).OnInstantiate(Instantiation(2, 6));
+  h.simulation.RunUntil(h.simulation.now() + sim::Micros(500));
+  ASSERT_FALSE(h.w(0).idle());
+  h.w(0).OnHalt();
+  EXPECT_TRUE(h.w(0).idle());
+  h.simulation.Run();
+  ASSERT_EQ(h.completions.size(), 1u);
+
+  const std::size_t scalars_before = h.scalars.size();
+  const std::size_t log_before = h.w(0).command_log().size();
+  h.w(0).OnInstantiate(Instantiation(3, 8));
+  h.simulation.Run();
+  ASSERT_EQ(h.completions.size(), 2u);
+  EXPECT_EQ(h.completions[1].second, 3u);
+  const std::vector<Command>& log = h.w(0).command_log();
+  ASSERT_EQ(log.size(), log_before + 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(log[log_before + i].id, CommandId(300 + i));
+  }
+  const auto expected = std::vector<std::pair<std::uint64_t, double>>{
+      {300, 8.0}, {303, 13.0}, {301, 11.0}, {302, 19.0}};
+  EXPECT_EQ(ScalarPairs(h.scalars, scalars_before), expected);
 }
 
 }  // namespace
