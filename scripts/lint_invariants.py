@@ -25,6 +25,11 @@ Enforces contracts the compiler cannot know about:
                   it declares kGroupName and VisitFields so it can register with the
                   metrics registry (src/common/metrics.h). A counter struct without
                   them is invisible to every registry-driven report.
+  byte-loop       No per-byte WriteU8 loop over a blob anywhere in src/: a loop whose
+                  body (the `for` line and the two after it) calls WriteU8 on the loop
+                  variable itself or on an element indexed by it. Blobs and id arrays go
+                  through BlobWriter::WriteBytes in one copy (DESIGN.md §10.1); one
+                  push_back per byte costs ~70x a memcpy on the serialized-dispatch path.
 
 Suppression mechanism
 ---------------------
@@ -50,7 +55,8 @@ CONTROLLER_GLOB = "src/controller/*.cc"
 SEND_SCAN_DIRS = ("src", "tests", "bench")
 
 ALLOW_RE = re.compile(r"lint:allow\(([\w\-, ]+)\)\s*(?:--\s*(.*))?")
-RULES = ("hot-map", "send-kind", "decoder-bounds", "map-invalidate", "counters-register")
+RULES = ("hot-map", "send-kind", "decoder-bounds", "map-invalidate", "counters-register",
+         "byte-loop")
 
 STATS_FILE = "src/common/stats.h"
 
@@ -59,6 +65,13 @@ DECODER_WINDOW = 4
 DECODER_ACCESS_RE = re.compile(
     r"pos_\s*\+\+|pos_\s*\+=|blob_\s*\[|blob_\.data\(\)\s*\+\s*pos_")
 DECODER_CHECK_RE = re.compile(r"NIMBUS_CHECK_LE|remaining\(\)|ExtractRaw\s*\(")
+
+# byte-loop: a `for` header, the names it declares, and a WriteU8 call's argument.
+BYTE_LOOP_WINDOW = 2
+FOR_HEADER_RE = re.compile(r"\bfor\s*\((.*)")
+LOOP_VAR_RE = re.compile(r"(\w+)\s*(?:=(?!=)|(?<!:):(?!:))")
+WRITE_U8_RE = re.compile(r"WriteU8\s*\((.*)\)\s*;")
+CAST_RE = re.compile(r"^static_cast<[^>]*>\((.*)\)$")
 
 # map-invalidate: mutation entry points into the version map from the controller.
 MUTATION_RE = re.compile(
@@ -238,6 +251,40 @@ def check_counters_register(src: Source, errors):
 
 
 # ------------------------------------------------------------------------------------
+# Rule: byte-loop
+# ------------------------------------------------------------------------------------
+
+def _writes_loop_byte(arg: str, loop_vars) -> bool:
+    """True if a WriteU8 argument is a loop variable or an element indexed by one."""
+    arg = arg.strip()
+    m = CAST_RE.match(arg)
+    if m is not None:
+        arg = m.group(1).strip()
+    if arg in loop_vars:
+        return True
+    m = re.search(r"\[\s*(\w+)\s*\]$", arg)
+    return m is not None and m.group(1) in loop_vars
+
+
+def check_byte_loop(src: Source, errors):
+    for i, line in enumerate(src.code, start=1):
+        m = FOR_HEADER_RE.search(line)
+        if m is None:
+            continue
+        loop_vars = set(LOOP_VAR_RE.findall(m.group(1)))
+        for j in range(i, min(i + BYTE_LOOP_WINDOW, len(src.code)) + 1):
+            body = src.code[j - 1] if j > i else m.group(1)
+            call = WRITE_U8_RE.search(body)
+            if call is None or not _writes_loop_byte(call.group(1), loop_vars):
+                continue
+            if not src.allowed("byte-loop", i):
+                emit(errors, src, i, "byte-loop",
+                     "per-byte WriteU8 loop; append the whole range with "
+                     "BlobWriter::WriteBytes")
+            break
+
+
+# ------------------------------------------------------------------------------------
 # Driver
 # ------------------------------------------------------------------------------------
 
@@ -276,6 +323,9 @@ def main() -> int:
         check_map_invalidate(source(path), errors)
 
     check_counters_register(source(REPO / STATS_FILE), errors)
+
+    for path in collect(["src/**/*.h", "src/**/*.cc"]):
+        check_byte_loop(source(path), errors)
 
     # Suppression hygiene: every allow must carry a reason and actually fire.
     for src in sources.values():

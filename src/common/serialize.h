@@ -24,6 +24,9 @@ class BlobWriter {
  public:
   BlobWriter() = default;
 
+  // Presizes the buffer for an encoding of known size: one allocation per envelope.
+  void Reserve(std::size_t n) { blob_.reserve(n); }
+
   void WriteU8(std::uint8_t v) { blob_.push_back(v); }
 
   void WriteU32(std::uint32_t v) { AppendRaw(&v, sizeof(v)); }
@@ -43,6 +46,9 @@ class BlobWriter {
     WriteU32(static_cast<std::uint32_t>(v.size()));
     AppendRaw(v.data(), v.size() * sizeof(double));
   }
+
+  // Appends `n` raw bytes in one copy (blobs, id arrays).
+  void WriteBytes(const void* data, std::size_t n) { AppendRaw(data, n); }
 
   std::size_t size() const { return blob_.size(); }
 
@@ -121,6 +127,15 @@ class BlobReader {
     std::vector<double> v(n);
     ExtractRaw(v.data(), n * sizeof(double));
     return v;
+  }
+
+  // Bounds-checks the next `n` bytes once, advances past them and returns where they
+  // start: a decoder reads a fixed-stride array out of the span with no per-field check.
+  const std::uint8_t* Span(std::size_t n) {
+    NIMBUS_CHECK_LE(n, remaining());
+    const std::uint8_t* span = blob_.data() + pos_;
+    pos_ += n;
+    return span;
   }
 
   // Reads `n` raw bytes into a fresh blob (bounds-checked before allocation).

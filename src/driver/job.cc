@@ -100,14 +100,23 @@ Job::RunResult Job::ExecuteAndWait(std::uint64_t request_id, ParameterBlob reque
   return result;
 }
 
-std::vector<StageDescriptor> Job::WithParams(const std::vector<StageDescriptor>& stages,
-                                             const SparseParams& params) {
-  if (params.empty()) {
+const std::vector<StageDescriptor>& Job::WithParams(const std::vector<StageDescriptor>& stages,
+                                                    const SparseParams& params,
+                                                    std::vector<StageDescriptor>* scratch) {
+  std::size_t task_count = 0;
+  for (const auto& stage : stages) {
+    task_count += stage.tasks.size();
+  }
+  const bool any_applies =
+      std::any_of(params.begin(), params.end(), [task_count](const auto& param) {
+        return param.first >= 0 && static_cast<std::size_t>(param.first) < task_count;
+      });
+  if (!any_applies) {
     return stages;
   }
-  std::vector<StageDescriptor> out = stages;
+  *scratch = stages;
   std::int32_t slot = 0;
-  for (auto& stage : out) {
+  for (auto& stage : *scratch) {
     for (auto& task : stage.tasks) {
       for (const auto& [pslot, blob] : params) {
         if (pslot == slot) {
@@ -117,19 +126,23 @@ std::vector<StageDescriptor> Job::WithParams(const std::vector<StageDescriptor>&
       ++slot;
     }
   }
-  return out;
+  return *scratch;
 }
 
-Job::RunResult Job::RunStages(std::vector<StageDescriptor> stages) {
+Job::RunResult Job::SubmitStages(const std::vector<StageDescriptor>& stages,
+                                 const std::string& capture_name) {
   std::int64_t bytes = 64;
   for (const auto& s : stages) {
     bytes += static_cast<std::int64_t>(s.tasks.size()) * 96;
   }
   const std::uint64_t request_id = next_request_id_++;
-  wire::SubmitStagesEnvelope e;
-  e.request_id = request_id;
-  e.stages = std::move(stages);
-  return ExecuteAndWait(request_id, wire::EncodeSubmitStagesEnvelope(e), bytes);
+  return ExecuteAndWait(request_id,
+                        wire::EncodeSubmitStagesEnvelope(request_id, capture_name, stages),
+                        bytes);
+}
+
+Job::RunResult Job::RunStages(std::vector<StageDescriptor> stages) {
+  return SubmitStages(stages, std::string());
 }
 
 Job::RunResult Job::RunBlock(const std::string& name, SparseParams params) {
@@ -150,24 +163,16 @@ Job::RunResult Job::RunBlock(const std::string& name, SparseParams params) {
   const bool use_templates =
       templates_enabled_ && controller.mode() != ControlMode::kCentralOnly;
 
+  // Central runs encode the recorded stages in place; only an applied param copies them.
+  std::vector<StageDescriptor> scratch;
   if (!use_templates) {
-    return RunStages(WithParams(def.stages, params));
+    return SubmitStages(WithParams(def.stages, params, &scratch), std::string());
   }
 
   if (!def.captured) {
     // First templated run: mark the basic block and capture it while executing centrally
     // (paper §4.1: "it simultaneously schedules them normally and stores them").
-    std::vector<StageDescriptor> stages = WithParams(def.stages, params);
-    std::int64_t bytes = 64;
-    for (const auto& s : stages) {
-      bytes += static_cast<std::int64_t>(s.tasks.size()) * 96;
-    }
-    const std::uint64_t request_id = next_request_id_++;
-    wire::SubmitStagesEnvelope e;
-    e.request_id = request_id;
-    e.capture_name = name;
-    e.stages = std::move(stages);
-    RunResult result = ExecuteAndWait(request_id, wire::EncodeSubmitStagesEnvelope(e), bytes);
+    RunResult result = SubmitStages(WithParams(def.stages, params, &scratch), name);
     if (!result.recovered) {
       def.captured = true;
     }

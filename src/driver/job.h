@@ -132,8 +132,16 @@ class Job {
   RunResult ExecuteAndWait(std::uint64_t request_id, ParameterBlob request,
                            std::int64_t request_bytes);
 
-  static std::vector<StageDescriptor> WithParams(const std::vector<StageDescriptor>& stages,
-                                                 const SparseParams& params);
+  // Encodes `stages` as one kSubmitStages request (capturing them as template
+  // `capture_name` when it is non-empty) and runs it through ExecuteAndWait.
+  RunResult SubmitStages(const std::vector<StageDescriptor>& stages,
+                         const std::string& capture_name);
+
+  // `stages` with `params` applied by task slot. Returns `stages` itself when no param
+  // names one of its slots; otherwise fills `*scratch` with the patched copy and returns it.
+  static const std::vector<StageDescriptor>& WithParams(
+      const std::vector<StageDescriptor>& stages, const SparseParams& params,
+      std::vector<StageDescriptor>* scratch);
 
   Cluster* cluster_;
   std::map<std::string, BlockDef> blocks_;

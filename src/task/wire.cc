@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "src/common/logging.h"
 
@@ -17,20 +18,24 @@ std::uint32_t DeltaOf(std::uint64_t value, std::uint64_t base, const char* what)
   return static_cast<std::uint32_t>(delta);
 }
 
-void WriteIdSet(BlobWriter* w, const std::vector<LogicalObjectId>& ids) {
+// Id arrays travel as the ids' raw 8-byte values (u32 count + u64[]), so each direction
+// is one bulk copy. Framing already assumes a little-endian host: BlobWriter appends raw.
+template <typename Id>
+void WriteIdSet(BlobWriter* w, const std::vector<Id>& ids) {
+  static_assert(sizeof(Id) == sizeof(std::uint64_t) && std::is_trivially_copyable_v<Id>,
+                "the bulk id-set copy needs ids that are 8 trivially copyable bytes");
   w->WriteU32(static_cast<std::uint32_t>(ids.size()));
-  for (LogicalObjectId id : ids) {
-    w->WriteU64(id.value());
-  }
+  w->WriteBytes(ids.data(), ids.size() * sizeof(Id));
 }
 
-std::vector<LogicalObjectId> ReadIdSet(BlobReader* r) {
+template <typename Id>
+std::vector<Id> ReadIdSet(BlobReader* r) {
   const std::uint32_t n = r->ReadU32();
-  NIMBUS_CHECK_LE(static_cast<std::size_t>(n) * 8, r->remaining());
-  std::vector<LogicalObjectId> ids;
-  ids.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ids.emplace_back(r->ReadU64());
+  // Span bounds-checks the whole array before the vector allocates.
+  const std::uint8_t* span = r->Span(static_cast<std::size_t>(n) * sizeof(Id));
+  std::vector<Id> ids(n);
+  if (n > 0) {
+    std::memcpy(ids.data(), span, static_cast<std::size_t>(n) * sizeof(Id));
   }
   return ids;
 }
@@ -58,19 +63,42 @@ void CheckForeignFieldsDefault(const Command& cmd) {
   }
 }
 
+// Fixed bytes of one NBW1 record: 22 shared (type, flags, id delta and the four length
+// prefixes) plus the type-specific tail.
+std::size_t BatchRecordSize(const Command& cmd) {
+  std::size_t tail = 0;
+  switch (cmd.type) {
+    case CommandType::kTask:
+      tail = 20;
+      break;
+    case CommandType::kCopySend:
+    case CommandType::kCopyReceive:
+      tail = 36;
+      break;
+    default:
+      tail = 24;
+      break;
+  }
+  return 22 + tail + 4 * cmd.before.size() + 8 * (cmd.read_set.size() + cmd.write_set.size()) +
+         cmd.params.size();
+}
+
 }  // namespace
 
 ParameterBlob EncodeBatch(std::uint64_t group_seq, CommandId command_base, TaskId task_base,
                           const std::vector<Command>& commands,
                           std::vector<ParamSlot>* slots) {
   NIMBUS_CHECK(command_base.valid());
-  BlobWriter w;
+  std::size_t size = kHeaderSize;
   std::uint64_t task_count = 0;
   for (const Command& cmd : commands) {
+    size += BatchRecordSize(cmd);
     if (cmd.type == CommandType::kTask) {
       ++task_count;
     }
   }
+  BlobWriter w;
+  w.Reserve(size);
   w.WriteU32(kBatchMagic);
   w.WriteU32(static_cast<std::uint32_t>(commands.size()));
   w.WriteU64(group_seq);
@@ -99,9 +127,7 @@ ParameterBlob EncodeBatch(std::uint64_t group_seq, CommandId command_base, TaskI
           static_cast<std::uint32_t>(cmd.params.size())});
     }
     w.WriteU32(static_cast<std::uint32_t>(cmd.params.size()));
-    for (std::uint8_t byte : cmd.params) {
-      w.WriteU8(byte);
-    }
+    w.WriteBytes(cmd.params.data(), cmd.params.size());
     switch (cmd.type) {
       case CommandType::kTask:
         w.WriteU64(cmd.function.value());
@@ -125,6 +151,7 @@ ParameterBlob EncodeBatch(std::uint64_t group_seq, CommandId command_base, TaskI
         break;
     }
   }
+  NIMBUS_CHECK_EQ(w.size(), size) << "batch presize drifted from the encoder";
   return w.Take();
 }
 
@@ -154,13 +181,16 @@ DecodedBatch DecodeBatch(const ParameterBlob& bytes) {
     NIMBUS_CHECK_LE(flags, 1) << "unknown flag bits";
     cmd.id = CommandId(out.header.command_id_base + r.ReadU32());
     const std::uint32_t n_before = r.ReadU32();
-    NIMBUS_CHECK_LE(static_cast<std::size_t>(n_before) * 4, r.remaining());
-    cmd.before.reserve(n_before);
-    for (std::uint32_t b = 0; b < n_before; ++b) {
-      cmd.before.emplace_back(out.header.command_id_base + r.ReadU32());
+    const std::uint8_t* before = r.Span(static_cast<std::size_t>(n_before) * 4);
+    cmd.before.resize(n_before);
+    for (CommandId& b : cmd.before) {
+      std::uint32_t delta;
+      std::memcpy(&delta, before, sizeof(delta));
+      before += sizeof(delta);
+      b = CommandId(out.header.command_id_base + delta);
     }
-    cmd.read_set = ReadIdSet(&r);
-    cmd.write_set = ReadIdSet(&r);
+    cmd.read_set = ReadIdSet<LogicalObjectId>(&r);
+    cmd.write_set = ReadIdSet<LogicalObjectId>(&r);
     const std::uint32_t param_len = r.ReadU32();
     cmd.params = r.ReadBlob(param_len);
     switch (cmd.type) {
@@ -207,9 +237,23 @@ namespace {
 
 // ---- Envelope building blocks ----
 
-void WriteEnvelopeHeader(BlobWriter* w, EnvelopeType type) {
-  w->WriteU32(kEnvelopeMagic);
-  w->WriteU8(static_cast<std::uint8_t>(type));
+// Every encoder computes its envelope's exact size first and writes one presized buffer:
+// one allocation per envelope, blobs and id sets appended in bulk (DESIGN.md §10.1).
+// `body_size` excludes the 5-byte header.
+BlobWriter StartEnvelope(EnvelopeType type, std::size_t body_size) {
+  BlobWriter w;
+  w.Reserve(kEnvelopeHeaderSize + body_size);
+  w.WriteU32(kEnvelopeMagic);
+  w.WriteU8(static_cast<std::uint8_t>(type));
+  return w;
+}
+
+// Hands the encoded envelope out. A size helper that drifted from its writer would cost a
+// silent reallocation, so the presize is pinned here.
+ParameterBlob FinishEnvelope(BlobWriter* w, std::size_t body_size) {
+  NIMBUS_CHECK_EQ(w->size(), kEnvelopeHeaderSize + body_size)
+      << "envelope presize drifted from the encoder";
+  return w->Take();
 }
 
 // Reads + validates the header and pins the expected type (each decoder knows what it is
@@ -227,18 +271,28 @@ void OpenEnvelope(BlobReader* r, EnvelopeType expected) {
 // sentinel values like -1 survive exactly.
 void WriteI32(BlobWriter* w, std::int32_t v) { w->WriteI64(v); }
 
-std::int32_t ReadI32(BlobReader* r) {
-  const std::int64_t v = r->ReadI64();
+std::int32_t CheckedI32(std::int64_t v) {
   NIMBUS_CHECK_GE(v, INT32_MIN);
   NIMBUS_CHECK_LE(v, INT32_MAX);
   return static_cast<std::int32_t>(v);
 }
 
+std::int32_t ReadI32(BlobReader* r) { return CheckedI32(r->ReadI64()); }
+
 void WriteLenBlob(BlobWriter* w, const ParameterBlob& blob) {
   w->WriteU32(static_cast<std::uint32_t>(blob.size()));
-  for (std::uint8_t byte : blob) {
-    w->WriteU8(byte);
-  }
+  w->WriteBytes(blob.data(), blob.size());
+}
+
+std::size_t LenBlobSize(const ParameterBlob& blob) { return 4 + blob.size(); }
+
+// Fixed bytes of one full-field command record (id sets and params add to it).
+constexpr std::size_t kCommandFullFixed = 98;
+
+std::size_t CommandFullSize(const Command& cmd) {
+  return kCommandFullFixed +
+         8 * (cmd.before.size() + cmd.read_set.size() + cmd.write_set.size()) +
+         cmd.params.size();
 }
 
 ParameterBlob ReadLenBlob(BlobReader* r) {
@@ -252,10 +306,7 @@ ParameterBlob ReadLenBlob(BlobReader* r) {
 void WriteCommandFull(BlobWriter* w, const Command& cmd) {
   w->WriteU8(static_cast<std::uint8_t>(cmd.type));
   w->WriteU64(cmd.id.value());
-  w->WriteU32(static_cast<std::uint32_t>(cmd.before.size()));
-  for (CommandId b : cmd.before) {
-    w->WriteU64(b.value());
-  }
+  WriteIdSet(w, cmd.before);
   WriteIdSet(w, cmd.read_set);
   WriteIdSet(w, cmd.write_set);
   WriteLenBlob(w, cmd.params);
@@ -278,14 +329,9 @@ Command ReadCommandFull(BlobReader* r) {
       << "unknown command type byte";
   cmd.type = static_cast<CommandType>(type_byte);
   cmd.id = CommandId(r->ReadU64());
-  const std::uint32_t n_before = r->ReadU32();
-  NIMBUS_CHECK_LE(static_cast<std::size_t>(n_before) * 8, r->remaining());
-  cmd.before.reserve(n_before);
-  for (std::uint32_t b = 0; b < n_before; ++b) {
-    cmd.before.emplace_back(r->ReadU64());
-  }
-  cmd.read_set = ReadIdSet(r);
-  cmd.write_set = ReadIdSet(r);
+  cmd.before = ReadIdSet<CommandId>(r);
+  cmd.read_set = ReadIdSet<LogicalObjectId>(r);
+  cmd.write_set = ReadIdSet<LogicalObjectId>(r);
   cmd.params = ReadLenBlob(r);
   cmd.task_id = TaskId(r->ReadU64());
   cmd.function = FunctionId(r->ReadU64());
@@ -322,6 +368,14 @@ void WriteWtEntry(BlobWriter* w, const core::WtEntry& e) {
   w->WriteU8(e.dead ? 1 : 0);
 }
 
+// Fixed bytes of one WtEntry record (id sets, params and before edges add to it).
+constexpr std::size_t kWtEntryFixed = 75;
+
+std::size_t WtEntrySize(const core::WtEntry& e) {
+  return kWtEntryFixed + 8 * (e.reads.size() + e.writes.size() + e.before.size()) +
+         e.cached_params.size();
+}
+
 core::WtEntry ReadWtEntry(BlobReader* r) {
   core::WtEntry e;
   const std::uint8_t type_byte = r->ReadU8();
@@ -334,8 +388,8 @@ core::WtEntry ReadWtEntry(BlobReader* r) {
   const std::uint8_t scalar_flag = r->ReadU8();
   NIMBUS_CHECK_LE(scalar_flag, 1) << "unknown flag bits";
   e.returns_scalar = scalar_flag != 0;
-  e.reads = ReadIdSet(r);
-  e.writes = ReadIdSet(r);
+  e.reads = ReadIdSet<LogicalObjectId>(r);
+  e.writes = ReadIdSet<LogicalObjectId>(r);
   e.cached_params = ReadLenBlob(r);
   e.copy_index = ReadI32(r);
   e.peer = WorkerId(r->ReadU64());
@@ -360,6 +414,14 @@ void WriteEditOp(BlobWriter* w, const core::WorkerEditOp& op) {
   WriteWtEntry(w, op.entry);
 }
 
+// One edit op is a u8 kind and two i64 indexes ahead of its nested WtEntry.
+constexpr std::size_t kEditOpHeader = 17;
+constexpr std::size_t kEditOpFixed = kEditOpHeader + kWtEntryFixed;
+
+std::size_t EditOpSize(const core::WorkerEditOp& op) {
+  return kEditOpHeader + WtEntrySize(op.entry);
+}
+
 core::WorkerEditOp ReadEditOp(BlobReader* r) {
   core::WorkerEditOp op;
   const std::uint8_t kind_byte = r->ReadU8();
@@ -379,6 +441,10 @@ void WriteScalarResults(BlobWriter* w, const std::vector<ScalarResult>& scalars)
     w->WriteU64(s.task.value());
     w->WriteDouble(s.value);
   }
+}
+
+std::size_t ScalarResultsSize(const std::vector<ScalarResult>& scalars) {
+  return 4 + 16 * scalars.size();
 }
 
 std::vector<ScalarResult> ReadScalarResults(BlobReader* r) {
@@ -404,6 +470,15 @@ void WriteSparseParams(BlobWriter* w,
   }
 }
 
+std::size_t SparseParamsSize(
+    const std::vector<std::pair<std::int32_t, ParameterBlob>>& params) {
+  std::size_t size = 4;
+  for (const auto& [slot, blob] : params) {
+    size += 8 + LenBlobSize(blob);
+  }
+  return size;
+}
+
 std::vector<std::pair<std::int32_t, ParameterBlob>> ReadSparseParams(BlobReader* r) {
   const std::uint32_t n = r->ReadU32();
   // 12 = minimum record size (i64 slot + empty-blob length prefix).
@@ -425,16 +500,28 @@ void WriteObjRefs(BlobWriter* w, const std::vector<ObjRef>& refs) {
   }
 }
 
+// One ObjRef record: u64 variable + i64 partition.
+constexpr std::size_t kObjRefSize = 16;
+
+// Fixed bytes of one submitted task descriptor: u64 function, the two ref-set counts, the
+// params length prefix, i64 placement, i64 duration and the scalar flag. Its ref sets and
+// params add to it.
+constexpr std::size_t kTaskDescriptorFixed = 37;
+
 std::vector<ObjRef> ReadObjRefs(BlobReader* r) {
   const std::uint32_t n = r->ReadU32();
-  NIMBUS_CHECK_LE(static_cast<std::size_t>(n) * 16, r->remaining());
-  std::vector<ObjRef> refs;
-  refs.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ObjRef ref;
-    ref.variable = VariableId(r->ReadU64());
-    ref.partition = ReadI32(r);
-    refs.push_back(ref);
+  // Span bounds-checks every record before the vector allocates; each partition still
+  // gets its int32 range check.
+  const std::uint8_t* span = r->Span(static_cast<std::size_t>(n) * kObjRefSize);
+  std::vector<ObjRef> refs(n);
+  for (ObjRef& ref : refs) {
+    std::uint64_t variable;
+    std::int64_t partition;
+    std::memcpy(&variable, span, sizeof(variable));
+    std::memcpy(&partition, span + sizeof(variable), sizeof(partition));
+    span += kObjRefSize;
+    ref.variable = VariableId(variable);
+    ref.partition = CheckedI32(partition);
   }
   return refs;
 }
@@ -463,6 +550,16 @@ void WritePayload(BlobWriter* w, const Payload* payload) {
                          "in-memory only)";
 }
 
+std::size_t PayloadSize(const Payload* payload) {
+  if (const auto* vec = dynamic_cast<const VectorPayload*>(payload)) {
+    return 1 + 4 + sizeof(double) * vec->values().size();
+  }
+  if (dynamic_cast<const ScalarPayload*>(payload) != nullptr) {
+    return 1 + sizeof(double);
+  }
+  return 1;  // kPayloadNone (WritePayload rejects any other payload type)
+}
+
 std::unique_ptr<Payload> ReadPayload(BlobReader* r) {
   const std::uint8_t kind = r->ReadU8();
   switch (kind) {
@@ -487,6 +584,10 @@ std::uint8_t GroupFlags(bool finalize, bool barrier) {
                                    (barrier ? kFlagBarrier : 0));
 }
 
+// Group-delivery fields leading both group envelopes: u64 group_seq, u64 expected_total,
+// u8 flags.
+constexpr std::size_t kGroupFieldsSize = 17;
+
 }  // namespace
 
 EnvelopeType PeekEnvelopeType(const ParameterBlob& bytes) {
@@ -499,8 +600,11 @@ EnvelopeType PeekEnvelopeType(const ParameterBlob& bytes) {
 }
 
 ParameterBlob EncodeCommandsEnvelope(const CommandsEnvelope& e) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kCommands);
+  std::size_t body = kGroupFieldsSize + 4;
+  for (const Command& cmd : e.commands) {
+    body += CommandFullSize(cmd);
+  }
+  BlobWriter w = StartEnvelope(EnvelopeType::kCommands, body);
   w.WriteU64(e.group_seq);
   w.WriteU64(e.expected_total);
   w.WriteU8(GroupFlags(e.finalize, e.barrier));
@@ -508,7 +612,7 @@ ParameterBlob EncodeCommandsEnvelope(const CommandsEnvelope& e) {
   for (const Command& cmd : e.commands) {
     WriteCommandFull(&w, cmd);
   }
-  return w.Take();
+  return FinishEnvelope(&w, body);
 }
 
 CommandsEnvelope DecodeCommandsEnvelope(const ParameterBlob& bytes) {
@@ -522,8 +626,7 @@ CommandsEnvelope DecodeCommandsEnvelope(const ParameterBlob& bytes) {
   e.finalize = (flags & kFlagFinalize) != 0;
   e.barrier = (flags & kFlagBarrier) != 0;
   const std::uint32_t n = r.ReadU32();
-  // 98 = fixed bytes of one full-field command record (sets and params add to it).
-  NIMBUS_CHECK_LE(static_cast<std::size_t>(n) * 98, r.remaining());
+  NIMBUS_CHECK_LE(static_cast<std::size_t>(n) * kCommandFullFixed, r.remaining());
   e.commands.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     e.commands.push_back(ReadCommandFull(&r));
@@ -533,13 +636,13 @@ CommandsEnvelope DecodeCommandsEnvelope(const ParameterBlob& bytes) {
 }
 
 ParameterBlob EncodeSerializedBatchEnvelope(const SerializedBatchEnvelope& e) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kSerializedBatch);
+  const std::size_t body = kGroupFieldsSize + LenBlobSize(e.batch);
+  BlobWriter w = StartEnvelope(EnvelopeType::kSerializedBatch, body);
   w.WriteU64(e.group_seq);
   w.WriteU64(e.expected_total);
   w.WriteU8(GroupFlags(e.finalize, e.barrier));
   WriteLenBlob(&w, e.batch);
-  return w.Take();
+  return FinishEnvelope(&w, body);
 }
 
 SerializedBatchEnvelope DecodeSerializedBatchEnvelope(const ParameterBlob& bytes) {
@@ -558,15 +661,18 @@ SerializedBatchEnvelope DecodeSerializedBatchEnvelope(const ParameterBlob& bytes
 }
 
 ParameterBlob EncodeInstallTemplateEnvelope(const InstallTemplateEnvelope& e) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kInstallTemplate);
+  std::size_t body = 8 + 8 + 4;
+  for (const core::WtEntry& entry : e.half.entries) {
+    body += WtEntrySize(entry);
+  }
+  BlobWriter w = StartEnvelope(EnvelopeType::kInstallTemplate, body);
   w.WriteU64(e.id.value());
   w.WriteU64(e.half.worker.value());
   w.WriteU32(static_cast<std::uint32_t>(e.half.entries.size()));
   for (const core::WtEntry& entry : e.half.entries) {
     WriteWtEntry(&w, entry);
   }
-  return w.Take();
+  return FinishEnvelope(&w, body);
 }
 
 InstallTemplateEnvelope DecodeInstallTemplateEnvelope(const ParameterBlob& bytes) {
@@ -576,8 +682,7 @@ InstallTemplateEnvelope DecodeInstallTemplateEnvelope(const ParameterBlob& bytes
   e.id = WorkerTemplateId(r.ReadU64());
   e.half.worker = WorkerId(r.ReadU64());
   const std::uint32_t n = r.ReadU32();
-  // 70 = fixed bytes of one WtEntry record (sets and params add to it).
-  NIMBUS_CHECK_LE(static_cast<std::size_t>(n) * 70, r.remaining());
+  NIMBUS_CHECK_LE(static_cast<std::size_t>(n) * kWtEntryFixed, r.remaining());
   e.half.entries.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     e.half.entries.push_back(ReadWtEntry(&r));
@@ -587,8 +692,11 @@ InstallTemplateEnvelope DecodeInstallTemplateEnvelope(const ParameterBlob& bytes
 }
 
 ParameterBlob EncodeInstantiateEnvelope(const InstantiateMsg& msg) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kInstantiate);
+  std::size_t body = 4 * 8 + SparseParamsSize(msg.params) + 4;
+  for (const core::WorkerEditOp& op : msg.edits) {
+    body += EditOpSize(op);
+  }
+  BlobWriter w = StartEnvelope(EnvelopeType::kInstantiate, body);
   w.WriteU64(msg.worker_template.value());
   w.WriteU64(msg.group_seq);
   w.WriteU64(msg.command_base.value());
@@ -598,7 +706,7 @@ ParameterBlob EncodeInstantiateEnvelope(const InstantiateMsg& msg) {
   for (const core::WorkerEditOp& op : msg.edits) {
     WriteEditOp(&w, op);
   }
-  return w.Take();
+  return FinishEnvelope(&w, body);
 }
 
 InstantiateMsg DecodeInstantiateEnvelope(const ParameterBlob& bytes) {
@@ -611,8 +719,7 @@ InstantiateMsg DecodeInstantiateEnvelope(const ParameterBlob& bytes) {
   msg.task_base = TaskId(r.ReadU64());
   msg.params = ReadSparseParams(&r);
   const std::uint32_t n = r.ReadU32();
-  // 87 = fixed bytes of one edit op (kind + two indexes + its nested WtEntry).
-  NIMBUS_CHECK_LE(static_cast<std::size_t>(n) * 87, r.remaining());
+  NIMBUS_CHECK_LE(static_cast<std::size_t>(n) * kEditOpFixed, r.remaining());
   msg.edits.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     msg.edits.push_back(ReadEditOp(&r));
@@ -622,9 +729,8 @@ InstantiateMsg DecodeInstantiateEnvelope(const ParameterBlob& bytes) {
 }
 
 ParameterBlob EncodeHaltEnvelope() {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kHalt);
-  return w.Take();
+  BlobWriter w = StartEnvelope(EnvelopeType::kHalt, 0);
+  return FinishEnvelope(&w, 0);
 }
 
 void DecodeHaltEnvelope(const ParameterBlob& bytes) {
@@ -634,11 +740,11 @@ void DecodeHaltEnvelope(const ParameterBlob& bytes) {
 }
 
 ParameterBlob EncodeLoadObjectsEnvelope(const LoadObjectsEnvelope& e) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kLoadObjects);
+  const std::size_t body = 8 + 4 + 8 * e.objects.size();
+  BlobWriter w = StartEnvelope(EnvelopeType::kLoadObjects, body);
   w.WriteU64(e.group_seq);
   WriteIdSet(&w, e.objects);
-  return w.Take();
+  return FinishEnvelope(&w, body);
 }
 
 LoadObjectsEnvelope DecodeLoadObjectsEnvelope(const ParameterBlob& bytes) {
@@ -646,17 +752,16 @@ LoadObjectsEnvelope DecodeLoadObjectsEnvelope(const ParameterBlob& bytes) {
   OpenEnvelope(&r, EnvelopeType::kLoadObjects);
   LoadObjectsEnvelope e;
   e.group_seq = r.ReadU64();
-  e.objects = ReadIdSet(&r);
+  e.objects = ReadIdSet<LogicalObjectId>(&r);
   NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the object list";
   return e;
 }
 
 ParameterBlob EncodeHeartbeatEnvelope(const HeartbeatEnvelope& e) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kHeartbeat);
+  BlobWriter w = StartEnvelope(EnvelopeType::kHeartbeat, 16);
   w.WriteU64(e.worker.value());
   w.WriteU64(e.seq);
-  return w.Take();
+  return FinishEnvelope(&w, 16);
 }
 
 HeartbeatEnvelope DecodeHeartbeatEnvelope(const ParameterBlob& bytes) {
@@ -670,11 +775,10 @@ HeartbeatEnvelope DecodeHeartbeatEnvelope(const ParameterBlob& bytes) {
 }
 
 ParameterBlob EncodeHeartbeatAckEnvelope(const HeartbeatAckEnvelope& e) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kHeartbeatAck);
+  BlobWriter w = StartEnvelope(EnvelopeType::kHeartbeatAck, 16);
   w.WriteU64(e.worker.value());
   w.WriteU64(e.seq);
-  return w.Take();
+  return FinishEnvelope(&w, 16);
 }
 
 HeartbeatAckEnvelope DecodeHeartbeatAckEnvelope(const ParameterBlob& bytes) {
@@ -688,11 +792,10 @@ HeartbeatAckEnvelope DecodeHeartbeatAckEnvelope(const ParameterBlob& bytes) {
 }
 
 ParameterBlob EncodeSuspectNoticeEnvelope(const SuspectNoticeEnvelope& e) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kSuspectNotice);
+  BlobWriter w = StartEnvelope(EnvelopeType::kSuspectNotice, 16);
   w.WriteU64(e.worker.value());
   w.WriteU64(e.missed_beats);
-  return w.Take();
+  return FinishEnvelope(&w, 16);
 }
 
 SuspectNoticeEnvelope DecodeSuspectNoticeEnvelope(const ParameterBlob& bytes) {
@@ -706,12 +809,12 @@ SuspectNoticeEnvelope DecodeSuspectNoticeEnvelope(const ParameterBlob& bytes) {
 }
 
 ParameterBlob EncodeGroupCompleteEnvelope(const GroupCompleteEnvelope& e) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kGroupComplete);
+  const std::size_t body = 16 + ScalarResultsSize(e.scalars);
+  BlobWriter w = StartEnvelope(EnvelopeType::kGroupComplete, body);
   w.WriteU64(e.worker.value());
   w.WriteU64(e.group_seq);
   WriteScalarResults(&w, e.scalars);
-  return w.Take();
+  return FinishEnvelope(&w, body);
 }
 
 GroupCompleteEnvelope DecodeGroupCompleteEnvelope(const ParameterBlob& bytes) {
@@ -726,13 +829,13 @@ GroupCompleteEnvelope DecodeGroupCompleteEnvelope(const ParameterBlob& bytes) {
 }
 
 ParameterBlob EncodeDataCopyEnvelope(const DataCopyEnvelope& e) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kDataCopy);
+  const std::size_t body = 24 + PayloadSize(e.payload.get());
+  BlobWriter w = StartEnvelope(EnvelopeType::kDataCopy, body);
   w.WriteU64(e.copy.value());
   w.WriteU64(e.object.value());
   w.WriteU64(e.version);
   WritePayload(&w, e.payload.get());
-  return w.Take();
+  return FinishEnvelope(&w, body);
 }
 
 DataCopyEnvelope DecodeDataCopyEnvelope(const ParameterBlob& bytes) {
@@ -747,13 +850,22 @@ DataCopyEnvelope DecodeDataCopyEnvelope(const ParameterBlob& bytes) {
   return e;
 }
 
-ParameterBlob EncodeSubmitStagesEnvelope(const SubmitStagesEnvelope& e) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kSubmitStages);
-  w.WriteU64(e.request_id);
-  w.WriteString(e.capture_name);
-  w.WriteU32(static_cast<std::uint32_t>(e.stages.size()));
-  for (const StageDescriptor& stage : e.stages) {
+ParameterBlob EncodeSubmitStagesEnvelope(std::uint64_t request_id,
+                                         std::string_view capture_name,
+                                         const std::vector<StageDescriptor>& stages) {
+  std::size_t body = 8 + 4 + capture_name.size() + 4;
+  for (const StageDescriptor& stage : stages) {
+    body += 4 + stage.name.size() + 4;
+    for (const TaskDescriptor& task : stage.tasks) {
+      body += kTaskDescriptorFixed + kObjRefSize * (task.reads.size() + task.writes.size()) +
+              task.params.size();
+    }
+  }
+  BlobWriter w = StartEnvelope(EnvelopeType::kSubmitStages, body);
+  w.WriteU64(request_id);
+  w.WriteString(capture_name);
+  w.WriteU32(static_cast<std::uint32_t>(stages.size()));
+  for (const StageDescriptor& stage : stages) {
     w.WriteString(stage.name);
     w.WriteU32(static_cast<std::uint32_t>(stage.tasks.size()));
     for (const TaskDescriptor& task : stage.tasks) {
@@ -766,7 +878,7 @@ ParameterBlob EncodeSubmitStagesEnvelope(const SubmitStagesEnvelope& e) {
       w.WriteU8(task.returns_scalar ? 1 : 0);
     }
   }
-  return w.Take();
+  return FinishEnvelope(&w, body);
 }
 
 SubmitStagesEnvelope DecodeSubmitStagesEnvelope(const ParameterBlob& bytes) {
@@ -782,8 +894,7 @@ SubmitStagesEnvelope DecodeSubmitStagesEnvelope(const ParameterBlob& bytes) {
     StageDescriptor stage;
     stage.name = r.ReadString();
     const std::uint32_t n_tasks = r.ReadU32();
-    // 41 = fixed bytes of one task descriptor (ref sets and params add to it).
-    NIMBUS_CHECK_LE(static_cast<std::size_t>(n_tasks) * 41, r.remaining());
+    NIMBUS_CHECK_LE(static_cast<std::size_t>(n_tasks) * kTaskDescriptorFixed, r.remaining());
     stage.tasks.reserve(n_tasks);
     for (std::uint32_t t = 0; t < n_tasks; ++t) {
       TaskDescriptor task;
@@ -805,13 +916,14 @@ SubmitStagesEnvelope DecodeSubmitStagesEnvelope(const ParameterBlob& bytes) {
 }
 
 ParameterBlob EncodeInstantiateRequestEnvelope(const InstantiateRequestEnvelope& e) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kInstantiateRequest);
+  const std::size_t body =
+      8 + 4 + e.name.size() + SparseParamsSize(e.params) + 4 + e.next_hint.size();
+  BlobWriter w = StartEnvelope(EnvelopeType::kInstantiateRequest, body);
   w.WriteU64(e.request_id);
   w.WriteString(e.name);
   WriteSparseParams(&w, e.params);
   w.WriteString(e.next_hint);
-  return w.Take();
+  return FinishEnvelope(&w, body);
 }
 
 InstantiateRequestEnvelope DecodeInstantiateRequestEnvelope(const ParameterBlob& bytes) {
@@ -827,11 +939,10 @@ InstantiateRequestEnvelope DecodeInstantiateRequestEnvelope(const ParameterBlob&
 }
 
 ParameterBlob EncodeCheckpointRequestEnvelope(const CheckpointRequestEnvelope& e) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kCheckpointRequest);
+  BlobWriter w = StartEnvelope(EnvelopeType::kCheckpointRequest, 16);
   w.WriteU64(e.request_id);
   w.WriteU64(e.marker);
-  return w.Take();
+  return FinishEnvelope(&w, 16);
 }
 
 CheckpointRequestEnvelope DecodeCheckpointRequestEnvelope(const ParameterBlob& bytes) {
@@ -845,11 +956,11 @@ CheckpointRequestEnvelope DecodeCheckpointRequestEnvelope(const ParameterBlob& b
 }
 
 ParameterBlob EncodeBlockDoneEnvelope(const BlockDoneEnvelope& e) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kBlockDone);
+  const std::size_t body = 8 + ScalarResultsSize(e.scalars);
+  BlobWriter w = StartEnvelope(EnvelopeType::kBlockDone, body);
   w.WriteU64(e.request_id);
   WriteScalarResults(&w, e.scalars);
-  return w.Take();
+  return FinishEnvelope(&w, body);
 }
 
 BlockDoneEnvelope DecodeBlockDoneEnvelope(const ParameterBlob& bytes) {
@@ -863,10 +974,9 @@ BlockDoneEnvelope DecodeBlockDoneEnvelope(const ParameterBlob& bytes) {
 }
 
 ParameterBlob EncodeCheckpointDoneEnvelope(std::uint64_t request_id) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kCheckpointDone);
+  BlobWriter w = StartEnvelope(EnvelopeType::kCheckpointDone, 8);
   w.WriteU64(request_id);
-  return w.Take();
+  return FinishEnvelope(&w, 8);
 }
 
 std::uint64_t DecodeCheckpointDoneEnvelope(const ParameterBlob& bytes) {
@@ -878,10 +988,9 @@ std::uint64_t DecodeCheckpointDoneEnvelope(const ParameterBlob& bytes) {
 }
 
 ParameterBlob EncodeRecoveryNoticeEnvelope(std::uint64_t marker) {
-  BlobWriter w;
-  WriteEnvelopeHeader(&w, EnvelopeType::kRecoveryNotice);
+  BlobWriter w = StartEnvelope(EnvelopeType::kRecoveryNotice, 8);
   w.WriteU64(marker);
-  return w.Take();
+  return FinishEnvelope(&w, 8);
 }
 
 std::uint64_t DecodeRecoveryNoticeEnvelope(const ParameterBlob& bytes) {

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -131,7 +132,12 @@ ParameterBlob ApplyParamOverrides(
 //
 // Decode discipline matches DecodeBatch: magic, type bytes, flag bits, and every length
 // prefix are validated against the remaining buffer before allocation, and trailing bytes
-// CHECK-fail (same death-test coverage, tests/task/envelope_test.cc).
+// CHECK-fail (same death-test coverage, tests/task/envelope_test.cc). Fixed-stride arrays
+// (id sets, object refs, NBW1 before deltas) are bounds-checked once per array.
+//
+// Encode discipline: each encoder sizes its envelope exactly, then writes one presized
+// buffer, copying blobs and id arrays in bulk, so an envelope costs one allocation
+// (tests/task/envelope_alloc_test.cc) and a nested batch one memcpy.
 
 // "NBE1": Nimbus Envelope format, version 1. Bump the trailing digit on layout changes.
 inline constexpr std::uint32_t kEnvelopeMagic = 0x3145424E;
@@ -250,7 +256,11 @@ struct SubmitStagesEnvelope {
   std::string capture_name;
   std::vector<StageDescriptor> stages;
 };
-ParameterBlob EncodeSubmitStagesEnvelope(const SubmitStagesEnvelope& e);
+// Encodes straight from the caller's stage list, so the driver ships its recorded block
+// definitions without copying them into an envelope struct first.
+ParameterBlob EncodeSubmitStagesEnvelope(std::uint64_t request_id,
+                                         std::string_view capture_name,
+                                         const std::vector<StageDescriptor>& stages);
 SubmitStagesEnvelope DecodeSubmitStagesEnvelope(const ParameterBlob& bytes);
 
 struct InstantiateRequestEnvelope {

@@ -228,9 +228,14 @@ void Worker::OnSerializedCommands(std::uint64_t group_seq, ParameterBlob bytes,
   if (group_seq <= stale_seq_floor_) {
     return;
   }
-  NIMBUS_TRACE_SPAN_V(trace::Lane::kWorker, TraceTrack(id_), "decode",
-                      static_cast<std::int64_t>(bytes.size()));
-  wire::DecodedBatch batch = wire::DecodeBatch(bytes);
+  // The decode span covers DecodeBatch alone: ingest, group start and any task the ingest
+  // runs inline have spans of their own.
+  wire::DecodedBatch batch;
+  {
+    NIMBUS_TRACE_SPAN_V(trace::Lane::kWorker, TraceTrack(id_), "decode",
+                        static_cast<std::int64_t>(bytes.size()));
+    batch = wire::DecodeBatch(bytes);
+  }
   NIMBUS_CHECK_EQ(batch.header.group_seq, group_seq)
       << "serialized batch addressed to a different group";
   const sim::Duration charge = costs_->serialized_decode_per_task *
@@ -247,6 +252,12 @@ void Worker::IngestCommands(std::uint64_t group_seq, std::vector<Command> comman
 
   Group& group = GetOrCreateGroup(group_seq, barrier);
   group.streaming = true;
+  // A batch fills an empty group's table with one allocation. Sized from what was
+  // decoded, never from the sender's expected_total; per-task frames (one command each)
+  // still grow the table geometrically.
+  if (group.commands.empty()) {
+    group.commands.reserve(commands.size());
+  }
   for (Command& cmd : commands) {
     AddCommandToGroup(group, std::move(cmd));
   }

@@ -111,9 +111,6 @@ std::vector<CorpusEntry> BuildCorpus() {
   copy.payload = std::move(vec);
   add("data_copy", wire::EnvelopeType::kDataCopy, wire::EncodeDataCopyEnvelope(copy));
 
-  wire::SubmitStagesEnvelope submit;
-  submit.request_id = 31;
-  submit.capture_name = "block";
   StageDescriptor stage;
   stage.name = "stage0";
   TaskDescriptor task;
@@ -122,9 +119,8 @@ std::vector<CorpusEntry> BuildCorpus() {
   task.writes = {{VariableId(1), 0}};
   task.params = ParameterBlob{1, 2};
   stage.tasks.push_back(task);
-  submit.stages.push_back(stage);
   add("submit_stages", wire::EnvelopeType::kSubmitStages,
-      wire::EncodeSubmitStagesEnvelope(submit));
+      wire::EncodeSubmitStagesEnvelope(31, "block", {stage}));
 
   wire::InstantiateRequestEnvelope request;
   request.request_id = 32;
