@@ -4,10 +4,10 @@
 Enforces contracts the compiler cannot know about:
 
   hot-map         No std::unordered_map / std::unordered_set in the hot-path
-                  directories (src/runtime/, src/core/, src/data/). Steady-state
-                  instantiation is designed around dense-id flat arrays and sorted
-                  vectors; a hash map on those paths is either a perf bug or needs a
-                  written justification.
+                  directories (src/runtime/, src/core/, src/data/, src/worker/).
+                  Steady-state instantiation and worker ingest are designed around
+                  dense-id flat arrays and sorted vectors; a hash map on those paths is
+                  either a perf bug or needs a written justification.
   send-kind       Every Network::Send call site passes an explicit MessageKind
                   argument. (The parameter has no default, so the compiler enforces
                   this too; the lint keeps a default from being quietly reintroduced
@@ -49,7 +49,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-HOT_DIRS = ("src/runtime", "src/core", "src/data")
+HOT_DIRS = ("src/runtime", "src/core", "src/data", "src/worker")
 DECODER_FILES = ("src/common/serialize.h", "src/task/wire.cc")
 CONTROLLER_GLOB = "src/controller/*.cc"
 SEND_SCAN_DIRS = ("src", "tests", "bench")

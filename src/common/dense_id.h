@@ -34,9 +34,11 @@ inline constexpr DenseIndex kInvalidDenseIndex = ~DenseIndex{0};
 template <typename Id>
 class Interner {
  public:
-  // Returns `id`'s dense index, assigning the next contiguous one on first sight.
+  // Returns `id`'s dense index, assigning the next contiguous one on first sight. A hit
+  // allocates nothing: try_emplace looks the key up before it builds a node, where emplace
+  // builds (and frees) one first.
   DenseIndex Intern(Id id) {
-    auto [it, inserted] = index_.emplace(id, static_cast<DenseIndex>(reverse_.size()));
+    auto [it, inserted] = index_.try_emplace(id, static_cast<DenseIndex>(reverse_.size()));
     if (inserted) {
       reverse_.push_back(id);
     }

@@ -110,13 +110,19 @@ class BlobReader {
     return v;
   }
 
-  std::string ReadString() {
-    // Bounds before allocation: a malformed length prefix must fail the CHECK, not ask the
-    // allocator for up to 4 GB first.
+  // Reads a length-prefixed string into `out`, reusing its capacity. Bounds before
+  // allocation: a malformed length prefix must fail the CHECK, not ask the allocator for up
+  // to 4 GB first.
+  void ReadString(std::string* out) {
     const std::uint32_t n = ReadU32();
     NIMBUS_CHECK_LE(n, remaining());
-    std::string s(reinterpret_cast<const char*>(blob_.data() + pos_), n);
+    out->assign(reinterpret_cast<const char*>(blob_.data() + pos_), n);
     pos_ += n;
+  }
+
+  std::string ReadString() {
+    std::string s;
+    ReadString(&s);
     return s;
   }
 
@@ -138,13 +144,11 @@ class BlobReader {
     return span;
   }
 
-  // Reads `n` raw bytes into a fresh blob (bounds-checked before allocation).
-  ParameterBlob ReadBlob(std::size_t n) {
-    NIMBUS_CHECK_LE(n, remaining());
-    ParameterBlob b(blob_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                    blob_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return b;
+  // Reads `n` raw bytes into `out`, reusing its capacity (bounds-checked before any
+  // allocation).
+  void ReadBlob(std::size_t n, ParameterBlob* out) {
+    const std::uint8_t* span = Span(n);
+    out->assign(span, span + n);
   }
 
   bool AtEnd() const { return pos_ == blob_.size(); }

@@ -43,7 +43,9 @@ void NimbusController::OnEnvelope(net::NodeAddress src, MessageKind kind,
       break;
     }
     case wire::EnvelopeType::kSubmitStages: {
-      wire::SubmitStagesEnvelope e = wire::DecodeSubmitStagesEnvelope(bytes);
+      const wire::ScratchGuard guard(&submit_scratch_live_);
+      wire::DecodeSubmitStagesEnvelope(bytes, &submit_scratch_);
+      const wire::SubmitStagesEnvelope& e = submit_scratch_;
       const std::uint64_t request_id = e.request_id;
       BlockDone done = [this, request_id](std::vector<ScalarResult> scalars) {
         SendBlockDone(request_id, std::move(scalars));
@@ -528,18 +530,28 @@ void NimbusController::DispatchSetCentrally(
   }
 }
 
+void NimbusController::AssignGroupIdRanges(
+    std::map<WorkerId, std::vector<Command>>* per_worker) {
+  for (auto& group : *per_worker) {
+    std::vector<Command>& cmds = group.second;
+    const CommandId base = command_ids_.NextRange(cmds.size());
+    for (std::size_t i = 0; i < cmds.size(); ++i) {
+      cmds[i].id = CommandId(base.value() + i);
+    }
+  }
+}
+
 void NimbusController::DispatchPatch(const core::Patch& patch, PendingBlock* block) {
   if (patch.empty()) {
     return;
   }
   const std::uint64_t seq = NewGroupSeq();
   // Group the directives by src (sends) and dst (receives).
-  std::unordered_map<WorkerId, std::vector<Command>> sends;
-  std::unordered_map<WorkerId, std::vector<Command>> recvs;
+  std::map<WorkerId, std::vector<Command>> sends;
+  std::map<WorkerId, std::vector<Command>> recvs;
   std::int32_t copy_index = 0;
   for (const core::PatchDirective& d : patch.directives) {
     Command send;
-    send.id = command_ids_.Next();
     send.type = CommandType::kCopySend;
     send.copy_id = MakeCopyId(seq, copy_index);
     send.peer = d.dst;
@@ -548,7 +560,6 @@ void NimbusController::DispatchPatch(const core::Patch& patch, PendingBlock* blo
     sends[d.src].push_back(std::move(send));
 
     Command recv;
-    recv.id = command_ids_.Next();
     recv.type = CommandType::kCopyReceive;
     recv.copy_id = MakeCopyId(seq, copy_index);
     recv.peer = d.src;
@@ -560,13 +571,14 @@ void NimbusController::DispatchPatch(const core::Patch& patch, PendingBlock* blo
 
   // A worker may be both a copy source and destination within one patch: merge its send
   // and receive commands into a single group message so the group total is consistent.
-  std::unordered_map<WorkerId, std::vector<Command>> merged = std::move(sends);
+  std::map<WorkerId, std::vector<Command>> merged = std::move(sends);
   for (auto& [wid, cmds] : recvs) {
     auto& dst = merged[wid];
     for (Command& c : cmds) {
       dst.push_back(std::move(c));
     }
   }
+  AssignGroupIdRanges(&merged);
 
   int participating = 0;
   for (auto& [wid, cmds] : merged) {
@@ -1057,20 +1069,20 @@ void NimbusController::TriggerCheckpoint(std::uint64_t driver_marker,
   checkpoint_.valid = false;
 
   // Ask one latest-holder of every live object to persist it.
-  std::unordered_map<WorkerId, std::vector<Command>> per_worker;
+  std::map<WorkerId, std::vector<Command>> per_worker;
   for (const VersionMap::SnapshotEntry& entry : checkpoint_.version_snapshot) {
     const WorkerId holder = versions_.AnyLatestHolder(entry.object);
     if (!holder.valid()) {
       continue;
     }
     Command cmd;
-    cmd.id = command_ids_.Next();
     cmd.type = CommandType::kFileSave;
     cmd.data_object = entry.object;
     cmd.copy_version = entry.latest;
     cmd.copy_bytes = ObjectBytes(entry.object);
     per_worker[holder].push_back(std::move(cmd));
   }
+  AssignGroupIdRanges(&per_worker);
 
   PendingBlock* block = NewPendingBlock([this, done = std::move(done)](auto) {
     checkpoint_.valid = true;

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -296,6 +297,10 @@ class NimbusController {
                             const std::vector<std::pair<std::int32_t, ParameterBlob>>& params,
                             PendingBlock* block);
 
+  // Gives each worker's command group one contiguous id range, in ascending worker id, so
+  // the worker resolves ids and edges by offset from the range's base (DESIGN.md §8).
+  void AssignGroupIdRanges(std::map<WorkerId, std::vector<Command>>* per_worker);
+
   // Sends the patch as barrier command groups (send half on src, receive half on dst).
   void DispatchPatch(const core::Patch& patch, PendingBlock* block);
 
@@ -426,6 +431,12 @@ class NimbusController {
 
   IdAllocator<TaskId> task_ids_;
   IdAllocator<CommandId> command_ids_;
+
+  // Decode scratch for kSubmitStages: a steady-state central block decodes its stage list
+  // into this (keeping capacity) and submits it by reference; `submit_scratch_live_`
+  // catches a nested delivery that would overwrite it mid-submit (wire::ScratchGuard).
+  wire::SubmitStagesEnvelope submit_scratch_;
+  bool submit_scratch_live_ = false;
 };
 
 }  // namespace nimbus

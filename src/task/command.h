@@ -92,6 +92,10 @@ struct Command {
                     (read_set.size() + write_set.size() + before.size()) * 8 + params.size());
   }
 
+  // Returns every field to its default but keeps the four vectors' capacity, so a decoder
+  // or a recycled worker slot refills the command without allocating.
+  void ResetKeepingCapacity();
+
   // Full-field equality: the dispatch-equivalence tests compare whole command streams, and
   // keeping the comparator next to the struct means a new field cannot be silently skipped.
   friend bool operator==(const Command& a, const Command& b) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -28,16 +29,32 @@ void WriteIdSet(BlobWriter* w, const std::vector<Id>& ids) {
   w->WriteBytes(ids.data(), ids.size() * sizeof(Id));
 }
 
+// Reads into `ids`, reusing its capacity.
 template <typename Id>
-std::vector<Id> ReadIdSet(BlobReader* r) {
+void ReadIdSet(BlobReader* r, std::vector<Id>* ids) {
   const std::uint32_t n = r->ReadU32();
   // Span bounds-checks the whole array before the vector allocates.
   const std::uint8_t* span = r->Span(static_cast<std::size_t>(n) * sizeof(Id));
-  std::vector<Id> ids(n);
+  ids->resize(n);
   if (n > 0) {
-    std::memcpy(ids.data(), span, static_cast<std::size_t>(n) * sizeof(Id));
+    std::memcpy(ids->data(), span, static_cast<std::size_t>(n) * sizeof(Id));
   }
-  return ids;
+}
+
+// Sizes `items` to `n` for a reuse decode: surplus entries move to `spare` instead of being
+// destroyed, and growth takes from `spare` first, so a receiver alternating between batch
+// sizes keeps every entry's capacity.
+template <typename T>
+void ResizeKeepingSpares(std::vector<T>* items, std::vector<T>* spare, std::size_t n) {
+  while (items->size() > n) {
+    spare->push_back(std::move(items->back()));
+    items->pop_back();
+  }
+  while (items->size() < n && !spare->empty()) {
+    items->push_back(std::move(spare->back()));
+    spare->pop_back();
+  }
+  items->resize(n);
 }
 
 // The encoder's type contract: fields foreign to a command's type must be default, or the
@@ -156,8 +173,14 @@ ParameterBlob EncodeBatch(std::uint64_t group_seq, CommandId command_base, TaskI
 }
 
 DecodedBatch DecodeBatch(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
   DecodedBatch out;
+  DecodeBatch(bytes, &out);
+  return out;
+}
+
+void DecodeBatch(const ParameterBlob& bytes, DecodedBatch* out_batch) {
+  BlobReader r(bytes);
+  DecodedBatch& out = *out_batch;
   const std::uint32_t magic = r.ReadU32();
   NIMBUS_CHECK_EQ(magic, kBatchMagic) << "not a wire-format command batch";
   out.header.command_count = r.ReadU32();
@@ -169,10 +192,10 @@ DecodedBatch DecodeBatch(const ParameterBlob& bytes) {
   // 42 = fixed bytes of the smallest command record (kTask: 22 shared + 20 tail); a lying
   // count must fail here, not ask the allocator for count * sizeof(Command) first.
   NIMBUS_CHECK_LE(static_cast<std::size_t>(out.header.command_count) * 42, r.remaining());
-  out.commands.reserve(out.header.command_count);
+  ResizeKeepingSpares(&out.commands, &out.spare, out.header.command_count);
   std::uint64_t tasks_seen = 0;
-  for (std::uint32_t i = 0; i < out.header.command_count; ++i) {
-    Command cmd;
+  for (Command& cmd : out.commands) {
+    cmd.ResetKeepingCapacity();
     const std::uint8_t type_byte = r.ReadU8();
     NIMBUS_CHECK_LE(type_byte, static_cast<std::uint8_t>(CommandType::kFileSave))
         << "unknown command type byte";
@@ -189,10 +212,10 @@ DecodedBatch DecodeBatch(const ParameterBlob& bytes) {
       before += sizeof(delta);
       b = CommandId(out.header.command_id_base + delta);
     }
-    cmd.read_set = ReadIdSet<LogicalObjectId>(&r);
-    cmd.write_set = ReadIdSet<LogicalObjectId>(&r);
+    ReadIdSet(&r, &cmd.read_set);
+    ReadIdSet(&r, &cmd.write_set);
     const std::uint32_t param_len = r.ReadU32();
-    cmd.params = r.ReadBlob(param_len);
+    r.ReadBlob(param_len, &cmd.params);
     switch (cmd.type) {
       case CommandType::kTask:
         cmd.returns_scalar = flags != 0;
@@ -216,11 +239,9 @@ DecodedBatch DecodeBatch(const ParameterBlob& bytes) {
         cmd.copy_bytes = r.ReadI64();
         break;
     }
-    out.commands.push_back(std::move(cmd));
   }
   NIMBUS_CHECK_EQ(tasks_seen, out.header.task_count) << "task count mismatch";
   NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the last command record";
-  return out;
 }
 
 void PatchHeader(ParameterBlob* bytes, std::uint64_t group_seq, CommandId command_base,
@@ -295,9 +316,9 @@ std::size_t CommandFullSize(const Command& cmd) {
          cmd.params.size();
 }
 
-ParameterBlob ReadLenBlob(BlobReader* r) {
+void ReadLenBlob(BlobReader* r, ParameterBlob* out) {
   const std::uint32_t n = r->ReadU32();
-  return r->ReadBlob(n);  // bounds-checked before allocation
+  r->ReadBlob(n, out);  // bounds-checked before allocation
 }
 
 // Full-field command record: unlike the NBW1 batch records, every field is on the wire
@@ -322,17 +343,18 @@ void WriteCommandFull(BlobWriter* w, const Command& cmd) {
   w->WriteU64(cmd.data_object.value());
 }
 
-Command ReadCommandFull(BlobReader* r) {
-  Command cmd;
+// Assigns every field of `cmd`, so a reused record keeps only its vectors' capacity.
+void ReadCommandFull(BlobReader* r, Command* out) {
+  Command& cmd = *out;
   const std::uint8_t type_byte = r->ReadU8();
   NIMBUS_CHECK_LE(type_byte, static_cast<std::uint8_t>(CommandType::kFileSave))
       << "unknown command type byte";
   cmd.type = static_cast<CommandType>(type_byte);
   cmd.id = CommandId(r->ReadU64());
-  cmd.before = ReadIdSet<CommandId>(r);
-  cmd.read_set = ReadIdSet<LogicalObjectId>(r);
-  cmd.write_set = ReadIdSet<LogicalObjectId>(r);
-  cmd.params = ReadLenBlob(r);
+  ReadIdSet(r, &cmd.before);
+  ReadIdSet(r, &cmd.read_set);
+  ReadIdSet(r, &cmd.write_set);
+  ReadLenBlob(r, &cmd.params);
   cmd.task_id = TaskId(r->ReadU64());
   cmd.function = FunctionId(r->ReadU64());
   cmd.duration = r->ReadI64();
@@ -345,7 +367,6 @@ Command ReadCommandFull(BlobReader* r) {
   cmd.copy_version = r->ReadU64();
   cmd.copy_bytes = r->ReadI64();
   cmd.data_object = LogicalObjectId(r->ReadU64());
-  return cmd;
 }
 
 void WriteWtEntry(BlobWriter* w, const core::WtEntry& e) {
@@ -388,9 +409,9 @@ core::WtEntry ReadWtEntry(BlobReader* r) {
   const std::uint8_t scalar_flag = r->ReadU8();
   NIMBUS_CHECK_LE(scalar_flag, 1) << "unknown flag bits";
   e.returns_scalar = scalar_flag != 0;
-  e.reads = ReadIdSet<LogicalObjectId>(r);
-  e.writes = ReadIdSet<LogicalObjectId>(r);
-  e.cached_params = ReadLenBlob(r);
+  ReadIdSet(r, &e.reads);
+  ReadIdSet(r, &e.writes);
+  ReadLenBlob(r, &e.cached_params);
   e.copy_index = ReadI32(r);
   e.peer = WorkerId(r->ReadU64());
   e.object = LogicalObjectId(r->ReadU64());
@@ -486,8 +507,9 @@ std::vector<std::pair<std::int32_t, ParameterBlob>> ReadSparseParams(BlobReader*
   std::vector<std::pair<std::int32_t, ParameterBlob>> params;
   params.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    const std::int32_t slot = ReadI32(r);
-    params.emplace_back(slot, ReadLenBlob(r));
+    auto& [slot, blob] = params.emplace_back();
+    slot = ReadI32(r);
+    ReadLenBlob(r, &blob);
   }
   return params;
 }
@@ -508,13 +530,14 @@ constexpr std::size_t kObjRefSize = 16;
 // params add to it.
 constexpr std::size_t kTaskDescriptorFixed = 37;
 
-std::vector<ObjRef> ReadObjRefs(BlobReader* r) {
+// Reads into `refs`, reusing its capacity.
+void ReadObjRefs(BlobReader* r, std::vector<ObjRef>* refs) {
   const std::uint32_t n = r->ReadU32();
   // Span bounds-checks every record before the vector allocates; each partition still
   // gets its int32 range check.
   const std::uint8_t* span = r->Span(static_cast<std::size_t>(n) * kObjRefSize);
-  std::vector<ObjRef> refs(n);
-  for (ObjRef& ref : refs) {
+  refs->resize(n);
+  for (ObjRef& ref : *refs) {
     std::uint64_t variable;
     std::int64_t partition;
     std::memcpy(&variable, span, sizeof(variable));
@@ -523,7 +546,6 @@ std::vector<ObjRef> ReadObjRefs(BlobReader* r) {
     ref.variable = VariableId(variable);
     ref.partition = CheckedI32(partition);
   }
-  return refs;
 }
 
 // Payload kind bytes for the data-copy envelope body.
@@ -616,9 +638,15 @@ ParameterBlob EncodeCommandsEnvelope(const CommandsEnvelope& e) {
 }
 
 CommandsEnvelope DecodeCommandsEnvelope(const ParameterBlob& bytes) {
+  CommandsEnvelope e;
+  DecodeCommandsEnvelope(bytes, &e);
+  return e;
+}
+
+void DecodeCommandsEnvelope(const ParameterBlob& bytes, CommandsEnvelope* out) {
   BlobReader r(bytes);
   OpenEnvelope(&r, EnvelopeType::kCommands);
-  CommandsEnvelope e;
+  CommandsEnvelope& e = *out;
   e.group_seq = r.ReadU64();
   e.expected_total = r.ReadU64();
   const std::uint8_t flags = r.ReadU8();
@@ -627,12 +655,11 @@ CommandsEnvelope DecodeCommandsEnvelope(const ParameterBlob& bytes) {
   e.barrier = (flags & kFlagBarrier) != 0;
   const std::uint32_t n = r.ReadU32();
   NIMBUS_CHECK_LE(static_cast<std::size_t>(n) * kCommandFullFixed, r.remaining());
-  e.commands.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    e.commands.push_back(ReadCommandFull(&r));
+  ResizeKeepingSpares(&e.commands, &e.spare, n);
+  for (Command& cmd : e.commands) {
+    ReadCommandFull(&r, &cmd);
   }
   NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the last command record";
-  return e;
 }
 
 ParameterBlob EncodeSerializedBatchEnvelope(const SerializedBatchEnvelope& e) {
@@ -646,18 +673,23 @@ ParameterBlob EncodeSerializedBatchEnvelope(const SerializedBatchEnvelope& e) {
 }
 
 SerializedBatchEnvelope DecodeSerializedBatchEnvelope(const ParameterBlob& bytes) {
+  SerializedBatchEnvelope e;
+  DecodeSerializedBatchEnvelope(bytes, &e);
+  return e;
+}
+
+void DecodeSerializedBatchEnvelope(const ParameterBlob& bytes, SerializedBatchEnvelope* out) {
   BlobReader r(bytes);
   OpenEnvelope(&r, EnvelopeType::kSerializedBatch);
-  SerializedBatchEnvelope e;
+  SerializedBatchEnvelope& e = *out;
   e.group_seq = r.ReadU64();
   e.expected_total = r.ReadU64();
   const std::uint8_t flags = r.ReadU8();
   NIMBUS_CHECK_LE(flags, kFlagFinalize | kFlagBarrier) << "unknown flag bits";
   e.finalize = (flags & kFlagFinalize) != 0;
   e.barrier = (flags & kFlagBarrier) != 0;
-  e.batch = ReadLenBlob(&r);
+  ReadLenBlob(&r, &e.batch);
   NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the nested batch";
-  return e;
 }
 
 ParameterBlob EncodeInstallTemplateEnvelope(const InstallTemplateEnvelope& e) {
@@ -752,7 +784,7 @@ LoadObjectsEnvelope DecodeLoadObjectsEnvelope(const ParameterBlob& bytes) {
   OpenEnvelope(&r, EnvelopeType::kLoadObjects);
   LoadObjectsEnvelope e;
   e.group_seq = r.ReadU64();
-  e.objects = ReadIdSet<LogicalObjectId>(&r);
+  ReadIdSet(&r, &e.objects);
   NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the object list";
   return e;
 }
@@ -882,37 +914,39 @@ ParameterBlob EncodeSubmitStagesEnvelope(std::uint64_t request_id,
 }
 
 SubmitStagesEnvelope DecodeSubmitStagesEnvelope(const ParameterBlob& bytes) {
+  SubmitStagesEnvelope e;
+  DecodeSubmitStagesEnvelope(bytes, &e);
+  return e;
+}
+
+void DecodeSubmitStagesEnvelope(const ParameterBlob& bytes, SubmitStagesEnvelope* out) {
   BlobReader r(bytes);
   OpenEnvelope(&r, EnvelopeType::kSubmitStages);
-  SubmitStagesEnvelope e;
+  SubmitStagesEnvelope& e = *out;
   e.request_id = r.ReadU64();
-  e.capture_name = r.ReadString();
+  r.ReadString(&e.capture_name);
   const std::uint32_t n_stages = r.ReadU32();
   NIMBUS_CHECK_LE(static_cast<std::size_t>(n_stages) * 8, r.remaining());
-  e.stages.reserve(n_stages);
-  for (std::uint32_t s = 0; s < n_stages; ++s) {
-    StageDescriptor stage;
-    stage.name = r.ReadString();
+  e.stages.resize(n_stages);
+  for (StageDescriptor& stage : e.stages) {
+    r.ReadString(&stage.name);
     const std::uint32_t n_tasks = r.ReadU32();
     NIMBUS_CHECK_LE(static_cast<std::size_t>(n_tasks) * kTaskDescriptorFixed, r.remaining());
-    stage.tasks.reserve(n_tasks);
-    for (std::uint32_t t = 0; t < n_tasks; ++t) {
-      TaskDescriptor task;
+    stage.tasks.resize(n_tasks);
+    // Every field is assigned, so a reused descriptor keeps only its vectors' capacity.
+    for (TaskDescriptor& task : stage.tasks) {
       task.function = FunctionId(r.ReadU64());
-      task.reads = ReadObjRefs(&r);
-      task.writes = ReadObjRefs(&r);
-      task.params = ReadLenBlob(&r);
+      ReadObjRefs(&r, &task.reads);
+      ReadObjRefs(&r, &task.writes);
+      ReadLenBlob(&r, &task.params);
       task.placement_partition = ReadI32(&r);
       task.duration = r.ReadI64();
       const std::uint8_t scalar_flag = r.ReadU8();
       NIMBUS_CHECK_LE(scalar_flag, 1) << "unknown flag bits";
       task.returns_scalar = scalar_flag != 0;
-      stage.tasks.push_back(std::move(task));
     }
-    e.stages.push_back(std::move(stage));
   }
   NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the last stage";
-  return e;
 }
 
 ParameterBlob EncodeInstantiateRequestEnvelope(const InstantiateRequestEnvelope& e) {

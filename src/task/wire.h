@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "src/common/ids.h"
+#include "src/common/logging.h"
 #include "src/common/serialize.h"
 #include "src/common/stats.h"
 #include "src/data/payload.h"
@@ -99,11 +100,19 @@ ParameterBlob EncodeBatch(std::uint64_t group_seq, CommandId command_base, TaskI
 struct DecodedBatch {
   BatchHeader header;
   std::vector<Command> commands;
+  // Reuse-decode storage, not part of the batch: commands a smaller batch did not need,
+  // kept (with their vectors' capacity) for the next larger one.
+  std::vector<Command> spare;
 };
 
 // Decodes one batch, reconstituting absolute ids from the header bases. CHECK-fails on a
 // bad magic, an unknown type byte, a length prefix past the buffer, or trailing bytes.
 DecodedBatch DecodeBatch(const ParameterBlob& bytes);
+// Reuse form (the one decode body; the form above wraps it): decodes into `out`, keeping
+// the capacity of its command list and of each command's vectors (a smaller batch parks
+// the commands it does not need in `out->spare`), so a steady-state receiver refilling
+// the same DecodedBatch allocates nothing. Same bounds checks.
+void DecodeBatch(const ParameterBlob& bytes, DecodedBatch* out);
 
 // Overwrites the three instantiation-varying header slots of an encoded batch in place.
 void PatchHeader(ParameterBlob* bytes, std::uint64_t group_seq, CommandId command_base,
@@ -138,6 +147,28 @@ ParameterBlob ApplyParamOverrides(
 // Encode discipline: each encoder sizes its envelope exactly, then writes one presized
 // buffer, copying blobs and id arrays in bulk, so an envelope costs one allocation
 // (tests/task/envelope_alloc_test.cc) and a nested batch one memcpy.
+//
+// Reuse decoding: the envelopes a steady-state central block receives (kCommands,
+// kSerializedBatch, kSubmitStages) also decode into caller-owned storage, keeping the
+// capacity of every list, string and blob in it. The value-returning decoders wrap those
+// forms, so each envelope has one decode body (tests/worker/central_ingest_alloc_test.cc).
+
+// Marks a receiver's decode scratch in use for one delivery. A TCP self-send re-enters the
+// delivery handler synchronously; a nested delivery that decoded into the same scratch
+// would overwrite the message its caller is still reading, so it CHECK-fails here instead.
+class ScratchGuard {
+ public:
+  explicit ScratchGuard(bool* live) : live_(live) {
+    NIMBUS_CHECK(!*live_) << "nested delivery would overwrite a live decode scratch";
+    *live_ = true;
+  }
+  ~ScratchGuard() { *live_ = false; }
+  ScratchGuard(const ScratchGuard&) = delete;
+  ScratchGuard& operator=(const ScratchGuard&) = delete;
+
+ private:
+  bool* live_;
+};
 
 // "NBE1": Nimbus Envelope format, version 1. Bump the trailing digit on layout changes.
 inline constexpr std::uint32_t kEnvelopeMagic = 0x3145424E;
@@ -182,9 +213,11 @@ struct CommandsEnvelope {
   bool finalize = true;
   bool barrier = false;
   std::vector<Command> commands;
+  std::vector<Command> spare;  // reuse-decode storage (see DecodedBatch); never encoded
 };
 ParameterBlob EncodeCommandsEnvelope(const CommandsEnvelope& e);
 CommandsEnvelope DecodeCommandsEnvelope(const ParameterBlob& bytes);
+void DecodeCommandsEnvelope(const ParameterBlob& bytes, CommandsEnvelope* out);
 
 struct SerializedBatchEnvelope {
   std::uint64_t group_seq = 0;
@@ -195,6 +228,7 @@ struct SerializedBatchEnvelope {
 };
 ParameterBlob EncodeSerializedBatchEnvelope(const SerializedBatchEnvelope& e);
 SerializedBatchEnvelope DecodeSerializedBatchEnvelope(const ParameterBlob& bytes);
+void DecodeSerializedBatchEnvelope(const ParameterBlob& bytes, SerializedBatchEnvelope* out);
 
 struct InstallTemplateEnvelope {
   WorkerTemplateId id;
@@ -262,6 +296,7 @@ ParameterBlob EncodeSubmitStagesEnvelope(std::uint64_t request_id,
                                          std::string_view capture_name,
                                          const std::vector<StageDescriptor>& stages);
 SubmitStagesEnvelope DecodeSubmitStagesEnvelope(const ParameterBlob& bytes);
+void DecodeSubmitStagesEnvelope(const ParameterBlob& bytes, SubmitStagesEnvelope* out);
 
 struct InstantiateRequestEnvelope {
   std::uint64_t request_id = 0;

@@ -163,7 +163,9 @@ class FunctionRegistry {
 
   IdAllocator<FunctionId> ids_;
   std::vector<Entry> functions_;  // by FunctionId value
-  std::unordered_map<std::string, FunctionId> by_name_;  // string intern boundary
+  // lint:allow(hot-map) -- string intern boundary: names resolve once at registration and
+  // lookup by name; tasks run by FunctionId through the flat `functions_` array.
+  std::unordered_map<std::string, FunctionId> by_name_;
 };
 
 }  // namespace nimbus

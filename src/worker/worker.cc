@@ -32,19 +32,48 @@ std::int32_t LaunchIndex(std::uint64_t key) {
 void Worker::RuntimeCommand::ResetKeepingCapacity() {
   // Park the capacity-bearing vectors, reset the whole slot from a default, then hand the
   // (cleared) vectors back: a field added later is reset too without being listed here.
+  // The command's four vectors are parked here too rather than through
+  // Command::ResetKeepingCapacity, which would default-construct a second Command per slot:
+  // this runs once per entry on every instantiation.
   std::vector<std::int32_t> kept_waiters = std::move(waiters);
   std::vector<DenseIndex> kept_reads = std::move(reads_dense);
   std::vector<DenseIndex> kept_writes = std::move(writes_dense);
+  std::vector<LogicalObjectId> kept_read_set = std::move(cmd.read_set);
+  std::vector<LogicalObjectId> kept_write_set = std::move(cmd.write_set);
+  std::vector<CommandId> kept_before = std::move(cmd.before);
   ParameterBlob kept_params = std::move(cmd.params);
   *this = RuntimeCommand{};
   kept_waiters.clear();
   kept_reads.clear();
   kept_writes.clear();
+  kept_read_set.clear();
+  kept_write_set.clear();
+  kept_before.clear();
   kept_params.clear();
   waiters = std::move(kept_waiters);
   reads_dense = std::move(kept_reads);
   writes_dense = std::move(kept_writes);
+  cmd.read_set = std::move(kept_read_set);
+  cmd.write_set = std::move(kept_write_set);
+  cmd.before = std::move(kept_before);
   cmd.params = std::move(kept_params);
+}
+
+void Worker::Group::ResetKeepingCapacity() {
+  // Same park-and-reset pattern as RuntimeCommand: the tables survive, emptied.
+  std::vector<RuntimeCommand> kept_commands = std::move(commands);
+  std::vector<CopySlot> kept_copy_slots = std::move(copy_slots);
+  std::vector<std::int32_t> kept_id_slots = std::move(id_slots);
+  std::vector<std::pair<std::uint32_t, std::int32_t>> kept_parked = std::move(parked_edges);
+  *this = Group{};
+  kept_commands.clear();
+  kept_copy_slots.clear();
+  kept_id_slots.clear();
+  kept_parked.clear();
+  commands = std::move(kept_commands);
+  copy_slots = std::move(kept_copy_slots);
+  id_slots = std::move(kept_id_slots);
+  parked_edges = std::move(kept_parked);
 }
 
 Worker::Worker(WorkerId id, sim::Simulation* simulation, net::Transport* transport,
@@ -69,17 +98,25 @@ void Worker::OnEnvelope(net::NodeAddress src, MessageKind kind, ParameterBlob by
     return;  // a dead worker processes nothing — in-flight deliveries fall on the floor
   }
   switch (wire::PeekEnvelopeType(bytes)) {
+    // The central path's group envelopes decode into the worker's scratch (keeping its
+    // capacity) and are ingested from it by reference: no per-command allocation.
     case wire::EnvelopeType::kCommands: {
-      wire::CommandsEnvelope e = wire::DecodeCommandsEnvelope(bytes);
-      OnCommands(e.group_seq, std::move(e.commands),
-                 static_cast<std::size_t>(e.expected_total), e.finalize, e.barrier);
+      control_phase_.Assert();
+      const wire::ScratchGuard guard(&scratch_live_);
+      wire::DecodeCommandsEnvelope(bytes, &commands_scratch_);
+      const wire::CommandsEnvelope& e = commands_scratch_;
+      OnCommands(e.group_seq, e.commands, static_cast<std::size_t>(e.expected_total),
+                 e.finalize, e.barrier);
       break;
     }
     case wire::EnvelopeType::kSerializedBatch: {
-      wire::SerializedBatchEnvelope e = wire::DecodeSerializedBatchEnvelope(bytes);
-      OnSerializedCommands(e.group_seq, std::move(e.batch),
-                           static_cast<std::size_t>(e.expected_total), e.finalize,
-                           e.barrier);
+      // The envelope scratch is read only until DecodeBatch has run, which
+      // OnSerializedCommands does under the scratch guard.
+      control_phase_.Assert();
+      wire::DecodeSerializedBatchEnvelope(bytes, &batch_envelope_scratch_);
+      const wire::SerializedBatchEnvelope& e = batch_envelope_scratch_;
+      OnSerializedCommands(e.group_seq, e.batch, static_cast<std::size_t>(e.expected_total),
+                           e.finalize, e.barrier);
       break;
     }
     case wire::EnvelopeType::kInstallTemplate: {
@@ -147,7 +184,12 @@ Worker::Group& Worker::GetOrCreateGroup(std::uint64_t seq, bool barrier) {
     }
   }
   NIMBUS_CHECK_GT(seq, stale_seq_floor_) << "group " << seq << " already finished or halted";
-  groups_.push_back(Group{});
+  if (spare_groups_.empty()) {
+    groups_.emplace_back();
+  } else {
+    groups_.push_back(std::move(spare_groups_.back()));  // reset when it was recycled
+    spare_groups_.pop_back();
+  }
   Group& g = groups_.back();
   g.seq = seq;
   g.barrier = barrier;
@@ -202,7 +244,7 @@ void Worker::ResolveTaskObjects(RuntimeCommand& rc) {
   }
 }
 
-void Worker::OnCommands(std::uint64_t group_seq, std::vector<Command> commands,
+void Worker::OnCommands(std::uint64_t group_seq, const std::vector<Command>& commands,
                         std::size_t expected_total, bool finalize, bool barrier) {
   // Message handlers run serially (simulator delivery): assert the control-phase role so
   // the group machinery's REQUIRES contract is satisfied from here down (DESIGN.md §11).
@@ -216,10 +258,10 @@ void Worker::OnCommands(std::uint64_t group_seq, std::vector<Command> commands,
   const sim::Duration charge =
       costs_->worker_receive_task * static_cast<sim::Duration>(commands.size());
   control_thread_.Charge(charge);
-  IngestCommands(group_seq, std::move(commands), expected_total, finalize, barrier);
+  IngestCommands(group_seq, commands, expected_total, finalize, barrier);
 }
 
-void Worker::OnSerializedCommands(std::uint64_t group_seq, ParameterBlob bytes,
+void Worker::OnSerializedCommands(std::uint64_t group_seq, const ParameterBlob& bytes,
                                   std::size_t expected_total, bool finalize, bool barrier) {
   control_phase_.Assert();
   if (failed_) {
@@ -230,36 +272,36 @@ void Worker::OnSerializedCommands(std::uint64_t group_seq, ParameterBlob bytes,
   }
   // The decode span covers DecodeBatch alone: ingest, group start and any task the ingest
   // runs inline have spans of their own.
-  wire::DecodedBatch batch;
+  const wire::ScratchGuard guard(&scratch_live_);
+  wire::DecodedBatch& batch = batch_scratch_;
   {
     NIMBUS_TRACE_SPAN_V(trace::Lane::kWorker, TraceTrack(id_), "decode",
                         static_cast<std::int64_t>(bytes.size()));
-    batch = wire::DecodeBatch(bytes);
+    wire::DecodeBatch(bytes, &batch);
   }
   NIMBUS_CHECK_EQ(batch.header.group_seq, group_seq)
       << "serialized batch addressed to a different group";
   const sim::Duration charge = costs_->serialized_decode_per_task *
                                static_cast<sim::Duration>(batch.commands.size());
   control_thread_.Charge(charge);
-  IngestCommands(group_seq, std::move(batch.commands), expected_total, finalize, barrier);
+  IngestCommands(group_seq, batch.commands, expected_total, finalize, barrier);
 }
 
-void Worker::IngestCommands(std::uint64_t group_seq, std::vector<Command> commands,
+void Worker::IngestCommands(std::uint64_t group_seq, const std::vector<Command>& commands,
                             std::size_t expected_total, bool finalize, bool barrier) {
   if (command_log_enabled_) {
     command_log_.insert(command_log_.end(), commands.begin(), commands.end());
   }
 
   Group& group = GetOrCreateGroup(group_seq, barrier);
-  group.streaming = true;
-  // A batch fills an empty group's table with one allocation. Sized from what was
-  // decoded, never from the sender's expected_total; per-task frames (one command each)
-  // still grow the table geometrically.
+  // A batch fills an empty group's table with at most one allocation (none once a recycled
+  // table is big enough). Sized from what was decoded, never from the sender's
+  // expected_total; per-task frames (one command each) grow the table geometrically.
   if (group.commands.empty()) {
     group.commands.reserve(commands.size());
   }
-  for (Command& cmd : commands) {
-    AddCommandToGroup(group, std::move(cmd));
+  for (const Command& cmd : commands) {
+    AddCommandToGroup(group, cmd);
   }
   if (finalize) {
     group.finalized = true;
@@ -525,6 +567,9 @@ void Worker::OnHalt() {
   for (const Group& g : groups_) {
     stale_seq_floor_ = std::max(stale_seq_floor_, g.seq);
   }
+  for (Group& g : groups_) {
+    RecycleGroup(g);
+  }
   groups_.clear();
   early_data_.clear();
   ++halt_epoch_;  // voids instantiations still queued behind their control-thread charge
@@ -547,38 +592,83 @@ void Worker::OnLoadObjects(std::uint64_t group_seq, std::vector<LogicalObjectId>
   OnCommands(group_seq, std::move(commands), total, /*finalize=*/true, /*barrier=*/true);
 }
 
-void Worker::AddCommandToGroup(Group& group, Command cmd) {
-  const auto index = static_cast<std::int32_t>(group.commands.size());
-  group.index_of.emplace(cmd.id, index);
-
-  RuntimeCommand rc;
-  rc.cmd = std::move(cmd);
-  for (CommandId b : rc.cmd.before) {
-    if (group.done_ids.count(b) > 0) {
-      continue;  // dependency already completed
+std::uint32_t Worker::IdOffset(Group& group, CommandId id) {
+  constexpr std::uint64_t kBudget = std::uint64_t{1} << kCopyIndexBits;
+  if (!group.command_base.valid()) {
+    group.command_base = id;  // the first id seen; ids below it rebase the table
+  }
+  const std::uint64_t base = group.command_base.value();
+  const std::uint64_t size = group.id_slots.size();
+  if (id.value() >= base) {
+    const std::uint64_t offset = id.value() - base;
+    NIMBUS_CHECK_LT(offset, kBudget)
+        << "command id " << id << " lies outside group " << group.seq
+        << "'s 2^24 command-index budget (base " << group.command_base << ")";
+    if (offset >= size) {
+      group.id_slots.resize(offset + 1, -1);
     }
-    auto it = group.index_of.find(b);
-    if (it != group.index_of.end() && it->second != index) {
-      group.commands[static_cast<std::size_t>(it->second)].waiters.push_back(index);
+    return static_cast<std::uint32_t>(offset);
+  }
+  const std::uint64_t shift = base - id.value();
+  NIMBUS_CHECK(shift < kBudget && shift + size <= kBudget)
+      << "command id " << id << " lies outside group " << group.seq
+      << "'s 2^24 command-index budget (base " << group.command_base << ")";
+  group.id_slots.insert(group.id_slots.begin(), shift, -1);
+  for (auto& parked : group.parked_edges) {
+    parked.first += static_cast<std::uint32_t>(shift);
+  }
+  group.command_base = id;
+  return 0;
+}
+
+void Worker::AddCommandToGroup(Group& group, const Command& cmd) {
+  const auto index = static_cast<std::int32_t>(group.commands.size());
+  // Refill a recycled slot when there is one: its vectors keep their capacity, so copying
+  // the decoded command in allocates nothing.
+  if (spare_commands_.empty()) {
+    group.commands.emplace_back();
+  } else {
+    group.commands.push_back(std::move(spare_commands_.back()));
+    spare_commands_.pop_back();
+  }
+  RuntimeCommand& rc = group.commands.back();
+  rc.ResetKeepingCapacity();
+  rc.cmd = cmd;
+  for (CommandId b : rc.cmd.before) {
+    const std::uint32_t offset = IdOffset(group, b);
+    const std::int32_t provider = group.id_slots[offset];
+    if (provider < 0) {
+      group.parked_edges.emplace_back(offset, index);  // not arrived yet (forward edge)
+    } else if (group.commands[static_cast<std::size_t>(provider)].done) {
+      continue;  // dependency already completed
     } else {
-      group.pending_edges[b].push_back(index);  // dependency not yet arrived (streaming)
+      group.commands[static_cast<std::size_t>(provider)].waiters.push_back(index);
     }
     ++rc.remaining_before;
   }
 
   ResolveTaskObjects(rc);
-  group.commands.push_back(std::move(rc));
-  if (group.commands.back().cmd.type == CommandType::kCopyReceive) {
+  // The slot is registered after the edges, so a self-edge parks and resolves to a
+  // self-wait below. A duplicate id keeps the first arrival's slot.
+  const std::uint32_t own = IdOffset(group, rc.cmd.id);
+  if (group.id_slots[own] < 0) {
+    group.id_slots[own] = index;
+  }
+  if (rc.cmd.type == CommandType::kCopyReceive) {
     BindReceiveSlot(group, index);
   }
 
-  // Resolve edges from commands that referenced this id before it arrived.
-  auto pe = group.pending_edges.find(group.commands.back().cmd.id);
-  if (pe != group.pending_edges.end()) {
-    for (std::int32_t waiter : pe->second) {
-      group.commands[static_cast<std::size_t>(index)].waiters.push_back(waiter);
+  // Resolve edges from commands that named this id before it arrived, in parking order.
+  if (!group.parked_edges.empty()) {
+    std::size_t kept = 0;
+    for (const auto& [offset, waiter] : group.parked_edges) {
+      if (offset == own) {
+        group.commands[static_cast<std::size_t>(index)].waiters.push_back(waiter);
+      } else {
+        group.parked_edges[kept++] = {offset, waiter};
+      }
     }
-    group.pending_edges.erase(pe);
+    group.parked_edges.resize(kept);
   }
 
   if (group.started) {
@@ -844,9 +934,6 @@ void Worker::CompleteCommand(std::uint64_t group_seq, std::int32_t index) {
   NIMBUS_CHECK(!rc.done);
   rc.done = true;
   ++group->done_count;
-  if (group->streaming) {
-    group->done_ids.insert(rc.cmd.id);  // late edges may still reference this id
-  }
   // Walk the waiter list by index, re-finding the group after every launch: a launch can
   // cascade into completing the whole group, which prunes it and hands its table back to
   // the template, so neither `rc` nor the group may be held across one. The list itself
@@ -893,17 +980,14 @@ void Worker::FinishGroupIfDone(std::uint64_t seq) {
 
   // Prune completed groups from the front and unblock any waiting barrier group. Buffered
   // copy data dies with its group; any early data addressed below the retired floor can
-  // never be claimed and is dropped too. A materialized group's command table goes back
-  // to its template as the spare the next instantiation refills.
+  // never be claimed and is dropped too. The group's storage is recycled for the next one.
   bool pruned = false;
   while (!groups_.empty()) {
     Group& front = groups_.front();
     if (front.finalized && front.started && front.reported &&
         front.done_count == front.expected_total) {
       stale_seq_floor_ = std::max(stale_seq_floor_, front.seq);
-      if (front.template_index != kInvalidDenseIndex) {
-        templates_[front.template_index].spare_table = std::move(front.commands);
-      }
+      RecycleGroup(front);
       groups_.pop_front();
       pruned = true;
     } else {
@@ -918,6 +1002,22 @@ void Worker::FinishGroupIfDone(std::uint64_t seq) {
                       early_data_.end());
   }
   MaybeStartGroups();
+}
+
+void Worker::RecycleGroup(Group& group) {
+  if (group.template_index != kInvalidDenseIndex) {
+    // The materialized table goes back to its template as the spare the next
+    // instantiation refills.
+    templates_[group.template_index].spare_table = std::move(group.commands);
+  } else {
+    // Pushed last-to-first, so the next group's command i pops this group's slot i and a
+    // same-shaped block refills every slot within its own kept capacity.
+    for (auto it = group.commands.rbegin(); it != group.commands.rend(); ++it) {
+      spare_commands_.push_back(std::move(*it));
+    }
+  }
+  group.ResetKeepingCapacity();
+  spare_groups_.push_back(std::move(group));
 }
 
 Worker::Group* Worker::FindGroup(std::uint64_t seq) {

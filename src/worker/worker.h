@@ -14,9 +14,11 @@
 // template id and carry per-entry read/write sets pre-resolved to store-dense indices, so
 // materializing an instantiation and executing its tasks does no hashing. Copy routing is
 // arithmetic on the structured copy id (command.h): the embedded group sequence finds the
-// group, the embedded copy index addresses a per-group slot array. The id-keyed tables
-// (`index_of`, `pending_edges`, `done_ids`) exist only for streaming command arrival — the
-// central-dispatch slow path.
+// group, the embedded copy index addresses a per-group slot array. Streaming arrival (the
+// central-dispatch path) resolves command ids and before-edges the same way: every group's
+// ids are one contiguous range, so an id's offset from the group's base indexes a flat
+// slot table. Pruned groups hand their storage to worker-owned pools, so a steady-state
+// block refills recycled tables instead of allocating per command (DESIGN.md §9.3).
 
 #ifndef NIMBUS_SRC_WORKER_WORKER_H_
 #define NIMBUS_SRC_WORKER_WORKER_H_
@@ -25,8 +27,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -72,13 +72,15 @@ class Worker {
   // Receives a batch of explicit commands forming group `group_seq`. `finalize` marks the
   // last batch of the group; `expected_total` is the group's full command count (0 while
   // streaming). `barrier` groups wait for all earlier groups.
-  void OnCommands(std::uint64_t group_seq, std::vector<Command> commands,
+  // The commands are copied into the group's (recycled) slots, so the caller keeps them.
+  void OnCommands(std::uint64_t group_seq, const std::vector<Command>& commands,
                   std::size_t expected_total, bool finalize, bool barrier);
 
   // Receives a wire-encoded command batch (src/task/wire.h) forming group `group_seq`.
-  // Decodes it and feeds the same ingestion path as OnCommands, so the observed command
-  // stream (and the command log) is identical to a per-task send of the same group.
-  void OnSerializedCommands(std::uint64_t group_seq, ParameterBlob bytes,
+  // Decodes it into the worker's decode scratch and feeds the same ingestion path as
+  // OnCommands, so the observed command stream (and the command log) is identical to a
+  // per-task send of the same group.
+  void OnSerializedCommands(std::uint64_t group_seq, const ParameterBlob& bytes,
                             std::size_t expected_total, bool finalize, bool barrier);
 
   // Installs (caches) a worker template. Charged per entry.
@@ -155,9 +157,9 @@ class Worker {
     std::vector<DenseIndex> writes_dense;
     DenseIndex object_dense = kInvalidDenseIndex;  // copy-send object
 
-    // Returns every field to its default but keeps the vectors' capacity: a recycled
-    // command table (DESIGN.md §9.3) is refilled without allocating, and no field an
-    // earlier instantiation set can reach the next one.
+    // Returns every field to its default but keeps the vectors' capacity (the command's
+    // too): a recycled command table or slot (DESIGN.md §9.3) is refilled without
+    // allocating, and no field an earlier group set can reach the next one.
     void ResetKeepingCapacity();
   };
 
@@ -178,20 +180,25 @@ class Worker {
     bool finalized = false;
     bool started = false;
     bool reported = false;
-    bool streaming = false;  // built command-by-command via OnCommands
     std::size_t expected_total = 0;
     std::size_t done_count = 0;
-    std::vector<RuntimeCommand> commands;
-    std::vector<CopySlot> copy_slots;  // by block-local copy index
-    // Streaming-only id-keyed tables (template materialization never touches them).
-    std::unordered_map<CommandId, std::int32_t> index_of;
-    // before-ids referenced before their command arrived (streaming dispatch).
-    std::unordered_map<CommandId, std::vector<std::int32_t>> pending_edges;
-    std::unordered_set<CommandId> done_ids;
+    std::vector<RuntimeCommand> commands;  // by local index (arrival order)
+    std::vector<CopySlot> copy_slots;      // by block-local copy index
+    // Streaming arrival: a group's command ids are one contiguous range (DESIGN.md §8), so
+    // `id_slots[id - command_base]` is the id's local index, -1 until its command arrives.
+    // The table covers only offsets actually seen; materialized groups leave it empty.
+    CommandId command_base;
+    std::vector<std::int32_t> id_slots;
+    // Before-edges naming a command that has not arrived yet: (id offset, waiting index).
+    std::vector<std::pair<std::uint32_t, std::int32_t>> parked_edges;
     std::vector<ScalarResult> scalars;
     // The cached template this group materializes; its command table goes back to that
     // template when the group is pruned. Invalid for streaming groups.
     DenseIndex template_index = kInvalidDenseIndex;
+
+    // Returns the group to its just-created state but keeps its tables' capacity, so a
+    // recycled record (DESIGN.md §9.3) carries nothing from the group that used it.
+    void ResetKeepingCapacity();
   };
 
   // A cached worker template plus its entries' read/write sets resolved to store-dense
@@ -229,16 +236,26 @@ class Worker {
   // reaching it, so the clang leg rejects a new code path that touches group state
   // without declaring itself part of the serial control phase.
   // Shared tail of OnCommands/OnSerializedCommands: log, group the commands, maybe start.
-  void IngestCommands(std::uint64_t group_seq, std::vector<Command> commands,
+  void IngestCommands(std::uint64_t group_seq, const std::vector<Command>& commands,
                       std::size_t expected_total, bool finalize, bool barrier)
       NIMBUS_REQUIRES(control_phase_);
+  // Creates a group from a recycled record when the pool has one.
   Group& GetOrCreateGroup(std::uint64_t seq, bool barrier) NIMBUS_REQUIRES(control_phase_);
+  // Hands a pruned or halted group's storage back: a materialized group's command table
+  // to its template, a streaming group's command slots to `spare_commands_`, and the
+  // record (with its id table and copy slots) to `spare_groups_`.
+  void RecycleGroup(Group& group) NIMBUS_REQUIRES(control_phase_);
   Group* FindGroup(std::uint64_t seq) NIMBUS_REQUIRES(control_phase_);
   CopySlot& EnsureCopySlot(Group& group, std::int32_t copy_index)
       NIMBUS_REQUIRES(control_phase_);
   // Binds a receive command to its copy slot and claims any early-buffered payload.
   void BindReceiveSlot(Group& group, std::int32_t index) NIMBUS_REQUIRES(control_phase_);
-  void AddCommandToGroup(Group& group, Command cmd) NIMBUS_REQUIRES(control_phase_);
+  // Returns `id`'s offset in the group's id table, growing the table to cover it and
+  // rebasing it when `id` lies below the current base (arrival out of id order).
+  // CHECK-fails, before any resize, on an id that would stretch the group's range past its
+  // 2^24 command-index budget (kCopyIndexBits, the LaunchKey/MakeCopyId field width).
+  static std::uint32_t IdOffset(Group& group, CommandId id);
+  void AddCommandToGroup(Group& group, const Command& cmd) NIMBUS_REQUIRES(control_phase_);
   void ResolveTaskObjects(RuntimeCommand& rc);
   void MaterializeInstantiation(DenseIndex tmpl_index, const InstantiateMsg& msg)
       NIMBUS_REQUIRES(control_phase_);
@@ -292,6 +309,21 @@ class Worker {
 
   // Active groups in arrival order. Completed groups are pruned from the front.
   std::deque<Group> groups_ NIMBUS_GUARDED_BY(control_phase_);
+
+  // Recycled group storage (DESIGN.md §9.3): pruned group records (id table, copy slots
+  // and, for streaming groups, the emptied command table) and streaming command slots,
+  // whose vectors keep their capacity. A new group or command takes from here before it
+  // allocates, so each pool holds at most what was live at once.
+  std::vector<Group> spare_groups_ NIMBUS_GUARDED_BY(control_phase_);
+  std::vector<RuntimeCommand> spare_commands_ NIMBUS_GUARDED_BY(control_phase_);
+
+  // Decode scratch for the central path's envelopes: a steady-state delivery decodes into
+  // these (keeping their capacity) and ingests from them by reference. `scratch_live_`
+  // catches a nested delivery that would overwrite them mid-ingest (wire::ScratchGuard).
+  wire::CommandsEnvelope commands_scratch_ NIMBUS_GUARDED_BY(control_phase_);
+  wire::SerializedBatchEnvelope batch_envelope_scratch_ NIMBUS_GUARDED_BY(control_phase_);
+  wire::DecodedBatch batch_scratch_ NIMBUS_GUARDED_BY(control_phase_);
+  bool scratch_live_ NIMBUS_GUARDED_BY(control_phase_) = false;
 
   // Data that arrived before its group was created. Claimed when the matching receive
   // command is added; entries for retired groups are dropped (they cannot be claimed).

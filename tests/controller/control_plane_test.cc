@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "src/apps/logistic_regression.h"
 #include "src/driver/cluster.h"
 #include "src/driver/job.h"
@@ -283,6 +286,87 @@ TEST(ControlPlaneTest, MultipleJobsShareACluster) {
   EXPECT_EQ(app_a.CoeffSnapshot(), LogisticRegressionApp::ReferenceInnerLoop(a, 5));
   EXPECT_EQ(app_b.CoeffSnapshot(), LogisticRegressionApp::ReferenceInnerLoop(b, 5));
   EXPECT_GE(cluster.controller().templates().template_count(), 2u);
+}
+
+// Patch and checkpoint groups get one contiguous command-id range per destination
+// worker, taken in ascending worker order (DESIGN.md §8): the worker resolves every id of
+// a group by offset from the group's base. Checked on the workers' observed command
+// streams: every copy group's ids on a worker form a hole-free range, and one group's
+// ranges ascend with the worker id. The same holds for the checkpoint's file saves.
+TEST(ControlPlaneTest, PatchAndCheckpointGroupsTakeOneIdRangePerWorkerInWorkerOrder) {
+  ClusterOptions options;
+  options.workers = 4;
+  options.partitions = 8;
+  options.mode = ControlMode::kCentralOnly;
+  Cluster cluster(options);
+  Job job(&cluster);
+  for (std::uint64_t w = 0; w < 4; ++w) {
+    cluster.worker(WorkerId(w))->EnableCommandLog();
+  }
+  LogisticRegressionApp app(&job, SmallConfig(8, 4));
+  app.Setup();
+  for (int round = 0; round < 2; ++round) {
+    app.RunInnerLoop(2);
+    app.RunOuterIteration();
+  }
+  job.Checkpoint(1);
+
+  // (group, worker) -> [lo, hi] of that group's ids on that worker, plus how many.
+  struct Range {
+    std::uint64_t lo = ~std::uint64_t{0};
+    std::uint64_t hi = 0;
+    std::uint64_t count = 0;
+  };
+  std::map<std::uint64_t, std::map<std::uint64_t, Range>> copy_groups;
+  std::map<std::uint64_t, Range> saves;
+  auto widen = [](Range& r, CommandId id) {
+    r.lo = std::min(r.lo, id.value());
+    r.hi = std::max(r.hi, id.value());
+    ++r.count;
+  };
+  std::size_t copies = 0;
+  for (std::uint64_t w = 0; w < 4; ++w) {
+    const std::vector<Command>& log = cluster.worker(WorkerId(w))->command_log();
+    for (const Command& c : log) {
+      if (c.type == CommandType::kCopySend || c.type == CommandType::kCopyReceive) {
+        widen(copy_groups[CopyGroupSeq(c.copy_id)][w], c.id);
+        ++copies;
+      } else if (c.type == CommandType::kFileSave) {
+        widen(saves[w], c.id);
+      }
+    }
+    // A copy group's id range on this worker holds no id of another worker's group.
+    for (auto& [seq, per_worker] : copy_groups) {
+      auto it = per_worker.find(w);
+      if (it == per_worker.end()) {
+        continue;
+      }
+      std::uint64_t in_range = 0;
+      for (const Command& c : log) {
+        in_range += c.id.value() >= it->second.lo && c.id.value() <= it->second.hi ? 1 : 0;
+      }
+      EXPECT_EQ(in_range, it->second.hi - it->second.lo + 1)
+          << "group " << seq << " on worker " << w << " has holes in its id range";
+    }
+  }
+  ASSERT_GT(copies, 0u) << "the run must dispatch patch copies";
+  ASSERT_GT(saves.size(), 1u) << "the checkpoint must span several workers";
+
+  auto expect_ascending = [](const std::map<std::uint64_t, Range>& per_worker,
+                             const char* what) {
+    const Range* prev = nullptr;
+    for (const auto& [w, r] : per_worker) {
+      EXPECT_EQ(r.hi - r.lo + 1, r.count) << what << ": worker " << w << " range has holes";
+      if (prev != nullptr) {
+        EXPECT_LT(prev->hi, r.lo) << what << ": worker " << w << " precedes a lower worker";
+      }
+      prev = &r;
+    }
+  };
+  for (const auto& [seq, per_worker] : copy_groups) {
+    expect_ascending(per_worker, "copy group");
+  }
+  expect_ascending(saves, "checkpoint");
 }
 
 }  // namespace

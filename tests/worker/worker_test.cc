@@ -1,6 +1,6 @@
 // Unit tests for the worker runtime: local readiness resolution, group barriers, streaming
-// command arrival, copy matching with out-of-order data, template caching, scalars, and
-// the recycled per-template command tables.
+// command arrival, copy matching with out-of-order data, template caching, scalars, the
+// recycled per-template command tables, and the flat streaming id tables.
 
 #include <gtest/gtest.h>
 
@@ -618,6 +618,142 @@ TEST(WorkerTest, HaltWithLiveGroupThenInstantiateMaterializesCleanly) {
   const auto expected = std::vector<std::pair<std::uint64_t, double>>{
       {300, 8.0}, {303, 13.0}, {301, 11.0}, {302, 19.0}};
   EXPECT_EQ(ScalarPairs(h.scalars, scalars_before), expected);
+}
+
+// ---- Flat streaming id tables (DESIGN.md §9.3) ----
+// A streaming group resolves ids and before-edges by offset from its id base into a flat
+// slot table, parks edges whose command has not arrived, reads "already done" from the
+// slot, and hands its storage to the worker's pools when pruned or halted.
+
+// Delivers `cmd` as its own kCommands envelope (a per-task frame), through the worker's
+// decode scratch.
+void SendFrame(Harness& h, int worker, std::uint64_t seq, Command cmd, std::size_t total,
+               bool finalize) {
+  wire::CommandsEnvelope e;
+  e.group_seq = seq;
+  e.expected_total = total;
+  e.finalize = finalize;
+  e.barrier = true;
+  e.commands.push_back(std::move(cmd));
+  h.w(worker).OnEnvelope(net::NodeAddress::Controller(), MessageKind::kCommand,
+                         wire::EncodeCommandsEnvelope(e));
+}
+
+TEST(WorkerTest, ForwardEdgeAcrossPerTaskFramesWaitsForItsProvider) {
+  Harness h(1);
+  std::vector<int> order;
+  const FunctionId provider = h.functions.Register("provider", [&](TaskContext& ctx) {
+    order.push_back(2);
+    ctx.WriteScalar(0).set_value(5);
+  });
+  const FunctionId dependent = h.functions.Register("dependent", [&](TaskContext& ctx) {
+    order.push_back(1);
+    EXPECT_DOUBLE_EQ(ctx.ReadScalar(0), 5.0);
+  });
+
+  // Id 40 names id 41 (an edit-appended provider) and arrives first, in its own frame:
+  // the edge parks at offset 1 of a table that has only seen offset 0.
+  SendFrame(h, 0, 1, TaskCmd(40, dependent, {LogicalObjectId(9)}, {}, {41}), 2, false);
+  h.simulation.Run();
+  EXPECT_TRUE(order.empty()) << "the dependent ran before its provider arrived";
+
+  SendFrame(h, 0, 1, TaskCmd(41, provider, {}, {LogicalObjectId(9)}), 2, true);
+  h.simulation.Run();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  ASSERT_EQ(h.completions.size(), 1u);
+  EXPECT_TRUE(h.w(0).idle());
+}
+
+TEST(WorkerTest, EdgeToAlreadyCompletedCommandDoesNotWait) {
+  Harness h(1);
+  int runs = 0;
+  const FunctionId f = h.functions.Register("fn", [&](TaskContext&) { ++runs; });
+
+  // Id 7 runs and completes before id 8, which names it, arrives.
+  SendFrame(h, 0, 1, TaskCmd(7, f, {}, {}), 2, false);
+  h.simulation.Run();
+  ASSERT_EQ(runs, 1);
+  EXPECT_TRUE(h.completions.empty());
+
+  SendFrame(h, 0, 1, TaskCmd(8, f, {}, {}, {7}), 2, true);
+  h.simulation.Run();
+  EXPECT_EQ(runs, 2) << "the edge to a done command must not park";
+  ASSERT_EQ(h.completions.size(), 1u);
+  EXPECT_TRUE(h.w(0).idle());
+}
+
+TEST(WorkerTest, RecycledStreamingTablesAreCleanAfterHalt) {
+  Harness h(1);
+  std::vector<std::uint64_t> ran;
+  const FunctionId f = h.functions.Register("fn", [&](TaskContext& ctx) {
+    ran.push_back(ctx.params().empty() ? 0 : ctx.params()[0]);
+  });
+  auto task = [&](std::uint64_t id, std::vector<std::uint64_t> before) {
+    Command c = TaskCmd(id, f, {}, {}, std::move(before));
+    c.params = {static_cast<std::uint8_t>(id)};
+    return c;
+  };
+
+  // Group 1 fills its tables, completes and is pruned into the pools.
+  SendFrame(h, 0, 1, task(100, {}), 2, false);
+  SendFrame(h, 0, 1, task(101, {100}), 2, true);
+  h.simulation.Run();
+  ASSERT_EQ(ran, (std::vector<std::uint64_t>{100, 101}));
+
+  // Group 2 takes the recycled record and parks an edge; the halt recycles it mid-flight.
+  SendFrame(h, 0, 2, task(200, {203}), 0, false);
+  h.w(0).OnHalt();
+  EXPECT_TRUE(h.w(0).idle());
+  h.simulation.Run();
+
+  // Group 3 reuses the halted group's record and slots: nothing of group 2 (its parked
+  // edge, its base, its done flags) may leak. Offsets 0 and 3 repeat group 2's pattern.
+  SendFrame(h, 0, 3, task(50, {}), 4, false);
+  SendFrame(h, 0, 3, task(51, {50}), 4, false);
+  SendFrame(h, 0, 3, task(52, {51}), 4, false);
+  SendFrame(h, 0, 3, task(53, {}), 4, true);
+  h.simulation.Run();
+  EXPECT_EQ(ran, (std::vector<std::uint64_t>{100, 101, 50, 53, 51, 52}));
+  ASSERT_EQ(h.completions.size(), 2u);
+  EXPECT_EQ(h.completions[1].second, 3u);
+  EXPECT_TRUE(h.w(0).idle());
+}
+
+TEST(WorkerTest, LowerIdArrivingLaterRebasesTheIdTable) {
+  Harness h(1);
+  std::vector<int> order;
+  const FunctionId fa = h.functions.Register("a", [&](TaskContext&) { order.push_back(1); });
+  const FunctionId fb = h.functions.Register("b", [&](TaskContext&) { order.push_back(2); });
+  const FunctionId fc = h.functions.Register("c", [&](TaskContext&) { order.push_back(3); });
+
+  // Ids arrive 12, 10, 11: the table rebases twice, and the parked edge 12 -> 11 moves with
+  // it.
+  std::vector<Command> first;
+  first.push_back(TaskCmd(12, fc, {}, {}, {11}));
+  h.w(0).OnCommands(1, first, 0, false, true);
+  std::vector<Command> second;
+  second.push_back(TaskCmd(10, fa, {}, {}));
+  second.push_back(TaskCmd(11, fb, {}, {}, {10}));
+  h.w(0).OnCommands(1, second, 3, true, true);
+  h.simulation.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  ASSERT_EQ(h.completions.size(), 1u);
+}
+
+TEST(WorkerDeathTest, BeforeIdPastTheCommandIndexBudgetDiesBeforeAnyResize) {
+  const FunctionId f(0);
+  auto deliver = [&](std::uint64_t id, std::uint64_t before) {
+    Harness h(1);
+    std::vector<Command> g;
+    g.push_back(TaskCmd(id, f, {}, {}, {before}));
+    h.w(0).OnCommands(1, g, 1, true, true);
+  };
+  // One past the 2^24 budget above the base, and one far past it: a table sized first
+  // would allocate 2^40 slots and die of that instead.
+  EXPECT_DEATH(deliver(5, 5 + (std::uint64_t{1} << 24)), "2\\^24 command-index budget");
+  EXPECT_DEATH(deliver(5, 5 + (std::uint64_t{1} << 40)), "2\\^24 command-index budget");
+  // Below the base: the rebase is bounded the same way.
+  EXPECT_DEATH(deliver(std::uint64_t{1} << 30, 1), "2\\^24 command-index budget");
 }
 
 }  // namespace
