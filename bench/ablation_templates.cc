@@ -24,9 +24,10 @@ struct Setup {
 };
 
 double SteadyIteration(const Setup& setup, bool nested) {
-  LrHarness h = MakeLrHarness(100, setup.mode);
-  h.cluster->controller().set_force_full_validation(setup.force_validation);
-  h.cluster->controller().set_disable_patch_cache(setup.disable_patch_cache);
+  ClusterOptions options;
+  options.force_full_validation = setup.force_validation;
+  options.disable_patch_cache = setup.disable_patch_cache;
+  LrHarness h = MakeLrHarness(100, setup.mode, options);
   h.app->Setup();
   for (int i = 0; i < 5; ++i) {
     h.app->RunInnerIteration();

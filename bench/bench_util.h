@@ -139,14 +139,14 @@ struct LrHarness {
   std::unique_ptr<apps::LogisticRegressionApp> app;
 };
 
-inline LrHarness MakeLrHarness(int workers, ControlMode mode, sim::CostModel costs = {},
+// `options` carries any further cluster knobs (costs, controller switches); the worker
+// count, partition space and mode are filled in here.
+inline LrHarness MakeLrHarness(int workers, ControlMode mode, ClusterOptions options = {},
                                int tasks_per_worker = 79) {
   LrHarness h;
-  ClusterOptions options;
   options.workers = workers;
   options.partitions = tasks_per_worker * workers;
   options.mode = mode;
-  options.costs = costs;
   h.cluster = std::make_unique<Cluster>(options);
   h.job = std::make_unique<Job>(h.cluster.get());
   apps::LogisticRegressionApp::Config config;

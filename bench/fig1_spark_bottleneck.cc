@@ -29,8 +29,9 @@ constexpr int kTasksPerWorker = 80;
 // Mean completion seconds of one kCentralOnly LR iteration (C++-speed tasks; the point is
 // the *control* trajectory, which the MLlib slowdown would only dilute).
 double CentralIterationSeconds(int workers, bool serialized) {
-  LrHarness h = MakeLrHarness(workers, ControlMode::kCentralOnly, {}, kTasksPerWorker);
-  h.cluster->controller().set_serialized_batching(serialized);
+  ClusterOptions options;
+  options.serialized_batching = serialized;
+  LrHarness h = MakeLrHarness(workers, ControlMode::kCentralOnly, options, kTasksPerWorker);
   h.app->Setup();
   h.app->RunInnerIteration();  // warm: stage plans compile, stores materialize
   const sim::TimePoint start = h.cluster->simulation().now();

@@ -52,8 +52,9 @@ double NimbusThroughput(int workers) {
 // central path from per-task dispatch to one pre-encoded wire buffer per worker per stage
 // (DESIGN.md §10).
 double CentralThroughput(int workers, bool serialized) {
-  LrHarness h = MakeLrHarness(workers, ControlMode::kCentralOnly);
-  h.cluster->controller().set_serialized_batching(serialized);
+  ClusterOptions options;
+  options.serialized_batching = serialized;
+  LrHarness h = MakeLrHarness(workers, ControlMode::kCentralOnly, options);
   h.app->Setup();
   h.app->RunInnerIteration();  // warm: stage plans compile, stores materialize
   const sim::TimePoint start = h.cluster->simulation().now();

@@ -8,7 +8,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "bench/bench_util.h"
+#include "src/runtime/executor.h"
+#include "src/runtime/instantiation_pipeline.h"
 
 namespace nimbus::bench {
 namespace {
@@ -61,20 +65,27 @@ BENCHMARK(BM_InstallWorkerTemplateWorker)->Unit(benchmark::kMillisecond);
 
 // Paper Table 1 rows: "Nimbus schedule task — 134µs" / "Spark schedule task — 166µs". Our
 // central path amortizes the projection across the stage; we measure the full ad-hoc
-// dependency analysis + validation + effect application per task, which is the recurring
-// data-structure work of scheduling one task centrally.
+// dependency analysis + validation + patch resolution + effect application per task, which
+// is the recurring data-structure work of scheduling one task centrally. The stages run on
+// the instantiation engine in the controller's configuration (InlineExecutor, 1 shard).
 void BM_CentralSchedulePerTask(benchmark::State& state) {
   auto block = BuildMicroBlock(kPartitions, kWorkers);
   const core::ControllerTemplate* tmpl = block->manager.Find(block->template_id);
   VersionMap versions;
   SeedVersions(*block, &versions);
+  runtime::InlineExecutor executor;
+  runtime::InstantiationPipeline pipeline(&executor, 1);
   for (auto _ : state) {
     core::WorkerTemplateSet set = core::ProjectBlock(*tmpl, block->assignment,
                                                      WorkerTemplateId(0), ConstantBytes(80));
-    auto needed = block->manager.Validate(set, versions);
-    benchmark::DoNotOptimize(needed);
-    core::Patch patch;
-    block->manager.ApplyInstantiationEffects(set, patch, &versions);
+    // Every iteration's projection reuses id 0: drop the previous one's cached shard plan
+    // so each schedule pays its own plan build, as an uncached projection would.
+    pipeline.Configure(&executor, 1);
+    auto needed = pipeline.Validate(set, versions);
+    core::Patch patch = block->manager.ResolvePatch(set, core::PatchCache::kEntryFromOutside,
+                                                    versions, std::move(needed));
+    benchmark::DoNotOptimize(patch);
+    pipeline.ApplyEffects(set, patch, &versions);
   }
   ReportPerTaskTime(state, 8000.0);
 }

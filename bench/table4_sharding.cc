@@ -23,6 +23,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/stats.h"
@@ -39,6 +40,27 @@ namespace {
 constexpr int kWorkers = 100;
 constexpr int kPartitions = 7899;
 constexpr double kTasks = 8000.0;
+
+// One engine-driven instantiation as the controller sequences the stages: validate ->
+// patch every failure (no patch cache) -> apply -> [assemble || validate `next`].
+struct Instantiation {
+  std::size_t directives = 0;
+  std::vector<runtime::WorkerMessage> messages;
+  std::vector<core::PatchDirective> next_required;
+};
+
+Instantiation Instantiate(runtime::InstantiationPipeline* pipeline,
+                          const core::WorkerTemplateSet& set, VersionMap* versions,
+                          const core::WorkerTemplateSet* next = nullptr) {
+  Instantiation out;
+  core::Patch patch;
+  patch.directives = pipeline->Validate(set, *versions);
+  out.directives = patch.size();
+  pipeline->ApplyEffects(set, patch, versions);
+  out.messages = pipeline->AssembleMessages(set, {}, nullptr, next, versions,
+                                            next != nullptr ? &out.next_required : nullptr);
+  return out;
+}
 
 // arg0 = shard count, arg1 = thread-pool threads (0 => InlineExecutor).
 void BM_EngineInstantiate(benchmark::State& state) {
@@ -61,7 +83,7 @@ void BM_EngineInstantiate(benchmark::State& state) {
   runtime::InstantiationPipeline pipeline(executor.get(), shards);
 
   // Prime once so the shard plan and compiled instantiation are cached (steady state).
-  pipeline.Run(set, &versions, {}, nullptr, nullptr);
+  Instantiate(&pipeline, set, &versions);
   executor->ClearCounters();
   pipeline.ClearCounters();
 
@@ -71,9 +93,8 @@ void BM_EngineInstantiate(benchmark::State& state) {
     // A foreign block wrote the broadcast object: every other worker's replica goes stale,
     // so this instantiation must patch ~(workers-1) copies back into place.
     versions.RecordWrite(block->coeff, block->assignment.WorkerFor(0));
-    runtime::InstantiationOutcome outcome =
-        pipeline.Run(set, &versions, {}, nullptr, nullptr);
-    directives = outcome.required.size();
+    const Instantiation outcome = Instantiate(&pipeline, set, &versions);
+    directives = outcome.directives;
     benchmark::DoNotOptimize(outcome.messages.data());
   }
   const double wall_s =
@@ -138,7 +159,7 @@ void BM_EngineInstantiateOverlapped(benchmark::State& state) {
     executor = std::make_unique<runtime::ThreadPoolExecutor>(threads);
   }
   runtime::InstantiationPipeline pipeline(executor.get(), shards);
-  pipeline.Run(set_a, &versions, {}, nullptr, nullptr);
+  Instantiate(&pipeline, set_a, &versions);
   executor->ClearCounters();
 
   bool flip = false;
@@ -146,8 +167,7 @@ void BM_EngineInstantiateOverlapped(benchmark::State& state) {
   for (auto _ : state) {
     const core::WorkerTemplateSet& current = flip ? set_b : set_a;
     const core::WorkerTemplateSet& next = flip ? set_a : set_b;
-    runtime::InstantiationOutcome outcome =
-        pipeline.Run(current, &versions, {}, nullptr, nullptr, &next);
+    const Instantiation outcome = Instantiate(&pipeline, current, &versions, &next);
     benchmark::DoNotOptimize(outcome.next_required.data());
     flip = !flip;
   }

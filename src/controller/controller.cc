@@ -15,7 +15,7 @@ constexpr std::uint32_t kControlTrack = 0;
 NimbusController::NimbusController(sim::Simulation* simulation, net::Transport* transport,
                                    const sim::CostModel* costs, ObjectDirectory* directory,
                                    DurableStore* durable, ControlMode mode,
-                                   net::TimerQueue* timers)
+                                   ControllerSwitches switches, net::TimerQueue* timers)
     : simulation_(simulation),
       transport_(transport),
       owned_timers_(timers == nullptr ? std::make_unique<net::SimTimerQueue>(simulation)
@@ -25,6 +25,7 @@ NimbusController::NimbusController(sim::Simulation* simulation, net::Transport* 
       directory_(directory),
       durable_(durable),
       mode_(mode),
+      switches_(switches),
       control_thread_(simulation) {}
 
 void NimbusController::OnEnvelope(net::NodeAddress src, MessageKind kind,
@@ -317,7 +318,7 @@ void NimbusController::ExecuteStagesCentrally(const std::vector<StageDescriptor>
         StageSignature(stage), assignment_,
         [this, &stage]() { return CompileStageTemplate(stage, /*include_params=*/false); },
         BytesFn(), stage.tasks.size(), &newly);
-    if (serialized_batching_) {
+    if (switches_.serialized_batching) {
       // Plan compilation IS the dependency analysis: charged at the per-task rate on the
       // cold build only, plus the sweep. Per-task dispatch (the paper's baseline) models
       // re-analysis in its per-command charge instead.
@@ -630,8 +631,8 @@ bool NimbusController::HasTemplate(const std::string& name) const {
 
 const core::WorkerTemplateSet* NimbusController::ResolveLookaheadTarget(
     const std::string& next_name, const core::WorkerTemplateSet* current) {
-  if (!lookahead_enabled_ || next_name.empty() || mode_ != ControlMode::kTemplates ||
-      force_full_validation_) {
+  if (next_name.empty() || mode_ != ControlMode::kTemplates ||
+      switches_.force_full_validation) {
     // force_full_validation pins the serial sweep (the ablation bench's contract), so an
     // overlapped sweep could never be consumed — don't schedule one.
     return nullptr;
@@ -750,7 +751,7 @@ void NimbusController::RunSetCentrallyWithPatches(
     }
   }
 
-  if (serialized_batching_) {
+  if (switches_.serialized_batching) {
     DispatchCentralBlock(set, params, block);
   } else {
     DispatchSetCentrally(set, params, block);
@@ -793,8 +794,8 @@ void NimbusController::InstantiateSet(
   core::Patch patch;
   const bool follows_self =
       set->self_validating() && prev_executed_ == set->id().value();
-  const bool auto_validates = !force_full_validation_ && !has_edits && follows_self &&
-                              mode_ != ControlMode::kCentralOnly;
+  const bool auto_validates = !switches_.force_full_validation && !has_edits &&
+                              follows_self && mode_ != ControlMode::kCentralOnly;
   if (!auto_validates) {
     // Overlapped-result consumption (DESIGN.md §9.2): this set's sweep already ran on a
     // spare engine lane during the previous block's message assembly. Reuse is legal iff
@@ -804,7 +805,7 @@ void NimbusController::InstantiateSet(
     // serial sweep below would produce. force_full_validation keeps the serial sweep so
     // the ablation bench measures what it claims to.
     const bool lookahead_hit =
-        lookahead_enabled_ && lookahead_.valid && !has_edits && !force_full_validation_ &&
+        lookahead_.valid && !has_edits && !switches_.force_full_validation &&
         lookahead_.set_id_value == set->id().value() &&
         lookahead_.map_uid == versions_.uid() &&
         lookahead_.map_churn_epoch == versions_.churn_epoch() &&
@@ -837,12 +838,13 @@ void NimbusController::InstantiateSet(
     }
     bool cache_hit = false;
     const std::uint64_t cache_key =
-        disable_patch_cache_ ? core::PatchCache::kEntryFromOutside - 1 - next_group_seq_
-                             : prev_executed_;
+        switches_.disable_patch_cache
+            ? core::PatchCache::kEntryFromOutside - 1 - next_group_seq_
+            : prev_executed_;
     // The engine runs the sharded precondition sweep; the template manager only resolves
     // the result against the patch cache.
-    patch = templates_.ResolvePatchFrom(*set, cache_key, versions_, std::move(required),
-                                        &cache_hit);
+    patch = templates_.ResolvePatch(*set, cache_key, versions_, std::move(required),
+                                    &cache_hit);
     NIMBUS_TRACE_INSTANT(trace::Lane::kController, kControlTrack,
                          cache_hit ? "patch_cache_hit" : "patch_cache_miss",
                          static_cast<std::int64_t>(patch.size()));
@@ -858,10 +860,10 @@ void NimbusController::InstantiateSet(
 
   EnsureObjectsExist(*set);
 
-  // Version-map effects land before assembly — mirroring InstantiationPipeline::Run — so
-  // the overlapped sweep of `next_set` below reads exactly the state its consuming
-  // instantiation would. Assembly and dispatch never read the version map, so the move is
-  // unobservable on the serial path (the bit-equality tests pin it).
+  // Version-map effects land before assembly, so the overlapped sweep of `next_set` below
+  // reads exactly the state its consuming instantiation would. Assembly and dispatch never
+  // read the version map, so the move is unobservable on the serial path (the
+  // bit-equality tests pin it).
   if (phase_probe_) {
     phase_probe_("apply");
   }
@@ -1162,16 +1164,13 @@ void NimbusController::CheckHeartbeats() {
       ++failure_counters_.suspects_marked;
       NIMBUS_LOG(Info) << "worker " << record.worker->id() << " suspected (" << missed
                        << " missed heartbeat timeouts)";
-      if (!recovery_handler_) {
-        // Informational notice to the driver; suppressed when a local recovery hook is
-        // installed (controller unit tests have no driver endpoint to deliver to).
-        wire::SuspectNoticeEnvelope notice;
-        notice.worker = record.worker->id();
-        notice.missed_beats = missed;
-        transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::Driver(),
-                         MessageKind::kControl, wire::EncodeSuspectNoticeEnvelope(notice),
-                         /*cost_bytes=*/16);
-      }
+      // Informational notice to the driver.
+      wire::SuspectNoticeEnvelope notice;
+      notice.worker = record.worker->id();
+      notice.missed_beats = missed;
+      transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::Driver(),
+                       MessageKind::kControl, wire::EncodeSuspectNoticeEnvelope(notice),
+                       /*cost_bytes=*/16);
     }
     if (missed >= static_cast<std::uint64_t>(miss_threshold_)) {
       NIMBUS_LOG(Info) << "worker " << record.worker->id()
@@ -1291,16 +1290,11 @@ void NimbusController::RunRecovery() {
     if (failure_detection_) {
       timers_->Schedule(heartbeat_timeout_, [this]() { CheckHeartbeats(); });
     }
-    if (recovery_handler_) {
-      // Local hook (controller unit tests observe recovery without a driver endpoint).
-      recovery_handler_(checkpoint_.driver_marker);
-    } else {
-      // Tell the driver which checkpoint marker the cluster reverted to.
-      transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::Driver(),
-                       MessageKind::kControl,
-                       wire::EncodeRecoveryNoticeEnvelope(checkpoint_.driver_marker),
-                       /*cost_bytes=*/16);
-    }
+    // Tell the driver which checkpoint marker the cluster reverted to.
+    transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::Driver(),
+                     MessageKind::kControl,
+                     wire::EncodeRecoveryNoticeEnvelope(checkpoint_.driver_marker),
+                     /*cost_bytes=*/16);
   });
 
   const std::uint64_t seq = NewGroupSeq();

@@ -54,6 +54,26 @@ enum class ControlMode {
 // Scalars collected from one block execution, delivered to the driver.
 using BlockDone = std::function<void(std::vector<ScalarResult>)>;
 
+// Construction-time controller switches; fixed for the controller's lifetime
+// (ClusterOptions carries them).
+struct ControllerSwitches {
+  // Central dispatch wire form (DESIGN.md §8). Every central stage runs through a cached
+  // stage plan (a worker-template set keyed by stage identity + schedule), validated and
+  // applied through the instantiation engine. This switch picks how its commands reach the
+  // workers: off (the paper's Fig 1/8 baseline) sends every command as its own message; on
+  // ships each worker ONE pre-encoded wire buffer from the engine's serialized-template
+  // cache (memcpy + header patch + in-place parameter patch, DESIGN.md §10). Workers decode
+  // the bytes back into the identical command stream, so output (worker command streams,
+  // version-map state, scalars) matches bit-for-bit; only cost accounting, message count
+  // and wire bytes change.
+  bool serialized_batching = false;
+  // Ablations (DESIGN.md §5; see bench/ablation_templates). Forces the full precondition
+  // sweep on every instantiation, disabling the auto-validation fast path of §4.2.
+  bool force_full_validation = false;
+  // Recomputes every patch from scratch, disabling the patch cache of §4.2.
+  bool disable_patch_cache = false;
+};
+
 class NimbusController {
  public:
   // `timers` is the clock the liveness protocol runs against (DESIGN.md §14): heartbeat
@@ -62,7 +82,7 @@ class NimbusController {
   // cluster passes the node's timerfd-backed queue so detection uses real wall time.
   NimbusController(sim::Simulation* simulation, net::Transport* transport,
                    const sim::CostModel* costs, ObjectDirectory* directory,
-                   DurableStore* durable, ControlMode mode,
+                   DurableStore* durable, ControlMode mode, ControllerSwitches switches,
                    net::TimerQueue* timers = nullptr);
 
   // ---- Transport-facing entry point ----
@@ -75,27 +95,6 @@ class NimbusController {
   void OnEnvelope(net::NodeAddress src, MessageKind kind, ParameterBlob bytes);
 
   ControlMode mode() const { return mode_; }
-  void set_mode(ControlMode mode) { mode_ = mode; }
-
-  // --- Ablation switches (DESIGN.md §5; see bench/ablation_templates) ---
-  // Forces the full precondition sweep on every instantiation, disabling the
-  // auto-validation fast path of §4.2.
-  void set_force_full_validation(bool v) { force_full_validation_ = v; }
-  // Recomputes every patch from scratch, disabling the patch cache of §4.2.
-  void set_disable_patch_cache(bool v) { disable_patch_cache_ = v; }
-
-  // --- Central dispatch wire form (DESIGN.md §8) ---
-  // Every central stage runs through a cached stage plan (a worker-template set keyed by
-  // stage identity + schedule), validated/applied through the sharded pipeline. This
-  // switch picks how its commands reach the workers: off (the default, and the paper's
-  // Fig 1/8 baseline) sends every command as its own message; on ships each worker ONE
-  // pre-encoded wire buffer from the engine's serialized-template cache (memcpy + header
-  // patch + in-place parameter patch, DESIGN.md §10). Workers decode the bytes back into
-  // the identical command stream, so output (worker command streams, version-map state,
-  // scalars) matches bit-for-bit; only cost accounting, message count and wire bytes
-  // change.
-  void set_serialized_batching(bool v) { serialized_batching_ = v; }
-  bool serialized_batching() const { return serialized_batching_; }
 
   // ---- Cluster membership (resource manager interface, Fig 2) ----
   void AttachWorker(Worker* worker);
@@ -136,11 +135,9 @@ class NimbusController {
                            BlockDone done, const std::string& next_name = std::string());
 
   // --- Controller-loop lookahead (DESIGN.md §9) ---
-  // Master switch for the overlap above; on by default. Results are bit-identical either
-  // way (the equality tests pin it) — only cost accounting changes.
-  void set_lookahead_enabled(bool v) { lookahead_enabled_ = v; }
-  bool lookahead_enabled() const { return lookahead_enabled_; }
   // Overlapped sweeps scheduled into assembly batches / consumed at the next instantiation.
+  // A driver that sends no hint gets no overlap; results are bit-identical either way (the
+  // equality tests pin it) — only cost accounting changes.
   std::uint64_t lookaheads_scheduled() const { return lookaheads_scheduled_; }
   std::uint64_t lookahead_hits() const { return lookahead_hits_; }
 
@@ -167,10 +164,6 @@ class NimbusController {
   void TriggerCheckpoint(std::uint64_t driver_marker, std::function<void()> done);
   // Failure detection entry (driven by heartbeat timeout or injected by tests).
   void OnWorkerFailed(WorkerId worker);
-  // Invoked after recovery completes; receives the marker of the restored checkpoint.
-  void SetRecoveryHandler(std::function<void(std::uint64_t)> handler) {
-    recovery_handler_ = std::move(handler);
-  }
   // Arms heartbeat-based detection: each tracked worker must be heard from within
   // `timeout`; a worker `miss_threshold` timeouts silent is declared failed (the first
   // missed timeout only marks it suspect and notifies the driver). The default threshold
@@ -356,6 +349,7 @@ class NimbusController {
   ObjectDirectory* directory_;
   DurableStore* durable_;
   ControlMode mode_;
+  const ControllerSwitches switches_;
 
   sim::Processor control_thread_;
   core::TemplateManager templates_;
@@ -406,12 +400,10 @@ class NimbusController {
   // role, which the clang leg machine-checks via GUARDED_BY below.
   RoleCapability control_plane_;
   LookaheadState lookahead_ NIMBUS_GUARDED_BY(control_plane_);
-  bool lookahead_enabled_ = true;
   std::uint64_t lookaheads_scheduled_ = 0;
   std::uint64_t lookahead_hits_ = 0;
 
   CheckpointState checkpoint_;
-  std::function<void(std::uint64_t)> recovery_handler_;
   bool recovering_ = false;
 
   // Heartbeat-based failure detection (per-worker liveness lives in worker_records_).
@@ -425,9 +417,6 @@ class NimbusController {
 
   std::uint64_t tasks_dispatched_ = 0;
   std::uint64_t tasks_via_templates_ = 0;
-  bool force_full_validation_ = false;
-  bool disable_patch_cache_ = false;
-  bool serialized_batching_ = false;
 
   IdAllocator<TaskId> task_ids_;
   IdAllocator<CommandId> command_ids_;

@@ -10,9 +10,9 @@
 // controller caches patches keyed by (what executed before, which template is entered).
 // Each cache entry additionally records the version-map churn epoch and the entering set's
 // edit generation it was stored under, plus the directives compiled to dense ids: a reuse
-// candidate is confirmed with O(directives) array probes — no hashing, and no fallback to
-// the sparse `PatchStillCorrect` sweep (DESIGN.md §6.7). The cache is capped; the oldest
-// entry by last use is evicted, and hit/miss/eviction counters are exported.
+// candidate is confirmed with O(directives) array probes — no hashing (DESIGN.md §6.7).
+// The cache is capped; the oldest entry by last use is evicted, and hit/miss/eviction
+// counters are exported.
 
 #ifndef NIMBUS_SRC_CORE_PATCH_H_
 #define NIMBUS_SRC_CORE_PATCH_H_
@@ -180,14 +180,6 @@ class PatchCache {
   std::size_t capacity_ = kDefaultCapacity;
   CacheCounters counters_;
 };
-
-// Checks that `patch`, applied to the current version map, would fix exactly the failing
-// preconditions in `failures`, and that every directive's source still holds the latest
-// version. The sparse, order-insensitive predicate — kept as the spec the cache's dense
-// reuse check implements (and for tests); the instantiation path no longer calls it.
-bool PatchStillCorrect(const Patch& patch,
-                       const std::vector<PatchDirective>& required,
-                       const VersionMap& versions);
 
 }  // namespace nimbus::core
 

@@ -159,42 +159,12 @@ WorkerTemplateSet* TemplateManager::GetOrBuildStagePlan(
 }
 
 // ---------------------------------------------------------------------------------------
-// Validation & patching
+// Patching
 // ---------------------------------------------------------------------------------------
 
-std::vector<PatchDirective> TemplateManager::Validate(const WorkerTemplateSet& set,
-                                                      const VersionMap& versions) const {
-  // One linear sweep over the compiled precondition array: each check is an O(1) probe of
-  // the version map's flat state by dense id — no hashing, and no allocation unless a
-  // precondition actually fails.
-  std::vector<PatchDirective> needed;
-  for (const auto& pre : set.CompiledFor(versions).preconditions) {
-    if (!versions.ExistsDense(pre.object)) {
-      // Object not created yet: the block itself will create it on first write; a read of a
-      // never-written object is an application bug caught at execution time.
-      continue;
-    }
-    if (!versions.WorkerHasLatestDense(pre.object, pre.worker)) {
-      const WorkerId src = versions.AnyLatestHolderDense(pre.object);
-      NIMBUS_CHECK(src.valid()) << "no live replica of object " << pre.sparse_object
-                                << " (unrecoverable data loss outside checkpoint path)";
-      needed.push_back(PatchDirective{pre.sparse_object, src, pre.sparse_worker, pre.bytes});
-    }
-  }
-  // Compiled preconditions are (object, dst)-sorted, so `needed` already is too.
-  return needed;
-}
-
-Patch TemplateManager::ResolvePatch(const WorkerTemplateSet& set, std::uint64_t prev_executed,
-                                    const VersionMap& versions, bool* cache_hit) {
-  return ResolvePatchFrom(set, prev_executed, versions, Validate(set, versions), cache_hit);
-}
-
-Patch TemplateManager::ResolvePatchFrom(const WorkerTemplateSet& set,
-                                        std::uint64_t prev_executed,
-                                        const VersionMap& versions,
-                                        std::vector<PatchDirective> required,
-                                        bool* cache_hit) {
+Patch TemplateManager::ResolvePatch(const WorkerTemplateSet& set,
+                                    std::uint64_t prev_executed, const VersionMap& versions,
+                                    std::vector<PatchDirective> required, bool* cache_hit) {
   if (cache_hit != nullptr) {
     *cache_hit = false;
   }
@@ -202,7 +172,7 @@ Patch TemplateManager::ResolvePatchFrom(const WorkerTemplateSet& set,
     return Patch{};
   }
   // Reuse is confirmed entirely in dense id space: epoch/generation stamps plus
-  // O(directives) coverage and source probes (no PatchStillCorrect fallback).
+  // O(directives) coverage and source probes.
   const Patch* cached =
       patch_cache_.Reusable(prev_executed, set.id(), required, set.generation(), versions);
   if (cached != nullptr) {
@@ -217,24 +187,6 @@ Patch TemplateManager::ResolvePatchFrom(const WorkerTemplateSet& set,
   fresh.directives = std::move(required);
   patch_cache_.Store(prev_executed, set.id(), fresh, set.generation(), versions);
   return fresh;
-}
-
-void TemplateManager::ApplyInstantiationEffects(const WorkerTemplateSet& set,
-                                                const Patch& patch,
-                                                VersionMap* versions) const {
-  for (const PatchDirective& d : patch.directives) {
-    versions->RecordCopyToLatest(d.object, d.dst);
-  }
-  // O(delta) sweep over the compiled write deltas, entirely in dense id space.
-  for (const auto& delta : set.CompiledFor(*versions).write_deltas) {
-    if (!versions->ExistsDense(delta.object)) {
-      versions->CreateObjectDense(delta.object, delta.primary_holder);
-    }
-    versions->AdvanceVersionsDense(delta.object, delta.primary_holder, delta.write_count);
-    for (DenseIndex holder : delta.extra_holders) {
-      versions->RecordCopyToLatestDense(delta.object, holder);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------------------

@@ -9,11 +9,11 @@
 //    post-process it into a ControllerTemplate (paper §4.1);
 //  * projection cache: one WorkerTemplateSet per (template, assignment signature) — workers
 //    cache multiple worker templates, so moving between schedules is a lookup (§2.3);
-//  * validation: check a set's preconditions against the version map, with the
-//    auto-validation fast path for back-to-back instantiation of the same template (§4.2);
-//  * patching: compute or reuse cached patches for failed preconditions (§4.2);
-//  * edits: in-place task migration between workers (§4.3, Fig 6);
-//  * instantiation bookkeeping: apply the cached version-map delta.
+//  * patching: resolve a validation result against the patch cache (§4.2);
+//  * edits: in-place task migration between workers (§4.3, Fig 6).
+//
+// Validating a set's preconditions and applying its cached version-map delta are the
+// instantiation engine's stages (runtime::InstantiationPipeline, DESIGN.md §7).
 
 #ifndef NIMBUS_SRC_CORE_TEMPLATE_MANAGER_H_
 #define NIMBUS_SRC_CORE_TEMPLATE_MANAGER_H_
@@ -99,31 +99,15 @@ class TemplateManager {
                                          bool* newly_built = nullptr);
   const CacheCounters& stage_plan_counters() const { return stage_plan_counters_; }
 
-  // --- Validation & patching ---
+  // --- Patching ---
 
-  // Returns the copy directives required to make all preconditions of `set` hold. Empty
-  // means the template validates as-is.
-  std::vector<PatchDirective> Validate(const WorkerTemplateSet& set,
-                                       const VersionMap& versions) const;
-
-  // Resolves the patch for instantiating `set` given what executed before. Uses the patch
-  // cache; `cache_hit` (optional out) reports whether the cached patch was reused.
+  // Resolves the patch for instantiating `set` given what executed before and the
+  // engine's validation result `required` (runtime::InstantiationPipeline::Validate).
+  // Reuses the cached patch when it is provably still correct; `cache_hit` (optional out)
+  // reports whether it was.
   Patch ResolvePatch(const WorkerTemplateSet& set, std::uint64_t prev_executed,
-                     const VersionMap& versions, bool* cache_hit = nullptr);
-
-  // Same, but takes the validation result instead of recomputing it — the entry point for
-  // the sharded engine, which validates through its own per-shard sweep
-  // (runtime::InstantiationPipeline) and only needs the cache consulted here.
-  Patch ResolvePatchFrom(const WorkerTemplateSet& set, std::uint64_t prev_executed,
-                         const VersionMap& versions, std::vector<PatchDirective> required,
-                         bool* cache_hit = nullptr);
-
-  // --- Instantiation bookkeeping ---
-
-  // Applies the set's cached version-map delta (write counts + final holders) and the
-  // patch's copy effects. Mirrors what executing the block does to global state.
-  void ApplyInstantiationEffects(const WorkerTemplateSet& set, const Patch& patch,
-                                 VersionMap* versions) const;
+                     const VersionMap& versions, std::vector<PatchDirective> required,
+                     bool* cache_hit = nullptr);
 
   // --- Edits (paper §4.3) ---
 

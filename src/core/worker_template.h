@@ -234,9 +234,10 @@ class PreconditionSet {
 
 // The instantiation plan of a worker-template set compiled against one VersionMap's dense
 // id space (paper §4.1: "pointers are turned into indexes for fast lookups into arrays of
-// values"). Validate walks `preconditions` with O(1) array probes; ApplyInstantiationEffects
-// walks `write_deltas` — no hashing and no allocation on either sweep. The cache is rebuilt
-// only when the set is edited or used against a different version map.
+// values"). The instantiation engine's validate stage walks `preconditions` with O(1) array
+// probes and its apply stage walks `write_deltas` (runtime::InstantiationPipeline) — no
+// hashing and no allocation on either sweep. The cache is rebuilt only when the set is
+// edited or used against a different version map.
 struct CompiledInstantiation {
   struct CompiledPrecondition {
     DenseIndex object = kInvalidDenseIndex;  // dense ids in the compiled-against map

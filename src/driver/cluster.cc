@@ -34,13 +34,13 @@ Cluster::Cluster(ClusterOptions options)
       tcp ? static_cast<net::Transport*>(tcp_->endpoint(controller_address))
           : sim_transport_.get();
   net::TimerQueue* controller_timers = tcp ? tcp_->node_timers(controller_address) : nullptr;
+  ControllerSwitches switches;
+  switches.serialized_batching = options_.serialized_batching;
+  switches.force_full_validation = options_.force_full_validation;
+  switches.disable_patch_cache = options_.disable_patch_cache;
   controller_ = std::make_unique<NimbusController>(controller_sim, controller_transport,
                                                    &options_.costs, &directory_, &durable_,
-                                                   options_.mode, controller_timers);
-  controller_->set_serialized_batching(options_.serialized_batching);
-  controller_->set_force_full_validation(options_.force_full_validation);
-  controller_->set_disable_patch_cache(options_.disable_patch_cache);
-  controller_->set_lookahead_enabled(options_.lookahead_enabled);
+                                                   options_.mode, switches, controller_timers);
 
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int i = 0; i < options_.workers; ++i) {

@@ -38,9 +38,7 @@ enum class TransportKind {
 };
 
 // All construction-time knobs in one place, so a cluster's configuration is complete at
-// the constructor call. The matching controller setters (set_serialized_batching etc.)
-// remain for tests and benches that reconfigure a built cluster, but new code should
-// prefer these fields.
+// the constructor call.
 struct ClusterOptions {
   int workers = 4;
   int partitions = 8;  // global placement-partition space
@@ -48,13 +46,13 @@ struct ClusterOptions {
   ControlMode mode = ControlMode::kTemplates;
   TransportKind transport = TransportKind::kSim;
 
-  // --- Controller knobs (DESIGN.md §5, §8, §9) ---
+  // --- Controller knobs (ControllerSwitches; DESIGN.md §5, §8) ---
   // Central dispatch wire form: false = one message per command (the paper's baseline),
   // true = one pre-encoded buffer per worker per stage (DESIGN.md §8, §10).
   bool serialized_batching = false;
+  // Ablations: no auto-validation fast path / no patch cache (paper §4.2).
   bool force_full_validation = false;
   bool disable_patch_cache = false;
-  bool lookahead_enabled = true;
 
   // --- Worker knobs ---
   bool enable_command_log = false;  // workers record their observed command streams

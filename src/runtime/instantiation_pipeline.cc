@@ -99,7 +99,7 @@ void InstantiationPipeline::ValidateJob(const ShardPlan& plan, const VersionMap&
   const std::size_t begin = sub * planned_pres.size() / subs;
   const std::size_t end = (sub + 1) * planned_pres.size() / subs;
   // The shard view is how this sweep promises to stay inside its dense-index range; the
-  // underlying probes are the same flat-array accesses the flat sweep does. The read
+  // underlying probes are the same flat-array accesses the 1-shard sweep does. The read
   // window is the ownership transfer the clang analysis and the shard auditor check:
   // validation jobs may read their shard, never write it.
   ShardedVersionMap sharded(const_cast<VersionMap*>(&versions), shard_count_);
@@ -109,7 +109,7 @@ void InstantiationPipeline::ValidateJob(const ShardPlan& plan, const VersionMap&
     const auto& pre = planned_pres[i].pre;
     ++*checked;
     if (!shard.ExistsDense(pre.object)) {
-      // Not created yet: the block itself creates it on first write (see the flat sweep).
+      // Not created yet: the block itself creates it on first write.
       continue;
     }
     if (!shard.WorkerHasLatestDense(pre.object, pre.worker)) {
@@ -147,7 +147,7 @@ std::vector<core::PatchDirective> InstantiationPipeline::MergeFailures(
     all.insert(all.end(), std::make_move_iterator(f.begin()),
                std::make_move_iterator(f.end()));
   }
-  // Restore the flat sweep's order (compiled preconditions are (object, dst)-sorted, and
+  // Restore compiled order (compiled preconditions are (object, dst)-sorted, and
   // downstream consumers — the patch cache's reuse check — rely on it).
   std::sort(all.begin(), all.end(), [](const TaggedFailure& a, const TaggedFailure& b) {
     return a.compiled_index < b.compiled_index;
@@ -160,8 +160,8 @@ std::vector<core::PatchDirective> InstantiationPipeline::MergeFailures(
   return out;
 }
 
-// The flat precondition sweep (TemplateManager::Validate's logic) over one shard's planned
-// range, appending directly in compiled order.
+// The precondition sweep over one shard's planned range, appending directly in compiled
+// order.
 namespace {
 template <typename PlannedRange>
 std::uint64_t SweepPreconditions(const PlannedRange& range, const VersionMap& versions,
@@ -271,8 +271,8 @@ void InstantiationPipeline::ApplyEffects(const core::WorkerTemplateSet& set,
     // the duration of the batch. Checked by clang (REQUIRES on the accessors), by the
     // shard auditor (write window), and by the per-access ownership CHECKs.
     ShardWriteScope window(&shard, audit::JobKind::kApply, job);
-    // Patch copies land before the block's own writes, as in the flat path; per object
-    // both live in the same shard, so the relative order is preserved.
+    // Patch copies land before the block's own writes; per object both live in the same
+    // shard, so the relative order is preserved at any shard count.
     for (const DenseCopy& c : copies_by_shard[s]) {
       shard.RecordCopyToLatestDense(c.object, c.dst);
     }
@@ -322,8 +322,8 @@ void InstantiationPipeline::AssembleChunk(const core::WorkerTemplateSet& set,
     msg.entry_count = half.entries.size();
     std::int64_t wire = 64;
     for (const auto& [slot, blob] : params) {
-      // Route each parameter to the worker owning its entry (the flat path shipped the
-      // full list to every worker and let them discard foreign slots).
+      // Route each parameter to the worker owning its entry (workers used to receive the
+      // full list and discard foreign slots).
       if (slot >= 0 && static_cast<std::size_t>(slot) < meta.size() &&
           meta[static_cast<std::size_t>(slot)].worker == half.worker) {
         msg.params.emplace_back(slot, blob);
@@ -389,7 +389,7 @@ std::vector<WorkerMessage> InstantiationPipeline::AssembleMessages(
     *next_required = MergeFailures(std::move(next_failures));
   }
 
-  // Compact out empty halves, preserving half order (the dispatch order of the flat path).
+  // Compact out empty halves, preserving half order (the dispatch order).
   std::vector<WorkerMessage> out;
   out.reserve(messages.size());
   for (WorkerMessage& m : messages) {
@@ -502,31 +502,6 @@ std::vector<SerializedBatch> InstantiationPipeline::AssembleSerializedBatches(
     out.push_back(std::move(b));
   }
   return out;
-}
-
-// -----------------------------------------------------------------------------------------
-// Full engine-driven instantiation
-// -----------------------------------------------------------------------------------------
-
-InstantiationOutcome InstantiationPipeline::Run(const core::WorkerTemplateSet& set,
-                                                VersionMap* versions, const ParamList& params,
-                                                const core::EditPlan* edits,
-                                                const ResolvePatchFn& resolve_patch,
-                                                const core::WorkerTemplateSet* next_set) {
-  InstantiationOutcome outcome;
-  outcome.required = Validate(set, *versions);
-  if (!outcome.required.empty()) {
-    if (resolve_patch) {
-      outcome.patch = resolve_patch(outcome.required, &outcome.patch_cache_hit);
-    } else {
-      outcome.patch.directives = outcome.required;
-    }
-  }
-  ApplyEffects(set, outcome.patch, versions);  // creates missing objects itself
-  // Overlap point: block N's messages assemble while block N+1 validates.
-  outcome.messages = AssembleMessages(set, params, edits, next_set, versions,
-                                      next_set != nullptr ? &outcome.next_required : nullptr);
-  return outcome;
 }
 
 }  // namespace nimbus::runtime

@@ -1,7 +1,10 @@
 // The sharded instantiation engine (DESIGN.md §7).
 //
-// Splits one worker-template-set instantiation into independent jobs an Executor can run in
-// parallel without giving up the flat path's determinism:
+// The one instantiation path (paper §4.2): validate the set's preconditions, patch the ones
+// that fail (TemplateManager::ResolvePatch consults the patch cache), apply the block's
+// effects to the version map, assemble the worker messages. The controller calls these
+// stages directly, since cost accounting and dispatch interleave with them. Each stage
+// splits into independent jobs an Executor can run in parallel, deterministically:
 //
 //  * validate     — one job per shard, sweeping the shard's slice of the compiled
 //                   precondition array against its dense-index range of the version map;
@@ -13,8 +16,8 @@
 // The assemble batch can additionally carry the *next* block's validate jobs: message
 // assembly never touches the version map, so once block N's deltas are applied, validating
 // block N+1 overlaps with assembling block N's messages (the ROADMAP's pipelined controller
-// loop). With the InlineExecutor the same batches run sequentially in index order and the
-// engine is bit-identical to the flat path — which is why the simulator keeps it.
+// loop). Results are executor- and shard-count-invariant; with the InlineExecutor the same
+// batches run sequentially in index order, which is why the simulator keeps it.
 //
 // Shard plans (which compiled-array entries each shard owns) are cached per worker-template
 // set and revalidated by (map uid, set edit generation, shard count), exactly like compiled
@@ -24,7 +27,6 @@
 #define NIMBUS_SRC_RUNTIME_INSTANTIATION_PIPELINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -75,22 +77,6 @@ struct SerializedBatch {
   bool spliced = false;               // a size-changing override forced a rebuild
 };
 
-// Everything one engine-driven instantiation produced. `required` is what validation found
-// (the resolved patch may come from the patch cache); `next_required` is block N+1's
-// validation result when a next set was supplied for overlap.
-struct InstantiationOutcome {
-  std::vector<core::PatchDirective> required;
-  core::Patch patch;
-  bool patch_cache_hit = false;
-  std::vector<WorkerMessage> messages;
-  std::vector<core::PatchDirective> next_required;
-};
-
-// Resolves the patch for a validation result (typically TemplateManager::ResolvePatchFrom,
-// which consults the patch cache).
-using ResolvePatchFn =
-    std::function<core::Patch(std::vector<core::PatchDirective> required, bool* cache_hit)>;
-
 class InstantiationPipeline {
  public:
   // The pipeline borrows the executor. `shard_count` must be a power of two.
@@ -104,14 +90,16 @@ class InstantiationPipeline {
   std::uint32_t shard_count() const { return shard_count_; }
   Executor* executor() { return executor_; }
 
-  // Sharded equivalent of TemplateManager::Validate: returns the copy directives required
-  // to make all preconditions of `set` hold, in exactly the flat sweep's order.
+  // Returns the copy directives required to make all preconditions of `set` hold, sorted
+  // by (object, dst) — the compiled precondition array's order, at any shard count. Empty
+  // means the set validates as-is. A precondition on an object that does not exist yet is
+  // skipped: the block creates it on first write.
   std::vector<core::PatchDirective> Validate(const core::WorkerTemplateSet& set,
                                              const VersionMap& versions);
 
-  // Sharded equivalent of TemplateManager::ApplyInstantiationEffects: patch-copy effects
-  // plus the compiled write deltas. Object creation (map-global state) runs serially before
-  // the shard batch.
+  // Applies the patch's copy effects and the set's compiled write deltas (write counts and
+  // final holders) — what executing the block does to global state. Object creation
+  // (map-global state) runs serially before the shard batch.
   void ApplyEffects(const core::WorkerTemplateSet& set, const core::Patch& patch,
                     VersionMap* versions);
 
@@ -144,15 +132,6 @@ class InstantiationPipeline {
       const core::WorkerTemplateSet& set, const ParamList& params, std::uint64_t group_seq,
       TaskId task_base, const std::vector<CommandId>& half_bases);
 
-  // One full engine-driven instantiation: validate -> resolve patch -> apply ->
-  // [assemble || validate next]. The bench and the equivalence tests drive this; the
-  // controller calls the stages directly because cost accounting and network dispatch
-  // interleave with them.
-  InstantiationOutcome Run(const core::WorkerTemplateSet& set, VersionMap* versions,
-                           const ParamList& params, const core::EditPlan* edits,
-                           const ResolvePatchFn& resolve_patch,
-                           const core::WorkerTemplateSet* next_set = nullptr);
-
   const ShardCounters& shard_counters() const {
     serial_phase_.Assert();
     return shard_counters_;
@@ -170,7 +149,7 @@ class InstantiationPipeline {
 
  private:
   // A compiled precondition tagged with its index in the compiled array (merging per-shard
-  // failures back into flat-sweep order needs it).
+  // failures back into compiled order needs it).
   struct PlannedPrecondition {
     core::CompiledInstantiation::CompiledPrecondition pre;
     std::uint32_t compiled_index = 0;
@@ -178,7 +157,7 @@ class InstantiationPipeline {
 
   // Each shard's slice of the compiled arrays, cached per set and revalidated by (map uid,
   // set generation, shard count). Entries are *materialized* per shard, not indexed: a
-  // shard's sweep must be a contiguous scan like the flat path's, or the hash partition
+  // shard's sweep must be a contiguous scan like the 1-shard sweep, or the hash partition
   // turns every probe into a cache miss.
   struct ShardPlan {
     std::uint64_t map_uid = 0;
@@ -214,7 +193,7 @@ class InstantiationPipeline {
   };
 
   // A validation failure tagged with its index in the compiled precondition array, so
-  // per-shard results merge back into the flat sweep's order.
+  // per-shard results merge back into compiled order.
   struct TaggedFailure {
     std::uint32_t compiled_index = 0;
     core::PatchDirective directive;

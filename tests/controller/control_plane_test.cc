@@ -161,9 +161,9 @@ TEST(ControlPlaneTest, ForceFullValidationAblation) {
     options.workers = 4;
     options.partitions = 32;
     options.mode = ControlMode::kTemplates;
+    options.force_full_validation = force_validation;
     Cluster cluster(options);
     Job job(&cluster);
-    cluster.controller().set_force_full_validation(force_validation);
     LogisticRegressionApp app(&job, SmallConfig(32, 4));
     app.Setup();
     app.RunInnerLoop(4);
@@ -184,9 +184,9 @@ TEST(ControlPlaneTest, DisablePatchCacheAblation) {
     options.workers = 3;
     options.partitions = 6;
     options.mode = ControlMode::kTemplates;
+    options.disable_patch_cache = disable_cache;
     Cluster cluster(options);
     Job job(&cluster);
-    cluster.controller().set_disable_patch_cache(disable_cache);
     LogisticRegressionApp app(&job, SmallConfig(6, 3));
     app.Setup();
     for (int round = 0; round < 5; ++round) {

@@ -1,9 +1,15 @@
-// Unit tests for validation, patching and the patch cache (paper §2.4, §4.2).
+// Unit tests for validation, patching and the patch cache (paper §2.4, §4.2), driven
+// through the instantiation engine's stages as the controller runs them (InlineExecutor,
+// 1 shard).
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/core/patch.h"
 #include "src/core/template_manager.h"
+#include "src/runtime/executor.h"
+#include "src/runtime/instantiation_pipeline.h"
 
 namespace nimbus::core {
 namespace {
@@ -19,6 +25,8 @@ struct Fixture {
   TemplateId tid;
   WorkerTemplateSet* set = nullptr;
   VersionMap versions;
+  runtime::InlineExecutor executor;
+  runtime::InstantiationPipeline pipeline{&executor, 1};
 
   // Block: workers 0 and 1 each read broadcast object 100 and write their own output.
   Fixture() {
@@ -32,12 +40,19 @@ struct Fixture {
     versions.CreateObject(LogicalObjectId(0), WorkerId(0));
     versions.CreateObject(LogicalObjectId(1), WorkerId(1));
   }
+
+  std::vector<PatchDirective> Validate() { return pipeline.Validate(*set, versions); }
+
+  // Validates, then resolves the result against the patch cache as entered from `prev`.
+  Patch Resolve(std::uint64_t prev, bool* hit) {
+    return manager.ResolvePatch(*set, prev, versions, Validate(), hit);
+  }
 };
 
 TEST(PatchTest, ValidationFindsMissingReplicas) {
   Fixture f;
   // Object 100 lives only on worker 0; worker 1's precondition fails.
-  const auto needed = f.manager.Validate(*f.set, f.versions);
+  const auto needed = f.Validate();
   ASSERT_EQ(needed.size(), 1u);
   EXPECT_EQ(needed[0].object, LogicalObjectId(100));
   EXPECT_EQ(needed[0].src, WorkerId(0));
@@ -47,29 +62,43 @@ TEST(PatchTest, ValidationFindsMissingReplicas) {
 TEST(PatchTest, ValidationPassesWhenReplicated) {
   Fixture f;
   f.versions.RecordCopyToLatest(LogicalObjectId(100), WorkerId(1));
-  EXPECT_TRUE(f.manager.Validate(*f.set, f.versions).empty());
+  EXPECT_TRUE(f.Validate().empty());
 }
 
 TEST(PatchTest, ResolveCachesAndHits) {
   Fixture f;
   bool hit = true;
-  Patch p1 = f.manager.ResolvePatch(*f.set, 7, f.versions, &hit);
+  Patch p1 = f.Resolve(7, &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(p1.size(), 1u);
   // Same preceding control flow, same system state: cache hit.
-  Patch p2 = f.manager.ResolvePatch(*f.set, 7, f.versions, &hit);
+  Patch p2 = f.Resolve(7, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(p2.size(), 1u);
   EXPECT_EQ(f.manager.patch_cache().hits(), 1u);
   EXPECT_EQ(f.manager.patch_cache().misses(), 1u);
+
+  // Reuse demands exactly the currently-failing set, under unchanged stamps: a different
+  // directive count, or the same count with an uncovered (object, dst), is refused.
+  PatchCache& cache = f.manager.mutable_patch_cache();
+  const std::vector<PatchDirective> required = f.Validate();
+  EXPECT_NE(cache.Reusable(7, f.set->id(), required, f.set->generation(), f.versions),
+            nullptr);
+  std::vector<PatchDirective> more = required;
+  more.push_back({LogicalObjectId(100), WorkerId(0), WorkerId(2), 64});
+  EXPECT_EQ(cache.Reusable(7, f.set->id(), more, f.set->generation(), f.versions), nullptr);
+  std::vector<PatchDirective> uncovered = required;
+  uncovered[0].dst = WorkerId(2);
+  EXPECT_EQ(cache.Reusable(7, f.set->id(), uncovered, f.set->generation(), f.versions),
+            nullptr);
 }
 
 TEST(PatchTest, DifferentPredecessorIsDifferentCacheEntry) {
   Fixture f;
   bool hit = true;
-  f.manager.ResolvePatch(*f.set, 7, f.versions, &hit);
+  f.Resolve(7, &hit);
   EXPECT_FALSE(hit);
-  f.manager.ResolvePatch(*f.set, 8, f.versions, &hit);
+  f.Resolve(8, &hit);
   EXPECT_FALSE(hit);  // entered from different control flow
   EXPECT_EQ(f.manager.patch_cache().size(), 2u);
 }
@@ -77,11 +106,16 @@ TEST(PatchTest, DifferentPredecessorIsDifferentCacheEntry) {
 TEST(PatchTest, StaleCachedPatchIsRecomputed) {
   Fixture f;
   bool hit = true;
-  f.manager.ResolvePatch(*f.set, 7, f.versions, &hit);
+  const Patch cached = f.Resolve(7, &hit);
   EXPECT_FALSE(hit);
   // The source moves: object 100's latest is now on worker 2 only.
   f.versions.RecordWrite(LogicalObjectId(100), WorkerId(2));
-  Patch p = f.manager.ResolvePatch(*f.set, 7, f.versions, &hit);
+  // A write moves no churn stamp, and the old failing set is still covered exactly, yet
+  // the cache refuses it: the directive's source no longer holds the latest version.
+  EXPECT_EQ(f.manager.mutable_patch_cache().Reusable(7, f.set->id(), cached.directives,
+                                                     f.set->generation(), f.versions),
+            nullptr);
+  Patch p = f.Resolve(7, &hit);
   EXPECT_FALSE(hit) << "cached patch has a stale source and must be recomputed";
   // Both workers now need the object (worker 0 lost latest too).
   EXPECT_EQ(p.size(), 2u);
@@ -93,27 +127,27 @@ TEST(PatchTest, StaleCachedPatchIsRecomputed) {
 TEST(PatchTest, WorkerChurnInvalidatesCachedPatchByEpoch) {
   Fixture f;
   bool hit = true;
-  f.manager.ResolvePatch(*f.set, 7, f.versions, &hit);
+  f.Resolve(7, &hit);
   EXPECT_FALSE(hit);
   // Churn that does not disturb this patch's source: another worker's instance vanishes.
   // The epoch key refuses the entry outright (no source re-validation is attempted).
   f.versions.DropInstance(LogicalObjectId(0), WorkerId(0));
-  Patch p = f.manager.ResolvePatch(*f.set, 7, f.versions, &hit);
+  Patch p = f.Resolve(7, &hit);
   EXPECT_FALSE(hit) << "a churn-epoch mismatch must read as a miss";
   EXPECT_EQ(p.size(), 1u);
   // The entry was re-stored under the current epoch: steady state hits again.
-  f.manager.ResolvePatch(*f.set, 7, f.versions, &hit);
+  f.Resolve(7, &hit);
   EXPECT_TRUE(hit);
 }
 
 TEST(PatchTest, SetEditInvalidatesCachedPatchByGeneration) {
   Fixture f;
   bool hit = true;
-  f.manager.ResolvePatch(*f.set, 7, f.versions, &hit);
+  f.Resolve(7, &hit);
   EXPECT_FALSE(hit);
   // Any edit that can change preconditions bumps the set generation and voids the entry.
   f.set->AddPrecondition(LogicalObjectId(100), WorkerId(0));
-  f.manager.ResolvePatch(*f.set, 7, f.versions, &hit);
+  f.Resolve(7, &hit);
   EXPECT_FALSE(hit) << "a set-generation mismatch must read as a miss";
 }
 
@@ -124,41 +158,21 @@ TEST(PatchTest, CacheCapsAndEvicts) {
   bool hit = false;
   // Distinct predecessors create distinct entries; the cap bounds the table.
   for (std::uint64_t prev = 0; prev < 10; ++prev) {
-    f.manager.ResolvePatch(*f.set, prev, f.versions, &hit);
+    f.Resolve(prev, &hit);
   }
   EXPECT_LE(cache.size(), 4u);
   EXPECT_EQ(cache.counters().evictions, 6u);
   EXPECT_EQ(cache.counters().misses, 10u);
   // The most recently used entry survived.
-  f.manager.ResolvePatch(*f.set, 9, f.versions, &hit);
+  f.Resolve(9, &hit);
   EXPECT_TRUE(hit);
 }
 
-TEST(PatchTest, PatchStillCorrectRules) {
-  VersionMap versions;
-  versions.CreateObject(LogicalObjectId(1), WorkerId(0));
-
-  Patch cached;
-  cached.directives.push_back({LogicalObjectId(1), WorkerId(0), WorkerId(1), 64});
-  std::vector<PatchDirective> required = cached.directives;
-
-  EXPECT_TRUE(PatchStillCorrect(cached, required, versions));
-
-  // Different size.
-  std::vector<PatchDirective> more = required;
-  more.push_back({LogicalObjectId(1), WorkerId(0), WorkerId(2), 64});
-  EXPECT_FALSE(PatchStillCorrect(cached, more, versions));
-
-  // Source no longer holds latest.
-  versions.RecordWrite(LogicalObjectId(1), WorkerId(3));
-  EXPECT_FALSE(PatchStillCorrect(cached, required, versions));
-}
-
-TEST(PatchTest, ApplyInstantiationEffectsAdvancesVersions) {
+TEST(PatchTest, ApplyEffectsAdvancesVersions) {
   Fixture f;
   Patch patch;
   patch.directives.push_back({LogicalObjectId(100), WorkerId(0), WorkerId(1), 64});
-  f.manager.ApplyInstantiationEffects(*f.set, patch, &f.versions);
+  f.pipeline.ApplyEffects(*f.set, patch, &f.versions);
   // Patch effect: worker 1 now has the broadcast object.
   EXPECT_TRUE(f.versions.WorkerHasLatest(LogicalObjectId(100), WorkerId(1)));
   // Write deltas: both outputs advanced one version on their writers.
@@ -173,11 +187,11 @@ TEST(PatchTest, RepeatedInstantiationKeepsValidating) {
   // updated version map (the auto-validation invariant).
   Fixture f;
   f.versions.RecordCopyToLatest(LogicalObjectId(100), WorkerId(1));
-  ASSERT_TRUE(f.manager.Validate(*f.set, f.versions).empty());
+  ASSERT_TRUE(f.Validate().empty());
   for (int i = 0; i < 5; ++i) {
     Patch none;
-    f.manager.ApplyInstantiationEffects(*f.set, none, &f.versions);
-    EXPECT_TRUE(f.manager.Validate(*f.set, f.versions).empty()) << "iteration " << i;
+    f.pipeline.ApplyEffects(*f.set, none, &f.versions);
+    EXPECT_TRUE(f.Validate().empty()) << "iteration " << i;
   }
 }
 

@@ -11,6 +11,8 @@
 
 #include "src/core/template_manager.h"
 #include "src/core/worker_template.h"
+#include "src/runtime/executor.h"
+#include "src/runtime/instantiation_pipeline.h"
 
 namespace nimbus::core {
 namespace {
@@ -169,8 +171,13 @@ TEST(ProjectionDeterminismTest, ValidationIdenticalAcrossEquivalentProjections) 
   // An empty version map fails every created-object precondition the same way for both.
   VersionMap versions;
   versions.CreateObject(LogicalObjectId(1000), WorkerId(3));  // broadcast object elsewhere
-  const auto needed_a = ma.Validate(set_a, versions);
-  const auto needed_b = mb.Validate(set_b, versions);
+  // One engine per set: both projections carry id 0, and the engine caches shard plans by
+  // set id.
+  runtime::InlineExecutor executor;
+  runtime::InstantiationPipeline pipeline_a(&executor, 1);
+  runtime::InstantiationPipeline pipeline_b(&executor, 1);
+  const auto needed_a = pipeline_a.Validate(set_a, versions);
+  const auto needed_b = pipeline_b.Validate(set_b, versions);
   ASSERT_EQ(needed_a.size(), needed_b.size());
   for (std::size_t i = 0; i < needed_a.size(); ++i) {
     EXPECT_EQ(needed_a[i].object, needed_b[i].object);

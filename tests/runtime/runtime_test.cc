@@ -4,7 +4,9 @@
 //  * InlineExecutor and ThreadPoolExecutor must produce identical version-map final states
 //    and identical worker message streams for the same instantiation sequence (the
 //    determinism contract that lets the simulator keep the inline executor);
-//  * the engine's stages must match the flat TemplateManager path they parallelize.
+//  * the engine's validate and apply stages must match test-local references: a sparse
+//    validation oracle over the set's uncompiled preconditions, and a serial sweep over
+//    the compiled write deltas.
 
 #include <gtest/gtest.h>
 
@@ -180,7 +182,7 @@ TEST(ExecutorTest, InlineRunsInIndexOrder) {
 }
 
 // -----------------------------------------------------------------------------------------
-// Engine equivalence: executors, shard counts, and the flat TemplateManager path
+// Engine equivalence: executors, shard counts, and the test-local references
 // -----------------------------------------------------------------------------------------
 
 // A small LR-shaped block (P map tasks reading a broadcast object, G reduces, 1 update)
@@ -289,6 +291,73 @@ bool MessagesEqual(const std::vector<WorkerMessage>& a, const std::vector<Worker
   return true;
 }
 
+// Reference for the validate stage, written on the sparse VersionMap API over the set's
+// uncompiled preconditions. It shares nothing with the compiled sweep, so a compilation
+// error (wrong dense id, dropped or reordered entry) shows up as a mismatch too.
+std::vector<core::PatchDirective> OracleValidate(const core::WorkerTemplateSet& set,
+                                                 const VersionMap& versions) {
+  std::vector<core::PatchDirective> needed;
+  for (const auto& [pre, refcount] : set.preconditions()) {
+    if (!versions.Exists(pre.object)) {
+      continue;  // the block creates it on first write
+    }
+    if (!versions.WorkerHasLatest(pre.object, pre.worker)) {
+      needed.push_back(core::PatchDirective{pre.object, versions.AnyLatestHolder(pre.object),
+                                            pre.worker, set.ObjectBytes(pre.object)});
+    }
+  }
+  return needed;
+}
+
+// Reference for the apply stage: patch copies, then one serial sweep over the compiled
+// write deltas.
+void OracleApply(const core::WorkerTemplateSet& set, const core::Patch& patch,
+                 VersionMap* versions) {
+  for (const core::PatchDirective& d : patch.directives) {
+    versions->RecordCopyToLatest(d.object, d.dst);
+  }
+  for (const auto& delta : set.CompiledFor(*versions).write_deltas) {
+    if (!versions->ExistsDense(delta.object)) {
+      versions->CreateObjectDense(delta.object, delta.primary_holder);
+    }
+    versions->AdvanceVersionsDense(delta.object, delta.primary_holder, delta.write_count);
+    for (DenseIndex holder : delta.extra_holders) {
+      versions->RecordCopyToLatestDense(delta.object, holder);
+    }
+  }
+}
+
+// What one instantiation produced. `required` is what validation found (the applied patch
+// may come from the patch cache); `next_required` is the overlapped validation of the next
+// set.
+struct Outcome {
+  std::vector<core::PatchDirective> required;
+  std::vector<WorkerMessage> messages;
+  std::vector<core::PatchDirective> next_required;
+};
+
+// One instantiation as the controller sequences the engine's stages: validate -> resolve
+// the patch (through `patches`' cache, keyed as entered from predecessor 7; every failure
+// copied when null) -> apply -> [assemble || validate `next_set`].
+Outcome Instantiate(InstantiationPipeline* pipeline, const core::WorkerTemplateSet& set,
+                    VersionMap* versions, const ParamList& params,
+                    core::TemplateManager* patches,
+                    const core::WorkerTemplateSet* next_set = nullptr) {
+  Outcome out;
+  out.required = pipeline->Validate(set, *versions);
+  core::Patch patch;
+  if (patches != nullptr) {
+    patch = patches->ResolvePatch(set, /*prev_executed=*/7, *versions, out.required);
+  } else {
+    patch.directives = out.required;
+  }
+  pipeline->ApplyEffects(set, patch, versions);
+  out.messages = pipeline->AssembleMessages(
+      set, params, /*edits=*/nullptr, next_set, versions,
+      next_set != nullptr ? &out.next_required : nullptr);
+  return out;
+}
+
 // Runs `iters` engine-driven instantiations, perturbing the broadcast object's residency
 // between them so validation produces real patches, and routing some params.
 RunTrace RunEngine(Executor* executor, std::uint32_t shards, int iters) {
@@ -313,12 +382,7 @@ RunTrace RunEngine(Executor* executor, std::uint32_t shards, int iters) {
                            block->assignment.WorkerFor(
                                i % block->assignment.partition_count()));
     }
-    InstantiationOutcome outcome =
-        pipeline.Run(set, &versions, params, /*edits=*/nullptr,
-                     [&](std::vector<core::PatchDirective> required, bool* hit) {
-                       return block->manager.ResolvePatchFrom(set, /*prev=*/7, versions,
-                                                              std::move(required), hit);
-                     });
+    Outcome outcome = Instantiate(&pipeline, set, &versions, params, &block->manager);
     trace.patches.push_back(outcome.required);
     trace.messages.push_back(std::move(outcome.messages));
   }
@@ -355,45 +419,52 @@ TEST(InstantiationEngineTest, InlineAndThreadPoolProduceIdenticalResults) {
   }
 }
 
-TEST(InstantiationEngineTest, StagesMatchFlatTemplateManagerPath) {
+TEST(InstantiationEngineTest, StagesMatchSparseOracle) {
   auto block = BuildMicroBlock(16, 4);
   core::WorkerTemplateSet set = core::ProjectBlock(
       *block->manager.Find(block->template_id), block->assignment, WorkerTemplateId(0),
       [](LogicalObjectId) { return 80; });
 
-  VersionMap flat_map;
-  SeedVersions(*block, &flat_map);
-  VersionMap engine_map = flat_map;  // forks the id space (fresh uid)
-
-  // Perturb both identically so validation fails somewhere.
-  flat_map.RecordWrite(block->coeff, block->assignment.WorkerFor(1));
-  engine_map.RecordWrite(block->coeff, block->assignment.WorkerFor(1));
+  VersionMap oracle_map;
+  SeedVersions(*block, &oracle_map);
+  VersionMap engine_map = oracle_map;  // forks the id space (fresh uid)
 
   InlineExecutor inline_exec;
   InstantiationPipeline pipeline(&inline_exec, 4);
 
-  const auto flat_required = block->manager.Validate(set, flat_map);
-  const auto engine_required = pipeline.Validate(set, engine_map);
-  ASSERT_FALSE(flat_required.empty());
-  EXPECT_TRUE(DirectivesEqual(flat_required, engine_required));
+  std::size_t total_failures = 0;
+  for (int round = 0; round < 3; ++round) {
+    // Perturb both identically so validation fails somewhere, from a different writer
+    // each round.
+    const WorkerId writer = block->assignment.WorkerFor(round + 1);
+    oracle_map.RecordWrite(block->coeff, writer);
+    engine_map.RecordWrite(block->coeff, writer);
 
-  core::Patch patch;
-  patch.directives = flat_required;
-  block->manager.ApplyInstantiationEffects(set, patch, &flat_map);
-  pipeline.ApplyEffects(set, patch, &engine_map);
-  EXPECT_TRUE(SnapshotsEqual(flat_map.Snapshot(), engine_map.Snapshot()));
+    const auto oracle_required = OracleValidate(set, oracle_map);
+    const auto engine_required = pipeline.Validate(set, engine_map);
+    ASSERT_FALSE(oracle_required.empty()) << "round " << round;
+    EXPECT_TRUE(DirectivesEqual(oracle_required, engine_required)) << "round " << round;
+    total_failures += oracle_required.size();
+
+    core::Patch patch;
+    patch.directives = oracle_required;
+    OracleApply(set, patch, &oracle_map);
+    pipeline.ApplyEffects(set, patch, &engine_map);
+    EXPECT_TRUE(SnapshotsEqual(oracle_map.Snapshot(), engine_map.Snapshot()))
+        << "round " << round;
+  }
 
   const ShardCounters& counters = pipeline.shard_counters();
-  EXPECT_EQ(counters.validate_batches, 1u);
-  EXPECT_EQ(counters.apply_batches, 1u);
+  EXPECT_EQ(counters.validate_batches, 3u);
+  EXPECT_EQ(counters.apply_batches, 3u);
   std::uint64_t checked = 0;
   std::uint64_t failures = 0;
   for (std::uint32_t s = 0; s < 4; ++s) {
     checked += counters.preconditions_checked[s];
     failures += counters.validation_failures[s];
   }
-  EXPECT_GT(checked, 0u);
-  EXPECT_EQ(failures, flat_required.size());
+  EXPECT_EQ(checked, 3 * set.preconditions().size());
+  EXPECT_EQ(failures, total_failures);
 }
 
 TEST(InstantiationEngineTest, OverlappedNextBlockValidationMatchesSequential) {
@@ -411,8 +482,8 @@ TEST(InstantiationEngineTest, OverlappedNextBlockValidationMatchesSequential) {
 
   InlineExecutor inline_exec;
   InstantiationPipeline pipeline(&inline_exec, 2);
-  InstantiationOutcome outcome =
-      pipeline.Run(set_a, &versions, {}, nullptr, /*resolve_patch=*/nullptr, &set_b);
+  const Outcome outcome =
+      Instantiate(&pipeline, set_a, &versions, {}, /*patches=*/nullptr, &set_b);
 
   // The overlapped validation of block B must equal validating B after A's effects.
   const auto sequential = pipeline.Validate(set_b, versions);

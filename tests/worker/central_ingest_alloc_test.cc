@@ -95,8 +95,8 @@ struct Rig {
 // tasks reading a partition and the coefficients, a partial reduce over their outputs that
 // waits on all of them, and the copy sending the partial to the reducing worker. Ids are
 // one contiguous range from `base`, exactly as the controller allocates them.
-std::vector<Command> LrHalf(const Rig& rig, std::uint64_t seq, CommandId base, TaskId task_base,
-                            int gradients) {
+std::vector<Command> LrHalf(const Rig& rig, std::uint64_t seq, CommandId base,
+                            TaskId task_base, int gradients) {
   std::vector<Command> cmds;
   auto next_id = [&] { return CommandId(base.value() + cmds.size()); };
   std::vector<LogicalObjectId> grads;
