@@ -211,10 +211,8 @@ void BM_ControllerLoopPipelined(benchmark::State& state) {
   options.workers = kLoopWorkers;
   options.partitions = kLoopPartitions;
   options.mode = ControlMode::kTemplates;
+  options.worker_executor = pool.get();
   Cluster cluster(options);
-  if (pool != nullptr) {
-    cluster.SetWorkerExecutor(pool.get());
-  }
   Job job(&cluster);
 
   const VariableId data = job.DefineVariable("data", kLoopPartitions, 1 << 16);

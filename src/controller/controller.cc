@@ -451,7 +451,6 @@ void NimbusController::DispatchCentralBlock(
       wire::SerializedBatchEnvelope e;
       e.group_seq = seq;
       e.expected_total = total;
-      e.barrier = true;
       e.batch = std::move(bytes);
       transport_->Send(net::NodeAddress::Controller(), dst, MessageKind::kSerializedBatch,
                        wire::EncodeSerializedBatchEnvelope(e), wire);
@@ -518,7 +517,6 @@ void NimbusController::DispatchSetCentrally(
         envelope.group_seq = seq;
         envelope.expected_total = total;
         envelope.finalize = final;
-        envelope.barrier = true;
         envelope.commands.push_back(std::move(cmd));
         transport_->Send(net::NodeAddress::Controller(), dst, MessageKind::kCommand,
                          wire::EncodeCommandsEnvelope(envelope), wire);
@@ -595,13 +593,12 @@ void NimbusController::DispatchPatch(const core::Patch& patch, PendingBlock* blo
     }
     // Route through the control thread so patches keep FIFO order with respect to any
     // still-draining per-task dispatches of earlier stages (workers rely on arrival
-    // order to sequence barrier groups).
+    // order to sequence groups).
     control_thread_.Submit(0, [this, dst = worker->address(), cmds = std::move(cmds), seq,
                                total, wire]() mutable {
       wire::CommandsEnvelope e;
       e.group_seq = seq;
       e.expected_total = total;
-      e.barrier = true;
       e.commands = std::move(cmds);
       transport_->Send(net::NodeAddress::Controller(), dst, MessageKind::kCommand,
                        wire::EncodeCommandsEnvelope(e), wire);
@@ -1105,7 +1102,6 @@ void NimbusController::TriggerCheckpoint(std::uint64_t driver_marker,
     wire::CommandsEnvelope e;
     e.group_seq = seq;
     e.expected_total = cmds.size();
-    e.barrier = true;
     e.commands = std::move(cmds);
     transport_->Send(net::NodeAddress::Controller(), w->address(), MessageKind::kCommand,
                      wire::EncodeCommandsEnvelope(e), /*cost_bytes=*/64);

@@ -294,7 +294,7 @@ class NimbusController {
   // the worker resolves ids and edges by offset from the range's base (DESIGN.md §8).
   void AssignGroupIdRanges(std::map<WorkerId, std::vector<Command>>* per_worker);
 
-  // Sends the patch as barrier command groups (send half on src, receive half on dst).
+  // Sends the patch as command groups (send half on src, receive half on dst).
   void DispatchPatch(const core::Patch& patch, PendingBlock* block);
 
   // The one central-dispatch body (every submitted stage and both template bring-up

@@ -203,12 +203,6 @@ std::vector<WorkerId> Cluster::worker_ids() const {
   return out;
 }
 
-void Cluster::SetWorkerExecutor(runtime::Executor* executor) {
-  for (auto& w : workers_) {
-    w->set_executor(executor);
-  }
-}
-
 void Cluster::FailWorker(WorkerId id) {
   for (auto& w : workers_) {
     if (w->id() == id) {

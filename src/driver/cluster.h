@@ -146,12 +146,6 @@ class Cluster {
   // Simulator: no-op — the sim network has no connections to cut.
   void SeverConnection(net::NodeAddress a, net::NodeAddress b);
 
-  // Deprecated: prefer ClusterOptions::worker_executor. Points every worker's
-  // materialization at `executor` (DESIGN.md §9.3); nullptr restores the built-in
-  // InlineExecutor. The cluster borrows the executor — the caller keeps it alive for the
-  // cluster's lifetime (declare it before the cluster).
-  void SetWorkerExecutor(runtime::Executor* executor);
-
  private:
   net::Transport::Handler MakeWorkerHandler(Worker* worker);
   net::Transport::Handler MakeControllerHandler();

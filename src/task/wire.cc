@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -256,41 +259,21 @@ void PatchHeader(ParameterBlob* bytes, std::uint64_t group_seq, CommandId comman
 
 namespace {
 
-// ---- Envelope building blocks ----
-
-// Every encoder computes its envelope's exact size first and writes one presized buffer:
-// one allocation per envelope, blobs and id sets appended in bulk (DESIGN.md §10.1).
-// `body_size` excludes the 5-byte header.
-BlobWriter StartEnvelope(EnvelopeType type, std::size_t body_size) {
-  BlobWriter w;
-  w.Reserve(kEnvelopeHeaderSize + body_size);
-  w.WriteU32(kEnvelopeMagic);
-  w.WriteU8(static_cast<std::uint8_t>(type));
-  return w;
-}
-
-// Hands the encoded envelope out. A size helper that drifted from its writer would cost a
-// silent reallocation, so the presize is pinned here.
-ParameterBlob FinishEnvelope(BlobWriter* w, std::size_t body_size) {
-  NIMBUS_CHECK_EQ(w->size(), kEnvelopeHeaderSize + body_size)
-      << "envelope presize drifted from the encoder";
-  return w->Take();
-}
-
-// Reads + validates the header and pins the expected type (each decoder knows what it is
-// decoding; cross-type dispatch goes through PeekEnvelopeType first).
-void OpenEnvelope(BlobReader* r, EnvelopeType expected) {
-  const std::uint32_t magic = r->ReadU32();
-  NIMBUS_CHECK_EQ(magic, kEnvelopeMagic) << "not a wire-format envelope";
-  const std::uint8_t type_byte = r->ReadU8();
-  NIMBUS_CHECK_LT(type_byte, kEnvelopeTypeCount) << "unknown envelope type byte";
-  NIMBUS_CHECK_EQ(type_byte, static_cast<std::uint8_t>(expected))
-      << "envelope type mismatch";
-}
-
-// int32 fields travel as two's-complement i64 (BlobWriter has no 32-bit signed write);
-// sentinel values like -1 survive exactly.
-void WriteI32(BlobWriter* w, std::int32_t v) { w->WriteI64(v); }
+// ---- Envelope layouts ----
+//
+// Each record and each envelope states its wire layout once, as a field walk: `Walk(w, r)`
+// hands r's fields to the walker `w` in wire order. Three walkers run every walk: Measure
+// sums the exact encoded size, Write fills the presized buffer, and Read decodes in place
+// with every bounds, range and flag check. So the size, the bytes and the decoder cannot
+// drift apart. A field's encoding follows from its C++ type (Walker::Field):
+//
+//   bool, enum                     u8; the reader rejects a byte above MaxByte
+//   std::int32_t                   i64 two's complement (sentinels like -1 survive); the
+//                                  reader range-checks it
+//   u64, i64, double, strong id    8 raw bytes (framing assumes a little-endian host)
+//   string, blob, id/double list   u32 count + the raw elements, one bulk copy
+//   any other list                 u32 count + each element's walk
+//   a record                       its Walk
 
 std::int32_t CheckedI32(std::int64_t v) {
   NIMBUS_CHECK_GE(v, INT32_MIN);
@@ -298,317 +281,391 @@ std::int32_t CheckedI32(std::int64_t v) {
   return static_cast<std::int32_t>(v);
 }
 
-std::int32_t ReadI32(BlobReader* r) { return CheckedI32(r->ReadI64()); }
+// Payload kinds of the data-copy envelope: only the two application payloads cross worker
+// boundaries (TypedPayload<T> is in-memory only).
+enum class PayloadKind : std::uint8_t { kNone, kScalar, kVector };
 
-void WriteLenBlob(BlobWriter* w, const ParameterBlob& blob) {
-  w->WriteU32(static_cast<std::uint32_t>(blob.size()));
-  w->WriteBytes(blob.data(), blob.size());
+// The largest valid value of each one-byte field.
+constexpr std::uint8_t MaxByte(bool) { return 1; }
+constexpr std::uint8_t MaxByte(CommandType) {
+  return static_cast<std::uint8_t>(CommandType::kFileSave);
+}
+constexpr std::uint8_t MaxByte(core::WorkerEditOp::Kind) {
+  return static_cast<std::uint8_t>(core::WorkerEditOp::Kind::kTombstone);
+}
+constexpr std::uint8_t MaxByte(PayloadKind) {
+  return static_cast<std::uint8_t>(PayloadKind::kVector);
 }
 
-std::size_t LenBlobSize(const ParameterBlob& blob) { return 4 + blob.size(); }
+template <typename T>
+struct IsStrongId : std::false_type {};
+template <typename Tag>
+struct IsStrongId<StrongId<Tag>> : std::true_type {};
 
-// Fixed bytes of one full-field command record (id sets and params add to it).
-constexpr std::size_t kCommandFullFixed = 98;
+template <typename T>
+constexpr bool kIsWord = std::is_same_v<T, std::uint64_t> || std::is_same_v<T, std::int64_t> ||
+                         std::is_same_v<T, double> || IsStrongId<T>::value;
 
-std::size_t CommandFullSize(const Command& cmd) {
-  return kCommandFullFixed +
-         8 * (cmd.before.size() + cmd.read_set.size() + cmd.write_set.size()) +
-         cmd.params.size();
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename E>
+struct IsVector<std::vector<E>> : std::true_type {};
+
+// Lists whose elements travel as raw bytes.
+template <typename T>
+struct IsArray : std::bool_constant<std::is_same_v<T, std::string> ||
+                                    std::is_same_v<T, std::string_view>> {};
+template <typename E>
+struct IsArray<std::vector<E>>
+    : std::bool_constant<std::is_same_v<E, std::uint8_t> || kIsWord<E>> {};
+
+// Dispatches each walked field to the walker's encoding for its type (the table above).
+template <typename Self>
+struct Walker {
+  template <typename... F>
+  void operator()(F&... fields) {
+    (Field(fields), ...);
+  }
+
+  template <typename T>
+  void Field(T& v) {
+    using U = std::remove_const_t<T>;
+    Self& self = static_cast<Self&>(*this);
+    if constexpr (std::is_same_v<U, bool> || std::is_enum_v<U>) {
+      self.Byte(v);
+    } else if constexpr (std::is_same_v<U, std::int32_t>) {
+      self.I32(v);
+    } else if constexpr (kIsWord<U>) {
+      static_assert(sizeof(U) == 8 && std::is_trivially_copyable_v<U>);
+      self.Word(v);
+    } else if constexpr (IsArray<U>::value) {
+      self.Array(v);
+    } else if constexpr (IsVector<U>::value) {
+      self.List(v);
+    } else {
+      Walk(self, v);
+    }
+  }
+};
+
+// Sums the exact encoded size of what it walks. `spare` lists are never encoded.
+struct Measure : Walker<Measure> {
+  template <typename T>
+  void Byte(const T&) { size += 1; }
+  void I32(std::int32_t) { size += 8; }
+  template <typename T>
+  void Word(const T&) { size += 8; }
+  template <typename A>
+  void Array(const A& a) { size += 4 + a.size() * sizeof(a[0]); }
+  template <typename T>
+  void List(const std::vector<T>& items, const std::vector<T>* /*spare*/ = nullptr) {
+    size += 4;
+    for (const T& item : items) {
+      (*this)(item);
+    }
+  }
+
+  std::size_t size = 0;
+};
+
+// The measured size of a default T, the least a T takes on the wire: a list count that
+// claims more T's than the remaining bytes could hold fails before the list grows.
+template <typename T>
+std::size_t MinSize() {
+  static const std::size_t size = [] {
+    Measure measure;
+    const T record{};
+    measure(record);
+    return measure.size;
+  }();
+  return size;
 }
 
-void ReadLenBlob(BlobReader* r, ParameterBlob* out) {
-  const std::uint32_t n = r->ReadU32();
-  r->ReadBlob(n, out);  // bounds-checked before allocation
-}
+// Appends what it walks to a presized BlobWriter, blobs and id arrays in one copy each.
+struct Write : Walker<Write> {
+  explicit Write(BlobWriter* out) : out_(out) {}
+  template <typename T>
+  void Byte(const T& v) { out_->WriteU8(static_cast<std::uint8_t>(v)); }
+  void I32(std::int32_t v) { out_->WriteI64(v); }
+  template <typename T>
+  void Word(const T& v) { out_->WriteBytes(&v, sizeof(v)); }
+  template <typename A>
+  void Array(const A& a) {
+    out_->WriteU32(static_cast<std::uint32_t>(a.size()));
+    out_->WriteBytes(a.data(), a.size() * sizeof(a[0]));
+  }
+  template <typename T>
+  void List(const std::vector<T>& items, const std::vector<T>* /*spare*/ = nullptr) {
+    out_->WriteU32(static_cast<std::uint32_t>(items.size()));
+    for (const T& item : items) {
+      (*this)(item);
+    }
+  }
+
+  BlobWriter* out_;
+};
+
+// Decodes what it walks in place. Every read is bounds-checked, and every count is checked
+// against the remaining bytes before its list grows. Lists resize within the capacity they
+// kept, so refilling a reused envelope of the same shape allocates nothing.
+struct Read : Walker<Read> {
+  explicit Read(BlobReader* in) : in_(in) {}
+  template <typename T>
+  void Byte(T& v) {
+    const std::uint8_t byte = in_->ReadU8();
+    NIMBUS_CHECK_LE(byte, MaxByte(T{})) << "unknown flag, type or kind byte";
+    v = static_cast<T>(byte);
+  }
+  void I32(std::int32_t& v) { v = CheckedI32(in_->ReadI64()); }
+  template <typename T>
+  void Word(T& v) { std::memcpy(&v, in_->Span(sizeof(v)), sizeof(v)); }
+  template <typename A>
+  void Array(A& a) {
+    using E = typename A::value_type;
+    const std::size_t n = in_->ReadU32();
+    const std::uint8_t* span = in_->Span(n * sizeof(E));  // bounds before allocation
+    if constexpr (sizeof(E) == 1) {
+      const auto* first = reinterpret_cast<const E*>(span);
+      a.assign(first, first + n);
+    } else {
+      a.resize(n);
+      if (n > 0) {
+        std::memcpy(a.data(), span, n * sizeof(E));
+      }
+    }
+  }
+  // `spare` (CommandsEnvelope::spare) takes the records a shorter list does not need.
+  template <typename T>
+  void List(std::vector<T>& items, std::vector<T>* spare = nullptr) {
+    const std::size_t n = in_->ReadU32();
+    NIMBUS_CHECK_LE(n * MinSize<T>(), in_->remaining());
+    if (spare != nullptr) {
+      ResizeKeepingSpares(&items, spare, n);
+    } else {
+      items.resize(n);
+    }
+    for (T& item : items) {
+      (*this)(item);
+    }
+  }
+  // Object refs are the bulk of a stage list: one Span bounds-checks the whole array, then
+  // each record is copied out of it with only its partition's int32 range check.
+  void List(std::vector<ObjRef>& refs) {
+    const std::size_t stride = MinSize<ObjRef>();  // u64 variable, i64 partition
+    const std::size_t n = in_->ReadU32();
+    const std::uint8_t* span = in_->Span(n * stride);
+    refs.resize(n);
+    for (ObjRef& ref : refs) {
+      std::uint64_t variable = 0;
+      std::int64_t partition = 0;
+      std::memcpy(&variable, span, sizeof(variable));
+      std::memcpy(&partition, span + sizeof(variable), sizeof(partition));
+      span += stride;
+      ref.variable = VariableId(variable);
+      ref.partition = CheckedI32(partition);
+    }
+  }
+
+  BlobReader* in_;
+};
+
+// `Walk(w, r)` for a record type R matches R and const R alike: the read walk passes
+// mutable records, the measure and write walks const ones.
+template <typename T, typename R>
+using IfRecord = std::enable_if_t<std::is_same_v<std::remove_const_t<T>, R>>;
 
 // Full-field command record: unlike the NBW1 batch records, every field is on the wire
 // absolutely (no header bases, no foreign-field default contract), so any Command
 // round-trips exactly regardless of which control path built it.
-void WriteCommandFull(BlobWriter* w, const Command& cmd) {
-  w->WriteU8(static_cast<std::uint8_t>(cmd.type));
-  w->WriteU64(cmd.id.value());
-  WriteIdSet(w, cmd.before);
-  WriteIdSet(w, cmd.read_set);
-  WriteIdSet(w, cmd.write_set);
-  WriteLenBlob(w, cmd.params);
-  w->WriteU64(cmd.task_id.value());
-  w->WriteU64(cmd.function.value());
-  w->WriteI64(cmd.duration);
-  w->WriteU8(cmd.returns_scalar ? 1 : 0);
-  w->WriteU64(cmd.copy_id.value());
-  w->WriteU64(cmd.peer.value());
-  w->WriteU64(cmd.copy_object.value());
-  w->WriteU64(cmd.copy_version);
-  w->WriteI64(cmd.copy_bytes);
-  w->WriteU64(cmd.data_object.value());
+template <typename W, typename T>
+IfRecord<T, Command> Walk(W& w, T& c) {
+  w(c.type, c.id, c.before, c.read_set, c.write_set, c.params, c.task_id, c.function,
+    c.duration, c.returns_scalar, c.copy_id, c.peer, c.copy_object, c.copy_version,
+    c.copy_bytes, c.data_object);
 }
 
-// Assigns every field of `cmd`, so a reused record keeps only its vectors' capacity.
-void ReadCommandFull(BlobReader* r, Command* out) {
-  Command& cmd = *out;
-  const std::uint8_t type_byte = r->ReadU8();
-  NIMBUS_CHECK_LE(type_byte, static_cast<std::uint8_t>(CommandType::kFileSave))
-      << "unknown command type byte";
-  cmd.type = static_cast<CommandType>(type_byte);
-  cmd.id = CommandId(r->ReadU64());
-  ReadIdSet(r, &cmd.before);
-  ReadIdSet(r, &cmd.read_set);
-  ReadIdSet(r, &cmd.write_set);
-  ReadLenBlob(r, &cmd.params);
-  cmd.task_id = TaskId(r->ReadU64());
-  cmd.function = FunctionId(r->ReadU64());
-  cmd.duration = r->ReadI64();
-  const std::uint8_t scalar_flag = r->ReadU8();
-  NIMBUS_CHECK_LE(scalar_flag, 1) << "unknown flag bits";
-  cmd.returns_scalar = scalar_flag != 0;
-  cmd.copy_id = CopyId(r->ReadU64());
-  cmd.peer = WorkerId(r->ReadU64());
-  cmd.copy_object = LogicalObjectId(r->ReadU64());
-  cmd.copy_version = r->ReadU64();
-  cmd.copy_bytes = r->ReadI64();
-  cmd.data_object = LogicalObjectId(r->ReadU64());
+template <typename W, typename T>
+IfRecord<T, core::WtEntry> Walk(W& w, T& e) {
+  w(e.type, e.function, e.global_entry, e.duration, e.returns_scalar, e.reads, e.writes,
+    e.cached_params, e.copy_index, e.peer, e.object, e.bytes, e.before, e.dead);
 }
 
-void WriteWtEntry(BlobWriter* w, const core::WtEntry& e) {
-  w->WriteU8(static_cast<std::uint8_t>(e.type));
-  w->WriteU64(e.function.value());
-  WriteI32(w, e.global_entry);
-  w->WriteI64(e.duration);
-  w->WriteU8(e.returns_scalar ? 1 : 0);
-  WriteIdSet(w, e.reads);
-  WriteIdSet(w, e.writes);
-  WriteLenBlob(w, e.cached_params);
-  WriteI32(w, e.copy_index);
-  w->WriteU64(e.peer.value());
-  w->WriteU64(e.object.value());
-  w->WriteI64(e.bytes);
-  w->WriteU32(static_cast<std::uint32_t>(e.before.size()));
-  for (std::int32_t b : e.before) {
-    WriteI32(w, b);
+template <typename W, typename T>
+IfRecord<T, core::WorkerEditOp> Walk(W& w, T& op) {
+  w(op.kind, op.index, op.edge, op.entry);
+}
+
+template <typename W, typename T>
+IfRecord<T, ScalarResult> Walk(W& w, T& s) {
+  w(s.task, s.value);
+}
+
+// One sparse parameter: (global entry, blob).
+template <typename W, typename T>
+IfRecord<T, std::pair<std::int32_t, ParameterBlob>> Walk(W& w, T& param) {
+  w(param.first, param.second);
+}
+
+template <typename W, typename T>
+IfRecord<T, ObjRef> Walk(W& w, T& ref) {
+  w(ref.variable, ref.partition);
+}
+
+template <typename W, typename T>
+IfRecord<T, TaskDescriptor> Walk(W& w, T& t) {
+  w(t.function, t.reads, t.writes, t.params, t.placement_partition, t.duration,
+    t.returns_scalar);
+}
+
+template <typename W, typename T>
+IfRecord<T, StageDescriptor> Walk(W& w, T& s) {
+  w(s.name, s.tasks);
+}
+
+// The data-copy payload: a kind byte, then that kind's fields. Encoding dispatches on the
+// payload's dynamic type (any other Payload subclass CHECK-fails); the read walk (mutable
+// T) builds a fresh payload of the kind it read.
+template <typename W, typename T>
+IfRecord<T, std::unique_ptr<Payload>> Walk(W& w, T& payload) {
+  constexpr bool kReading = !std::is_const_v<T>;
+  PayloadKind kind = PayloadKind::kNone;
+  if constexpr (!kReading) {
+    if (dynamic_cast<const VectorPayload*>(payload.get()) != nullptr) {
+      kind = PayloadKind::kVector;
+    } else if (dynamic_cast<const ScalarPayload*>(payload.get()) != nullptr) {
+      kind = PayloadKind::kScalar;
+    } else {
+      NIMBUS_CHECK(payload == nullptr)
+          << "payload type is not wire-encodable (TypedPayload<T> is in-memory only)";
+    }
   }
-  w->WriteU8(e.dead ? 1 : 0);
-}
-
-// Fixed bytes of one WtEntry record (id sets, params and before edges add to it).
-constexpr std::size_t kWtEntryFixed = 75;
-
-std::size_t WtEntrySize(const core::WtEntry& e) {
-  return kWtEntryFixed + 8 * (e.reads.size() + e.writes.size() + e.before.size()) +
-         e.cached_params.size();
-}
-
-core::WtEntry ReadWtEntry(BlobReader* r) {
-  core::WtEntry e;
-  const std::uint8_t type_byte = r->ReadU8();
-  NIMBUS_CHECK_LE(type_byte, static_cast<std::uint8_t>(CommandType::kFileSave))
-      << "unknown command type byte";
-  e.type = static_cast<CommandType>(type_byte);
-  e.function = FunctionId(r->ReadU64());
-  e.global_entry = ReadI32(r);
-  e.duration = r->ReadI64();
-  const std::uint8_t scalar_flag = r->ReadU8();
-  NIMBUS_CHECK_LE(scalar_flag, 1) << "unknown flag bits";
-  e.returns_scalar = scalar_flag != 0;
-  ReadIdSet(r, &e.reads);
-  ReadIdSet(r, &e.writes);
-  ReadLenBlob(r, &e.cached_params);
-  e.copy_index = ReadI32(r);
-  e.peer = WorkerId(r->ReadU64());
-  e.object = LogicalObjectId(r->ReadU64());
-  e.bytes = r->ReadI64();
-  const std::uint32_t n_before = r->ReadU32();
-  NIMBUS_CHECK_LE(static_cast<std::size_t>(n_before) * 8, r->remaining());
-  e.before.reserve(n_before);
-  for (std::uint32_t b = 0; b < n_before; ++b) {
-    e.before.push_back(ReadI32(r));
+  w(kind);
+  if (kind == PayloadKind::kScalar) {
+    double value = kReading ? 0.0 : static_cast<const ScalarPayload&>(*payload).value();
+    w(value);
+    if constexpr (kReading) {
+      payload = std::make_unique<ScalarPayload>(value);
+    }
+  } else if (kind == PayloadKind::kVector) {
+    if constexpr (kReading) {
+      payload = std::make_unique<VectorPayload>();
+    }
+    w(static_cast<std::conditional_t<kReading, VectorPayload, const VectorPayload>&>(*payload)
+          .values());
+  } else if constexpr (kReading) {
+    payload = nullptr;
   }
-  const std::uint8_t dead_flag = r->ReadU8();
-  NIMBUS_CHECK_LE(dead_flag, 1) << "unknown flag bits";
-  e.dead = dead_flag != 0;
+}
+
+// The two group envelopes lead with the same group-delivery fields; the flags byte is
+// `finalize`.
+template <typename W, typename T>
+IfRecord<T, CommandsEnvelope> Walk(W& w, T& e) {
+  w(e.group_seq, e.expected_total, e.finalize);
+  w.List(e.commands, &e.spare);
+}
+
+template <typename W, typename T>
+IfRecord<T, SerializedBatchEnvelope> Walk(W& w, T& e) {
+  w(e.group_seq, e.expected_total, e.finalize, e.batch);
+}
+
+template <typename W, typename T>
+IfRecord<T, InstallTemplateEnvelope> Walk(W& w, T& e) {
+  w(e.id, e.half.worker, e.half.entries);
+}
+
+template <typename W, typename T>
+IfRecord<T, InstantiateMsg> Walk(W& w, T& m) {
+  w(m.worker_template, m.group_seq, m.command_base, m.task_base, m.params, m.edits);
+}
+
+template <typename W, typename T>
+IfRecord<T, LoadObjectsEnvelope> Walk(W& w, T& e) {
+  w(e.group_seq, e.objects);
+}
+
+template <typename W, typename T>
+IfRecord<T, HeartbeatEnvelope> Walk(W& w, T& e) {
+  w(e.worker, e.seq);
+}
+
+template <typename W, typename T>
+IfRecord<T, GroupCompleteEnvelope> Walk(W& w, T& e) {
+  w(e.worker, e.group_seq, e.scalars);
+}
+
+template <typename W, typename T>
+IfRecord<T, DataCopyEnvelope> Walk(W& w, T& e) {
+  w(e.copy, e.object, e.version, e.payload);
+}
+
+template <typename W, typename T>
+IfRecord<T, InstantiateRequestEnvelope> Walk(W& w, T& e) {
+  w(e.request_id, e.name, e.params, e.next_hint);
+}
+
+template <typename W, typename T>
+IfRecord<T, CheckpointRequestEnvelope> Walk(W& w, T& e) {
+  w(e.request_id, e.marker);
+}
+
+template <typename W, typename T>
+IfRecord<T, BlockDoneEnvelope> Walk(W& w, T& e) {
+  w(e.request_id, e.scalars);
+}
+
+template <typename W, typename T>
+IfRecord<T, HeartbeatAckEnvelope> Walk(W& w, T& e) {
+  w(e.worker, e.seq);
+}
+
+template <typename W, typename T>
+IfRecord<T, SuspectNoticeEnvelope> Walk(W& w, T& e) {
+  w(e.worker, e.missed_beats);
+}
+
+// The one encode body: measure, start the presized envelope, write, finish. An envelope
+// costs one allocation (tests/task/envelope_alloc_test.cc); the final CHECK pins the
+// presize as an invariant.
+template <typename... F>
+ParameterBlob EncodeEnvelope(EnvelopeType type, const F&... fields) {
+  Measure measure;
+  measure(fields...);
+  const std::size_t size = kEnvelopeHeaderSize + measure.size;
+  BlobWriter out;
+  out.Reserve(size);
+  out.WriteU32(kEnvelopeMagic);
+  out.WriteU8(static_cast<std::uint8_t>(type));
+  Write writer(&out);
+  writer(fields...);
+  NIMBUS_CHECK_EQ(out.size(), size) << "envelope presize drifted from the encoder";
+  return out.Take();
+}
+
+// Validates the header and pins the expected type (each decoder knows what it decodes;
+// cross-type dispatch goes through PeekEnvelopeType first), leaving `in` at the body.
+void OpenEnvelope(const ParameterBlob& bytes, EnvelopeType expected, BlobReader* in) {
+  NIMBUS_CHECK(PeekEnvelopeType(bytes) == expected) << "envelope type mismatch";
+  in->Span(kEnvelopeHeaderSize);
+}
+
+// The one decode body: open, read, and no trailing bytes.
+template <typename... F>
+void DecodeEnvelope(const ParameterBlob& bytes, EnvelopeType type, F&... fields) {
+  BlobReader in(bytes);
+  OpenEnvelope(bytes, type, &in);
+  Read reader(&in);
+  reader(fields...);
+  NIMBUS_CHECK(in.AtEnd()) << "trailing bytes after the envelope body";
+}
+
+template <typename E>
+E DecodeValue(const ParameterBlob& bytes, EnvelopeType type) {
+  E e{};
+  DecodeEnvelope(bytes, type, e);
   return e;
 }
-
-void WriteEditOp(BlobWriter* w, const core::WorkerEditOp& op) {
-  w->WriteU8(static_cast<std::uint8_t>(op.kind));
-  WriteI32(w, op.index);
-  WriteI32(w, op.edge);
-  WriteWtEntry(w, op.entry);
-}
-
-// One edit op is a u8 kind and two i64 indexes ahead of its nested WtEntry.
-constexpr std::size_t kEditOpHeader = 17;
-constexpr std::size_t kEditOpFixed = kEditOpHeader + kWtEntryFixed;
-
-std::size_t EditOpSize(const core::WorkerEditOp& op) {
-  return kEditOpHeader + WtEntrySize(op.entry);
-}
-
-core::WorkerEditOp ReadEditOp(BlobReader* r) {
-  core::WorkerEditOp op;
-  const std::uint8_t kind_byte = r->ReadU8();
-  NIMBUS_CHECK_LE(kind_byte,
-                  static_cast<std::uint8_t>(core::WorkerEditOp::Kind::kTombstone))
-      << "unknown edit-op kind byte";
-  op.kind = static_cast<core::WorkerEditOp::Kind>(kind_byte);
-  op.index = ReadI32(r);
-  op.edge = ReadI32(r);
-  op.entry = ReadWtEntry(r);
-  return op;
-}
-
-void WriteScalarResults(BlobWriter* w, const std::vector<ScalarResult>& scalars) {
-  w->WriteU32(static_cast<std::uint32_t>(scalars.size()));
-  for (const ScalarResult& s : scalars) {
-    w->WriteU64(s.task.value());
-    w->WriteDouble(s.value);
-  }
-}
-
-std::size_t ScalarResultsSize(const std::vector<ScalarResult>& scalars) {
-  return 4 + 16 * scalars.size();
-}
-
-std::vector<ScalarResult> ReadScalarResults(BlobReader* r) {
-  const std::uint32_t n = r->ReadU32();
-  NIMBUS_CHECK_LE(static_cast<std::size_t>(n) * 16, r->remaining());
-  std::vector<ScalarResult> scalars;
-  scalars.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ScalarResult s;
-    s.task = TaskId(r->ReadU64());
-    s.value = r->ReadDouble();
-    scalars.push_back(s);
-  }
-  return scalars;
-}
-
-void WriteSparseParams(BlobWriter* w,
-                       const std::vector<std::pair<std::int32_t, ParameterBlob>>& params) {
-  w->WriteU32(static_cast<std::uint32_t>(params.size()));
-  for (const auto& [slot, blob] : params) {
-    WriteI32(w, slot);
-    WriteLenBlob(w, blob);
-  }
-}
-
-std::size_t SparseParamsSize(
-    const std::vector<std::pair<std::int32_t, ParameterBlob>>& params) {
-  std::size_t size = 4;
-  for (const auto& [slot, blob] : params) {
-    size += 8 + LenBlobSize(blob);
-  }
-  return size;
-}
-
-std::vector<std::pair<std::int32_t, ParameterBlob>> ReadSparseParams(BlobReader* r) {
-  const std::uint32_t n = r->ReadU32();
-  // 12 = minimum record size (i64 slot + empty-blob length prefix).
-  NIMBUS_CHECK_LE(static_cast<std::size_t>(n) * 12, r->remaining());
-  std::vector<std::pair<std::int32_t, ParameterBlob>> params;
-  params.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto& [slot, blob] = params.emplace_back();
-    slot = ReadI32(r);
-    ReadLenBlob(r, &blob);
-  }
-  return params;
-}
-
-void WriteObjRefs(BlobWriter* w, const std::vector<ObjRef>& refs) {
-  w->WriteU32(static_cast<std::uint32_t>(refs.size()));
-  for (const ObjRef& ref : refs) {
-    w->WriteU64(ref.variable.value());
-    WriteI32(w, ref.partition);
-  }
-}
-
-// One ObjRef record: u64 variable + i64 partition.
-constexpr std::size_t kObjRefSize = 16;
-
-// Fixed bytes of one submitted task descriptor: u64 function, the two ref-set counts, the
-// params length prefix, i64 placement, i64 duration and the scalar flag. Its ref sets and
-// params add to it.
-constexpr std::size_t kTaskDescriptorFixed = 37;
-
-// Reads into `refs`, reusing its capacity.
-void ReadObjRefs(BlobReader* r, std::vector<ObjRef>* refs) {
-  const std::uint32_t n = r->ReadU32();
-  // Span bounds-checks every record before the vector allocates; each partition still
-  // gets its int32 range check.
-  const std::uint8_t* span = r->Span(static_cast<std::size_t>(n) * kObjRefSize);
-  refs->resize(n);
-  for (ObjRef& ref : *refs) {
-    std::uint64_t variable;
-    std::int64_t partition;
-    std::memcpy(&variable, span, sizeof(variable));
-    std::memcpy(&partition, span + sizeof(variable), sizeof(partition));
-    span += kObjRefSize;
-    ref.variable = VariableId(variable);
-    ref.partition = CheckedI32(partition);
-  }
-}
-
-// Payload kind bytes for the data-copy envelope body.
-constexpr std::uint8_t kPayloadNone = 0;
-constexpr std::uint8_t kPayloadScalar = 1;
-constexpr std::uint8_t kPayloadVector = 2;
-
-void WritePayload(BlobWriter* w, const Payload* payload) {
-  if (payload == nullptr) {
-    w->WriteU8(kPayloadNone);
-    return;
-  }
-  if (const auto* scalar = dynamic_cast<const ScalarPayload*>(payload)) {
-    w->WriteU8(kPayloadScalar);
-    w->WriteDouble(scalar->value());
-    return;
-  }
-  if (const auto* vec = dynamic_cast<const VectorPayload*>(payload)) {
-    w->WriteU8(kPayloadVector);
-    w->WriteDoubleVector(vec->values());
-    return;
-  }
-  NIMBUS_CHECK(false) << "payload type is not wire-encodable (TypedPayload<T> is "
-                         "in-memory only)";
-}
-
-std::size_t PayloadSize(const Payload* payload) {
-  if (const auto* vec = dynamic_cast<const VectorPayload*>(payload)) {
-    return 1 + 4 + sizeof(double) * vec->values().size();
-  }
-  if (dynamic_cast<const ScalarPayload*>(payload) != nullptr) {
-    return 1 + sizeof(double);
-  }
-  return 1;  // kPayloadNone (WritePayload rejects any other payload type)
-}
-
-std::unique_ptr<Payload> ReadPayload(BlobReader* r) {
-  const std::uint8_t kind = r->ReadU8();
-  switch (kind) {
-    case kPayloadNone:
-      return nullptr;
-    case kPayloadScalar:
-      return std::make_unique<ScalarPayload>(r->ReadDouble());
-    case kPayloadVector:
-      return std::make_unique<VectorPayload>(r->ReadDoubleVector());
-    default:
-      NIMBUS_CHECK(false) << "unknown payload kind byte";
-      return nullptr;
-  }
-}
-
-// Group-delivery flag bits shared by the kCommands / kSerializedBatch envelopes.
-constexpr std::uint8_t kFlagFinalize = 1;
-constexpr std::uint8_t kFlagBarrier = 2;
-
-std::uint8_t GroupFlags(bool finalize, bool barrier) {
-  return static_cast<std::uint8_t>((finalize ? kFlagFinalize : 0) |
-                                   (barrier ? kFlagBarrier : 0));
-}
-
-// Group-delivery fields leading both group envelopes: u64 group_seq, u64 expected_total,
-// u8 flags.
-constexpr std::size_t kGroupFieldsSize = 17;
 
 }  // namespace
 
@@ -622,295 +679,105 @@ EnvelopeType PeekEnvelopeType(const ParameterBlob& bytes) {
 }
 
 ParameterBlob EncodeCommandsEnvelope(const CommandsEnvelope& e) {
-  std::size_t body = kGroupFieldsSize + 4;
-  for (const Command& cmd : e.commands) {
-    body += CommandFullSize(cmd);
-  }
-  BlobWriter w = StartEnvelope(EnvelopeType::kCommands, body);
-  w.WriteU64(e.group_seq);
-  w.WriteU64(e.expected_total);
-  w.WriteU8(GroupFlags(e.finalize, e.barrier));
-  w.WriteU32(static_cast<std::uint32_t>(e.commands.size()));
-  for (const Command& cmd : e.commands) {
-    WriteCommandFull(&w, cmd);
-  }
-  return FinishEnvelope(&w, body);
+  return EncodeEnvelope(EnvelopeType::kCommands, e);
 }
 
 CommandsEnvelope DecodeCommandsEnvelope(const ParameterBlob& bytes) {
-  CommandsEnvelope e;
-  DecodeCommandsEnvelope(bytes, &e);
-  return e;
+  return DecodeValue<CommandsEnvelope>(bytes, EnvelopeType::kCommands);
 }
 
 void DecodeCommandsEnvelope(const ParameterBlob& bytes, CommandsEnvelope* out) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kCommands);
-  CommandsEnvelope& e = *out;
-  e.group_seq = r.ReadU64();
-  e.expected_total = r.ReadU64();
-  const std::uint8_t flags = r.ReadU8();
-  NIMBUS_CHECK_LE(flags, kFlagFinalize | kFlagBarrier) << "unknown flag bits";
-  e.finalize = (flags & kFlagFinalize) != 0;
-  e.barrier = (flags & kFlagBarrier) != 0;
-  const std::uint32_t n = r.ReadU32();
-  NIMBUS_CHECK_LE(static_cast<std::size_t>(n) * kCommandFullFixed, r.remaining());
-  ResizeKeepingSpares(&e.commands, &e.spare, n);
-  for (Command& cmd : e.commands) {
-    ReadCommandFull(&r, &cmd);
-  }
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the last command record";
+  DecodeEnvelope(bytes, EnvelopeType::kCommands, *out);
 }
 
 ParameterBlob EncodeSerializedBatchEnvelope(const SerializedBatchEnvelope& e) {
-  const std::size_t body = kGroupFieldsSize + LenBlobSize(e.batch);
-  BlobWriter w = StartEnvelope(EnvelopeType::kSerializedBatch, body);
-  w.WriteU64(e.group_seq);
-  w.WriteU64(e.expected_total);
-  w.WriteU8(GroupFlags(e.finalize, e.barrier));
-  WriteLenBlob(&w, e.batch);
-  return FinishEnvelope(&w, body);
+  return EncodeEnvelope(EnvelopeType::kSerializedBatch, e);
 }
 
 SerializedBatchEnvelope DecodeSerializedBatchEnvelope(const ParameterBlob& bytes) {
-  SerializedBatchEnvelope e;
-  DecodeSerializedBatchEnvelope(bytes, &e);
-  return e;
+  return DecodeValue<SerializedBatchEnvelope>(bytes, EnvelopeType::kSerializedBatch);
 }
 
 void DecodeSerializedBatchEnvelope(const ParameterBlob& bytes, SerializedBatchEnvelope* out) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kSerializedBatch);
-  SerializedBatchEnvelope& e = *out;
-  e.group_seq = r.ReadU64();
-  e.expected_total = r.ReadU64();
-  const std::uint8_t flags = r.ReadU8();
-  NIMBUS_CHECK_LE(flags, kFlagFinalize | kFlagBarrier) << "unknown flag bits";
-  e.finalize = (flags & kFlagFinalize) != 0;
-  e.barrier = (flags & kFlagBarrier) != 0;
-  ReadLenBlob(&r, &e.batch);
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the nested batch";
+  DecodeEnvelope(bytes, EnvelopeType::kSerializedBatch, *out);
 }
 
 ParameterBlob EncodeInstallTemplateEnvelope(const InstallTemplateEnvelope& e) {
-  std::size_t body = 8 + 8 + 4;
-  for (const core::WtEntry& entry : e.half.entries) {
-    body += WtEntrySize(entry);
-  }
-  BlobWriter w = StartEnvelope(EnvelopeType::kInstallTemplate, body);
-  w.WriteU64(e.id.value());
-  w.WriteU64(e.half.worker.value());
-  w.WriteU32(static_cast<std::uint32_t>(e.half.entries.size()));
-  for (const core::WtEntry& entry : e.half.entries) {
-    WriteWtEntry(&w, entry);
-  }
-  return FinishEnvelope(&w, body);
+  return EncodeEnvelope(EnvelopeType::kInstallTemplate, e);
 }
 
 InstallTemplateEnvelope DecodeInstallTemplateEnvelope(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kInstallTemplate);
-  InstallTemplateEnvelope e;
-  e.id = WorkerTemplateId(r.ReadU64());
-  e.half.worker = WorkerId(r.ReadU64());
-  const std::uint32_t n = r.ReadU32();
-  NIMBUS_CHECK_LE(static_cast<std::size_t>(n) * kWtEntryFixed, r.remaining());
-  e.half.entries.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    e.half.entries.push_back(ReadWtEntry(&r));
-  }
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the last template entry";
-  return e;
+  return DecodeValue<InstallTemplateEnvelope>(bytes, EnvelopeType::kInstallTemplate);
 }
 
 ParameterBlob EncodeInstantiateEnvelope(const InstantiateMsg& msg) {
-  std::size_t body = 4 * 8 + SparseParamsSize(msg.params) + 4;
-  for (const core::WorkerEditOp& op : msg.edits) {
-    body += EditOpSize(op);
-  }
-  BlobWriter w = StartEnvelope(EnvelopeType::kInstantiate, body);
-  w.WriteU64(msg.worker_template.value());
-  w.WriteU64(msg.group_seq);
-  w.WriteU64(msg.command_base.value());
-  w.WriteU64(msg.task_base.value());
-  WriteSparseParams(&w, msg.params);
-  w.WriteU32(static_cast<std::uint32_t>(msg.edits.size()));
-  for (const core::WorkerEditOp& op : msg.edits) {
-    WriteEditOp(&w, op);
-  }
-  return FinishEnvelope(&w, body);
+  return EncodeEnvelope(EnvelopeType::kInstantiate, msg);
 }
 
 InstantiateMsg DecodeInstantiateEnvelope(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kInstantiate);
-  InstantiateMsg msg;
-  msg.worker_template = WorkerTemplateId(r.ReadU64());
-  msg.group_seq = r.ReadU64();
-  msg.command_base = CommandId(r.ReadU64());
-  msg.task_base = TaskId(r.ReadU64());
-  msg.params = ReadSparseParams(&r);
-  const std::uint32_t n = r.ReadU32();
-  NIMBUS_CHECK_LE(static_cast<std::size_t>(n) * kEditOpFixed, r.remaining());
-  msg.edits.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    msg.edits.push_back(ReadEditOp(&r));
-  }
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the last edit op";
-  return msg;
+  return DecodeValue<InstantiateMsg>(bytes, EnvelopeType::kInstantiate);
 }
 
-ParameterBlob EncodeHaltEnvelope() {
-  BlobWriter w = StartEnvelope(EnvelopeType::kHalt, 0);
-  return FinishEnvelope(&w, 0);
-}
+ParameterBlob EncodeHaltEnvelope() { return EncodeEnvelope(EnvelopeType::kHalt); }
 
 void DecodeHaltEnvelope(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kHalt);
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the halt header";
+  DecodeEnvelope(bytes, EnvelopeType::kHalt);
 }
 
 ParameterBlob EncodeLoadObjectsEnvelope(const LoadObjectsEnvelope& e) {
-  const std::size_t body = 8 + 4 + 8 * e.objects.size();
-  BlobWriter w = StartEnvelope(EnvelopeType::kLoadObjects, body);
-  w.WriteU64(e.group_seq);
-  WriteIdSet(&w, e.objects);
-  return FinishEnvelope(&w, body);
+  return EncodeEnvelope(EnvelopeType::kLoadObjects, e);
 }
 
 LoadObjectsEnvelope DecodeLoadObjectsEnvelope(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kLoadObjects);
-  LoadObjectsEnvelope e;
-  e.group_seq = r.ReadU64();
-  ReadIdSet(&r, &e.objects);
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the object list";
-  return e;
+  return DecodeValue<LoadObjectsEnvelope>(bytes, EnvelopeType::kLoadObjects);
 }
 
 ParameterBlob EncodeHeartbeatEnvelope(const HeartbeatEnvelope& e) {
-  BlobWriter w = StartEnvelope(EnvelopeType::kHeartbeat, 16);
-  w.WriteU64(e.worker.value());
-  w.WriteU64(e.seq);
-  return FinishEnvelope(&w, 16);
+  return EncodeEnvelope(EnvelopeType::kHeartbeat, e);
 }
 
 HeartbeatEnvelope DecodeHeartbeatEnvelope(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kHeartbeat);
-  HeartbeatEnvelope e;
-  e.worker = WorkerId(r.ReadU64());
-  e.seq = r.ReadU64();
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the heartbeat body";
-  return e;
+  return DecodeValue<HeartbeatEnvelope>(bytes, EnvelopeType::kHeartbeat);
 }
 
 ParameterBlob EncodeHeartbeatAckEnvelope(const HeartbeatAckEnvelope& e) {
-  BlobWriter w = StartEnvelope(EnvelopeType::kHeartbeatAck, 16);
-  w.WriteU64(e.worker.value());
-  w.WriteU64(e.seq);
-  return FinishEnvelope(&w, 16);
+  return EncodeEnvelope(EnvelopeType::kHeartbeatAck, e);
 }
 
 HeartbeatAckEnvelope DecodeHeartbeatAckEnvelope(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kHeartbeatAck);
-  HeartbeatAckEnvelope e;
-  e.worker = WorkerId(r.ReadU64());
-  e.seq = r.ReadU64();
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the heartbeat ack body";
-  return e;
+  return DecodeValue<HeartbeatAckEnvelope>(bytes, EnvelopeType::kHeartbeatAck);
 }
 
 ParameterBlob EncodeSuspectNoticeEnvelope(const SuspectNoticeEnvelope& e) {
-  BlobWriter w = StartEnvelope(EnvelopeType::kSuspectNotice, 16);
-  w.WriteU64(e.worker.value());
-  w.WriteU64(e.missed_beats);
-  return FinishEnvelope(&w, 16);
+  return EncodeEnvelope(EnvelopeType::kSuspectNotice, e);
 }
 
 SuspectNoticeEnvelope DecodeSuspectNoticeEnvelope(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kSuspectNotice);
-  SuspectNoticeEnvelope e;
-  e.worker = WorkerId(r.ReadU64());
-  e.missed_beats = r.ReadU64();
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the suspect notice body";
-  return e;
+  return DecodeValue<SuspectNoticeEnvelope>(bytes, EnvelopeType::kSuspectNotice);
 }
 
 ParameterBlob EncodeGroupCompleteEnvelope(const GroupCompleteEnvelope& e) {
-  const std::size_t body = 16 + ScalarResultsSize(e.scalars);
-  BlobWriter w = StartEnvelope(EnvelopeType::kGroupComplete, body);
-  w.WriteU64(e.worker.value());
-  w.WriteU64(e.group_seq);
-  WriteScalarResults(&w, e.scalars);
-  return FinishEnvelope(&w, body);
+  return EncodeEnvelope(EnvelopeType::kGroupComplete, e);
 }
 
 GroupCompleteEnvelope DecodeGroupCompleteEnvelope(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kGroupComplete);
-  GroupCompleteEnvelope e;
-  e.worker = WorkerId(r.ReadU64());
-  e.group_seq = r.ReadU64();
-  e.scalars = ReadScalarResults(&r);
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the scalar list";
-  return e;
+  return DecodeValue<GroupCompleteEnvelope>(bytes, EnvelopeType::kGroupComplete);
 }
 
 ParameterBlob EncodeDataCopyEnvelope(const DataCopyEnvelope& e) {
-  const std::size_t body = 24 + PayloadSize(e.payload.get());
-  BlobWriter w = StartEnvelope(EnvelopeType::kDataCopy, body);
-  w.WriteU64(e.copy.value());
-  w.WriteU64(e.object.value());
-  w.WriteU64(e.version);
-  WritePayload(&w, e.payload.get());
-  return FinishEnvelope(&w, body);
+  return EncodeEnvelope(EnvelopeType::kDataCopy, e);
 }
 
 DataCopyEnvelope DecodeDataCopyEnvelope(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kDataCopy);
-  DataCopyEnvelope e;
-  e.copy = CopyId(r.ReadU64());
-  e.object = LogicalObjectId(r.ReadU64());
-  e.version = r.ReadU64();
-  e.payload = ReadPayload(&r);
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the payload";
-  return e;
+  return DecodeValue<DataCopyEnvelope>(bytes, EnvelopeType::kDataCopy);
 }
 
+// The encoder walks the caller's parts rather than an envelope struct, so the stage list
+// is encoded where it lies; the reuse decoder walks the same three fields.
 ParameterBlob EncodeSubmitStagesEnvelope(std::uint64_t request_id,
                                          std::string_view capture_name,
                                          const std::vector<StageDescriptor>& stages) {
-  std::size_t body = 8 + 4 + capture_name.size() + 4;
-  for (const StageDescriptor& stage : stages) {
-    body += 4 + stage.name.size() + 4;
-    for (const TaskDescriptor& task : stage.tasks) {
-      body += kTaskDescriptorFixed + kObjRefSize * (task.reads.size() + task.writes.size()) +
-              task.params.size();
-    }
-  }
-  BlobWriter w = StartEnvelope(EnvelopeType::kSubmitStages, body);
-  w.WriteU64(request_id);
-  w.WriteString(capture_name);
-  w.WriteU32(static_cast<std::uint32_t>(stages.size()));
-  for (const StageDescriptor& stage : stages) {
-    w.WriteString(stage.name);
-    w.WriteU32(static_cast<std::uint32_t>(stage.tasks.size()));
-    for (const TaskDescriptor& task : stage.tasks) {
-      w.WriteU64(task.function.value());
-      WriteObjRefs(&w, task.reads);
-      WriteObjRefs(&w, task.writes);
-      WriteLenBlob(&w, task.params);
-      WriteI32(&w, task.placement_partition);
-      w.WriteI64(task.duration);
-      w.WriteU8(task.returns_scalar ? 1 : 0);
-    }
-  }
-  return FinishEnvelope(&w, body);
+  return EncodeEnvelope(EnvelopeType::kSubmitStages, request_id, capture_name, stages);
 }
 
 SubmitStagesEnvelope DecodeSubmitStagesEnvelope(const ParameterBlob& bytes) {
@@ -920,119 +787,48 @@ SubmitStagesEnvelope DecodeSubmitStagesEnvelope(const ParameterBlob& bytes) {
 }
 
 void DecodeSubmitStagesEnvelope(const ParameterBlob& bytes, SubmitStagesEnvelope* out) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kSubmitStages);
-  SubmitStagesEnvelope& e = *out;
-  e.request_id = r.ReadU64();
-  r.ReadString(&e.capture_name);
-  const std::uint32_t n_stages = r.ReadU32();
-  NIMBUS_CHECK_LE(static_cast<std::size_t>(n_stages) * 8, r.remaining());
-  e.stages.resize(n_stages);
-  for (StageDescriptor& stage : e.stages) {
-    r.ReadString(&stage.name);
-    const std::uint32_t n_tasks = r.ReadU32();
-    NIMBUS_CHECK_LE(static_cast<std::size_t>(n_tasks) * kTaskDescriptorFixed, r.remaining());
-    stage.tasks.resize(n_tasks);
-    // Every field is assigned, so a reused descriptor keeps only its vectors' capacity.
-    for (TaskDescriptor& task : stage.tasks) {
-      task.function = FunctionId(r.ReadU64());
-      ReadObjRefs(&r, &task.reads);
-      ReadObjRefs(&r, &task.writes);
-      ReadLenBlob(&r, &task.params);
-      task.placement_partition = ReadI32(&r);
-      task.duration = r.ReadI64();
-      const std::uint8_t scalar_flag = r.ReadU8();
-      NIMBUS_CHECK_LE(scalar_flag, 1) << "unknown flag bits";
-      task.returns_scalar = scalar_flag != 0;
-    }
-  }
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the last stage";
+  DecodeEnvelope(bytes, EnvelopeType::kSubmitStages, out->request_id, out->capture_name,
+                 out->stages);
 }
 
 ParameterBlob EncodeInstantiateRequestEnvelope(const InstantiateRequestEnvelope& e) {
-  const std::size_t body =
-      8 + 4 + e.name.size() + SparseParamsSize(e.params) + 4 + e.next_hint.size();
-  BlobWriter w = StartEnvelope(EnvelopeType::kInstantiateRequest, body);
-  w.WriteU64(e.request_id);
-  w.WriteString(e.name);
-  WriteSparseParams(&w, e.params);
-  w.WriteString(e.next_hint);
-  return FinishEnvelope(&w, body);
+  return EncodeEnvelope(EnvelopeType::kInstantiateRequest, e);
 }
 
 InstantiateRequestEnvelope DecodeInstantiateRequestEnvelope(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kInstantiateRequest);
-  InstantiateRequestEnvelope e;
-  e.request_id = r.ReadU64();
-  e.name = r.ReadString();
-  e.params = ReadSparseParams(&r);
-  e.next_hint = r.ReadString();
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the lookahead hint";
-  return e;
+  return DecodeValue<InstantiateRequestEnvelope>(bytes, EnvelopeType::kInstantiateRequest);
 }
 
 ParameterBlob EncodeCheckpointRequestEnvelope(const CheckpointRequestEnvelope& e) {
-  BlobWriter w = StartEnvelope(EnvelopeType::kCheckpointRequest, 16);
-  w.WriteU64(e.request_id);
-  w.WriteU64(e.marker);
-  return FinishEnvelope(&w, 16);
+  return EncodeEnvelope(EnvelopeType::kCheckpointRequest, e);
 }
 
 CheckpointRequestEnvelope DecodeCheckpointRequestEnvelope(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kCheckpointRequest);
-  CheckpointRequestEnvelope e;
-  e.request_id = r.ReadU64();
-  e.marker = r.ReadU64();
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the checkpoint request";
-  return e;
+  return DecodeValue<CheckpointRequestEnvelope>(bytes, EnvelopeType::kCheckpointRequest);
 }
 
 ParameterBlob EncodeBlockDoneEnvelope(const BlockDoneEnvelope& e) {
-  const std::size_t body = 8 + ScalarResultsSize(e.scalars);
-  BlobWriter w = StartEnvelope(EnvelopeType::kBlockDone, body);
-  w.WriteU64(e.request_id);
-  WriteScalarResults(&w, e.scalars);
-  return FinishEnvelope(&w, body);
+  return EncodeEnvelope(EnvelopeType::kBlockDone, e);
 }
 
 BlockDoneEnvelope DecodeBlockDoneEnvelope(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kBlockDone);
-  BlockDoneEnvelope e;
-  e.request_id = r.ReadU64();
-  e.scalars = ReadScalarResults(&r);
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the scalar list";
-  return e;
+  return DecodeValue<BlockDoneEnvelope>(bytes, EnvelopeType::kBlockDone);
 }
 
 ParameterBlob EncodeCheckpointDoneEnvelope(std::uint64_t request_id) {
-  BlobWriter w = StartEnvelope(EnvelopeType::kCheckpointDone, 8);
-  w.WriteU64(request_id);
-  return FinishEnvelope(&w, 8);
+  return EncodeEnvelope(EnvelopeType::kCheckpointDone, request_id);
 }
 
 std::uint64_t DecodeCheckpointDoneEnvelope(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kCheckpointDone);
-  const std::uint64_t request_id = r.ReadU64();
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the checkpoint reply";
-  return request_id;
+  return DecodeValue<std::uint64_t>(bytes, EnvelopeType::kCheckpointDone);
 }
 
 ParameterBlob EncodeRecoveryNoticeEnvelope(std::uint64_t marker) {
-  BlobWriter w = StartEnvelope(EnvelopeType::kRecoveryNotice, 8);
-  w.WriteU64(marker);
-  return FinishEnvelope(&w, 8);
+  return EncodeEnvelope(EnvelopeType::kRecoveryNotice, marker);
 }
 
 std::uint64_t DecodeRecoveryNoticeEnvelope(const ParameterBlob& bytes) {
-  BlobReader r(bytes);
-  OpenEnvelope(&r, EnvelopeType::kRecoveryNotice);
-  const std::uint64_t marker = r.ReadU64();
-  NIMBUS_CHECK(r.AtEnd()) << "trailing bytes after the recovery notice";
-  return marker;
+  return DecodeValue<std::uint64_t>(bytes, EnvelopeType::kRecoveryNotice);
 }
 
 ParameterBlob ApplyParamOverrides(

@@ -139,19 +139,22 @@ ParameterBlob ApplyParamOverrides(
 // nests the NBW1 bytes verbatim, so the serialized-dispatch path still ships cached
 // template encodings (memcpy + patch), just wrapped in an envelope header.
 //
-// Decode discipline matches DecodeBatch: magic, type bytes, flag bits, and every length
-// prefix are validated against the remaining buffer before allocation, and trailing bytes
-// CHECK-fail (same death-test coverage, tests/task/envelope_test.cc). Fixed-stride arrays
-// (id sets, object refs, NBW1 before deltas) are bounds-checked once per array.
+// One walk per layout: wire.cc states each record's and each envelope's fields once, in
+// wire order, and three walkers run that description. One measures the exact size, one
+// writes the presized buffer (blobs and id arrays in one bulk copy each), and one decodes.
+// So an envelope costs one allocation (tests/task/envelope_alloc_test.cc), a nested batch
+// one memcpy, and the encoder and decoder cannot disagree on a field.
 //
-// Encode discipline: each encoder sizes its envelope exactly, then writes one presized
-// buffer, copying blobs and id arrays in bulk, so an envelope costs one allocation
-// (tests/task/envelope_alloc_test.cc) and a nested batch one memcpy.
+// Decoding validates the magic, the type byte, every flag and enum byte, every int32
+// range, and every length prefix against the remaining buffer before allocating; trailing
+// bytes CHECK-fail (tests/task/envelope_test.cc, tests/task/wire_fuzz_test.cc).
+// Fixed-stride arrays (id sets, object refs) are bounds-checked once per array.
 //
-// Reuse decoding: the envelopes a steady-state central block receives (kCommands,
-// kSerializedBatch, kSubmitStages) also decode into caller-owned storage, keeping the
-// capacity of every list, string and blob in it. The value-returning decoders wrap those
-// forms, so each envelope has one decode body (tests/worker/central_ingest_alloc_test.cc).
+// Reuse decoding: every decode assigns each field in place, and lists resize within the
+// capacity they kept. The envelopes a steady-state central block receives (kCommands,
+// kSerializedBatch, kSubmitStages) expose that as decode-into-caller-storage forms; the
+// value-returning decoders decode into a fresh envelope through the same body
+// (tests/worker/central_ingest_alloc_test.cc).
 
 // Marks a receiver's decode scratch in use for one delivery. A TCP self-send re-enters the
 // delivery handler synchronously; a nested delivery that decoded into the same scratch
@@ -211,7 +214,6 @@ struct CommandsEnvelope {
   std::uint64_t group_seq = 0;
   std::uint64_t expected_total = 0;  // the group's full command count (0 while streaming)
   bool finalize = true;
-  bool barrier = false;
   std::vector<Command> commands;
   std::vector<Command> spare;  // reuse-decode storage (see DecodedBatch); never encoded
 };
@@ -223,7 +225,6 @@ struct SerializedBatchEnvelope {
   std::uint64_t group_seq = 0;
   std::uint64_t expected_total = 0;
   bool finalize = true;
-  bool barrier = false;
   ParameterBlob batch;  // NBW1 bytes (EncodeBatch), nested verbatim
 };
 ParameterBlob EncodeSerializedBatchEnvelope(const SerializedBatchEnvelope& e);

@@ -106,7 +106,7 @@ void Worker::OnEnvelope(net::NodeAddress src, MessageKind kind, ParameterBlob by
       wire::DecodeCommandsEnvelope(bytes, &commands_scratch_);
       const wire::CommandsEnvelope& e = commands_scratch_;
       OnCommands(e.group_seq, e.commands, static_cast<std::size_t>(e.expected_total),
-                 e.finalize, e.barrier);
+                 e.finalize);
       break;
     }
     case wire::EnvelopeType::kSerializedBatch: {
@@ -116,7 +116,7 @@ void Worker::OnEnvelope(net::NodeAddress src, MessageKind kind, ParameterBlob by
       wire::DecodeSerializedBatchEnvelope(bytes, &batch_envelope_scratch_);
       const wire::SerializedBatchEnvelope& e = batch_envelope_scratch_;
       OnSerializedCommands(e.group_seq, e.batch, static_cast<std::size_t>(e.expected_total),
-                           e.finalize, e.barrier);
+                           e.finalize);
       break;
     }
     case wire::EnvelopeType::kInstallTemplate: {
@@ -177,7 +177,7 @@ void Worker::OnHeartbeatAck(std::uint64_t seq) {
   ++failure_counters_.heartbeat_acks;
 }
 
-Worker::Group& Worker::GetOrCreateGroup(std::uint64_t seq, bool barrier) {
+Worker::Group& Worker::GetOrCreateGroup(std::uint64_t seq) {
   for (Group& g : groups_) {
     if (g.seq == seq) {
       return g;
@@ -192,7 +192,6 @@ Worker::Group& Worker::GetOrCreateGroup(std::uint64_t seq, bool barrier) {
   }
   Group& g = groups_.back();
   g.seq = seq;
-  g.barrier = barrier;
   return g;
 }
 
@@ -245,7 +244,7 @@ void Worker::ResolveTaskObjects(RuntimeCommand& rc) {
 }
 
 void Worker::OnCommands(std::uint64_t group_seq, const std::vector<Command>& commands,
-                        std::size_t expected_total, bool finalize, bool barrier) {
+                        std::size_t expected_total, bool finalize) {
   // Message handlers run serially (simulator delivery): assert the control-phase role so
   // the group machinery's REQUIRES contract is satisfied from here down (DESIGN.md §11).
   control_phase_.Assert();
@@ -258,11 +257,11 @@ void Worker::OnCommands(std::uint64_t group_seq, const std::vector<Command>& com
   const sim::Duration charge =
       costs_->worker_receive_task * static_cast<sim::Duration>(commands.size());
   control_thread_.Charge(charge);
-  IngestCommands(group_seq, commands, expected_total, finalize, barrier);
+  IngestCommands(group_seq, commands, expected_total, finalize);
 }
 
 void Worker::OnSerializedCommands(std::uint64_t group_seq, const ParameterBlob& bytes,
-                                  std::size_t expected_total, bool finalize, bool barrier) {
+                                  std::size_t expected_total, bool finalize) {
   control_phase_.Assert();
   if (failed_) {
     return;
@@ -284,16 +283,16 @@ void Worker::OnSerializedCommands(std::uint64_t group_seq, const ParameterBlob& 
   const sim::Duration charge = costs_->serialized_decode_per_task *
                                static_cast<sim::Duration>(batch.commands.size());
   control_thread_.Charge(charge);
-  IngestCommands(group_seq, batch.commands, expected_total, finalize, barrier);
+  IngestCommands(group_seq, batch.commands, expected_total, finalize);
 }
 
 void Worker::IngestCommands(std::uint64_t group_seq, const std::vector<Command>& commands,
-                            std::size_t expected_total, bool finalize, bool barrier) {
+                            std::size_t expected_total, bool finalize) {
   if (command_log_enabled_) {
     command_log_.insert(command_log_.end(), commands.begin(), commands.end());
   }
 
-  Group& group = GetOrCreateGroup(group_seq, barrier);
+  Group& group = GetOrCreateGroup(group_seq);
   // A batch fills an empty group's table with at most one allocation (none once a recycled
   // table is big enough). Sized from what was decoded, never from the sender's
   // expected_total; per-task frames (one command each) grow the table geometrically.
@@ -422,7 +421,7 @@ void Worker::MaterializeInstantiation(DenseIndex tmpl_index, const InstantiateMs
   const std::vector<core::WtEntry>& entries = cached.half.entries;
   cached.dense.resize(entries.size());
 
-  Group& group = GetOrCreateGroup(msg.group_seq, /*barrier=*/true);
+  Group& group = GetOrCreateGroup(msg.group_seq);
   NIMBUS_CHECK(group.commands.empty())
       << "group " << msg.group_seq << " materialized over existing commands";
 
@@ -589,7 +588,7 @@ void Worker::OnLoadObjects(std::uint64_t group_seq, std::vector<LogicalObjectId>
     commands.push_back(std::move(cmd));
   }
   const std::size_t total = commands.size();
-  OnCommands(group_seq, std::move(commands), total, /*finalize=*/true, /*barrier=*/true);
+  OnCommands(group_seq, std::move(commands), total, /*finalize=*/true);
 }
 
 std::uint32_t Worker::IdOffset(Group& group, CommandId id) {
@@ -677,23 +676,17 @@ void Worker::AddCommandToGroup(Group& group, const Command& cmd) {
 }
 
 void Worker::MaybeStartGroups() {
-  // Collect seqs first: starting a group can run commands synchronously, which can complete
-  // and prune other groups, invalidating a live iterator over the deque.
-  std::vector<std::uint64_t> to_start;
-  bool all_prior_done = true;
-  for (Group& group : groups_) {
-    if (!group.started && (!group.barrier || all_prior_done)) {
-      to_start.push_back(group.seq);
-      // Assume it completes only via events; treat as not-done for later barrier groups.
-      all_prior_done = false;
-      continue;
+  // Groups run in arrival order: the first unstarted group starts once every earlier one
+  // is done. Starting it can run commands synchronously and prune groups, so the scan
+  // stops there instead of iterating a deque that may have changed.
+  for (const Group& group : groups_) {
+    if (!group.started) {
+      StartGroup(group.seq);
+      return;
     }
-    const bool done_now =
-        group.finalized && group.started && group.done_count == group.expected_total;
-    all_prior_done = all_prior_done && done_now;
-  }
-  for (std::uint64_t seq : to_start) {
-    StartGroup(seq);
+    if (!group.finalized || group.done_count != group.expected_total) {
+      return;
+    }
   }
 }
 
@@ -978,7 +971,7 @@ void Worker::FinishGroupIfDone(std::uint64_t seq) {
                      wire::EncodeGroupCompleteEnvelope(e), /*cost_bytes=*/bytes);
   }
 
-  // Prune completed groups from the front and unblock any waiting barrier group. Buffered
+  // Prune completed groups from the front and unblock the next waiting group. Buffered
   // copy data dies with its group; any early data addressed below the retired floor can
   // never be claimed and is dropped too. The group's storage is recycled for the next one.
   bool pruned = false;

@@ -7,8 +7,8 @@
 //
 // Commands arrive grouped: a *group* is either the materialization of one worker-template
 // instantiation, one patch, or a batch of individually-dispatched commands (the no-template
-// path). Groups marked `barrier` start only after every earlier group completes, which is
-// how patch copies are ordered before the block that needs them.
+// path). A group starts only after every earlier group completes, which is how patch
+// copies are ordered before the block that needs them.
 //
 // Hot-path layout (DESIGN.md §6.6): cached templates live in a flat array indexed by dense
 // template id and carry per-entry read/write sets pre-resolved to store-dense indices, so
@@ -71,28 +71,28 @@ class Worker {
 
   // Receives a batch of explicit commands forming group `group_seq`. `finalize` marks the
   // last batch of the group; `expected_total` is the group's full command count (0 while
-  // streaming). `barrier` groups wait for all earlier groups.
+  // streaming). The group starts once every earlier group is done.
   // The commands are copied into the group's (recycled) slots, so the caller keeps them.
   void OnCommands(std::uint64_t group_seq, const std::vector<Command>& commands,
-                  std::size_t expected_total, bool finalize, bool barrier);
+                  std::size_t expected_total, bool finalize);
 
   // Receives a wire-encoded command batch (src/task/wire.h) forming group `group_seq`.
   // Decodes it into the worker's decode scratch and feeds the same ingestion path as
   // OnCommands, so the observed command stream (and the command log) is identical to a
   // per-task send of the same group.
   void OnSerializedCommands(std::uint64_t group_seq, const ParameterBlob& bytes,
-                            std::size_t expected_total, bool finalize, bool barrier);
+                            std::size_t expected_total, bool finalize);
 
   // Installs (caches) a worker template. Charged per entry.
   void OnInstallTemplate(core::WorkerHalf half, WorkerTemplateId id);
 
-  // Instantiates a cached worker template as one barrier group.
+  // Instantiates a cached worker template as one group.
   void OnInstantiate(InstantiateMsg msg);
 
   // Halts: terminate ongoing work, flush queues (paper §4.4 failure handling).
   void OnHalt();
 
-  // Reloads `objects` from durable storage (recovery), as one barrier group.
+  // Reloads `objects` from durable storage (recovery), as one group.
   void OnLoadObjects(std::uint64_t group_seq, std::vector<LogicalObjectId> objects);
 
   // ---- Peer-facing ----
@@ -176,7 +176,6 @@ class Worker {
 
   struct Group {
     std::uint64_t seq = 0;
-    bool barrier = false;
     bool finalized = false;
     bool started = false;
     bool reported = false;
@@ -237,10 +236,10 @@ class Worker {
   // without declaring itself part of the serial control phase.
   // Shared tail of OnCommands/OnSerializedCommands: log, group the commands, maybe start.
   void IngestCommands(std::uint64_t group_seq, const std::vector<Command>& commands,
-                      std::size_t expected_total, bool finalize, bool barrier)
+                      std::size_t expected_total, bool finalize)
       NIMBUS_REQUIRES(control_phase_);
   // Creates a group from a recycled record when the pool has one.
-  Group& GetOrCreateGroup(std::uint64_t seq, bool barrier) NIMBUS_REQUIRES(control_phase_);
+  Group& GetOrCreateGroup(std::uint64_t seq) NIMBUS_REQUIRES(control_phase_);
   // Hands a pruned or halted group's storage back: a materialized group's command table
   // to its template, a streaming group's command slots to `spare_commands_`, and the
   // record (with its id table and copy slots) to `spare_groups_`.

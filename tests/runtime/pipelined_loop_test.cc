@@ -80,10 +80,8 @@ LoopRun RunAlternatingLr(HintMode hints, runtime::Executor* worker_executor) {
   options.workers = 4;
   options.partitions = 8;
   options.mode = ControlMode::kTemplates;
+  options.worker_executor = worker_executor;
   Cluster cluster(options);
-  if (worker_executor != nullptr) {
-    cluster.SetWorkerExecutor(worker_executor);
-  }
   for (WorkerId id : cluster.worker_ids()) {
     cluster.worker(id)->EnableCommandLog();
   }

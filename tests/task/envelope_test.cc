@@ -78,7 +78,6 @@ TEST(EnvelopeCodecTest, CommandsEnvelopeRandomizedRoundTrip) {
     e.group_seq = rng();
     e.expected_total = rng() % 500;
     e.finalize = rng() % 2 == 0;
-    e.barrier = rng() % 2 == 0;
     e.commands = RandomCommands(rng, rng() % 40);
 
     const ParameterBlob bytes = wire::EncodeCommandsEnvelope(e);
@@ -87,7 +86,6 @@ TEST(EnvelopeCodecTest, CommandsEnvelopeRandomizedRoundTrip) {
     EXPECT_EQ(d.group_seq, e.group_seq);
     EXPECT_EQ(d.expected_total, e.expected_total);
     EXPECT_EQ(d.finalize, e.finalize);
-    EXPECT_EQ(d.barrier, e.barrier);
     ASSERT_EQ(d.commands.size(), e.commands.size());
     for (std::size_t i = 0; i < e.commands.size(); ++i) {
       EXPECT_EQ(d.commands[i], e.commands[i]) << "command " << i;
@@ -103,7 +101,6 @@ TEST(EnvelopeCodecTest, SerializedBatchEnvelopeNestsBytesVerbatim) {
   e.group_seq = 42;
   e.expected_total = 17;
   e.finalize = true;
-  e.barrier = true;
   e.batch = RandomBlob(rng, 513);
 
   const ParameterBlob bytes = wire::EncodeSerializedBatchEnvelope(e);
@@ -111,7 +108,6 @@ TEST(EnvelopeCodecTest, SerializedBatchEnvelopeNestsBytesVerbatim) {
   EXPECT_EQ(d.group_seq, 42u);
   EXPECT_EQ(d.expected_total, 17u);
   EXPECT_TRUE(d.finalize);
-  EXPECT_TRUE(d.barrier);
   EXPECT_EQ(d.batch, e.batch);
 }
 
@@ -331,7 +327,6 @@ ParameterBlob GoldenBatchEnvelope() {
   e.group_seq = 6;
   e.expected_total = 2;
   e.finalize = true;
-  e.barrier = false;
   e.batch = wire::EncodeBatch(6, CommandId(1000), TaskId(500), {task, send});
   return wire::EncodeSerializedBatchEnvelope(e);
 }
@@ -358,7 +353,6 @@ ParameterBlob GoldenCommandsEnvelope() {
   e.group_seq = 77;
   e.expected_total = 1;
   e.finalize = true;
-  e.barrier = true;
   e.commands = {c};
   return wire::EncodeCommandsEnvelope(e);
 }
@@ -398,7 +392,7 @@ TEST(EnvelopeCodecTest, GoldenBytesSerializedBatchEnvelope) {
 
 TEST(EnvelopeCodecTest, GoldenBytesCommandsEnvelope) {
   EXPECT_EQ(Hex(GoldenCommandsEnvelope()),
-      "4e424531004d00000000000000010000000000000003010000000208070605040302010200000003"
+      "4e424531004d00000000000000010000000000000001010000000208070605040302010200000003"
       "000000000000000400000000000000010000000b00000000000000020000000c000000000000000d"
       "0000000000000002000000dead15000000000000001600000000000000fbffffffffffffff011700"
       "000000000000180000000000000019000000000000001a000000000000001b000000000000001c00"
@@ -412,6 +406,202 @@ TEST(EnvelopeCodecTest, GoldenBytesSubmitStagesEnvelope) {
       "0000040000000000000007000000000000000400000010203040ffffffffffffffffdc0500000000"
       "00000006000000726564756365010000000500000000000000010000000400000000000000070000"
       "000000000000000000000000000200000000000000280000000000000001");
+}
+
+// Every remaining envelope type, one fixture each. Every field holds a distinct non-default
+// value, so two swapped fields of one type change the bytes.
+
+core::WtEntry GoldenWtEntry() {
+  core::WtEntry e;
+  e.type = CommandType::kCopyReceive;
+  e.function = FunctionId(41);
+  e.global_entry = 42;
+  e.duration = 43;
+  e.returns_scalar = true;
+  e.reads = {LogicalObjectId(44), LogicalObjectId(45)};
+  e.writes = {LogicalObjectId(46)};
+  e.cached_params = {0xC1, 0xC2};
+  e.copy_index = 47;
+  e.peer = WorkerId(48);
+  e.object = LogicalObjectId(49);
+  e.bytes = 50;
+  e.before = {-3, 51};
+  e.dead = true;
+  return e;
+}
+
+struct GoldenCase {
+  const char* name;
+  ParameterBlob bytes;
+  const char* hex;
+};
+
+std::vector<GoldenCase> GoldenCases() {
+  std::vector<GoldenCase> cases;
+
+  wire::InstallTemplateEnvelope install;
+  install.id = WorkerTemplateId(61);
+  install.half.worker = WorkerId(62);
+  install.half.entries = {GoldenWtEntry()};
+  cases.push_back({"install_template", wire::EncodeInstallTemplateEnvelope(install),
+      "4e424531023d000000000000003e00000000000000010000000229000000000000002a0000000000"
+      "00002b0000000000000001020000002c000000000000002d00000000000000010000002e00000000"
+      "00000002000000c1c22f000000000000003000000000000000310000000000000032000000000000"
+      "0002000000fdffffffffffffff330000000000000001"});
+
+  InstantiateMsg inst;
+  inst.worker_template = WorkerTemplateId(71);
+  inst.group_seq = 72;
+  inst.command_base = CommandId(73);
+  inst.task_base = TaskId(74);
+  inst.params = {{75, ParameterBlob{0xA7, 0xA8}}, {-76, ParameterBlob{}}};
+  core::WorkerEditOp op;
+  op.kind = core::WorkerEditOp::Kind::kAddBeforeEdge;
+  op.index = 77;
+  op.edge = 78;
+  op.entry = GoldenWtEntry();
+  inst.edits = {op};
+  cases.push_back({"instantiate", wire::EncodeInstantiateEnvelope(inst),
+      "4e424531034700000000000000480000000000000049000000000000004a00000000000000020000"
+      "004b0000000000000002000000a7a8b4ffffffffffffff0000000001000000024d00000000000000"
+      "4e000000000000000229000000000000002a000000000000002b0000000000000001020000002c00"
+      "0000000000002d00000000000000010000002e0000000000000002000000c1c22f00000000000000"
+      "30000000000000003100000000000000320000000000000002000000fdffffffffffffff33000000"
+      "0000000001"});
+
+  cases.push_back({"halt", wire::EncodeHaltEnvelope(),
+      "4e42453104"});
+
+  wire::LoadObjectsEnvelope load;
+  load.group_seq = 81;
+  load.objects = {LogicalObjectId(82), LogicalObjectId(83)};
+  cases.push_back({"load_objects", wire::EncodeLoadObjectsEnvelope(load),
+      "4e4245310551000000000000000200000052000000000000005300000000000000"});
+
+  wire::HeartbeatEnvelope beat;
+  beat.worker = WorkerId(91);
+  beat.seq = 92;
+  cases.push_back({"heartbeat", wire::EncodeHeartbeatEnvelope(beat),
+      "4e424531065b000000000000005c00000000000000"});
+
+  wire::GroupCompleteEnvelope complete;
+  complete.worker = WorkerId(101);
+  complete.group_seq = 102;
+  complete.scalars = {{TaskId(103), 1.5}, {TaskId(104), -0.25}};
+  cases.push_back({"group_complete", wire::EncodeGroupCompleteEnvelope(complete),
+      "4e4245310765000000000000006600000000000000020000006700000000000000000000000000f8"
+      "3f6800000000000000000000000000d0bf"});
+
+  wire::DataCopyEnvelope scalar_copy;
+  scalar_copy.copy = CopyId(111);
+  scalar_copy.object = LogicalObjectId(112);
+  scalar_copy.version = 113;
+  scalar_copy.payload = std::make_unique<ScalarPayload>(2.5);
+  cases.push_back({"data_copy_scalar", wire::EncodeDataCopyEnvelope(scalar_copy),
+      "4e424531086f0000000000000070000000000000007100000000000000010000000000000440"});
+
+  wire::DataCopyEnvelope vector_copy;
+  vector_copy.copy = CopyId(114);
+  vector_copy.object = LogicalObjectId(115);
+  vector_copy.version = 116;
+  vector_copy.payload = std::make_unique<VectorPayload>(std::vector<double>{0.5, -8.0});
+  cases.push_back({"data_copy_vector", wire::EncodeDataCopyEnvelope(vector_copy),
+      "4e424531087200000000000000730000000000000074000000000000000202000000000000000000"
+      "e03f00000000000020c0"});
+
+  wire::InstantiateRequestEnvelope request;
+  request.request_id = 121;
+  request.name = "blk";
+  request.params = {{122, ParameterBlob{0xB1}}};
+  request.next_hint = "nx";
+  cases.push_back({"instantiate_request", wire::EncodeInstantiateRequestEnvelope(request),
+      "4e4245310a790000000000000003000000626c6b010000007a0000000000000001000000b1020000"
+      "006e78"});
+
+  wire::CheckpointRequestEnvelope checkpoint;
+  checkpoint.request_id = 131;
+  checkpoint.marker = 132;
+  cases.push_back({"checkpoint_request", wire::EncodeCheckpointRequestEnvelope(checkpoint),
+      "4e4245310b83000000000000008400000000000000"});
+
+  wire::BlockDoneEnvelope done;
+  done.request_id = 141;
+  done.scalars = {{TaskId(142), 3.75}};
+  cases.push_back({"block_done", wire::EncodeBlockDoneEnvelope(done),
+      "4e4245310c8d00000000000000010000008e000000000000000000000000000e40"});
+
+  cases.push_back({"checkpoint_done", wire::EncodeCheckpointDoneEnvelope(151),
+      "4e4245310d9700000000000000"});
+  cases.push_back({"recovery_notice", wire::EncodeRecoveryNoticeEnvelope(161),
+      "4e4245310ea100000000000000"});
+
+  wire::HeartbeatAckEnvelope ack;
+  ack.worker = WorkerId(171);
+  ack.seq = 172;
+  cases.push_back({"heartbeat_ack", wire::EncodeHeartbeatAckEnvelope(ack),
+      "4e4245310fab00000000000000ac00000000000000"});
+
+  wire::SuspectNoticeEnvelope suspect;
+  suspect.worker = WorkerId(181);
+  suspect.missed_beats = 182;
+  cases.push_back({"suspect_notice", wire::EncodeSuspectNoticeEnvelope(suspect),
+      "4e42453110b500000000000000b600000000000000"});
+  return cases;
+}
+
+// Decodes a golden envelope and encodes the result again: a decoder that skipped or swapped
+// a field would not reproduce the golden bytes.
+ParameterBlob Reencode(const ParameterBlob& b) {
+  switch (wire::PeekEnvelopeType(b)) {
+    case wire::EnvelopeType::kInstallTemplate:
+      return wire::EncodeInstallTemplateEnvelope(wire::DecodeInstallTemplateEnvelope(b));
+    case wire::EnvelopeType::kInstantiate:
+      return wire::EncodeInstantiateEnvelope(wire::DecodeInstantiateEnvelope(b));
+    case wire::EnvelopeType::kHalt:
+      wire::DecodeHaltEnvelope(b);
+      return wire::EncodeHaltEnvelope();
+    case wire::EnvelopeType::kLoadObjects:
+      return wire::EncodeLoadObjectsEnvelope(wire::DecodeLoadObjectsEnvelope(b));
+    case wire::EnvelopeType::kHeartbeat:
+      return wire::EncodeHeartbeatEnvelope(wire::DecodeHeartbeatEnvelope(b));
+    case wire::EnvelopeType::kGroupComplete:
+      return wire::EncodeGroupCompleteEnvelope(wire::DecodeGroupCompleteEnvelope(b));
+    case wire::EnvelopeType::kDataCopy:
+      return wire::EncodeDataCopyEnvelope(wire::DecodeDataCopyEnvelope(b));
+    case wire::EnvelopeType::kInstantiateRequest:
+      return wire::EncodeInstantiateRequestEnvelope(wire::DecodeInstantiateRequestEnvelope(b));
+    case wire::EnvelopeType::kCheckpointRequest:
+      return wire::EncodeCheckpointRequestEnvelope(wire::DecodeCheckpointRequestEnvelope(b));
+    case wire::EnvelopeType::kBlockDone:
+      return wire::EncodeBlockDoneEnvelope(wire::DecodeBlockDoneEnvelope(b));
+    case wire::EnvelopeType::kCheckpointDone:
+      return wire::EncodeCheckpointDoneEnvelope(wire::DecodeCheckpointDoneEnvelope(b));
+    case wire::EnvelopeType::kRecoveryNotice:
+      return wire::EncodeRecoveryNoticeEnvelope(wire::DecodeRecoveryNoticeEnvelope(b));
+    case wire::EnvelopeType::kHeartbeatAck:
+      return wire::EncodeHeartbeatAckEnvelope(wire::DecodeHeartbeatAckEnvelope(b));
+    case wire::EnvelopeType::kSuspectNotice:
+      return wire::EncodeSuspectNoticeEnvelope(wire::DecodeSuspectNoticeEnvelope(b));
+    default:
+      ADD_FAILURE() << "no golden case for this envelope type";
+      return {};
+  }
+}
+
+TEST(EnvelopeCodecTest, GoldenBytesEveryOtherEnvelopeType) {
+  const std::vector<GoldenCase> cases = GoldenCases();
+  std::vector<bool> covered(wire::kEnvelopeTypeCount, false);
+  covered[static_cast<std::size_t>(wire::EnvelopeType::kCommands)] = true;
+  covered[static_cast<std::size_t>(wire::EnvelopeType::kSerializedBatch)] = true;
+  covered[static_cast<std::size_t>(wire::EnvelopeType::kSubmitStages)] = true;
+  for (const GoldenCase& c : cases) {
+    covered[static_cast<std::size_t>(wire::PeekEnvelopeType(c.bytes))] = true;
+    EXPECT_EQ(Hex(c.bytes), c.hex) << c.name;
+    EXPECT_EQ(Hex(Reencode(c.bytes)), c.hex) << c.name << " after a decode";
+  }
+  for (std::size_t t = 0; t < covered.size(); ++t) {
+    EXPECT_TRUE(covered[t]) << "no golden bytes for envelope type " << t;
+  }
 }
 
 TEST(EnvelopeCodecTest, SubmitStagesRoundTripsEmptyTaskDescriptors) {
@@ -505,6 +695,20 @@ TEST(EnvelopeCodecDeathTest, OversizedCountFieldDiesBeforeAllocating) {
     corrupt[i] = 0xFF;
   }
   EXPECT_DEATH(wire::DecodeCommandsEnvelope(corrupt), "");
+}
+
+TEST(EnvelopeCodecDeathTest, GroupFlagBitsBeyondFinalizeDie) {
+  // A group envelope's flags byte (after u64 group_seq and u64 expected_total) carries only
+  // `finalize`: 0x03 sets a bit no decoder may accept.
+  const std::size_t flags_at = wire::kEnvelopeHeaderSize + 16;
+  ParameterBlob commands = wire::EncodeCommandsEnvelope(wire::CommandsEnvelope{});
+  ASSERT_EQ(commands[flags_at], 1u);
+  commands[flags_at] = 0x03;
+  EXPECT_DEATH(wire::DecodeCommandsEnvelope(commands), "unknown flag");
+  ParameterBlob batch = wire::EncodeSerializedBatchEnvelope(wire::SerializedBatchEnvelope{});
+  ASSERT_EQ(batch[flags_at], 1u);
+  batch[flags_at] = 0x03;
+  EXPECT_DEATH(wire::DecodeSerializedBatchEnvelope(batch), "unknown flag");
 }
 
 // Overwrites the first occurrence of the 8-byte little-endian `from` in `bytes` with `to`.

@@ -147,7 +147,6 @@ std::vector<ParameterBlob> SerializedEnvelopes(const Rig& rig, std::uint64_t seq
   wire::SerializedBatchEnvelope e;
   e.group_seq = seq;
   e.expected_total = half.size();
-  e.barrier = true;
   e.batch = wire::EncodeBatch(seq, base, task_base, half);
   std::vector<ParameterBlob> out;
   out.push_back(wire::EncodeSerializedBatchEnvelope(e));
@@ -163,7 +162,6 @@ std::vector<ParameterBlob> PerTaskEnvelopes(const Rig& rig, std::uint64_t seq, i
     e.group_seq = seq;
     e.expected_total = half.size();
     e.finalize = i + 1 == half.size();
-    e.barrier = true;
     e.commands = {half[i]};
     out.push_back(wire::EncodeCommandsEnvelope(e));
   }

@@ -92,7 +92,7 @@ TEST(WorkerTest, ExecutesTasksInDependencyOrder) {
   std::vector<Command> cmds;
   cmds.push_back(TaskCmd(2, f2, {LogicalObjectId(1)}, {}, {1}));
   cmds.push_back(TaskCmd(1, f1, {}, {LogicalObjectId(1)}));
-  h.w(0).OnCommands(1, std::move(cmds), 2, true, true);
+  h.w(0).OnCommands(1, std::move(cmds), 2, true);
   h.simulation.Run();
 
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
@@ -112,13 +112,13 @@ TEST(WorkerTest, StreamingArrivalResolvesForwardEdges) {
   // The dependent command arrives in a separate (earlier) message than its dependency.
   std::vector<Command> first;
   first.push_back(TaskCmd(2, f2, {LogicalObjectId(1)}, {}, {1}));
-  h.w(0).OnCommands(1, std::move(first), 0, false, true);
+  h.w(0).OnCommands(1, std::move(first), 0, false);
   h.simulation.Run();
   EXPECT_TRUE(order.empty());
 
   std::vector<Command> second;
   second.push_back(TaskCmd(1, f1, {}, {LogicalObjectId(1)}));
-  h.w(0).OnCommands(1, std::move(second), 2, true, true);
+  h.w(0).OnCommands(1, std::move(second), 2, true);
   h.simulation.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
@@ -131,34 +131,15 @@ TEST(WorkerTest, BarrierGroupsRunInArrivalOrder) {
 
   std::vector<Command> g1;
   g1.push_back(TaskCmd(1, fa, {}, {}, {}, sim::Millis(50)));
-  h.w(0).OnCommands(1, std::move(g1), 1, true, true);
+  h.w(0).OnCommands(1, std::move(g1), 1, true);
   std::vector<Command> g2;
   g2.push_back(TaskCmd(2, fb, {}, {}, {}, sim::Millis(1)));
-  h.w(0).OnCommands(2, std::move(g2), 1, true, true);
+  h.w(0).OnCommands(2, std::move(g2), 1, true);
   h.simulation.Run();
 
-  // Group 2 is a barrier: even though its task is shorter, it waits for group 1.
+  // Even though its task is shorter, group 2 waits for group 1.
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(h.completions.size(), 2u);
-}
-
-TEST(WorkerTest, NonBarrierGroupsOverlap) {
-  Harness h(1);
-  std::vector<std::pair<int, sim::TimePoint>> events;
-  const FunctionId fa = h.functions.Register("a", [&](TaskContext&) {});
-  const FunctionId fb = h.functions.Register("b", [&](TaskContext&) {});
-
-  std::vector<Command> g1;
-  g1.push_back(TaskCmd(1, fa, {}, {}, {}, sim::Millis(50)));
-  h.w(0).OnCommands(1, std::move(g1), 1, true, /*barrier=*/false);
-  std::vector<Command> g2;
-  g2.push_back(TaskCmd(2, fb, {}, {}, {}, sim::Millis(1)));
-  h.w(0).OnCommands(2, std::move(g2), 1, true, /*barrier=*/false);
-  h.simulation.Run();
-
-  // Spark-style independent dispatch: the short task finishes first.
-  ASSERT_EQ(h.completions.size(), 2u);
-  EXPECT_EQ(h.completions[0].second, 2u);
 }
 
 TEST(WorkerTest, CopyPairMovesDataBetweenWorkers) {
@@ -184,7 +165,7 @@ TEST(WorkerTest, CopyPairMovesDataBetweenWorkers) {
   send.copy_bytes = 16;
   send.before = {CommandId(1)};
   g0.push_back(std::move(send));
-  h.w(0).OnCommands(1, std::move(g0), 2, true, true);
+  h.w(0).OnCommands(1, std::move(g0), 2, true);
 
   std::vector<Command> g1;
   Command recv;
@@ -195,7 +176,7 @@ TEST(WorkerTest, CopyPairMovesDataBetweenWorkers) {
   recv.copy_object = LogicalObjectId(5);
   g1.push_back(std::move(recv));
   g1.push_back(TaskCmd(4, fr, {LogicalObjectId(5)}, {}, {3}));
-  h.w(1).OnCommands(1, std::move(g1), 2, true, true);
+  h.w(1).OnCommands(1, std::move(g1), 2, true);
 
   h.simulation.Run();
   EXPECT_DOUBLE_EQ(read_back, 6.5);
@@ -223,7 +204,7 @@ TEST(WorkerTest, DataArrivingBeforeReceiveCommandIsBuffered) {
   recv.copy_object = LogicalObjectId(3);
   g.push_back(std::move(recv));
   g.push_back(TaskCmd(2, fr, {LogicalObjectId(3)}, {}, {1}));
-  h.w(1).OnCommands(1, std::move(g), 2, true, true);
+  h.w(1).OnCommands(1, std::move(g), 2, true);
   h.simulation.Run();
   EXPECT_DOUBLE_EQ(read_back, 42.0);
   EXPECT_EQ(h.w(1).buffered_copy_count(), 0u);
@@ -232,10 +213,10 @@ TEST(WorkerTest, DataArrivingBeforeReceiveCommandIsBuffered) {
 TEST(WorkerTest, HaltMidGroupDropsBufferedCopyData) {
   Harness h(2);
   const FunctionId slow = h.functions.Register("slow", [](TaskContext&) {});
-  // Group 1 keeps the worker busy so the barrier group 2 cannot start.
+  // Group 1 keeps the worker busy so group 2 cannot start.
   std::vector<Command> g1;
   g1.push_back(TaskCmd(1, slow, {}, {}, {}, sim::Millis(50)));
-  h.w(1).OnCommands(1, std::move(g1), 1, true, true);
+  h.w(1).OnCommands(1, std::move(g1), 1, true);
 
   // Group 2: a receive whose payload arrives while the group is still blocked.
   const CopyId copy = MakeCopyId(2, 0);
@@ -247,7 +228,7 @@ TEST(WorkerTest, HaltMidGroupDropsBufferedCopyData) {
   recv.peer = WorkerId(0);
   recv.copy_object = LogicalObjectId(3);
   g2.push_back(std::move(recv));
-  h.w(1).OnCommands(2, std::move(g2), 1, true, true);
+  h.w(1).OnCommands(2, std::move(g2), 1, true);
   h.w(1).OnDataMessage(copy, LogicalObjectId(3), 1, std::make_unique<ScalarPayload>(1.5));
   EXPECT_EQ(h.w(1).buffered_copy_count(), 1u);
 
@@ -276,7 +257,7 @@ TEST(WorkerTest, FailedWorkerMidGroupIgnoresInFlightData) {
   recv.peer = WorkerId(0);
   recv.copy_object = LogicalObjectId(3);
   g.push_back(std::move(recv));
-  h.w(1).OnCommands(1, std::move(g), 1, true, true);
+  h.w(1).OnCommands(1, std::move(g), 1, true);
 
   // The worker dies while the copy's payload is still in flight; the late delivery must
   // not buffer anything on the corpse.
@@ -293,7 +274,7 @@ TEST(WorkerTest, StaleDataForFinishedGroupIsDropped) {
   const FunctionId f = h.functions.Register("fn", [](TaskContext&) {});
   std::vector<Command> g;
   g.push_back(TaskCmd(1, f, {}, {}));
-  h.w(0).OnCommands(1, std::move(g), 1, true, true);
+  h.w(0).OnCommands(1, std::move(g), 1, true);
   h.simulation.Run();
   ASSERT_EQ(h.completions.size(), 1u);  // group 1 finished and was pruned
 
@@ -313,7 +294,7 @@ TEST(WorkerTest, ScalarsReportedWithCompletion) {
   cmd.returns_scalar = true;
   std::vector<Command> g;
   g.push_back(std::move(cmd));
-  h.w(0).OnCommands(1, std::move(g), 1, true, true);
+  h.w(0).OnCommands(1, std::move(g), 1, true);
   h.simulation.Run();
   ASSERT_EQ(h.scalars.size(), 1u);
   EXPECT_EQ(h.scalars[0].task, TaskId(1));
@@ -362,7 +343,7 @@ TEST(WorkerTest, FailedWorkerIgnoresAllInput) {
   h.w(0).Fail();
   std::vector<Command> g;
   g.push_back(TaskCmd(1, f, {}, {}));
-  h.w(0).OnCommands(1, std::move(g), 1, true, true);
+  h.w(0).OnCommands(1, std::move(g), 1, true);
   h.simulation.Run();
   EXPECT_EQ(runs, 0);
   EXPECT_TRUE(h.completions.empty());
@@ -375,7 +356,7 @@ TEST(WorkerTest, HaltFlushesQueues) {
   std::vector<Command> g;
   g.push_back(TaskCmd(1, f, {}, {}, {}, sim::Millis(10)));
   g.push_back(TaskCmd(2, f, {}, {}, {1}, sim::Millis(10)));
-  h.w(0).OnCommands(1, std::move(g), 2, true, true);
+  h.w(0).OnCommands(1, std::move(g), 2, true);
   h.w(0).OnHalt();
   h.simulation.Run();
   // Whatever was in flight on a core may or may not land, but the dependent task and the
@@ -397,7 +378,7 @@ TEST(WorkerTest, FileSaveAndLoadRoundTripThroughDurableStore) {
   save.copy_bytes = 8;
   std::vector<Command> g;
   g.push_back(std::move(save));
-  h.w(0).OnCommands(1, std::move(g), 1, true, true);
+  h.w(0).OnCommands(1, std::move(g), 1, true);
   h.simulation.Run();
   ASSERT_TRUE(h.durable.Has(LogicalObjectId(4)));
 
@@ -633,7 +614,6 @@ void SendFrame(Harness& h, int worker, std::uint64_t seq, Command cmd, std::size
   e.group_seq = seq;
   e.expected_total = total;
   e.finalize = finalize;
-  e.barrier = true;
   e.commands.push_back(std::move(cmd));
   h.w(worker).OnEnvelope(net::NodeAddress::Controller(), MessageKind::kCommand,
                          wire::EncodeCommandsEnvelope(e));
@@ -730,11 +710,11 @@ TEST(WorkerTest, LowerIdArrivingLaterRebasesTheIdTable) {
   // it.
   std::vector<Command> first;
   first.push_back(TaskCmd(12, fc, {}, {}, {11}));
-  h.w(0).OnCommands(1, first, 0, false, true);
+  h.w(0).OnCommands(1, first, 0, false);
   std::vector<Command> second;
   second.push_back(TaskCmd(10, fa, {}, {}));
   second.push_back(TaskCmd(11, fb, {}, {}, {10}));
-  h.w(0).OnCommands(1, second, 3, true, true);
+  h.w(0).OnCommands(1, second, 3, true);
   h.simulation.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   ASSERT_EQ(h.completions.size(), 1u);
@@ -746,7 +726,7 @@ TEST(WorkerDeathTest, BeforeIdPastTheCommandIndexBudgetDiesBeforeAnyResize) {
     Harness h(1);
     std::vector<Command> g;
     g.push_back(TaskCmd(id, f, {}, {}, {before}));
-    h.w(0).OnCommands(1, g, 1, true, true);
+    h.w(0).OnCommands(1, g, 1, true);
   };
   // One past the 2^24 budget above the base, and one far past it: a table sized first
   // would allocate 2^40 slots and die of that instead.
