@@ -158,14 +158,7 @@ echo "== recovery_latency -> $ROOT/BENCH_recovery.json"
 mv "$ROOT/BENCH_recovery.json.tmp" "$ROOT/BENCH_recovery.json"
 
 # Code size next to the perf numbers: lines of every .h/.cc under src/ (the same count
-# perfbench reports as `src_lines`).
+# perfbench reports as `src_lines`; CI's invariants job checks the committed file).
 echo "== src/ line count -> $ROOT/BENCH_src.json"
-python3 - "$ROOT/src" > "$ROOT/BENCH_src.json.tmp" <<'PY'
-import json, pathlib, sys
-
-files = sorted(p for p in pathlib.Path(sys.argv[1]).rglob("*")
-               if p.suffix in (".h", ".cc") and p.is_file())
-lines = sum(sum(1 for _ in open(p, "rb")) for p in files)
-print(json.dumps({"src_files": len(files), "src_lines": lines}, indent=2))
-PY
+python3 "$ROOT/scripts/src_lines.py" > "$ROOT/BENCH_src.json.tmp"
 mv "$ROOT/BENCH_src.json.tmp" "$ROOT/BENCH_src.json"

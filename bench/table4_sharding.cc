@@ -194,24 +194,16 @@ BENCHMARK(BM_EngineInstantiateOverlapped)
 // precondition sweep runs and the model broadcast patches every time) with tiny task
 // durations, so the loop is control-plane-bound like Fig 8. The primary counter is
 // sim_tasks_per_s — dispatched tasks over elapsed *virtual* time, which is deterministic
-// and independent of the bench host. lookahead=1 should beat lookahead=0 by >=1.5x;
-// worker_threads>0 additionally models parallel worker-side materialization (§9.3).
+// and independent of the bench host. lookahead=1 should beat lookahead=0 by >=1.5x.
 void BM_ControllerLoopPipelined(benchmark::State& state) {
   const bool lookahead = state.range(0) != 0;
-  const auto worker_threads = static_cast<std::size_t>(state.range(1));
   constexpr int kLoopWorkers = 16;
   constexpr int kLoopPartitions = 128;
 
-  // Declared before the cluster: workers borrow the executor for their whole lifetime.
-  std::unique_ptr<runtime::ThreadPoolExecutor> pool;
-  if (worker_threads > 0) {
-    pool = std::make_unique<runtime::ThreadPoolExecutor>(worker_threads);
-  }
   ClusterOptions options;
   options.workers = kLoopWorkers;
   options.partitions = kLoopPartitions;
   options.mode = ControlMode::kTemplates;
-  options.worker_executor = pool.get();
   Cluster cluster(options);
   Job job(&cluster);
 
@@ -303,13 +295,11 @@ void BM_ControllerLoopPipelined(benchmark::State& state) {
       static_cast<double>(cluster.controller().lookahead_hits());
 }
 BENCHMARK(BM_ControllerLoopPipelined)
-    ->ArgNames({"lookahead", "worker_threads"})
+    ->ArgName("lookahead")
     // The serial controller loop (the ROADMAP's "one block at a time" baseline).
-    ->Args({0, 0})
+    ->Arg(0)
     // Driver lookahead: block N+1's sweep rides block N's assembly batch.
-    ->Args({1, 0})
-    // Plus worker-side parallel materialization on a 4-lane pool.
-    ->Args({1, 3})
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

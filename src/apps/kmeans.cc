@@ -99,10 +99,6 @@ sim::Duration KMeansApp::MapTaskDuration() const {
                                     1e9);
 }
 
-int KMeansApp::TasksPerBlock() const {
-  return config_.partitions + config_.reduce_groups + 1;
-}
-
 void KMeansApp::Setup() {
   const int p = config_.partitions;
   const int g = config_.reduce_groups;

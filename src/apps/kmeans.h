@@ -48,7 +48,6 @@ class KMeansApp {
   static std::vector<double> ReferenceRun(const Config& config, int iters);
 
   sim::Duration MapTaskDuration() const;
-  int TasksPerBlock() const;
   std::string BlockName() const { return config_.block_prefix + "_iter"; }
   const Config& config() const { return config_; }
 

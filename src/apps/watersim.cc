@@ -29,17 +29,6 @@ WaterSimApp::WaterSimApp(Job* job, Config config) : job_(job), config_(config) {
   NIMBUS_CHECK_GE(config_.nz_local, 2);
 }
 
-int WaterSimApp::TasksPerSubstepApprox(int cg_iters) const {
-  const int p = config_.partitions;
-  const int g = config_.reduce_groups;
-  const int dt_block = p + g + 1;
-  const int advect_block = 12 * p;
-  const int cg_init = p + g + 1;
-  const int cg_iter = (4 * p + 2 * g + 2) * cg_iters;
-  const int project = 3 * p + g + 1 + 1;
-  return dt_block + advect_block + cg_init + cg_iter + project;
-}
-
 void WaterSimApp::DefineVariables() {
   const int p = config_.partitions;
   const int g = config_.reduce_groups;

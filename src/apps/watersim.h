@@ -82,9 +82,6 @@ class WaterSimApp {
   // Total water volume (sum of levelset-inside indicator), for conservation checks.
   double MeasureVolume();
 
-  // Count of tasks in one execution of each block (for experiment bookkeeping).
-  int TasksPerSubstepApprox(int cg_iters) const;
-
   const Config& config() const { return config_; }
 
  private:

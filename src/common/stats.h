@@ -78,9 +78,6 @@ struct ExecutorCounters : detail::ClearableCounters<ExecutorCounters> {
   // (loop wall - wall_ns + critical_path_ns).
   std::uint64_t wall_ns = 0;
 
-  double MeanJobNs() const {
-    return jobs_run == 0 ? 0.0 : static_cast<double>(busy_ns) / static_cast<double>(jobs_run);
-  }
   // busy / (concurrency * critical_path): 1.0 = perfectly balanced batches.
   double ParallelEfficiency(std::size_t concurrency) const {
     const double denom =
@@ -309,15 +306,13 @@ struct ControllerCounters : detail::ClearableCounters<ControllerCounters> {
 };
 
 // Worker-side materialization accounting (DESIGN.md §9.3): per-worker totals, folded per
-// instantiation group the worker materializes through its executor. `dense_resolves`
-// counts entries whose read/write sets had to be (re)resolved to store-dense indices (the
-// serial intern pre-pass: first touch or post-edit); steady state is zero per group.
+// instantiation group the worker materializes. `dense_resolves` counts entries whose
+// read/write sets had to be (re)resolved to store-dense indices (first touch or
+// post-edit); steady state is zero per group.
 struct MaterializeCounters : detail::ClearableCounters<MaterializeCounters> {
-  std::uint64_t groups = 0;         // instantiation groups materialized
-  std::uint64_t entries = 0;        // template entries turned into runtime commands
-  std::uint64_t dense_resolves = 0;  // entries resolved in the serial intern pre-pass
-  std::uint64_t build_chunks = 0;   // executor jobs across command-build batches
-  std::uint64_t launch_scans = 0;   // group-start eligibility scans run as batches
+  std::uint64_t groups = 0;          // instantiation groups materialized
+  std::uint64_t entries = 0;         // template entries turned into runtime commands
+  std::uint64_t dense_resolves = 0;  // entries whose object sets were (re)resolved
 
   static constexpr const char* kGroupName = "materialize";
   template <typename V>
@@ -325,8 +320,6 @@ struct MaterializeCounters : detail::ClearableCounters<MaterializeCounters> {
     visit("groups", groups);
     visit("entries", entries);
     visit("dense_resolves", dense_resolves);
-    visit("build_chunks", build_chunks);
-    visit("launch_scans", launch_scans);
   }
 };
 

@@ -58,10 +58,6 @@ class Assignment {
     return partition_to_worker_[static_cast<std::size_t>(partition)];
   }
 
-  void SetWorkerFor(int partition, WorkerId worker) {
-    partition_to_worker_[static_cast<std::size_t>(partition)] = worker;
-  }
-
   int partition_count() const { return static_cast<int>(partition_to_worker_.size()); }
 
   // Distinct workers appearing in the assignment.
@@ -392,7 +388,6 @@ class WorkerTemplateSet {
   }
 
   void SetSelfValidating(bool v) { self_validating_ = v; }
-  void SetCopyCount(std::int32_t n) { copy_count_ = n; }
   std::int32_t NextCopyIndex() { return copy_count_++; }
   void SetObjectBytes(LogicalObjectId object, std::int64_t bytes) {
     ++generation_;

@@ -65,11 +65,6 @@ class ObjectDirectory {
 
   // --- Dense accessors (id value == dense index; the allocator guarantees contiguity) ---
 
-  const VariableInfo& VariableAt(DenseIndex index) const {
-    NIMBUS_CHECK_LT(index, variables_.size());
-    return variables_[index];
-  }
-
   const LogicalObjectInfo& ObjectAt(DenseIndex index) const {
     NIMBUS_CHECK_LT(index, objects_.size());
     return objects_[index];

@@ -110,10 +110,6 @@ class ObjectStore {
 
   Version version(LogicalObjectId object) const { return VersionDense(ExistingIndex(object)); }
 
-  void BumpVersion(LogicalObjectId object, Version version) {
-    BumpVersionDense(ExistingIndex(object), version);
-  }
-
   void Erase(LogicalObjectId object) {
     const DenseIndex index = objects_.Find(object);
     if (index != kInvalidDenseIndex) {

@@ -64,26 +64,6 @@ class VectorPayload final : public Payload {
   std::vector<double> values_;
 };
 
-// Wraps an arbitrary copyable application type T as a payload.
-template <typename T>
-class TypedPayload final : public Payload {
- public:
-  TypedPayload() = default;
-  explicit TypedPayload(T value) : value_(std::move(value)) {}
-
-  std::unique_ptr<Payload> Clone() const override {
-    return std::make_unique<TypedPayload<T>>(value_);
-  }
-
-  std::int64_t ByteSize() const override { return static_cast<std::int64_t>(sizeof(T)); }
-
-  T& value() { return value_; }
-  const T& value() const { return value_; }
-
- private:
-  T value_;
-};
-
 }  // namespace nimbus
 
 #endif  // NIMBUS_SRC_DATA_PAYLOAD_H_

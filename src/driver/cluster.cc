@@ -61,9 +61,6 @@ Cluster::Cluster(ClusterOptions options)
     if (options_.enable_command_log) {
       worker->EnableCommandLog();
     }
-    if (options_.worker_executor != nullptr) {
-      worker->set_executor(options_.worker_executor);
-    }
     controller_->AttachWorker(worker.get());
     workers_.push_back(std::move(worker));
   }

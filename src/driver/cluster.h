@@ -56,9 +56,6 @@ struct ClusterOptions {
 
   // --- Worker knobs ---
   bool enable_command_log = false;  // workers record their observed command streams
-  // Materialization executor for every worker (DESIGN.md §9.3); borrowed — the caller
-  // keeps it alive for the cluster's lifetime. nullptr = the built-in InlineExecutor.
-  runtime::Executor* worker_executor = nullptr;
 
   // --- Failure detection (DESIGN.md §14) ---
   // Arms heartbeat/suspicion detection at construction, before any traffic flows. Under

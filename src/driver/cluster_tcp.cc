@@ -29,8 +29,8 @@ class TcpClusterRuntime::NodeTimerQueue final : public net::TimerQueue {
   NodeTimerQueue(TcpClusterRuntime* runtime, Node* node, bool is_driver)
       : runtime_(runtime), node_(node), is_driver_(is_driver) {}
 
-  TimerId Schedule(sim::Duration delay, std::function<void()> fn) override {
-    return node_->endpoint->ScheduleTimer(delay, [this, fn = std::move(fn)]() {
+  void Schedule(sim::Duration delay, std::function<void()> fn) override {
+    node_->endpoint->ScheduleTimer(delay, [this, fn = std::move(fn)]() {
       {
         std::lock_guard<std::mutex> lock(node_->mutex);
         fn();
@@ -41,8 +41,6 @@ class TcpClusterRuntime::NodeTimerQueue final : public net::TimerQueue {
       }
     });
   }
-
-  bool Cancel(TimerId id) override { return node_->endpoint->CancelTimer(id); }
 
   sim::TimePoint Now() const override { return net::TcpEndpoint::NowNanos(); }
 

@@ -227,11 +227,4 @@ void Job::Checkpoint(std::uint64_t marker) {
   cluster_->WithDriver([&]() { waiting_request_ = 0; });
 }
 
-void Job::Idle(sim::Duration d) {
-  sim::Simulation& sim = cluster_->simulation();
-  bool fired = false;
-  sim.ScheduleAfter(d, [&fired]() { fired = true; });
-  sim.RunUntilCondition([&]() { return fired; });
-}
-
 }  // namespace nimbus

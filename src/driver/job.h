@@ -103,10 +103,6 @@ class Job {
   void SetTemplatesEnabled(bool enabled) { templates_enabled_ = enabled; }
   bool templates_enabled() const { return templates_enabled_; }
 
-  // Advances virtual time with no driver activity (lets in-flight work settle).
-  // Simulator backend only.
-  void Idle(sim::Duration d);
-
   // kSuspectNotice envelopes received (controller suspected a worker without declaring
   // it failed). Read under Cluster::WithDriver when the TCP backend is active.
   std::uint64_t suspect_notices() const { return suspect_notices_; }

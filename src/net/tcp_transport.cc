@@ -668,17 +668,10 @@ void TcpEndpoint::ArmTimerLocked() {
       << "timerfd_settime: " << std::strerror(errno);
 }
 
-TimerQueue::TimerId TcpEndpoint::ScheduleTimer(sim::Duration delay,
-                                               std::function<void()> fn) {
+void TcpEndpoint::ScheduleTimer(sim::Duration delay, std::function<void()> fn) {
   std::lock_guard<std::mutex> lock(timer_mutex_);
-  const TimerQueue::TimerId id = wheel_.Schedule(NowNanos(), delay, std::move(fn));
+  wheel_.Schedule(NowNanos(), delay, std::move(fn));
   ArmTimerLocked();  // no-op before Start (timer_fd_ not created yet)
-  return id;
-}
-
-bool TcpEndpoint::CancelTimer(TimerQueue::TimerId id) {
-  std::lock_guard<std::mutex> lock(timer_mutex_);
-  return wheel_.Cancel(id);
 }
 
 sim::TimePoint TcpEndpoint::NowNanos() {

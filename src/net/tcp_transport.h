@@ -79,8 +79,7 @@ class TcpEndpoint final : public Transport {
   // ---- Timers (event-loop clock domain) ----
   // Runs `fn` once on the event-loop thread, `delay` after now. Thread-safe; callable
   // before Start (the wheel holds the entry and the timerfd arms when the loop spawns).
-  TimerQueue::TimerId ScheduleTimer(sim::Duration delay, std::function<void()> fn);
-  bool CancelTimer(TimerQueue::TimerId id);
+  void ScheduleTimer(sim::Duration delay, std::function<void()> fn);
   // CLOCK_MONOTONIC in nanoseconds — the clock the wheel and liveness deadlines share.
   static sim::TimePoint NowNanos();
 

@@ -8,25 +8,8 @@
 
 namespace nimbus::net {
 
-TimerQueue::TimerId SimTimerQueue::Schedule(sim::Duration delay, std::function<void()> fn) {
-  const TimerId id = next_id_++;
-  pending_.insert(id);
-  simulation_->ScheduleAfter(delay, [this, id, fn = std::move(fn)]() {
-    if (cancelled_.erase(id) > 0) {
-      return;  // tombstoned: the simulation queue has no removal, so skip at fire time
-    }
-    pending_.erase(id);
-    fn();
-  });
-  return id;
-}
-
-bool SimTimerQueue::Cancel(TimerId id) {
-  if (pending_.erase(id) == 0) {
-    return false;
-  }
-  cancelled_.insert(id);
-  return true;
+void SimTimerQueue::Schedule(sim::Duration delay, std::function<void()> fn) {
+  simulation_->ScheduleAfter(delay, std::move(fn));
 }
 
 sim::TimePoint SimTimerQueue::Now() const { return simulation_->now(); }
@@ -44,8 +27,8 @@ std::uint64_t TimerWheel::TickFor(sim::TimePoint deadline) const {
   return static_cast<std::uint64_t>((deadline + tick_ - 1) / tick_);
 }
 
-TimerWheel::TimerId TimerWheel::Schedule(sim::TimePoint now, sim::Duration delay,
-                                         std::function<void()> fn) {
+void TimerWheel::Schedule(sim::TimePoint now, sim::Duration delay,
+                          std::function<void()> fn) {
   NIMBUS_CHECK_GE(delay, 0);
   if (!started_) {
     // Lazily anchor the cursor to the caller's clock (virtual time starts at 0;
@@ -58,28 +41,9 @@ TimerWheel::TimerId TimerWheel::Schedule(sim::TimePoint now, sim::Duration delay
   // one they could never fire from.
   e.tick = std::max(TickFor(now + delay), cursor_ + 1);
   e.seq = next_seq_++;
-  e.id = next_id_++;
   e.fn = std::move(fn);
-  const TimerId id = e.id;
   slots_[e.tick % slots_.size()].push_back(std::move(e));
   ++pending_;
-  return id;
-}
-
-bool TimerWheel::Cancel(TimerId id) {
-  if (id == TimerQueue::kInvalidTimer || id >= next_id_) {
-    return false;
-  }
-  for (auto& slot : slots_) {
-    for (const Entry& e : slot) {
-      if (e.id == id && cancelled_.count(id) == 0) {
-        cancelled_.insert(id);
-        --pending_;
-        return true;
-      }
-    }
-  }
-  return false;
 }
 
 sim::TimePoint TimerWheel::NextDeadline() const {
@@ -89,13 +53,8 @@ sim::TimePoint TimerWheel::NextDeadline() const {
   std::uint64_t best = UINT64_MAX;
   for (const auto& slot : slots_) {
     for (const Entry& e : slot) {
-      if (e.tick < best && cancelled_.count(e.id) == 0) {
-        best = e.tick;
-      }
+      best = std::min(best, e.tick);
     }
-  }
-  if (best == UINT64_MAX) {
-    return kNever;
   }
   return static_cast<sim::TimePoint>(best) * tick_;
 }
@@ -118,9 +77,7 @@ std::vector<std::function<void()>> TimerWheel::PopDue(sim::TimePoint now) {
     auto keep = slot->begin();
     for (auto it = slot->begin(); it != slot->end(); ++it) {
       if (it->tick <= max_tick) {
-        if (cancelled_.erase(it->id) == 0) {
-          due.push_back(std::move(*it));
-        }
+        due.push_back(std::move(*it));
       } else {
         if (keep != it) {
           *keep = std::move(*it);
@@ -136,23 +93,10 @@ std::vector<std::function<void()>> TimerWheel::PopDue(sim::TimePoint now) {
       drain_slot(&slot, target);
     }
   } else {
+    // Slot t % slots holds ticks t, t + slots, ... (earlier revolutions are drained), so
+    // its entries at or below t are exactly those due at t; later revolutions stay queued.
     for (std::uint64_t t = cursor_ + 1; t <= target; ++t) {
-      // Only entries whose absolute tick matches are due; later revolutions stay queued.
-      auto& slot = slots_[t % slots_.size()];
-      auto keep = slot.begin();
-      for (auto it = slot.begin(); it != slot.end(); ++it) {
-        if (it->tick == t) {
-          if (cancelled_.erase(it->id) == 0) {
-            due.push_back(std::move(*it));
-          }
-        } else {
-          if (keep != it) {
-            *keep = std::move(*it);
-          }
-          ++keep;
-        }
-      }
-      slot.erase(keep, slot.end());
+      drain_slot(&slots_[t % slots_.size()], t);
     }
   }
   cursor_ = target;

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "src/sim/virtual_time.h"
@@ -35,39 +34,29 @@ class Simulation;
 
 namespace net {
 
-// Abstract timer seam. `Schedule` runs `fn` once, `delay` after now; `Cancel` returns
-// true iff the timer was still pending. `Now` reports the queue's clock (virtual ns or
-// CLOCK_MONOTONIC ns) so liveness deadlines can be computed in the same domain the
-// timers fire in.
+// Abstract timer seam. `Schedule` runs `fn` once, `delay` after now. `Now` reports the
+// queue's clock (virtual ns or CLOCK_MONOTONIC ns) so liveness deadlines can be computed
+// in the same domain the timers fire in.
 class TimerQueue {
  public:
-  using TimerId = std::uint64_t;
-  static constexpr TimerId kInvalidTimer = 0;
-
   virtual ~TimerQueue() = default;
 
-  virtual TimerId Schedule(sim::Duration delay, std::function<void()> fn) = 0;
-  virtual bool Cancel(TimerId id) = 0;
+  virtual void Schedule(sim::Duration delay, std::function<void()> fn) = 0;
   virtual sim::TimePoint Now() const = 0;
 };
 
 // Virtual-clock TimerQueue over a node's simulation event queue. Scheduling maps directly
 // onto `Simulation::ScheduleAfter`, so sim-driven heartbeats interleave with deliveries
-// exactly as before the seam existed; cancellation is a tombstone the wrapped callback
-// consults when it fires (the simulation queue has no removal).
+// exactly as before the seam existed.
 class SimTimerQueue : public TimerQueue {
  public:
   explicit SimTimerQueue(sim::Simulation* simulation) : simulation_(simulation) {}
 
-  TimerId Schedule(sim::Duration delay, std::function<void()> fn) override;
-  bool Cancel(TimerId id) override;
+  void Schedule(sim::Duration delay, std::function<void()> fn) override;
   sim::TimePoint Now() const override;
 
  private:
   sim::Simulation* simulation_;
-  TimerId next_id_ = 1;
-  std::unordered_set<TimerId> pending_;
-  std::unordered_set<TimerId> cancelled_;
 };
 
 // Deterministic slotted timer wheel. Deadlines round *up* to the tick resolution (a timer
@@ -75,8 +64,6 @@ class SimTimerQueue : public TimerQueue {
 // order. Not thread-safe; the owner serializes access.
 class TimerWheel {
  public:
-  using TimerId = TimerQueue::TimerId;
-
   // `tick` is the wheel resolution; `slots` the wheel circumference. Entries further out
   // than slots*tick simply stay in their slot for extra revolutions (tick equality is
   // checked at expiry), so the circumference only affects collision rates.
@@ -84,10 +71,7 @@ class TimerWheel {
 
   // Schedules `fn` at absolute time `now + delay`. `now` must be monotonically
   // non-decreasing across calls (same clock PopDue receives).
-  TimerId Schedule(sim::TimePoint now, sim::Duration delay, std::function<void()> fn);
-
-  // True iff the timer had not yet fired (or been cancelled).
-  bool Cancel(TimerId id);
+  void Schedule(sim::TimePoint now, sim::Duration delay, std::function<void()> fn);
 
   // Earliest time a pending entry becomes due (tick-aligned), or kNever if none. This is
   // what the TCP backend arms its timerfd to.
@@ -104,7 +88,6 @@ class TimerWheel {
   struct Entry {
     std::uint64_t tick = 0;  // absolute tick index this entry fires at
     std::uint64_t seq = 0;   // insertion order, the same-tick tie break
-    TimerId id = 0;
     std::function<void()> fn;
   };
 
@@ -115,9 +98,7 @@ class TimerWheel {
   bool started_ = false;
   std::uint64_t cursor_ = 0;  // last tick fully drained by PopDue
   std::uint64_t next_seq_ = 0;
-  TimerId next_id_ = 1;
   std::size_t pending_ = 0;
-  std::unordered_set<TimerId> cancelled_;
 };
 
 }  // namespace net

@@ -65,11 +65,6 @@ struct CostModel {
   // (instantiate_worker_template_validate_per_task -
   // instantiate_worker_template_auto_per_task).
   Duration lookahead_consume_per_task = Micros(0.5);
-  // Worker-side parallel materialization (DESIGN.md §9.3): with a parallel executor the
-  // per-entry materialization charge divides by min(executor lanes, worker_cores) scaled
-  // by this efficiency (chunked command builds do not parallelize perfectly). An inline
-  // executor models one lane, so the default charge is unchanged.
-  double worker_materialize_efficiency = 0.85;
 
   // ---- Template installation costs (paper Table 1) ----
   Duration install_controller_template_per_task = Micros(25);

@@ -68,8 +68,6 @@ class Network {
   std::int64_t bytes_sent() const { return counters_.total_bytes(); }
   const NetworkCounters& counters() const { return counters_; }
 
-  void ResetCounters() { counters_.Clear(); }
-
  private:
   // Flat per-node NIC table indexed by the dense address layout (driver=0, controller=1,
   // worker i=2+i); node addresses are contiguous, so a vector beats a hash map on the

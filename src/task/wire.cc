@@ -282,7 +282,7 @@ std::int32_t CheckedI32(std::int64_t v) {
 }
 
 // Payload kinds of the data-copy envelope: only the two application payloads cross worker
-// boundaries (TypedPayload<T> is in-memory only).
+// boundaries.
 enum class PayloadKind : std::uint8_t { kNone, kScalar, kVector };
 
 // The largest valid value of each one-byte field.
@@ -536,7 +536,7 @@ IfRecord<T, std::unique_ptr<Payload>> Walk(W& w, T& payload) {
       kind = PayloadKind::kScalar;
     } else {
       NIMBUS_CHECK(payload == nullptr)
-          << "payload type is not wire-encodable (TypedPayload<T> is in-memory only)";
+          << "payload type is not wire-encodable (only scalar and vector payloads are)";
     }
   }
   w(kind);

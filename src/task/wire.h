@@ -271,8 +271,7 @@ GroupCompleteEnvelope DecodeGroupCompleteEnvelope(const ParameterBlob& bytes);
 // -- Worker -> worker --
 
 // Payload wire coverage: ScalarPayload and VectorPayload (the two application payload
-// kinds that cross worker boundaries). Encoding any other Payload subclass CHECK-fails —
-// TypedPayload<T> is in-memory only.
+// kinds that cross worker boundaries). Encoding any other Payload subclass CHECK-fails.
 struct DataCopyEnvelope {
   CopyId copy;
   LogicalObjectId object;

@@ -54,13 +54,6 @@ class TaskContext {
     return p->value();
   }
 
-  template <typename T>
-  const T& ReadAs(std::size_t i) const {
-    const auto* p = dynamic_cast<const TypedPayload<T>*>(&read(i));
-    NIMBUS_CHECK(p != nullptr) << "read " << i << " has unexpected payload type";
-    return p->value();
-  }
-
   // Write accessors create the instance in place on first write (objects are mutable and
   // written in place, paper §3.3).
   VectorPayload& WriteVector(std::size_t i, std::size_t size_hint = 0) {
@@ -75,14 +68,6 @@ class TaskContext {
     auto* s = dynamic_cast<ScalarPayload*>(p);
     NIMBUS_CHECK(s != nullptr) << "write " << i << " is not a ScalarPayload";
     return *s;
-  }
-
-  template <typename T>
-  T& WriteAs(std::size_t i) {
-    Payload* p = EnsureWrite(i, [] { return std::make_unique<TypedPayload<T>>(); });
-    auto* t = dynamic_cast<TypedPayload<T>*>(p);
-    NIMBUS_CHECK(t != nullptr) << "write " << i << " has unexpected payload type";
-    return t->value();
   }
 
   const ParameterBlob& params() const {

@@ -380,18 +380,8 @@ void Worker::OnInstantiate(InstantiateMsg msg) {
     }
   }
 
-  // Overlap-aware rate (DESIGN.md §9.3): a parallel executor materializes entry chunks on
-  // min(lanes, cores) real cores, so the modeled per-entry charge divides by that, scaled
-  // by the measured chunking efficiency. Clamped to the entry count — a tiny half runs at
-  // most one chunk per entry. One lane (the inline default) divides by 1.
-  const double lanes = static_cast<double>(std::min(
-      {executor_->concurrency(), static_cast<std::size_t>(costs_->worker_cores),
-       std::max<std::size_t>(1, cached.half.entries.size())}));
-  const double speedup = std::max(1.0, lanes * costs_->worker_materialize_efficiency);
-  const auto charge = static_cast<sim::Duration>(
-      static_cast<double>(costs_->instantiate_worker_template_auto_per_task *
-                          static_cast<sim::Duration>(cached.half.entries.size())) /
-      speedup);
+  const sim::Duration charge = costs_->instantiate_worker_template_auto_per_task *
+                               static_cast<sim::Duration>(cached.half.entries.size());
 
   // Materialize the cached table into a runnable group after the control-thread charge.
   // A halt between the charge and the materialization discards the instantiation: its
@@ -406,13 +396,6 @@ void Worker::OnInstantiate(InstantiateMsg msg) {
     }
     MaterializeInstantiation(tmpl_index, msg);
   });
-}
-
-std::size_t Worker::ChunkCount(std::size_t n) const {
-  if (n == 0) {
-    return 0;
-  }
-  return std::max<std::size_t>(1, std::min(executor_->concurrency(), n));
 }
 
 void Worker::MaterializeInstantiation(DenseIndex tmpl_index, const InstantiateMsg& msg) {
@@ -431,32 +414,6 @@ void Worker::MaterializeInstantiation(DenseIndex tmpl_index, const InstantiateMs
   group.commands.swap(cached.spare_table);
   group.template_index = tmpl_index;
 
-  // Serial intern pre-pass: resolving an entry's objects to store-dense indices mutates
-  // the store's interner, so it cannot ride the parallel build batch. First touch (or the
-  // slot an edit replaced) resolves here, in entry order — the same intern order as the
-  // old fused loop — and every later instantiation of this template skips the pass.
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const core::WtEntry& e = entries[i];
-    CachedTemplate::DenseSets& ds = cached.dense[i];
-    if (ds.valid || e.dead) {
-      continue;
-    }
-    ds.reads.clear();
-    ds.writes.clear();
-    ds.reads.reserve(e.reads.size());
-    for (LogicalObjectId r : e.reads) {
-      ds.reads.push_back(store_.Intern(r));
-    }
-    ds.writes.reserve(e.writes.size());
-    for (LogicalObjectId w : e.writes) {
-      ds.writes.push_back(store_.Intern(w));
-    }
-    ds.object = e.type == CommandType::kCopySend ? store_.Intern(e.object)
-                                                 : kInvalidDenseIndex;
-    ds.valid = true;
-    ++materialize_counters_.dense_resolves;
-  }
-
   // Sorted view of the sparse per-entry parameters: lookup below is a binary search, not a
   // hash probe (steady state does no hashing per task).
   std::vector<std::pair<std::int32_t, const ParameterBlob*>> params;
@@ -467,72 +424,77 @@ void Worker::MaterializeInstantiation(DenseIndex tmpl_index, const InstantiateMs
   std::sort(params.begin(), params.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  // Parallel command build (DESIGN.md §9.3): entry i becomes command slot i, so chunks
-  // write disjoint slots of a pre-sized table and the result is executor-invariant. The
-  // build only reads the cached template, the resolved dense sets, and the sorted params;
-  // receive-slot binding and before-edge wiring mutate shared state and stay serial below.
-  // Every slot is reset before it is filled: a recycled slot may hold a different entry
-  // type from before an edit, and its vectors refill within their kept capacity.
+  // One pass in entry order: entry i becomes command slot i. Its objects resolve to
+  // store-dense indices on first touch (or after an edit replaced the slot), so every
+  // later instantiation of this template skips the interning; a receive binds its copy
+  // slot as soon as it is built. Every slot is reset before it is filled: a recycled slot
+  // may hold a different entry type from before an edit, and its vectors refill within
+  // their kept capacity.
   group.commands.resize(entries.size());
-  const std::size_t chunks = ChunkCount(entries.size());
-  executor_->Run(chunks, [&](std::size_t job) {
-    const std::size_t begin = job * entries.size() / chunks;
-    const std::size_t end = (job + 1) * entries.size() / chunks;
-    for (std::size_t i = begin; i < end; ++i) {
-      const core::WtEntry& e = entries[i];
-      const CachedTemplate::DenseSets& ds = cached.dense[i];
-      RuntimeCommand& rc = group.commands[i];
-      rc.ResetKeepingCapacity();
-      rc.cmd.id = CommandId(msg.command_base.value() + i);
-      if (e.dead) {
-        rc.cmd.type = CommandType::kDataCreate;  // benign no-op preserving the index
-        continue;
-      }
-      rc.cmd.type = e.type;
-      switch (e.type) {
-        case CommandType::kTask: {
-          rc.cmd.function = e.function;
-          rc.cmd.task_id =
-              TaskId(msg.task_base.value() + static_cast<std::uint64_t>(e.global_entry));
-          rc.cmd.duration = e.duration;
-          rc.cmd.returns_scalar = e.returns_scalar;
-          const auto pit = std::lower_bound(
-              params.begin(), params.end(), e.global_entry,
-              [](const auto& p, std::int32_t slot) { return p.first < slot; });
-          const ParameterBlob& blob =
-              pit != params.end() && pit->first == e.global_entry ? *pit->second
-                                                                  : e.cached_params;
-          rc.cmd.params.assign(blob.begin(), blob.end());
-          rc.reads_dense.assign(ds.reads.begin(), ds.reads.end());
-          rc.writes_dense.assign(ds.writes.begin(), ds.writes.end());
-          break;
-        }
-        case CommandType::kCopySend:
-        case CommandType::kCopyReceive: {
-          rc.cmd.copy_id = MakeCopyId(msg.group_seq, e.copy_index);
-          rc.cmd.peer = e.peer;
-          rc.cmd.copy_object = e.object;
-          rc.cmd.copy_bytes = e.bytes;
-          rc.object_dense = ds.object;
-          break;
-        }
-        default:
-          rc.cmd.data_object = e.object;
-          break;
-      }
-    }
-  });
-  materialize_counters_.build_chunks += chunks;
-  ++materialize_counters_.groups;
-  materialize_counters_.entries += entries.size();
-
-  // Receive-slot binding claims buffered payloads and resizes the slot table: serial, in
-  // ascending entry order — exactly the bind order of the old fused loop.
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (!entries[i].dead && entries[i].type == CommandType::kCopyReceive) {
-      BindReceiveSlot(group, static_cast<std::int32_t>(i));
+    const core::WtEntry& e = entries[i];
+    CachedTemplate::DenseSets& ds = cached.dense[i];
+    if (!ds.valid && !e.dead) {
+      ds.reads.clear();
+      ds.writes.clear();
+      ds.reads.reserve(e.reads.size());
+      for (LogicalObjectId r : e.reads) {
+        ds.reads.push_back(store_.Intern(r));
+      }
+      ds.writes.reserve(e.writes.size());
+      for (LogicalObjectId w : e.writes) {
+        ds.writes.push_back(store_.Intern(w));
+      }
+      ds.object = e.type == CommandType::kCopySend ? store_.Intern(e.object)
+                                                   : kInvalidDenseIndex;
+      ds.valid = true;
+      ++materialize_counters_.dense_resolves;
+    }
+    RuntimeCommand& rc = group.commands[i];
+    rc.ResetKeepingCapacity();
+    rc.cmd.id = CommandId(msg.command_base.value() + i);
+    if (e.dead) {
+      rc.cmd.type = CommandType::kDataCreate;  // benign no-op preserving the index
+      continue;
+    }
+    rc.cmd.type = e.type;
+    switch (e.type) {
+      case CommandType::kTask: {
+        rc.cmd.function = e.function;
+        rc.cmd.task_id =
+            TaskId(msg.task_base.value() + static_cast<std::uint64_t>(e.global_entry));
+        rc.cmd.duration = e.duration;
+        rc.cmd.returns_scalar = e.returns_scalar;
+        const auto pit = std::lower_bound(
+            params.begin(), params.end(), e.global_entry,
+            [](const auto& p, std::int32_t slot) { return p.first < slot; });
+        const ParameterBlob& blob =
+            pit != params.end() && pit->first == e.global_entry ? *pit->second
+                                                                : e.cached_params;
+        rc.cmd.params.assign(blob.begin(), blob.end());
+        rc.reads_dense.assign(ds.reads.begin(), ds.reads.end());
+        rc.writes_dense.assign(ds.writes.begin(), ds.writes.end());
+        break;
+      }
+      case CommandType::kCopySend:
+      case CommandType::kCopyReceive: {
+        rc.cmd.copy_id = MakeCopyId(msg.group_seq, e.copy_index);
+        rc.cmd.peer = e.peer;
+        rc.cmd.copy_object = e.object;
+        rc.cmd.copy_bytes = e.bytes;
+        rc.object_dense = ds.object;
+        if (e.type == CommandType::kCopyReceive) {
+          BindReceiveSlot(group, static_cast<std::int32_t>(i));
+        }
+        break;
+      }
+      default:
+        rc.cmd.data_object = e.object;
+        break;
     }
   }
+  ++materialize_counters_.groups;
+  materialize_counters_.entries += entries.size();
 
   if (command_log_enabled_) {
     for (const RuntimeCommand& rc : group.commands) {
@@ -698,45 +660,18 @@ void Worker::StartGroup(std::uint64_t seq) {
   group->started = true;
   NIMBUS_TRACE_SPAN(trace::Lane::kWorker, TraceTrack(id_), "group_start");
 
-  // Eligibility scan in executor chunks (DESIGN.md §9.3): the initial ready set is a pure
-  // read of each command's dependency count, so chunks write disjoint slots of the
-  // bitmap. Launches themselves stay serial — they drive the single-threaded simulation —
-  // and a command that becomes ready only during those launches is launched by the
-  // completion cascade (CompleteCommand -> TryLaunch), exactly as in the fused loop,
-  // where TryLaunch on a not-yet-ready index was a no-op too.
+  // Launch in index order; TryLaunch skips a command that is not ready or already
+  // launched. Launching one command can synchronously complete others (copy sends, no-ops),
+  // whose cascade launches whatever they make ready, and can even finish + prune the group,
+  // so re-find it on every step.
   const std::size_t n = group->commands.size();
-  // Scratch capacity is recycled across group starts, but the buffer is moved out while
-  // in use: a launch below can cascade into a nested StartGroup (group completes ->
-  // MaybeStartGroups), which must not clobber this scan (it just allocates its own).
-  std::vector<std::uint8_t> ready = std::move(ready_scratch_);
-  ready.assign(n, 0);
-  if (n > 0) {
-    const std::size_t chunks = ChunkCount(n);
-    const std::vector<RuntimeCommand>& commands = group->commands;
-    executor_->Run(chunks, [&](std::size_t job) {
-      const std::size_t begin = job * n / chunks;
-      const std::size_t end = (job + 1) * n / chunks;
-      for (std::size_t i = begin; i < end; ++i) {
-        const RuntimeCommand& rc = commands[i];
-        ready[i] = !rc.launched && !rc.done && rc.remaining_before == 0 ? 1 : 0;
-      }
-    });
-    ++materialize_counters_.launch_scans;
-  }
-
-  // Launching one command can synchronously complete others (copy sends, no-ops) and even
-  // finish + prune the group, so re-find it on every step.
   for (std::size_t i = 0; i < n; ++i) {
-    if (ready[i] == 0) {
-      continue;
-    }
     group = FindGroup(seq);
     if (group == nullptr) {
       break;
     }
     TryLaunch(*group, static_cast<std::int32_t>(i));
   }
-  ready_scratch_ = std::move(ready);  // hand the capacity back for the next start
   FinishGroupIfDone(seq);
 }
 

@@ -39,7 +39,6 @@
 #include "src/data/object_store.h"
 #include "src/net/timer_wheel.h"
 #include "src/net/transport.h"
-#include "src/runtime/executor.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/simulation.h"
 #include "src/task/command.h"
@@ -121,20 +120,10 @@ class Worker {
   // commands as OnCommands accepts them, materialized instantiation groups as one
   // index-ordered burst. The log is the worker's observed command stream — the equality
   // tests compare it between per-task and batched central dispatch (DESIGN.md §8) and
-  // between serial and lookahead/parallel-materialization runs (§9).
+  // between serial and lookahead runs (§9).
   void EnableCommandLog() { command_log_enabled_ = true; }
   const std::vector<Command>& command_log() const { return command_log_; }
 
-  // ---- Parallel materialization (DESIGN.md §9.3) ----
-  // Swaps the executor that materializes instantiation groups (per-entry command builds
-  // and group-start eligibility scans run as chunked executor jobs). The worker does not
-  // own it; nullptr restores the built-in InlineExecutor — the default, which runs every
-  // batch sequentially in index order and is bit-identical to the pre-executor code path
-  // (the simulator and all existing tests stay on it).
-  void set_executor(runtime::Executor* executor) {
-    executor_ = executor != nullptr ? executor : &inline_executor_;
-  }
-  runtime::Executor* executor() { return executor_; }
   const MaterializeCounters& materialize_counters() const { return materialize_counters_; }
 
   void StartHeartbeats(sim::Duration period);
@@ -226,10 +215,6 @@ class Worker {
     std::unique_ptr<Payload> payload;
   };
 
-  // Executor jobs for one batch over `n` independent slots: the executor's lane count,
-  // clamped so every job has work (1 for the InlineExecutor == the serial code path).
-  std::size_t ChunkCount(std::size_t n) const;
-
   // The group machinery below REQUIRES the control-phase role (DESIGN.md §11): every
   // entry — message handler or deferred simulator callback — must assert the role before
   // reaching it, so the clang leg rejects a new code path that touches group state
@@ -286,20 +271,12 @@ class Worker {
   sim::CorePool cores_;
   sim::Processor control_thread_;  // processes control messages serially
 
-  // Materialization executor (DESIGN.md §9.3). Batches write disjoint per-entry slots, so
-  // output is executor-invariant; the inline default preserves the serial path exactly.
-  runtime::InlineExecutor inline_executor_;
-  runtime::Executor* executor_ = &inline_executor_;
   MaterializeCounters materialize_counters_;
   // Materialization state below is GUARDED_BY the control-phase role (DESIGN.md §11):
   // the simulator delivers every message handler and deferred callback serially, and the
   // annotations turn that scheduling assumption into a machine-checked contract — only
   // code that asserted the role (or a REQUIRES helper reached through one) may touch it.
   RoleCapability control_phase_;
-
-  // Scratch ready-bitmap for StartGroup's eligibility scan, reused across group starts so
-  // the serial (inline) path pays no per-group allocation.
-  std::vector<std::uint8_t> ready_scratch_ NIMBUS_GUARDED_BY(control_phase_);
 
   // Cached worker templates (the worker half), in a flat array by dense template id.
   // Workers cache several (paper §2.3); the sparse id is resolved once per message.

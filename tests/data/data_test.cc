@@ -154,17 +154,6 @@ TEST(PayloadTest, CloneIsIndependent) {
   EXPECT_EQ(clone->ByteSize(), 24);
 }
 
-TEST(PayloadTest, TypedPayloadWrapsStructs) {
-  struct Grid {
-    int nx = 4;
-    double data[4] = {1, 2, 3, 4};
-  };
-  TypedPayload<Grid> p;
-  p.value().data[2] = 9.5;
-  auto clone = p.Clone();
-  EXPECT_DOUBLE_EQ(dynamic_cast<TypedPayload<Grid>*>(clone.get())->value().data[2], 9.5);
-}
-
 TEST(DurableStoreTest, WriteReadRoundTrip) {
   DurableStore durable;
   VectorPayload v(std::vector<double>{5, 6});

@@ -3,7 +3,9 @@
 // connection when the delivery handler returns; sends from any other thread flush eagerly.
 // Each test builds a bare loopback mesh of endpoints, bootstrapped the way the cluster
 // does it, and pins delivery (exactly once, in order) alongside the writev accounting;
-// one checks that a send on a severed socket fails softly (no SIGPIPE).
+// one checks that a send on a severed socket fails softly (no SIGPIPE). The last test
+// pins the endpoint's timers: held until Start, then fired on the event-loop thread in
+// deadline order and never before their deadline.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 
 #include "src/common/metrics.h"
 #include "src/net/tcp_transport.h"
+#include "src/sim/virtual_time.h"
 
 namespace nimbus {
 namespace {
@@ -335,6 +338,66 @@ TEST(TcpTransportTest, SendAfterSeverKeepsProcessAliveAndFrameQueued) {
   EXPECT_EQ(after.writev_calls, 1u);
   EXPECT_EQ(after.queued_bytes, kHeader + sizeof(std::uint32_t));
   EXPECT_EQ(after.connection_losses, 0u);  // only the (unstarted) event loop declares one
+}
+
+// (f) ScheduleTimer: an entry scheduled before Start waits for the event loop, then fires
+// after Start; entries fire on the loop thread (the thread that runs delivery handlers),
+// in deadline order whatever the scheduling order, and never before their deadline on
+// NowNanos' clock.
+TEST(TcpTransportTest, TimersFireOnTheLoopThreadInDeadlineOrderNeverEarly) {
+  struct Fired {
+    int label;
+    sim::TimePoint deadline;  // NowNanos() before ScheduleTimer + delay: a lower bound
+    sim::TimePoint at;
+    std::thread::id thread;
+  };
+  std::mutex mu;
+  std::vector<Fired> fired;
+  std::thread::id handler_thread;
+
+  Mesh mesh(2);
+  mesh.RecordOnly(0);
+  mesh.OnReceive(1, [&](NodeAddress, const ParameterBlob&) {
+    std::lock_guard<std::mutex> lock(mu);
+    handler_thread = std::this_thread::get_id();
+  });
+  TcpEndpoint& endpoint = mesh.at(1);
+  auto schedule = [&](int label, sim::Duration delay) {
+    const sim::TimePoint deadline = TcpEndpoint::NowNanos() + delay;
+    endpoint.ScheduleTimer(delay, [&, label, deadline]() {
+      std::lock_guard<std::mutex> lock(mu);
+      fired.push_back({label, deadline, TcpEndpoint::NowNanos(), std::this_thread::get_id()});
+    });
+  };
+
+  schedule(0, sim::Millis(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // far past its deadline
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_TRUE(fired.empty()) << "a timer fired before the event loop started";
+  }
+  const sim::TimePoint started = TcpEndpoint::NowNanos();
+  mesh.Start();
+  // Scheduled out of deadline order, from this (non-loop) thread.
+  schedule(30, sim::Millis(30));
+  schedule(10, sim::Millis(10));
+  schedule(20, sim::Millis(20));
+  SendFrame(mesh.at(0), mesh.addr(1), Frame(0));  // the handler records the loop thread
+
+  ASSERT_TRUE(Eventually([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return fired.size() == 4 && handler_thread != std::thread::id();
+  }));
+  std::lock_guard<std::mutex> lock(mu);
+  std::vector<int> order;
+  for (const Fired& f : fired) {
+    order.push_back(f.label);
+    EXPECT_GE(f.at, f.deadline) << "timer " << f.label << " fired early";
+    EXPECT_EQ(f.thread, handler_thread) << "timer " << f.label << " off the loop thread";
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 10, 20, 30}));
+  EXPECT_GE(fired[0].at, started);
+  EXPECT_NE(handler_thread, std::this_thread::get_id());
 }
 
 }  // namespace

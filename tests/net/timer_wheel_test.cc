@@ -14,7 +14,6 @@
 namespace nimbus {
 namespace {
 
-using net::TimerQueue;
 using net::TimerWheel;
 
 // Runs every due callback and returns how many fired.
@@ -61,23 +60,6 @@ TEST(TimerWheelTest, ZeroDelayLandsOnTheNextUndrainedTick) {
   EXPECT_TRUE(fired);
 }
 
-TEST(TimerWheelTest, CancelSuppressesExactlyOnce) {
-  TimerWheel wheel(sim::Millis(1));
-  bool fired = false;
-  const TimerWheel::TimerId id = wheel.Schedule(0, sim::Millis(2), [&]() { fired = true; });
-  EXPECT_TRUE(wheel.Cancel(id));
-  EXPECT_EQ(wheel.pending(), 0u);
-  EXPECT_FALSE(wheel.Cancel(id));  // second cancel is a no-op
-  EXPECT_EQ(Fire(&wheel, sim::Millis(10)), 0);
-  EXPECT_FALSE(fired);
-
-  // Cancelling after the fire reports false too.
-  const TimerWheel::TimerId late = wheel.Schedule(sim::Millis(10), sim::Millis(1), []() {});
-  EXPECT_EQ(Fire(&wheel, sim::Millis(20)), 1);
-  EXPECT_FALSE(wheel.Cancel(late));
-  EXPECT_FALSE(wheel.Cancel(TimerQueue::kInvalidTimer));
-}
-
 TEST(TimerWheelTest, MultiRevolutionEntriesWaitTheirTurn) {
   // 4 slots of 1ms: ticks 2 and 10 share slot 2 but belong to different revolutions.
   TimerWheel wheel(sim::Millis(1), /*slots=*/4);
@@ -109,10 +91,10 @@ TEST(TimerWheelTest, NextDeadlineTracksEarliestPendingEntry) {
   TimerWheel wheel(sim::Millis(1));
   EXPECT_EQ(wheel.NextDeadline(), TimerWheel::kNever);
   wheel.Schedule(0, sim::Millis(7), []() {});
-  const TimerWheel::TimerId early = wheel.Schedule(0, sim::Millis(3), []() {});
+  wheel.Schedule(0, sim::Millis(3), []() {});
   EXPECT_EQ(wheel.NextDeadline(), sim::Millis(3));
-  // Cancelling the earliest entry moves the deadline to the survivor.
-  EXPECT_TRUE(wheel.Cancel(early));
+  // Firing the earliest entry moves the deadline to the survivor.
+  EXPECT_EQ(Fire(&wheel, sim::Millis(3)), 1);
   EXPECT_EQ(wheel.NextDeadline(), sim::Millis(7));
   Fire(&wheel, sim::Millis(7));
   EXPECT_EQ(wheel.NextDeadline(), TimerWheel::kNever);
@@ -140,22 +122,6 @@ TEST(SimTimerQueueTest, SchedulesOnVirtualTimeAndReportsIt) {
   simulation.Run();
   EXPECT_EQ(fired_at, sim::Millis(5));
   EXPECT_EQ(timers.Now(), sim::Millis(5));
-}
-
-TEST(SimTimerQueueTest, CancelTombstonesThePendingEvent) {
-  sim::Simulation simulation;
-  net::SimTimerQueue timers(&simulation);
-  bool fired = false;
-  const TimerQueue::TimerId id = timers.Schedule(sim::Millis(5), [&]() { fired = true; });
-  EXPECT_TRUE(timers.Cancel(id));
-  EXPECT_FALSE(timers.Cancel(id));  // already tombstoned
-  simulation.Run();  // the queued event still pops, but the callback is suppressed
-  EXPECT_FALSE(fired);
-
-  // A timer that already fired cannot be cancelled.
-  const TimerQueue::TimerId done = timers.Schedule(sim::Millis(1), []() {});
-  simulation.Run();
-  EXPECT_FALSE(timers.Cancel(done));
 }
 
 }  // namespace

@@ -1,15 +1,11 @@
-// The pipelined controller loop and worker-side parallel materialization (DESIGN.md §9).
+// The pipelined controller loop (DESIGN.md §9), `runtime`-labeled so the CI sanitizer
+// jobs race it.
 //
-// Two determinism contracts are pinned here, both `runtime`-labeled so the CI sanitizer
-// jobs race them:
-//  * Controller-loop lookahead (driver hints + overlapped next-block validation) must be
-//    bit-identical to the serial loop: same version-map snapshots, same per-worker command
-//    streams (the worker log now covers materialized instantiation groups), same scalar
-//    results, same converged coefficients. Only cost accounting may differ.
-//  * Worker materialization through a ThreadPoolExecutor must be bit-identical to the
-//    InlineExecutor default: command builds write disjoint pre-sized slots and launches
-//    stay serial, so the executor cannot change observable behavior.
-// A stale or wrong hint must fall back to the serial sweep without changing results.
+// Controller-loop lookahead (driver hints + overlapped next-block validation) must be
+// bit-identical to the serial loop: same version-map snapshots, same per-worker command
+// streams (the worker log covers materialized instantiation groups), same scalar results,
+// same converged coefficients. Only cost accounting may differ. A stale or wrong hint must
+// fall back to the serial sweep without changing results.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +18,6 @@
 #include "src/common/rng.h"
 #include "src/driver/cluster.h"
 #include "src/driver/job.h"
-#include "src/runtime/executor.h"
 
 namespace nimbus {
 namespace {
@@ -58,7 +53,7 @@ enum class HintMode {
 };
 
 // Everything one alternating inner/outer LR run observably produced, plus the lookahead
-// and materialization counters the assertions below inspect.
+// counters the assertions below inspect.
 struct LoopRun {
   std::vector<double> coeffs;
   VersionMap::SnapshotState snapshot;
@@ -67,20 +62,16 @@ struct LoopRun {
   std::uint64_t tasks_dispatched = 0;
   std::uint64_t lookaheads_scheduled = 0;
   std::uint64_t lookahead_hits = 0;
-  std::uint64_t materialized_groups = 0;
-  std::uint64_t materialized_entries = 0;
-  std::uint64_t build_chunks = 0;
 };
 
 // Runs bring-up plus six steady inner/outer alternations — every steady transition is a
 // block change, so validation really runs (and the inner block's broadcast precondition
 // really patches) on every instantiation the lookahead covers.
-LoopRun RunAlternatingLr(HintMode hints, runtime::Executor* worker_executor) {
+LoopRun RunAlternatingLr(HintMode hints) {
   ClusterOptions options;
   options.workers = 4;
   options.partitions = 8;
   options.mode = ControlMode::kTemplates;
-  options.worker_executor = worker_executor;
   Cluster cluster(options);
   for (WorkerId id : cluster.worker_ids()) {
     cluster.worker(id)->EnableCommandLog();
@@ -126,10 +117,6 @@ LoopRun RunAlternatingLr(HintMode hints, runtime::Executor* worker_executor) {
   run.snapshot = cluster.controller().versions().Snapshot();
   for (WorkerId id : cluster.worker_ids()) {
     run.logs[id] = cluster.worker(id)->command_log();
-    const MaterializeCounters& mc = cluster.worker(id)->materialize_counters();
-    run.materialized_groups += mc.groups;
-    run.materialized_entries += mc.entries;
-    run.build_chunks += mc.build_chunks;
   }
   run.tasks_dispatched = cluster.controller().tasks_dispatched();
   run.lookaheads_scheduled = cluster.controller().lookaheads_scheduled();
@@ -168,12 +155,12 @@ void ExpectRunsEqual(const LoopRun& reference, const LoopRun& other,
 // one. With correct hints every steady-state transition schedules, and all but the first
 // consume (the first hinted instantiation has nothing recorded yet).
 TEST(PipelinedLoopTest, LookaheadOnVsOffBitEquality) {
-  const LoopRun serial = RunAlternatingLr(HintMode::kNone, nullptr);
+  const LoopRun serial = RunAlternatingLr(HintMode::kNone);
   EXPECT_EQ(serial.lookaheads_scheduled, 0u);
   EXPECT_EQ(serial.lookahead_hits, 0u);
   ASSERT_FALSE(serial.scalars.empty());
 
-  const LoopRun overlapped = RunAlternatingLr(HintMode::kAlternate, nullptr);
+  const LoopRun overlapped = RunAlternatingLr(HintMode::kAlternate);
   EXPECT_GE(overlapped.lookaheads_scheduled, 11u);  // 12 hinted runs, last hint unconsumed
   EXPECT_GE(overlapped.lookahead_hits, 10u);
   EXPECT_LE(overlapped.lookahead_hits, overlapped.lookaheads_scheduled);
@@ -184,30 +171,11 @@ TEST(PipelinedLoopTest, LookaheadOnVsOffBitEquality) {
 // the overlapped result (set id mismatch) and fall back to the serial sweep — results
 // unchanged, fewer hits than schedules.
 TEST(PipelinedLoopTest, WrongHintFallsBackToSerialSweep) {
-  const LoopRun serial = RunAlternatingLr(HintMode::kNone, nullptr);
-  const LoopRun wrong = RunAlternatingLr(HintMode::kWrong, nullptr);
+  const LoopRun serial = RunAlternatingLr(HintMode::kNone);
+  const LoopRun wrong = RunAlternatingLr(HintMode::kWrong);
   EXPECT_GT(wrong.lookaheads_scheduled, 0u);
   EXPECT_LT(wrong.lookahead_hits, wrong.lookaheads_scheduled);
   ExpectRunsEqual(serial, wrong, "wrong-hint");
-}
-
-// Worker-side parallel materialization: a thread pool must produce exactly the serial
-// results (command builds write disjoint slots; launches stay serial). Raced under
-// ASan/TSan via the runtime label. The charge model differs (parallel lanes), so this
-// compares results, streams and state — not virtual times.
-TEST(PipelinedLoopTest, ThreadPoolMaterializationBitIdenticalToInline) {
-  const LoopRun inline_run = RunAlternatingLr(HintMode::kAlternate, nullptr);
-  ASSERT_GT(inline_run.materialized_groups, 0u);
-  // One lane => one build chunk per group: the inline path is the serial code path.
-  EXPECT_EQ(inline_run.build_chunks, inline_run.materialized_groups);
-
-  runtime::ThreadPoolExecutor pool(3);
-  const LoopRun pooled = RunAlternatingLr(HintMode::kAlternate, &pool);
-  ExpectRunsEqual(inline_run, pooled, "thread-pool");
-  EXPECT_EQ(inline_run.materialized_groups, pooled.materialized_groups);
-  EXPECT_EQ(inline_run.materialized_entries, pooled.materialized_entries);
-  // Four lanes chunk every large-enough group: strictly more executor jobs, same output.
-  EXPECT_GT(pooled.build_chunks, inline_run.build_chunks);
 }
 
 // Scheduling-change safety: edits planned between a hinted pair bump the target set's
