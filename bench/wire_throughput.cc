@@ -8,11 +8,12 @@
 //                      serialized-template cache (DESIGN.md §10): memcpy + header patch
 //                      instead of per-command encoding.
 //
-// Task durations are virtual (each node's private simulation drains instantly), so
-// wall-clock time isolates the real control-plane work: envelope encode/decode, framing,
-// syscalls, and scheduling. The two configs run interleaved, one fresh cluster per run,
-// for the same number of runs each, so host drift lands on both alike; each is reported
-// as the median and quartiles of its runs. The shape claim driving the exit code mirrors
+// Task durations are modeled only under the simulator (TCP nodes run each task's function
+// at once and charge nothing for its duration), so wall-clock time isolates the real
+// control-plane work: envelope encode/decode, framing, syscalls, and scheduling. The two
+// configs run interleaved, one fresh cluster per run, for the same number of runs each, so
+// host drift lands on both alike; each is reported as the median and quartiles of its
+// runs. The shape claim driving the exit code mirrors
 // the simulator's Fig 8 ordering on the medians: serialized >= per-task.
 //
 // Alongside throughput it reports the controller endpoint's writev calls per frame sent

@@ -16,8 +16,7 @@ NimbusController::NimbusController(sim::Simulation* simulation, net::Transport* 
                                    const sim::CostModel* costs, ObjectDirectory* directory,
                                    DurableStore* durable, ControlMode mode,
                                    ControllerSwitches switches, net::TimerQueue* timers)
-    : simulation_(simulation),
-      transport_(transport),
+    : transport_(transport),
       owned_timers_(timers == nullptr ? std::make_unique<net::SimTimerQueue>(simulation)
                                       : nullptr),
       timers_(timers == nullptr ? owned_timers_.get() : timers),
@@ -26,7 +25,10 @@ NimbusController::NimbusController(sim::Simulation* simulation, net::Transport* 
       durable_(durable),
       mode_(mode),
       switches_(switches),
-      control_thread_(simulation) {}
+      control_thread_(simulation) {
+  NIMBUS_CHECK(simulation != nullptr || timers != nullptr)
+      << "a real-time controller (no simulation) needs a TimerQueue";
+}
 
 void NimbusController::OnEnvelope(net::NodeAddress src, MessageKind kind,
                                   ParameterBlob bytes) {
@@ -233,9 +235,8 @@ void NimbusController::RegisterGroup(std::uint64_t seq, PendingBlock* block,
 void NimbusController::OnGroupComplete(WorkerId worker_id, std::uint64_t seq,
                                        std::vector<ScalarResult> scalars) {
   if (WorkerRecord* record = RecordFor(worker_id); record != nullptr && !record->failed) {
-    // Detection clock, not the node simulation: under TCP those are different domains
-    // (wall nanos vs per-node virtual time), and a virtual stamp here would make the
-    // worker look silent for eons at the next wall-clock heartbeat check.
+    // Detection clock, never a simulation's: a virtual stamp here would make the worker
+    // look silent for eons at the next wall-clock heartbeat check (DESIGN.md §14.1).
     record->last_heard = timers_->Now();
   }
   GroupTracker* tracker = groups_.Find(seq);
@@ -1258,7 +1259,7 @@ void NimbusController::OnWorkerFailed(WorkerId worker_id) {
   Rebalance();
 
   // Give the halt round trip time to settle, then reload the checkpoint.
-  simulation_->ScheduleAfter(costs_->network_latency * 4, [this]() { RunRecovery(); });
+  timers_->Schedule(costs_->network_latency * 4, [this]() { RunRecovery(); });
 }
 
 void NimbusController::RunRecovery() {

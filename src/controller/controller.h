@@ -33,7 +33,7 @@
 #include "src/data/durable_store.h"
 #include "src/data/object_directory.h"
 #include "src/data/version_map.h"
-#include "src/net/timer_wheel.h"
+#include "src/net/timer_queue.h"
 #include "src/net/transport.h"
 #include "src/runtime/executor.h"
 #include "src/runtime/instantiation_pipeline.h"
@@ -76,10 +76,13 @@ struct ControllerSwitches {
 
 class NimbusController {
  public:
-  // `timers` is the clock the liveness protocol runs against (DESIGN.md §14): heartbeat
-  // deadlines are scheduled and `last_heard` stamps taken from it. Null means "own a
-  // SimTimerQueue over `simulation`" — the right default for simulator runs; the TCP
-  // cluster passes the node's timerfd-backed queue so detection uses real wall time.
+  // `simulation` backs the modeled control thread; null makes a real-time controller whose
+  // submitted work runs inline in submission order (sim::RunInline, DESIGN.md §13.3).
+  // `timers` is the clock the liveness protocol and the recovery delay run against
+  // (DESIGN.md §14): heartbeat deadlines are scheduled and `last_heard` stamps taken from
+  // it. Null means "own a SimTimerQueue over `simulation`" — the right default for
+  // simulator runs; a real-time controller must pass one, and the TCP cluster passes the
+  // node's timerfd-backed queue so detection uses real wall time.
   NimbusController(sim::Simulation* simulation, net::Transport* transport,
                    const sim::CostModel* costs, ObjectDirectory* directory,
                    DurableStore* durable, ControlMode mode, ControllerSwitches switches,
@@ -338,11 +341,10 @@ class NimbusController {
   // Answers one driver request with a kBlockDone envelope carrying the block's scalars.
   void SendBlockDone(std::uint64_t request_id, std::vector<ScalarResult> scalars);
 
-  sim::Simulation* simulation_;
   net::Transport* transport_;
   // Liveness clock (see ctor comment): owned_timers_ backs timers_ when the caller did
-  // not supply one. All heartbeat deadlines and last_heard stamps go through timers_;
-  // recovery-pipeline delays stay on simulation_ (they are modeled work, not liveness).
+  // not supply one. Heartbeat deadlines, last_heard stamps and the recovery delay all go
+  // through timers_.
   std::unique_ptr<net::SimTimerQueue> owned_timers_;
   net::TimerQueue* timers_;
   const sim::CostModel* costs_;

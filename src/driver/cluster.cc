@@ -11,8 +11,8 @@ Cluster::Cluster(ClusterOptions options)
     : options_(options), network_(&simulation_, &options_.costs) {
   // Bind the span tracer's virtual clock to this cluster's simulation; a later cluster
   // rebinds it (sequential cluster lifetimes, which is how examples and benches run).
-  // Under TCP there is no shared virtual-time domain, so spans keep the last-bound clock;
-  // TCP runs are timed in wall clock by the benches instead.
+  // Under TCP nodes run on real time with no simulation, so spans keep the last-bound
+  // clock; TCP runs are timed in wall clock by the benches instead.
   trace::Tracer::Get().SetVirtualClock([this] { return simulation_.now(); }, this);
 
   const bool tcp = options_.transport == TransportKind::kTcp;
@@ -27,9 +27,10 @@ Cluster::Cluster(ClusterOptions options)
     });
   }
 
+  // TCP nodes run on real time: no simulation, so their modeled work runs inline
+  // (sim::RunInline) and their timers ride the node's timerfd.
+  sim::Simulation* node_sim = tcp ? nullptr : &simulation_;
   const auto controller_address = net::NodeAddress::Controller();
-  sim::Simulation* controller_sim =
-      tcp ? tcp_->node_simulation(controller_address) : &simulation_;
   net::Transport* controller_transport =
       tcp ? static_cast<net::Transport*>(tcp_->endpoint(controller_address))
           : sim_transport_.get();
@@ -38,7 +39,7 @@ Cluster::Cluster(ClusterOptions options)
   switches.serialized_batching = options_.serialized_batching;
   switches.force_full_validation = options_.force_full_validation;
   switches.disable_patch_cache = options_.disable_patch_cache;
-  controller_ = std::make_unique<NimbusController>(controller_sim, controller_transport,
+  controller_ = std::make_unique<NimbusController>(node_sim, controller_transport,
                                                    &options_.costs, &directory_, &durable_,
                                                    options_.mode, switches, controller_timers);
 
@@ -46,7 +47,6 @@ Cluster::Cluster(ClusterOptions options)
   for (int i = 0; i < options_.workers; ++i) {
     const WorkerId id(static_cast<std::uint64_t>(i));
     const auto address = net::NodeAddress::ForWorker(id);
-    sim::Simulation* worker_sim = tcp ? tcp_->node_simulation(address) : &simulation_;
     net::Transport* worker_transport =
         tcp ? static_cast<net::Transport*>(tcp_->endpoint(address)) : sim_transport_.get();
     if (options_.fault_injector != nullptr) {
@@ -55,7 +55,7 @@ Cluster::Cluster(ClusterOptions options)
       worker_transport = options_.fault_injector->Wrap(worker_transport);
     }
     net::TimerQueue* worker_timers = tcp ? tcp_->node_timers(address) : nullptr;
-    auto worker = std::make_unique<Worker>(id, worker_sim, worker_transport,
+    auto worker = std::make_unique<Worker>(id, node_sim, worker_transport,
                                            &options_.costs, &functions_, &durable_,
                                            worker_timers);
     if (options_.enable_command_log) {
@@ -135,7 +135,7 @@ net::Transport::Handler Cluster::MakeDriverHandler() {
 
 sim::Simulation& Cluster::simulation() {
   NIMBUS_CHECK(options_.transport == TransportKind::kSim)
-      << "no shared simulation under the TCP backend (per-node virtual time)";
+      << "no simulation under the TCP backend (its nodes run on real time)";
   return simulation_;
 }
 

@@ -60,7 +60,7 @@ struct ClusterOptions {
   // --- Failure detection (DESIGN.md §14) ---
   // Arms heartbeat/suspicion detection at construction, before any traffic flows. Under
   // the simulator timers ride virtual time; under TCP they ride the per-node timerfd
-  // wheels, so pick wall-clock-realistic knobs when transport == kTcp.
+  // heaps, so pick wall-clock-realistic knobs when transport == kTcp.
   bool failure_detection = false;
   sim::Duration heartbeat_period = sim::Millis(25);
   sim::Duration heartbeat_timeout = sim::Millis(100);
@@ -87,8 +87,8 @@ class Cluster {
 
   TransportKind transport_kind() const { return options_.transport; }
 
-  // The shared simulation / simulator network. Sim transport only — the TCP backend has
-  // one virtual-time domain per node and no modeled network (CHECK-fails).
+  // The shared simulation / simulator network. Sim transport only — TCP nodes run on
+  // real time over a real network (CHECK-fails).
   sim::Simulation& simulation();
   sim::Network& network();
 

@@ -21,9 +21,9 @@ net::NodeAddress AddressOfDense(std::size_t dense) {
 
 }  // namespace
 
-// TimerQueue facade over the node endpoint's wheel: callbacks get the same wrapping as
-// deliveries (node mutex + simulation drain + driver mailbox signal), so a heartbeat tick
-// firing from the timerfd is indistinguishable from one arriving off the wire.
+// TimerQueue facade over the node endpoint's timer heap: callbacks get the same wrapping
+// as deliveries (node mutex + driver mailbox signal), so a heartbeat tick firing from the
+// timerfd is indistinguishable from one arriving off the wire.
 class TcpClusterRuntime::NodeTimerQueue final : public net::TimerQueue {
  public:
   NodeTimerQueue(TcpClusterRuntime* runtime, Node* node, bool is_driver)
@@ -34,7 +34,6 @@ class TcpClusterRuntime::NodeTimerQueue final : public net::TimerQueue {
       {
         std::lock_guard<std::mutex> lock(node_->mutex);
         fn();
-        node_->simulation->RunUntilCondition([] { return false; });
       }
       if (is_driver_) {
         runtime_->driver_cv_.notify_all();
@@ -54,7 +53,6 @@ TcpClusterRuntime::TcpClusterRuntime(int workers) {
   nodes_.reserve(static_cast<std::size_t>(workers) + 2);
   for (std::size_t dense = 0; dense < static_cast<std::size_t>(workers) + 2; ++dense) {
     auto node = std::make_unique<Node>();
-    node->simulation = std::make_unique<sim::Simulation>();
     node->endpoint = std::make_unique<net::TcpEndpoint>(AddressOfDense(dense));
     node->timers = std::make_unique<NodeTimerQueue>(this, node.get(), dense == 0);
     nodes_.push_back(std::move(node));
@@ -73,10 +71,6 @@ net::TcpEndpoint* TcpClusterRuntime::endpoint(net::NodeAddress address) {
   return node(address)->endpoint.get();
 }
 
-sim::Simulation* TcpClusterRuntime::node_simulation(net::NodeAddress address) {
-  return node(address)->simulation.get();
-}
-
 net::TimerQueue* TcpClusterRuntime::node_timers(net::NodeAddress address) {
   return node(address)->timers.get();
 }
@@ -91,9 +85,6 @@ void TcpClusterRuntime::InstallHandler(net::NodeAddress address,
         {
           std::lock_guard<std::mutex> lock(n->mutex);
           handler(src, kind, std::move(bytes));
-          // Run the node's virtual-time queue dry: work the delivery scheduled (command
-          // execution, data sends, completions) happens now, before the next delivery.
-          n->simulation->RunUntilCondition([] { return false; });
         }
         if (is_driver) {
           driver_cv_.notify_all();
@@ -107,7 +98,6 @@ void TcpClusterRuntime::InstallPeerLossHandler(net::NodeAddress address,
   n->endpoint->SetPeerLossHandler([n, fn = std::move(fn)](net::NodeAddress peer) {
     std::lock_guard<std::mutex> lock(n->mutex);
     fn(peer);
-    n->simulation->RunUntilCondition([] { return false; });
   });
 }
 
@@ -139,7 +129,6 @@ void TcpClusterRuntime::WithNode(net::NodeAddress address, const std::function<v
   Node* n = node(address);
   std::lock_guard<std::mutex> lock(n->mutex);
   fn();
-  n->simulation->RunUntilCondition([] { return false; });
 }
 
 bool TcpClusterRuntime::AwaitDriver(const std::function<bool()>& pred) {

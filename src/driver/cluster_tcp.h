@@ -1,17 +1,18 @@
 // TcpClusterRuntime: the per-node half of Cluster's TCP backend (DESIGN.md §13).
 //
-// Under TransportKind::kTcp every node — driver, controller, each worker — owns three
+// Under TransportKind::kTcp every node — driver, controller, each worker — owns two
 // things, indexed by NodeAddress::DenseIndex():
 //  * a TcpEndpoint (its sockets and epoll event loop),
-//  * its own sim::Simulation (a private virtual-time domain: the controller and workers
-//    still charge modeled costs through Processor::Submit; the local queue is drained to
-//    empty after every delivery, so virtual time advances per node, decoupled from peers),
 //  * a mutex serializing deliveries against each other and against test-side inspection.
 //
+// Nodes run on real time: the controller and workers are built without a simulation, so
+// the work a delivery submits runs inside the delivery itself, in submission order
+// (sim::RunInline). Nothing is left queued once a handler returns.
+//
 // Delivery path: the endpoint's event-loop thread invokes the wrapped handler, which takes
-// the node mutex, runs the node's OnEnvelope, then drains the node's simulation queue —
-// any sends triggered along the way go straight out through the endpoints (they take only
-// leaf per-connection mutexes, so no lock-order cycles are possible).
+// the node mutex and runs the node's OnEnvelope — any sends triggered along the way go
+// straight out through the endpoints (they take only leaf per-connection mutexes, so no
+// lock-order cycles are possible).
 //
 // The driver node doubles as a mailbox: its handler signals a condition variable, and
 // AwaitDriver blocks on it, evaluating the predicate under the driver mutex — the same
@@ -28,7 +29,6 @@
 
 #include "src/net/address.h"
 #include "src/net/tcp_transport.h"
-#include "src/sim/simulation.h"
 
 namespace nimbus {
 
@@ -41,22 +41,21 @@ class TcpClusterRuntime {
   TcpClusterRuntime& operator=(const TcpClusterRuntime&) = delete;
 
   net::TcpEndpoint* endpoint(net::NodeAddress node);
-  sim::Simulation* node_simulation(net::NodeAddress node);
 
-  // The node's TimerQueue over the endpoint's wheel/timerfd (CLOCK_MONOTONIC domain).
+  // The node's TimerQueue over the endpoint's timer heap/timerfd (CLOCK_MONOTONIC domain).
   // Callbacks run on the node's event-loop thread wrapped exactly like deliveries: node
-  // mutex, then a drain of the node's simulation queue, then (driver node) the mailbox
-  // signal. Controller/worker heartbeat logic runs against this under TCP and against
-  // SimTimerQueue under the simulator, without knowing which.
+  // mutex, then (driver node) the mailbox signal. Controller/worker heartbeat logic runs
+  // against this under TCP and against SimTimerQueue under the simulator, without knowing
+  // which.
   net::TimerQueue* node_timers(net::NodeAddress node);
 
-  // Registers `handler` as `node`'s delivery handler, wrapped with the node mutex and the
-  // post-delivery simulation drain (file comment). The driver node's wrapper additionally
-  // signals the AwaitDriver mailbox. Call before Bootstrap().
+  // Registers `handler` as `node`'s delivery handler, wrapped with the node mutex (file
+  // comment). The driver node's wrapper additionally signals the AwaitDriver mailbox. Call
+  // before Bootstrap().
   void InstallHandler(net::NodeAddress node, net::Transport::Handler handler);
 
   // Registers `node`'s peer-loss callback (redial budget exhausted), wrapped exactly like
-  // a delivery: node mutex, callback, simulation drain. Call before Bootstrap().
+  // a delivery: node mutex, then the callback. Call before Bootstrap().
   void InstallPeerLossHandler(net::NodeAddress node,
                               std::function<void(net::NodeAddress)> fn);
 
@@ -70,13 +69,12 @@ class TcpClusterRuntime {
   // The two halves of Bootstrap, split so the cluster can run setup that must see the
   // full mesh but single-threaded main-thread state — arming failure detection sends the
   // first heartbeats — between them (sends queue on the standing sockets; timers hold in
-  // the wheel and arm when the loop spawns).
+  // the heap and arm when the loop spawns).
   void EstablishMesh();
   void StartLoops();
 
-  // Runs `fn` under `node`'s mutex followed by a drain of its simulation queue — the same
-  // serialization deliveries run under. Cross-thread pokes at node-owned state (failure
-  // injection) go through here.
+  // Runs `fn` under `node`'s mutex — the same serialization deliveries run under.
+  // Cross-thread pokes at node-owned state (failure injection) go through here.
   void WithNode(net::NodeAddress node, const std::function<void()>& fn);
 
   // Blocks until `pred()` holds, re-evaluating under the driver mutex after each driver
@@ -101,7 +99,6 @@ class TcpClusterRuntime {
 
  private:
   struct Node {
-    std::unique_ptr<sim::Simulation> simulation;
     std::unique_ptr<net::TcpEndpoint> endpoint;
     std::unique_ptr<net::TimerQueue> timers;
     std::mutex mutex;

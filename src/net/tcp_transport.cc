@@ -85,25 +85,40 @@ void SetNoDelay(int fd) {
       << "setsockopt(TCP_NODELAY): " << std::strerror(errno);
 }
 
-// Blocking full-buffer write used only during single-threaded bootstrap (hello frames).
-// MSG_NOSIGNAL, like every socket write here: a send on a reset socket must surface as
-// EPIPE, not kill the process with SIGPIPE.
-void WriteAll(int fd, const std::uint8_t* data, std::size_t n) {
+// Writes the hello frame that names the dialing node `self` to the acceptor, on a fresh
+// (still blocking) socket: at bootstrap and on every redial. MSG_NOSIGNAL, like every
+// socket write here: a send on a reset socket must surface as EPIPE, not kill the process
+// with SIGPIPE.
+void WriteHello(int fd, NodeAddress self, NodeAddress peer) {
+  const std::vector<std::uint8_t> hello = BuildFrame(kHelloKind, self, peer, ParameterBlob{});
   std::size_t done = 0;
-  while (done < n) {
-    const ssize_t w = ::send(fd, data + done, n - done, MSG_NOSIGNAL);
-    NIMBUS_CHECK_GT(w, 0) << "bootstrap write: " << std::strerror(errno);
+  while (done < hello.size()) {
+    const ssize_t w = ::send(fd, hello.data() + done, hello.size() - done, MSG_NOSIGNAL);
+    NIMBUS_CHECK_GT(w, 0) << "hello write: " << std::strerror(errno);
     done += static_cast<std::size_t>(w);
   }
 }
 
-void ReadAll(int fd, std::uint8_t* data, std::size_t n) {
+// Reads the hello frame off a freshly accepted (still blocking) socket and returns the
+// dialing node it names: at bootstrap and on every runtime re-accept.
+NodeAddress ReadHello(int fd) {
+  std::uint8_t header[kFrameHeaderSize];
   std::size_t done = 0;
-  while (done < n) {
-    const ssize_t r = ::read(fd, data + done, n - done);
-    NIMBUS_CHECK_GT(r, 0) << "bootstrap read: " << std::strerror(errno);
+  while (done < sizeof(header)) {
+    const ssize_t r = ::read(fd, header + done, sizeof(header) - done);
+    NIMBUS_CHECK_GT(r, 0) << "hello read: " << std::strerror(errno);
     done += static_cast<std::size_t>(r);
   }
+  std::uint32_t payload_len = 0;
+  std::uint8_t kind = 0;
+  std::int64_t src = 0;
+  std::memcpy(&payload_len, header, sizeof(payload_len));
+  std::memcpy(&kind, header + 4, sizeof(kind));
+  std::memcpy(&src, header + 5, sizeof(src));
+  NIMBUS_CHECK_EQ(static_cast<int>(kind), static_cast<int>(kHelloKind))
+      << "accept: expected a hello frame";
+  NIMBUS_CHECK_EQ(payload_len, 0u) << "accept: hello frames carry no payload";
+  return NodeAddress(src);
 }
 
 }  // namespace
@@ -150,10 +165,7 @@ void TcpEndpoint::DialPeer(NodeAddress peer, std::uint16_t port) {
   NIMBUS_CHECK_GE(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0)
       << "connect to " << peer << ": " << std::strerror(errno);
   SetNoDelay(fd);
-  // Hello frame: names the dialing node so the acceptor can map the socket to a peer.
-  const std::vector<std::uint8_t> hello =
-      BuildFrame(kHelloKind, self_, peer, ParameterBlob{});
-  WriteAll(fd, hello.data(), hello.size());
+  WriteHello(fd, self_, peer);  // names this node so the acceptor can map the socket
   Connection* conn = AdoptSocket(fd, peer);
   conn->dialer = true;
   conn->peer_port = port;  // kept for redial after a connection loss
@@ -164,18 +176,7 @@ void TcpEndpoint::AcceptPeer() {
   const int fd = ::accept(listen_fd_, nullptr, nullptr);
   NIMBUS_CHECK_GE(fd, 0) << "accept: " << std::strerror(errno);
   SetNoDelay(fd);
-  std::uint8_t header[kFrameHeaderSize];
-  ReadAll(fd, header, sizeof(header));
-  std::uint32_t payload_len = 0;
-  std::uint8_t kind = 0;
-  std::int64_t src = 0;
-  std::memcpy(&payload_len, header, sizeof(payload_len));
-  std::memcpy(&kind, header + 4, sizeof(kind));
-  std::memcpy(&src, header + 5, sizeof(src));
-  NIMBUS_CHECK_EQ(static_cast<int>(kind), static_cast<int>(kHelloKind))
-      << "bootstrap: expected a hello frame";
-  NIMBUS_CHECK_EQ(payload_len, 0u) << "bootstrap: hello frames carry no payload";
-  AdoptSocket(fd, NodeAddress(src));
+  AdoptSocket(fd, ReadHello(fd));
 }
 
 TcpEndpoint::Connection* TcpEndpoint::AdoptSocket(int fd, NodeAddress peer) {
@@ -212,7 +213,7 @@ void TcpEndpoint::Start() {
   NIMBUS_CHECK_GE(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, timer_fd_, &tev), 0)
       << "epoll_ctl(timer): " << std::strerror(errno);
   {
-    // Timers scheduled before Start have been accumulating in the wheel; arm for them.
+    // Timers scheduled before Start have been accumulating in the heap; arm for them.
     std::lock_guard<std::mutex> lock(timer_mutex_);
     ArmTimerLocked();
   }
@@ -563,9 +564,7 @@ void TcpEndpoint::TryRedial(Connection* conn) {
     return;
   }
   SetNoDelay(fd);
-  const std::vector<std::uint8_t> hello =
-      BuildFrame(kHelloKind, self_, conn->peer, ParameterBlob{});
-  WriteAll(fd, hello.data(), hello.size());
+  WriteHello(fd, self_, conn->peer);
   SetNonBlocking(fd);
   // epoll ADD before publishing the fd: once conn->fd is set, a concurrent sender's
   // FlushLocked may arm EPOLLOUT via MOD, which requires prior registration.
@@ -597,18 +596,7 @@ void TcpEndpoint::AcceptReady() {
     return;
   }
   SetNoDelay(fd);
-  std::uint8_t header[kFrameHeaderSize];
-  ReadAll(fd, header, sizeof(header));  // fresh fd is blocking; hello follows connect
-  std::uint32_t payload_len = 0;
-  std::uint8_t kind = 0;
-  std::int64_t src = 0;
-  std::memcpy(&payload_len, header, sizeof(payload_len));
-  std::memcpy(&kind, header + 4, sizeof(kind));
-  std::memcpy(&src, header + 5, sizeof(src));
-  NIMBUS_CHECK_EQ(static_cast<int>(kind), static_cast<int>(kHelloKind))
-      << "runtime accept: expected a hello frame";
-  NIMBUS_CHECK_EQ(payload_len, 0u) << "runtime accept: hello frames carry no payload";
-  const NodeAddress peer(src);
+  const NodeAddress peer = ReadHello(fd);  // the dialer writes its hello right after connect
   const std::size_t index = peer.DenseIndex();
   NIMBUS_CHECK(index < by_peer_.size() && by_peer_[index] != nullptr)
       << "runtime accept from unknown peer " << peer;
@@ -641,7 +629,7 @@ void TcpEndpoint::FireTimers() {
   std::vector<std::function<void()>> due;
   {
     std::lock_guard<std::mutex> lock(timer_mutex_);
-    due = wheel_.PopDue(NowNanos());
+    due = timers_.PopDue(NowNanos());
     ArmTimerLocked();
   }
   // Outside the lock: callbacks routinely schedule follow-up timers.
@@ -656,8 +644,8 @@ void TcpEndpoint::ArmTimerLocked() {
     return;
   }
   itimerspec spec{};  // all-zero it_value disarms
-  const sim::TimePoint next = wheel_.NextDeadline();
-  if (next != TimerWheel::kNever) {
+  const sim::TimePoint next = timers_.NextDeadline();
+  if (next != TimerHeap::kNever) {
     spec.it_value.tv_sec = static_cast<time_t>(next / 1000000000);
     spec.it_value.tv_nsec = static_cast<long>(next % 1000000000);
     if (spec.it_value.tv_sec == 0 && spec.it_value.tv_nsec == 0) {
@@ -670,7 +658,7 @@ void TcpEndpoint::ArmTimerLocked() {
 
 void TcpEndpoint::ScheduleTimer(sim::Duration delay, std::function<void()> fn) {
   std::lock_guard<std::mutex> lock(timer_mutex_);
-  wheel_.Schedule(NowNanos(), delay, std::move(fn));
+  timers_.Schedule(NowNanos(), delay, std::move(fn));
   ArmTimerLocked();  // no-op before Start (timer_fd_ not created yet)
 }
 

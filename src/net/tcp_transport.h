@@ -27,7 +27,7 @@
 // traffic. Delivery invokes the registered handler on the event-loop thread; the cluster
 // wraps handlers with per-node serialization.
 //
-// Failure handling (DESIGN.md §14): a timerfd drives the endpoint's TimerWheel inside the
+// Failure handling (DESIGN.md §14): a timerfd drives the endpoint's TimerHeap inside the
 // same epoll loop, so heartbeat/suspicion timers fire on the delivery thread. Connection
 // loss (read-zero, ECONNRESET, EPIPE) tears the socket out of the Connection but keeps
 // the object (senders hold pointers; queued frames survive for resend). The original
@@ -50,7 +50,7 @@
 
 #include "src/common/stats.h"
 #include "src/net/address.h"
-#include "src/net/timer_wheel.h"
+#include "src/net/timer_queue.h"
 #include "src/net/transport.h"
 
 namespace nimbus::net {
@@ -78,9 +78,9 @@ class TcpEndpoint final : public Transport {
 
   // ---- Timers (event-loop clock domain) ----
   // Runs `fn` once on the event-loop thread, `delay` after now. Thread-safe; callable
-  // before Start (the wheel holds the entry and the timerfd arms when the loop spawns).
+  // before Start (the heap holds the entry and the timerfd arms when the loop spawns).
   void ScheduleTimer(sim::Duration delay, std::function<void()> fn);
-  // CLOCK_MONOTONIC in nanoseconds — the clock the wheel and liveness deadlines share.
+  // CLOCK_MONOTONIC in nanoseconds — the clock the timers and liveness deadlines share.
   static sim::TimePoint NowNanos();
 
   // ---- Failure handling ----
@@ -183,9 +183,9 @@ class TcpEndpoint final : public Transport {
   void TryRedial(Connection* conn);
   // Event-loop thread: runtime accept — swaps a fresh socket into the peer's Connection.
   void AcceptReady();
-  // Drains the timerfd and runs every due wheel callback (event-loop thread).
+  // Drains the timerfd and runs every due timer callback (event-loop thread).
   void FireTimers();
-  // Programs the timerfd to the wheel's next deadline. Requires `timer_mutex_`.
+  // Programs the timerfd to the heap's next deadline. Requires `timer_mutex_`.
   void ArmTimerLocked();
 
   NodeAddress self_;
@@ -193,7 +193,7 @@ class TcpEndpoint final : public Transport {
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;   // eventfd: kicks the loop for shutdown
-  int timer_fd_ = -1;  // timerfd driving the wheel, CLOCK_MONOTONIC
+  int timer_fd_ = -1;  // timerfd driving the heap, CLOCK_MONOTONIC
   std::vector<std::unique_ptr<Connection>> connections_;
   // Peer DenseIndex -> connection (flat table; -1 entries are absent peers).
   std::vector<Connection*> by_peer_;
@@ -205,7 +205,7 @@ class TcpEndpoint final : public Transport {
   std::atomic<bool> draining_{false};  // orderly teardown: peer closes are not failures
 
   std::mutex timer_mutex_;
-  TimerWheel wheel_;
+  TimerHeap timers_;
   std::function<void(NodeAddress)> peer_loss_handler_;
 
   mutable std::mutex counter_mutex_;

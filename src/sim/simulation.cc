@@ -1,5 +1,7 @@
 #include "src/sim/simulation.h"
 
+#include <utility>
+
 namespace nimbus::sim {
 
 TimePoint Simulation::RunUntil(TimePoint deadline) {
@@ -34,6 +36,26 @@ bool Simulation::RunUntilCondition(const std::function<bool()>& predicate) {
     }
   }
   return false;
+}
+
+void RunInline(Simulation::Callback fn) {
+  // `pending` keeps its capacity between cascades, so a steady-state drain allocates
+  // nothing beyond what the callbacks themselves capture.
+  thread_local std::vector<Simulation::Callback> pending;
+  thread_local bool draining = false;
+  if (draining) {
+    pending.push_back(std::move(fn));
+    return;
+  }
+  draining = true;
+  fn();
+  // Indexed, not iterated: a callback may append (and reallocate) while it runs.
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    Simulation::Callback next = std::move(pending[i]);
+    next();
+  }
+  pending.clear();
+  draining = false;
 }
 
 }  // namespace nimbus::sim

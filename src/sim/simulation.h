@@ -1,10 +1,14 @@
-// Deterministic discrete-event simulation engine.
+// Deterministic discrete-event simulation engine, and the node resources that run on it.
 //
 // A Simulation owns a priority queue of timed callbacks. Events scheduled for the same
 // virtual time fire in insertion order (a monotonic sequence number breaks ties), which makes
 // every run bit-reproducible. The engine is single-threaded by design: the paper's claims are
 // about message counts and per-operation costs, both of which are modeled explicitly, so
 // wall-clock parallelism would only add nondeterminism.
+//
+// A Processor or CorePool built over a null simulation belongs to a real-time node (the TCP
+// backend, DESIGN.md §13.3): submitted work carries no modeled cost and its completion runs
+// at once, in submission order, through RunInline.
 
 #ifndef NIMBUS_SRC_SIM_SIMULATION_H_
 #define NIMBUS_SRC_SIM_SIMULATION_H_
@@ -79,18 +83,32 @@ class Simulation {
   std::priority_queue<Event> queue_;
 };
 
+// Runs `fn` now. If a RunInline call further up this thread's stack is still running, `fn`
+// instead joins a thread-local FIFO that the outermost call drains before it returns. A
+// completion cascade (task done -> successor launched -> its completion ...) therefore runs
+// as a loop in submission order instead of recursing once per link of a dependency chain.
+void RunInline(Simulation::Callback fn);
+
 // Models a serial execution resource (e.g. the controller's control-plane thread, a NIC
 // transmit path). Work items are processed one at a time in submission order; the resource
 // tracks when it next becomes free. This is what turns "166µs per task at the controller"
 // into a pipeline bottleneck as task counts grow.
 class Processor {
  public:
+  // A null `simulation` makes a real-time resource (file comment).
   explicit Processor(Simulation* simulation) : simulation_(simulation) {}
 
   // Submits `work` of the given duration. It starts when the resource is free (but not
-  // before now()) and `done` fires at completion. Returns the completion time.
+  // before now()) and `done` fires at completion. Returns the completion time; a real-time
+  // resource runs `done` through RunInline and returns 0.
   TimePoint Submit(Duration work, Simulation::Callback done) {
     NIMBUS_CHECK_GE(work, 0);
+    if (simulation_ == nullptr) {
+      if (done) {
+        RunInline(std::move(done));
+      }
+      return 0;
+    }
     const TimePoint start = std::max(simulation_->now(), available_at_);
     const TimePoint finish = start + work;
     available_at_ = finish;
@@ -101,16 +119,11 @@ class Processor {
     return finish;
   }
 
-  // Charges busy time without a completion callback (for accounting sequential costs).
+  // Charges busy time without a completion callback (for accounting sequential costs); a
+  // no-op on a real-time resource.
   TimePoint Charge(Duration work) { return Submit(work, nullptr); }
 
-  TimePoint available_at() const { return available_at_; }
   Duration total_busy() const { return busy_accum_; }
-
-  void Reset() {
-    available_at_ = 0;
-    busy_accum_ = 0;
-  }
 
  private:
   Simulation* simulation_;
@@ -119,7 +132,8 @@ class Processor {
 };
 
 // Models a pool of identical cores (a worker's execution slots). Work-conserving: a submitted
-// item starts on the earliest-available core.
+// item starts on the earliest-available core. A null `simulation` makes a real-time pool,
+// exactly like Processor's.
 class CorePool {
  public:
   CorePool(Simulation* simulation, int cores)
@@ -129,6 +143,12 @@ class CorePool {
 
   TimePoint Submit(Duration work, Simulation::Callback done) {
     NIMBUS_CHECK_GE(work, 0);
+    if (simulation_ == nullptr) {
+      if (done) {
+        RunInline(std::move(done));
+      }
+      return 0;
+    }
     // Pick the earliest-available core.
     std::size_t best = 0;
     for (std::size_t i = 1; i < available_.size(); ++i) {
@@ -156,13 +176,6 @@ class CorePool {
       t = std::max(t, a);
     }
     return t;
-  }
-
-  void Reset() {
-    for (auto& a : available_) {
-      a = 0;
-    }
-    busy_accum_ = 0;
   }
 
  private:

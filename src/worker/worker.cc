@@ -80,7 +80,6 @@ Worker::Worker(WorkerId id, sim::Simulation* simulation, net::Transport* transpo
                const sim::CostModel* costs, const FunctionRegistry* functions,
                DurableStore* durable, net::TimerQueue* timers)
     : id_(id),
-      simulation_(simulation),
       transport_(transport),
       owned_timers_(timers == nullptr ? std::make_unique<net::SimTimerQueue>(simulation)
                                       : nullptr),
@@ -89,7 +88,10 @@ Worker::Worker(WorkerId id, sim::Simulation* simulation, net::Transport* transpo
       functions_(functions),
       durable_(durable),
       cores_(simulation, costs->worker_cores),
-      control_thread_(simulation) {}
+      control_thread_(simulation) {
+  NIMBUS_CHECK(simulation != nullptr || timers != nullptr)
+      << "a real-time worker (no simulation) needs a TimerQueue";
+}
 
 void Worker::OnEnvelope(net::NodeAddress src, MessageKind kind, ParameterBlob bytes) {
   static_cast<void>(src);

@@ -37,7 +37,7 @@
 #include "src/core/worker_template.h"
 #include "src/data/durable_store.h"
 #include "src/data/object_store.h"
-#include "src/net/timer_wheel.h"
+#include "src/net/timer_queue.h"
 #include "src/net/transport.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/simulation.h"
@@ -50,9 +50,11 @@ namespace nimbus {
 
 class Worker {
  public:
+  // `simulation` backs the modeled cores and control thread; null makes a real-time
+  // worker whose tasks run inline in submission order (sim::RunInline, DESIGN.md §13.3).
   // `timers` is the clock heartbeats are scheduled against (DESIGN.md §14). Null means
-  // "own a SimTimerQueue over `simulation`"; the TCP cluster passes the node's
-  // timerfd-backed queue so beats keep flowing on real time between deliveries.
+  // "own a SimTimerQueue over `simulation`", so a real-time worker must pass one; the TCP
+  // cluster passes the node's timerfd-backed queue.
   Worker(WorkerId id, sim::Simulation* simulation, net::Transport* transport,
          const sim::CostModel* costs, const FunctionRegistry* functions,
          DurableStore* durable, net::TimerQueue* timers = nullptr);
@@ -258,7 +260,6 @@ class Worker {
       NIMBUS_REQUIRES(control_phase_);
 
   WorkerId id_;
-  sim::Simulation* simulation_;
   net::Transport* transport_;
   // Heartbeat clock (see ctor comment); owned_timers_ backs timers_ when not supplied.
   std::unique_ptr<net::SimTimerQueue> owned_timers_;

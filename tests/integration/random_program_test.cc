@@ -1,10 +1,12 @@
 // Property-based differential test: random iterative programs must produce bit-identical
 // data no matter which control plane executes them (templates vs central vs static
-// dataflow), and repeated runs must be deterministic.
+// dataflow) or which transport carries them (simulator vs TCP), and repeated runs must be
+// deterministic.
 //
 // Programs are random but well-formed: every read is of an object initialized or already
 // written, placements are random, stages chain through random subsets of variables, and one
-// final stage folds everything into a checksum object.
+// final stage folds everything into a checksum object. Task durations vary, so the
+// simulator's modeled completion order differs from the submission order TCP nodes run in.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +36,14 @@ struct ProgramSpec {
 std::map<std::uint64_t, std::vector<double>> BuildAndRun(Cluster* cluster, Job* job,
                                                          const ProgramSpec& spec) {
   Rng rng(spec.seed);
+  // Durations draw from their own stream, so each seed's program shape does not depend on
+  // them.
+  Rng duration_rng(spec.seed * 7 + 3);
+  const auto duration = [&duration_rng]() {
+    constexpr sim::Duration kDurations[] = {sim::Micros(50), sim::Micros(200),
+                                            sim::Micros(800)};
+    return kDurations[duration_rng.NextBounded(3)];
+  };
   const int p = spec.partitions;
 
   // One shared combine function: out[i] = sum over reads of (read[i] * weight) + bias.
@@ -73,7 +83,7 @@ std::map<std::uint64_t, std::vector<double>> BuildAndRun(Cluster* cluster, Job* 
         task.function = init;
         task.writes = {ObjRef{vars[static_cast<std::size_t>(v)], q}};
         task.placement_partition = q;
-        task.duration = sim::Micros(100);
+        task.duration = duration();
         BlobWriter w;
         w.WriteDouble(static_cast<double>(v * 100 + q) + 0.5);
         task.params = w.Take();
@@ -105,7 +115,7 @@ std::map<std::uint64_t, std::vector<double>> BuildAndRun(Cluster* cluster, Job* 
         task.writes = {ObjRef{vars[target], q}};
         task.placement_partition =
             static_cast<int>(rng.NextBounded(static_cast<std::uint64_t>(p)));
-        task.duration = sim::Micros(200);
+        task.duration = duration();
         BlobWriter w;
         w.WriteDouble(0.5 + 0.25 * static_cast<double>(rng.NextBounded(4)));
         w.WriteDouble(static_cast<double>(rng.NextBounded(10)));
@@ -124,7 +134,9 @@ std::map<std::uint64_t, std::vector<double>> BuildAndRun(Cluster* cluster, Job* 
     }
   }
 
-  // Collect every object's final value from its latest holder.
+  // Collect every object's final value from its latest holder. Under TCP the nodes ran on
+  // their own threads; Quiesce orders their last deliveries before these reads.
+  cluster->Quiesce();
   std::map<std::uint64_t, std::vector<double>> result;
   for (VariableId var : vars) {
     const auto& info = cluster->directory().variable(var);
@@ -141,12 +153,13 @@ std::map<std::uint64_t, std::vector<double>> BuildAndRun(Cluster* cluster, Job* 
   return result;
 }
 
-std::map<std::uint64_t, std::vector<double>> RunProgram(const ProgramSpec& spec,
-                                                        ControlMode mode) {
+std::map<std::uint64_t, std::vector<double>> RunProgram(
+    const ProgramSpec& spec, ControlMode mode, TransportKind transport = TransportKind::kSim) {
   ClusterOptions options;
   options.workers = spec.workers;
   options.partitions = spec.partitions;
   options.mode = mode;
+  options.transport = transport;
   Cluster cluster(options);
   Job job(&cluster);
   return BuildAndRun(&cluster, &job, spec);
@@ -168,10 +181,14 @@ TEST_P(RandomProgramTest, AllControlPlanesAgree) {
   const auto with_templates = RunProgram(spec, ControlMode::kTemplates);
   const auto central = RunProgram(spec, ControlMode::kCentralOnly);
   const auto dataflow = RunProgram(spec, ControlMode::kStaticDataflow);
+  const auto tcp_templates = RunProgram(spec, ControlMode::kTemplates, TransportKind::kTcp);
+  const auto tcp_central = RunProgram(spec, ControlMode::kCentralOnly, TransportKind::kTcp);
 
   ASSERT_FALSE(with_templates.empty());
   EXPECT_EQ(with_templates, central);
   EXPECT_EQ(with_templates, dataflow);
+  EXPECT_EQ(with_templates, tcp_templates);
+  EXPECT_EQ(with_templates, tcp_central);
 }
 
 TEST_P(RandomProgramTest, RunsAreDeterministic) {

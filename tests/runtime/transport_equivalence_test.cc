@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/apps/kmeans.h"
 #include "src/apps/logistic_regression.h"
 #include "src/apps/watersim.h"
+#include "src/common/serialize.h"
 #include "src/driver/cluster.h"
 #include "src/driver/job.h"
 #include "src/task/command.h"
@@ -132,6 +134,63 @@ RunOutput RunWaterSim(TransportKind transport, ControlMode mode) {
   return out;
 }
 
+// One worker, one object, and one block of `stages` single-task stages that each read and
+// rewrite that object: a dependency chain as long as the block. The first three runs
+// dispatch centrally (capture, projection, install); the fourth instantiates the template,
+// which turns the whole chain into one group on the worker, whose completion cascade then
+// walks all of it in one delivery. Each link adds its own increment, so the reported
+// value counts every link. Returns that value after each run.
+std::vector<double> RunChain(TransportKind transport, int stages) {
+  Cluster cluster(Options(transport, ControlMode::kTemplates, 1, 1));
+  Job job(&cluster);
+  const VariableId x = job.DefineVariable("x", 1, 8);
+  const auto step = [](TaskContext& ctx) {
+    BlobReader r(ctx.params());
+    auto& v = ctx.WriteVector(0, 1).values();
+    v[0] += r.ReadDouble();
+  };
+  const FunctionId init = job.RegisterFunction(
+      "init", [](TaskContext& ctx) { ctx.WriteVector(0, 1).values().assign(1, 1.0); });
+  const FunctionId link = job.RegisterFunction("link", step);
+  const FunctionId last = job.RegisterFunction("last", [step](TaskContext& ctx) {
+    step(ctx);
+    ctx.ReturnScalar(ctx.ReadVector(0).values()[0]);
+  });
+
+  StageDescriptor setup;
+  setup.name = "init";
+  TaskDescriptor init_task;
+  init_task.function = init;
+  init_task.writes = {ObjRef{x, 0}};
+  init_task.placement_partition = 0;
+  setup.tasks.push_back(std::move(init_task));
+  job.RunStages({std::move(setup)});
+
+  std::vector<StageDescriptor> chain;
+  for (int s = 0; s < stages; ++s) {
+    TaskDescriptor task;
+    task.function = s + 1 == stages ? last : link;
+    task.reads = {ObjRef{x, 0}};
+    task.writes = {ObjRef{x, 0}};
+    task.placement_partition = 0;
+    task.duration = sim::Micros(1);
+    task.returns_scalar = s + 1 == stages;
+    BlobWriter w;
+    w.WriteDouble(static_cast<double>(1 + s % 7));
+    task.params = w.Take();
+    StageDescriptor stage;
+    stage.name = "s" + std::to_string(s);
+    stage.tasks.push_back(std::move(task));
+    chain.push_back(std::move(stage));
+  }
+  job.DefineBlock("chain", std::move(chain));
+  std::vector<double> out;
+  for (int run = 0; run < 4; ++run) {
+    out.push_back(job.RunBlock("chain").FirstScalar());
+  }
+  return out;
+}
+
 void ExpectIdentical(const RunOutput& sim, const RunOutput& tcp) {
   // Scalars and coefficients: exact double equality, not tolerance — the arithmetic and
   // its order must be the same on both transports.
@@ -216,6 +275,18 @@ TEST(TransportEquivalenceTest, WaterSimCentralOnlyBitIdenticalSimVsTcp) {
   const RunOutput sim = RunWaterSim(TransportKind::kSim, ControlMode::kCentralOnly);
   const RunOutput tcp = RunWaterSim(TransportKind::kTcp, ControlMode::kCentralOnly);
   ExpectIdentical(sim, tcp);
+}
+
+// A 10,000-link chain on one worker: over TCP its completion cascade runs inline on the
+// worker's loop thread, so it must run as a loop (sim::RunInline's FIFO), not recurse once
+// per link and overflow the thread's stack.
+TEST(TransportEquivalenceTest, LongDependencyChainOnOneWorkerSimVsTcp) {
+  constexpr int kStages = 10000;
+  const std::vector<double> sim = RunChain(TransportKind::kSim, kStages);
+  const std::vector<double> tcp = RunChain(TransportKind::kTcp, kStages);
+  ASSERT_EQ(sim.size(), 4u);
+  EXPECT_EQ(sim[3] - sim[2], sim[1] - sim[0]) << "every run adds the whole chain";
+  EXPECT_EQ(sim, tcp);
 }
 
 }  // namespace

@@ -139,6 +139,57 @@ TEST(CorePoolTest, WorkConserving) {
   EXPECT_EQ(done, Millis(5));
 }
 
+// ---- Real-time resources (null simulation): RunInline's FIFO ----
+
+TEST(RunInlineTest, NestedCallsQueueAndRunAfterTheOuterCallInFifoOrder) {
+  std::vector<int> order;
+  RunInline([&] {
+    order.push_back(0);
+    RunInline([&] {
+      order.push_back(2);
+      RunInline([&] { order.push_back(4); });
+      order.push_back(3);
+    });
+    RunInline([&] { order.push_back(5); });
+    order.push_back(1);
+  });
+  // Only the outermost call runs its callback at once; nested ones wait their turn.
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 5, 4}));
+  // The queue is empty again: the next outermost call runs at once.
+  RunInline([&] { order.push_back(6); });
+  EXPECT_EQ(order.back(), 6);
+}
+
+// Each link submits the next from inside its own callback, the shape of a worker's
+// completion cascade along a dependency chain. Plain recursion would need one stack frame
+// per link; the FIFO needs none.
+void Chain(int remaining, int* ran) {
+  ++*ran;
+  if (remaining > 0) {
+    RunInline([remaining, ran] { Chain(remaining - 1, ran); });
+  }
+}
+
+TEST(RunInlineTest, DeepNestedChainCompletes) {
+  constexpr int kDepth = 100000;
+  int ran = 0;
+  RunInline([&ran] { Chain(kDepth - 1, &ran); });
+  EXPECT_EQ(ran, kDepth);
+}
+
+TEST(RunInlineTest, RealTimeProcessorAndCorePoolRunDoneBeforeSubmitReturns) {
+  Processor p(nullptr);
+  CorePool pool(nullptr, 4);
+  int fired = 0;
+  EXPECT_EQ(p.Submit(Millis(10), [&] { ++fired; }), 0);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(pool.Submit(Millis(10), [&] { ++fired; }), 0);
+  EXPECT_EQ(fired, 2);
+  p.Charge(Millis(5));
+  EXPECT_EQ(p.total_busy(), 0);
+  EXPECT_EQ(pool.total_busy(), 0);
+}
+
 TEST(NetworkTest, DeliveryIncludesLatencyAndSerialization) {
   Simulation s;
   CostModel costs;
