@@ -8,8 +8,9 @@
 //  * min > heartbeat_timeout — detection cannot be instant; real silence must elapse.
 //    (This edge catches clock-domain bugs: a liveness stamp taken from the wrong clock
 //    makes a just-killed worker look silent for eons and detection fires immediately.)
-//  * median <= timeout * miss_threshold + timeout / 2 + slack — one full miss window,
-//    plus at most half a timeout of check-cadence phase, plus recovery work and jitter.
+//  * median <= timeout * miss_threshold + period / 2 + slack — one full miss window, plus
+//    the half period by which the controller's sweeps trail the beats (the first sweep
+//    that can see the silence, DESIGN.md §14.2), plus recovery work and jitter.
 //
 // With --json PATH the samples are written as a JSON document
 // (bench/run_benchmarks.sh commits it as BENCH_recovery.json).
@@ -93,7 +94,7 @@ int Run(const char* json_path) {
   std::sort(sorted.begin(), sorted.end());
   const double min_ms = sorted.front();
   const double median_ms = sorted[sorted.size() / 2];
-  const double bound_ms = kTimeoutMs * kMissThreshold + kTimeoutMs / 2 + kSlackMs;
+  const double bound_ms = kTimeoutMs * kMissThreshold + kPeriodMs / 2 + kSlackMs;
 
   const bool shape_ok = min_ms > kTimeoutMs && median_ms <= bound_ms;
   std::printf("\nmin %.1f ms, median %.1f ms\n", min_ms, median_ms);

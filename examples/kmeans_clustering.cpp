@@ -18,6 +18,9 @@ int main() {
   options.workers = 4;
   options.partitions = 16;
   options.mode = ControlMode::kTemplates;
+  options.failure_detection = true;
+  options.heartbeat_period = sim::Millis(100);
+  options.heartbeat_timeout = sim::Millis(500);
   Cluster cluster(options);
   Job job(&cluster);
 
@@ -31,7 +34,6 @@ int main() {
   config.virtual_bytes_total = 2LL * 1000 * 1000 * 1000;
   KMeansApp app(&job, config);
   app.Setup();
-  cluster.controller().EnableFailureDetection(sim::Millis(100), sim::Millis(500));
 
   std::printf("k-means: %d clusters, dim %d, %d partitions on %d workers\n\n",
               config.clusters, config.dim, config.partitions, options.workers);

@@ -30,6 +30,11 @@ Enforces contracts the compiler cannot know about:
                   variable itself or on an element indexed by it. Blobs and id arrays go
                   through BlobWriter::WriteBytes in one copy (DESIGN.md §10.1); one
                   push_back per byte costs ~70x a memcpy on the serialized-dispatch path.
+  node-boundary   No file under src/controller/ includes a src/worker/ header, and no
+                  file under src/worker/ includes a src/controller/ header. Controller
+                  and workers are nodes: they name each other by id and meet only
+                  through the transport and the wire envelopes (src/net/, src/task/).
+                  An include across the boundary is what a direct call needs first.
 
 Suppression mechanism
 ---------------------
@@ -56,9 +61,13 @@ SEND_SCAN_DIRS = ("src", "tests", "bench")
 
 ALLOW_RE = re.compile(r"lint:allow\(([\w\-, ]+)\)\s*(?:--\s*(.*))?")
 RULES = ("hot-map", "send-kind", "decoder-bounds", "map-invalidate", "counters-register",
-         "byte-loop")
+         "byte-loop", "node-boundary")
 
 STATS_FILE = "src/common/stats.h"
+
+# node-boundary: each node directory and the directory its files must not include.
+NODE_BOUNDARIES = (("src/controller", "src/worker"), ("src/worker", "src/controller"))
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 
 # decoder-bounds: a raw access must see one of these within the window above it.
 DECODER_WINDOW = 4
@@ -285,6 +294,22 @@ def check_byte_loop(src: Source, errors):
 
 
 # ------------------------------------------------------------------------------------
+# Rule: node-boundary
+# ------------------------------------------------------------------------------------
+
+def check_node_boundary(src: Source, forbidden: str, errors):
+    # Include paths are string literals, which the comment-stripped view blanks out.
+    for i, line in enumerate(src.raw, start=1):
+        m = INCLUDE_RE.match(line)
+        if m is None or not m.group(1).startswith(forbidden + "/"):
+            continue
+        if not src.allowed("node-boundary", i):
+            emit(errors, src, i, "node-boundary",
+                 f"includes {m.group(1)}: controller and workers meet only through the "
+                 "transport; name the peer by id and send it an envelope")
+
+
+# ------------------------------------------------------------------------------------
 # Driver
 # ------------------------------------------------------------------------------------
 
@@ -326,6 +351,10 @@ def main() -> int:
 
     for path in collect(["src/**/*.h", "src/**/*.cc"]):
         check_byte_loop(source(path), errors)
+
+    for node_dir, forbidden in NODE_BOUNDARIES:
+        for path in collect([f"{node_dir}/**/*.h", f"{node_dir}/**/*.cc"]):
+            check_node_boundary(source(path), forbidden, errors)
 
     # Suppression hygiene: every allow must carry a reason and actually fire.
     for src in sources.values():

@@ -73,9 +73,6 @@ class Registry {
   std::size_t group_count() const { return groups_.size(); }
   std::size_t field_count() const { return field_names_.size(); }
 
-  // Full "group.field" name of snapshot index `i`.
-  const std::string& FieldName(std::size_t i) const { return field_names_[i]; }
-
   // Reads every registered field.
   Snapshot Take() const;
 

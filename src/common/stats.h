@@ -186,21 +186,6 @@ enum class MessageKind : std::uint8_t {
 };
 inline constexpr std::size_t kMessageKindCount = 4;
 
-// Static names for per-kind reporting (trace lanes, registry fields, bench rows).
-inline const char* MessageKindName(MessageKind kind) {
-  switch (kind) {
-    case MessageKind::kControl:
-      return "control";
-    case MessageKind::kCommand:
-      return "command";
-    case MessageKind::kSerializedBatch:
-      return "serialized_batch";
-    case MessageKind::kData:
-      return "data";
-  }
-  return "unknown";
-}
-
 // Per-message-kind traffic counters kept by sim::Network.
 struct NetworkCounters : detail::ClearableCounters<NetworkCounters> {
   std::array<std::uint64_t, kMessageKindCount> messages{};

@@ -17,18 +17,13 @@ NimbusController::NimbusController(sim::Simulation* simulation, net::Transport* 
                                    DurableStore* durable, ControlMode mode,
                                    ControllerSwitches switches, net::TimerQueue* timers)
     : transport_(transport),
-      owned_timers_(timers == nullptr ? std::make_unique<net::SimTimerQueue>(simulation)
-                                      : nullptr),
-      timers_(timers == nullptr ? owned_timers_.get() : timers),
+      timers_(timers),
       costs_(costs),
       directory_(directory),
       durable_(durable),
       mode_(mode),
       switches_(switches),
-      control_thread_(simulation) {
-  NIMBUS_CHECK(simulation != nullptr || timers != nullptr)
-      << "a real-time controller (no simulation) needs a TimerQueue";
-}
+      control_thread_(simulation) {}
 
 void NimbusController::OnEnvelope(net::NodeAddress src, MessageKind kind,
                                   ParameterBlob bytes) {
@@ -104,19 +99,9 @@ void NimbusController::SendBlockDone(std::uint64_t request_id,
 // Membership & placement
 // -----------------------------------------------------------------------------------------
 
-void NimbusController::AttachWorker(Worker* worker) {
-  workers_.push_back(worker);
-  const DenseIndex index = worker_ids_.Intern(worker->id());
+void NimbusController::AttachWorker(WorkerId worker) {
+  worker_ids_.Intern(worker);
   worker_records_.EnsureSize(worker_ids_.size());
-  WorkerRecord& record = worker_records_[index];
-  record.worker = worker;
-  record.last_heard = timers_->Now();
-  // A worker attached after failure detection was armed joins liveness accounting
-  // immediately — otherwise its death would go unnoticed forever.
-  if (failure_detection_) {
-    worker->StartHeartbeats(heartbeat_period_);
-    record.heartbeat_tracked = true;
-  }
 }
 
 NimbusController::WorkerRecord* NimbusController::RecordFor(WorkerId id) {
@@ -133,7 +118,6 @@ void NimbusController::RevokeWorkers(const std::vector<WorkerId>& workers) {
   for (WorkerId w : workers) {
     if (WorkerRecord* record = RecordFor(w)) {
       record->revoked = true;
-      record->heartbeat_tracked = false;
     }
   }
   Rebalance();
@@ -149,32 +133,20 @@ void NimbusController::RestoreWorkers(const std::vector<WorkerId>& workers) {
     // Liveness restarts now: the stale pre-revocation timestamp must not count against a
     // worker that was silent (legitimately) while out of the allocation.
     record->last_heard = timers_->Now();
-    record->missed_beats = 0;
     record->suspect = false;
-    record->heartbeat_tracked = failure_detection_ && !record->failed;
   }
   Rebalance();
 }
 
 std::vector<WorkerId> NimbusController::ActiveWorkers() const {
   std::vector<WorkerId> out;
-  for (const Worker* w : workers_) {
-    const WorkerRecord* record = RecordFor(w->id());
-    if (record != nullptr && !record->revoked && !record->failed) {
-      out.push_back(w->id());
+  for (DenseIndex i = 0; i < worker_ids_.size(); ++i) {
+    const WorkerRecord& record = worker_records_[i];
+    if (!record.revoked && !record.failed) {
+      out.push_back(worker_ids_.Resolve(i));
     }
   }
   return out;
-}
-
-Worker* NimbusController::FindWorker(WorkerId id) {
-  WorkerRecord* record = RecordFor(id);
-  return record == nullptr ? nullptr : record->worker;
-}
-
-const Worker* NimbusController::worker(WorkerId id) const {
-  const WorkerRecord* record = RecordFor(id);
-  return record == nullptr ? nullptr : record->worker;
 }
 
 void NimbusController::SetPartitions(int partitions) {
@@ -196,7 +168,7 @@ VariableId NimbusController::DefineVariable(const std::string& name, int variabl
 }
 
 NimbusController::SetState& NimbusController::StateFor(WorkerTemplateId id) {
-  // Worker-template ids are allocated contiguously from 0 by the template manager, so the
+  // The template manager allocates worker-template ids contiguously from 0, so the
   // id value doubles as the dense index.
   NIMBUS_CHECK(id.valid());
   const auto index = static_cast<DenseIndex>(id.value());
@@ -256,21 +228,23 @@ void NimbusController::OnGroupComplete(WorkerId worker_id, std::uint64_t seq,
   auto& outstanding = block->outstanding_groups;
   outstanding.erase(std::remove(outstanding.begin(), outstanding.end(), seq),
                     outstanding.end());
-  if (outstanding.empty() && block->done) {
-    BlockDone done = std::move(block->done);
-    block->done = nullptr;
-    std::vector<ScalarResult> collected = std::move(block->scalars);
-    ErasePendingBlock(block);
-    done(std::move(collected));
-  }
+  FinishIfIdle(block);
 }
 
-void NimbusController::ErasePendingBlock(PendingBlock* block) {
+void NimbusController::FinishIfIdle(PendingBlock* block) {
+  if (!block->outstanding_groups.empty()) {
+    return;
+  }
+  BlockDone done = std::move(block->done);
+  std::vector<ScalarResult> collected = std::move(block->scalars);
   for (auto it = pending_blocks_.begin(); it != pending_blocks_.end(); ++it) {
     if (it->get() == block) {
       pending_blocks_.erase(it);
-      return;
+      break;
     }
+  }
+  if (done) {
+    done(std::move(collected));
   }
 }
 
@@ -290,12 +264,7 @@ void NimbusController::SubmitStages(const std::vector<StageDescriptor>& stages,
                                     BlockDone done) {
   PendingBlock* block = NewPendingBlock(std::move(done));
   ExecuteStagesCentrally(stages, block);
-  if (block->outstanding_groups.empty() && block->done) {
-    // Degenerate empty block.
-    BlockDone cb = std::move(block->done);
-    block->done = nullptr;
-    cb({});
-  }
+  FinishIfIdle(block);  // an empty block dispatches no group
 }
 
 void NimbusController::ExecuteStagesCentrally(const std::vector<StageDescriptor>& stages,
@@ -432,8 +401,6 @@ void NimbusController::DispatchCentralBlock(
   }
   int participating = 0;
   for (runtime::SerializedBatch& batch : batches) {
-    Worker* worker = FindWorker(batch.worker);
-    NIMBUS_CHECK(worker != nullptr) << "dispatch to unknown worker " << batch.worker;
     ++participating;
     tasks_dispatched_ += batch.task_count;
     const std::size_t total = batch.command_count;
@@ -446,7 +413,7 @@ void NimbusController::DispatchCentralBlock(
             : costs_->nimbus_central_batch_per_worker +
                   costs_->serialized_batch_encode_per_task * n;
     const std::int64_t wire = batch.wire_size;  // modeled size: the nested NBW1 bytes
-    control_thread_.Submit(cost, [this, dst = worker->address(),
+    control_thread_.Submit(cost, [this, dst = net::NodeAddress::ForWorker(batch.worker),
                                   bytes = std::move(batch.bytes), seq, total,
                                   wire]() mutable {
       wire::SerializedBatchEnvelope e;
@@ -487,8 +454,7 @@ void NimbusController::DispatchSetCentrally(
       continue;
     }
     ++participating;
-    Worker* worker = FindWorker(half.worker);
-    NIMBUS_CHECK(worker != nullptr) << "dispatch to unknown worker " << half.worker;
+    const net::NodeAddress dst = net::NodeAddress::ForWorker(half.worker);
     const CommandId base = command_ids_.NextRange(half.entries.size());
 
     const std::size_t total = half.entries.size();
@@ -511,9 +477,8 @@ void NimbusController::DispatchSetCentrally(
       // own message: this is exactly the bottleneck the paper's Fig 1/8 demonstrate.
       const bool final = i + 1 == half.entries.size();
       const std::int64_t wire = cmd.WireSize();
-      control_thread_.Submit(per_task, [this, dst = worker->address(),
-                                        cmd = std::move(cmd), seq, total, final,
-                                        wire]() mutable {
+      control_thread_.Submit(per_task, [this, dst, cmd = std::move(cmd), seq, total,
+                                        final, wire]() mutable {
         wire::CommandsEnvelope envelope;
         envelope.group_seq = seq;
         envelope.expected_total = total;
@@ -582,10 +547,6 @@ void NimbusController::DispatchPatch(const core::Patch& patch, PendingBlock* blo
 
   int participating = 0;
   for (auto& [wid, cmds] : merged) {
-    Worker* worker = FindWorker(wid);
-    if (worker == nullptr) {
-      continue;
-    }
     ++participating;
     const std::size_t total = cmds.size();
     std::int64_t wire = 0;
@@ -595,8 +556,8 @@ void NimbusController::DispatchPatch(const core::Patch& patch, PendingBlock* blo
     // Route through the control thread so patches keep FIFO order with respect to any
     // still-draining per-task dispatches of earlier stages (workers rely on arrival
     // order to sequence groups).
-    control_thread_.Submit(0, [this, dst = worker->address(), cmds = std::move(cmds), seq,
-                               total, wire]() mutable {
+    control_thread_.Submit(0, [this, dst = net::NodeAddress::ForWorker(wid),
+                               cmds = std::move(cmds), seq, total, wire]() mutable {
       wire::CommandsEnvelope e;
       e.group_seq = seq;
       e.expected_total = total;
@@ -689,20 +650,15 @@ void NimbusController::InstantiateTemplate(
     }
     RunSetCentrallyWithPatches(*set, params, block);
     prev_executed_ = core::PatchCache::kEntryFromOutside;
-    return;
-  }
-
-  // Stage 2: install the worker halves (paper Fig 9, iteration 12) while dispatching
-  // centrally one more time.
-  if (!state.installed_on_workers) {
+  } else if (!state.installed_on_workers) {
+    // Stage 2: install the worker halves (paper Fig 9, iteration 12) while dispatching
+    // centrally one more time.
     for (const core::WorkerHalf& half : set->halves()) {
-      Worker* worker = FindWorker(half.worker);
-      NIMBUS_CHECK(worker != nullptr);
       const std::int64_t wire = static_cast<std::int64_t>(half.entries.size()) * 64;
       core::WorkerHalf copy = half;
       const WorkerTemplateId wtid = set->id();
-      control_thread_.Submit(0, [this, dst = worker->address(), copy = std::move(copy),
-                                 wtid, wire]() mutable {
+      control_thread_.Submit(0, [this, dst = net::NodeAddress::ForWorker(half.worker),
+                                 copy = std::move(copy), wtid, wire]() mutable {
         wire::InstallTemplateEnvelope e;
         e.id = wtid;
         e.half = std::move(copy);
@@ -713,13 +669,13 @@ void NimbusController::InstantiateTemplate(
     state.installed_on_workers = true;
     RunSetCentrallyWithPatches(*set, params, block);
     prev_executed_ = core::PatchCache::kEntryFromOutside;
-    return;
+  } else {
+    // Stage 3: the fast path (paper Fig 9, iteration 13+). The driver's lookahead hint
+    // resolves to the set whose sweep will ride this block's assembly batch (or null).
+    InstantiateSet(set, &state, std::move(params), block,
+                   ResolveLookaheadTarget(next_name, set));
   }
-
-  // Stage 3: the fast path (paper Fig 9, iteration 13+). The driver's lookahead hint
-  // resolves to the set whose sweep will ride this block's assembly batch (or null).
-  InstantiateSet(set, &state, std::move(params), block,
-                 ResolveLookaheadTarget(next_name, set));
+  FinishIfIdle(block);  // a set with no entries dispatches no group
 }
 
 void NimbusController::RunSetCentrallyWithPatches(
@@ -910,8 +866,6 @@ void NimbusController::InstantiateSet(
   }
   int participating = 0;
   for (runtime::WorkerMessage& wm : assembled) {
-    Worker* worker = FindWorker(wm.worker);
-    NIMBUS_CHECK(worker != nullptr);
     ++participating;
 
     InstantiateMsg msg;
@@ -927,8 +881,8 @@ void NimbusController::InstantiateSet(
     // Assembly already sized the message (WorkerMessage::wire_size mirrors
     // InstantiateMsg::WireSize; the equivalence tests pin them together).
     const std::int64_t wire = wm.wire_size;
-    control_thread_.Submit(0, [this, dst = worker->address(), msg = std::move(msg),
-                               wire]() mutable {
+    control_thread_.Submit(0, [this, dst = net::NodeAddress::ForWorker(wm.worker),
+                               msg = std::move(msg), wire]() mutable {
       transport_->Send(net::NodeAddress::Controller(), dst, MessageKind::kControl,
                        wire::EncodeInstantiateEnvelope(msg), wire);
     });
@@ -938,10 +892,6 @@ void NimbusController::InstantiateSet(
 
   if (participating > 0) {
     RegisterGroup(seq, block, participating);
-  } else if (block->done) {
-    BlockDone cb = std::move(block->done);
-    block->done = nullptr;
-    cb({});
   }
 
   prev_executed_ = set->id().value();
@@ -1095,88 +1045,69 @@ void NimbusController::TriggerCheckpoint(std::uint64_t driver_marker,
   const std::uint64_t seq = NewGroupSeq();
   int participating = 0;
   for (auto& [wid, cmds] : per_worker) {
-    Worker* w = FindWorker(wid);
-    if (w == nullptr) {
-      continue;
-    }
     ++participating;
     wire::CommandsEnvelope e;
     e.group_seq = seq;
     e.expected_total = cmds.size();
     e.commands = std::move(cmds);
-    transport_->Send(net::NodeAddress::Controller(), w->address(), MessageKind::kCommand,
-                     wire::EncodeCommandsEnvelope(e), /*cost_bytes=*/64);
+    transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::ForWorker(wid),
+                     MessageKind::kCommand, wire::EncodeCommandsEnvelope(e),
+                     /*cost_bytes=*/64);
   }
   if (participating > 0) {
     RegisterGroup(seq, block, participating);
-  } else if (block->done) {
-    BlockDone cb = std::move(block->done);
-    block->done = nullptr;
-    cb({});
   }
+  FinishIfIdle(block);
 }
 
-void NimbusController::EnableFailureDetection(sim::Duration heartbeat_period,
-                                              sim::Duration timeout, int miss_threshold) {
+void NimbusController::ArmHeartbeatSweep(sim::Duration heartbeat_period,
+                                         sim::Duration timeout, int miss_threshold) {
+  NIMBUS_CHECK(!failure_detection_) << "failure detection is armed once";
   NIMBUS_CHECK_GT(miss_threshold, 0);
   failure_detection_ = true;
   heartbeat_period_ = heartbeat_period;
   heartbeat_timeout_ = timeout;
   miss_threshold_ = miss_threshold;
-  for (Worker* w : workers_) {
-    WorkerRecord* record = RecordFor(w->id());
-    if (record == nullptr || record->failed) {
-      continue;  // a dead worker must not re-enter liveness accounting
-    }
-    w->StartHeartbeats(heartbeat_period);
-    record->last_heard = timers_->Now();
-    record->missed_beats = 0;
-    record->suspect = false;
-    record->heartbeat_tracked = !record->revoked;
+  const sim::TimePoint now = timers_->Now();
+  for (WorkerRecord& record : worker_records_) {
+    record.last_heard = now;
   }
-  timers_->Schedule(heartbeat_timeout_, [this]() { CheckHeartbeats(); });
+  // Half a period out of phase with the beats the workers start in the same step: a beat
+  // has long arrived when a sweep runs, so the first sweep that can see a silence of
+  // `miss_threshold × timeout` counts it in full.
+  timers_->Schedule(heartbeat_period_ / 2, [this]() { CheckHeartbeats(); });
 }
 
 void NimbusController::CheckHeartbeats() {
-  if (!failure_detection_) {
-    return;
-  }
   const sim::TimePoint now = timers_->Now();
-  for (WorkerRecord& record : worker_records_) {
-    if (record.worker == nullptr || record.failed || record.revoked ||
-        !record.heartbeat_tracked) {
-      continue;
-    }
+  for (DenseIndex i = 0; i < worker_ids_.size(); ++i) {
+    WorkerRecord& record = worker_records_[i];
     const sim::Duration silent = now - record.last_heard;
-    const std::uint64_t missed =
-        silent > heartbeat_timeout_
-            ? static_cast<std::uint64_t>(silent / heartbeat_timeout_)
-            : 0;
-    record.missed_beats = missed;
-    if (missed == 0) {
+    if (record.failed || record.revoked || silent <= heartbeat_timeout_) {
       continue;
     }
+    const auto missed = static_cast<std::uint64_t>(silent / heartbeat_timeout_);
+    const WorkerId worker = worker_ids_.Resolve(i);
     if (!record.suspect) {
       record.suspect = true;
       ++failure_counters_.suspects_marked;
-      NIMBUS_LOG(Info) << "worker " << record.worker->id() << " suspected (" << missed
+      NIMBUS_LOG(Info) << "worker " << worker << " suspected (" << missed
                        << " missed heartbeat timeouts)";
       // Informational notice to the driver.
       wire::SuspectNoticeEnvelope notice;
-      notice.worker = record.worker->id();
+      notice.worker = worker;
       notice.missed_beats = missed;
       transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::Driver(),
                        MessageKind::kControl, wire::EncodeSuspectNoticeEnvelope(notice),
                        /*cost_bytes=*/16);
     }
     if (missed >= static_cast<std::uint64_t>(miss_threshold_)) {
-      NIMBUS_LOG(Info) << "worker " << record.worker->id()
-                       << " missed heartbeats; starting recovery";
-      OnWorkerFailed(record.worker->id());
-      return;  // recovery re-arms the check
+      NIMBUS_LOG(Info) << "worker " << worker << " missed heartbeats; starting recovery";
+      // Ignored while a recovery runs; the worker stays silent, so a later sweep retries.
+      OnWorkerFailed(worker);
     }
   }
-  timers_->Schedule(heartbeat_timeout_ / 2, [this]() { CheckHeartbeats(); });
+  timers_->Schedule(heartbeat_period_, [this]() { CheckHeartbeats(); });
 }
 
 void NimbusController::OnHeartbeat(WorkerId worker_id, std::uint64_t seq) {
@@ -1190,15 +1121,14 @@ void NimbusController::OnHeartbeat(WorkerId worker_id, std::uint64_t seq) {
   ++failure_counters_.heartbeats_received;
   if (record->suspect) {
     record->suspect = false;
-    record->missed_beats = 0;
     ++failure_counters_.suspects_cleared;
     NIMBUS_LOG(Info) << "worker " << worker_id << " heard again; suspicion cleared";
   }
-  if (failure_detection_ && record->worker != nullptr) {
+  if (failure_detection_) {
     wire::HeartbeatAckEnvelope ack;
     ack.worker = worker_id;
     ack.seq = seq;
-    transport_->Send(net::NodeAddress::Controller(), record->worker->address(),
+    transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::ForWorker(worker_id),
                      MessageKind::kControl, wire::EncodeHeartbeatAckEnvelope(ack),
                      /*cost_bytes=*/16);
     ++failure_counters_.heartbeat_acks;
@@ -1221,7 +1151,7 @@ void NimbusController::OnPeerLost(net::NodeAddress peer) {
 
 bool NimbusController::HeartbeatTracked(WorkerId worker_id) const {
   const WorkerRecord* record = RecordFor(worker_id);
-  return record != nullptr && record->heartbeat_tracked;
+  return failure_detection_ && record != nullptr && !record->failed && !record->revoked;
 }
 
 void NimbusController::OnWorkerFailed(WorkerId worker_id) {
@@ -1231,30 +1161,23 @@ void NimbusController::OnWorkerFailed(WorkerId worker_id) {
   recovering_ = true;
   InvalidateLookahead();  // DropWorker below rewrites residency the cached sweep read
   if (WorkerRecord* record = RecordFor(worker_id)) {
+    // A failed worker leaves liveness accounting for good: its late beats are ignored.
     record->failed = true;
-    // Evict the liveness entry: a dead worker must not look live to heartbeat accounting.
-    record->heartbeat_tracked = false;
-    record->last_heard = 0;
-    record->missed_beats = 0;
-    record->suspect = false;
   }
   ++failure_counters_.workers_failed;
   versions_.DropWorker(worker_id);
 
   // Abandon all in-flight blocks: the driver reruns from the checkpoint marker.
   groups_.Clear();
-  for (auto& block : pending_blocks_) {
-    block->done = nullptr;
-  }
+  pending_blocks_.clear();
 
   // Halt every surviving worker (paper §4.4: terminate tasks, flush queues).
-  for (Worker* w : workers_) {
-    const WorkerRecord* record = RecordFor(w->id());
-    if (record == nullptr || record->failed) {
-      continue;
+  for (DenseIndex i = 0; i < worker_ids_.size(); ++i) {
+    if (!worker_records_[i].failed) {
+      transport_->Send(net::NodeAddress::Controller(),
+                       net::NodeAddress::ForWorker(worker_ids_.Resolve(i)),
+                       MessageKind::kControl, wire::EncodeHaltEnvelope(), /*cost_bytes=*/16);
     }
-    transport_->Send(net::NodeAddress::Controller(), w->address(), MessageKind::kControl,
-                     wire::EncodeHaltEnvelope(), /*cost_bytes=*/16);
   }
   Rebalance();
 
@@ -1284,9 +1207,6 @@ void NimbusController::RunRecovery() {
     recovering_ = false;
     prev_executed_ = core::PatchCache::kEntryFromOutside;
     ++counters_.recoveries;
-    if (failure_detection_) {
-      timers_->Schedule(heartbeat_timeout_, [this]() { CheckHeartbeats(); });
-    }
     // Tell the driver which checkpoint marker the cluster reverted to.
     transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::Driver(),
                      MessageKind::kControl,
@@ -1297,14 +1217,13 @@ void NimbusController::RunRecovery() {
   const std::uint64_t seq = NewGroupSeq();
   int participating = 0;
   for (auto& [wid, objects] : reload) {
-    Worker* w = FindWorker(wid);
-    NIMBUS_CHECK(w != nullptr);
     ++participating;
     wire::LoadObjectsEnvelope e;
     e.group_seq = seq;
     e.objects = std::move(objects);
-    transport_->Send(net::NodeAddress::Controller(), w->address(), MessageKind::kControl,
-                     wire::EncodeLoadObjectsEnvelope(e), /*cost_bytes=*/64);
+    transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::ForWorker(wid),
+                     MessageKind::kControl, wire::EncodeLoadObjectsEnvelope(e),
+                     /*cost_bytes=*/64);
   }
   NIMBUS_CHECK_GT(participating, 0);
   RegisterGroup(seq, block, participating);

@@ -41,7 +41,8 @@
 #include "src/sim/cost_model.h"
 #include "src/sim/simulation.h"
 #include "src/task/command.h"
-#include "src/worker/worker.h"
+#include "src/task/messages.h"
+#include "src/task/wire.h"
 
 namespace nimbus {
 
@@ -80,18 +81,17 @@ class NimbusController {
   // submitted work runs inline in submission order (sim::RunInline, DESIGN.md §13.3).
   // `timers` is the clock the liveness protocol and the recovery delay run against
   // (DESIGN.md §14): heartbeat deadlines are scheduled and `last_heard` stamps taken from
-  // it. Null means "own a SimTimerQueue over `simulation`" — the right default for
-  // simulator runs; a real-time controller must pass one, and the TCP cluster passes the
-  // node's timerfd-backed queue so detection uses real wall time.
+  // it. The simulator cluster passes its one SimTimerQueue, the TCP cluster the node's
+  // timerfd-backed queue, so detection uses real wall time there.
   NimbusController(sim::Simulation* simulation, net::Transport* transport,
                    const sim::CostModel* costs, ObjectDirectory* directory,
                    DurableStore* durable, ControlMode mode, ControllerSwitches switches,
-                   net::TimerQueue* timers = nullptr);
+                   net::TimerQueue* timers);
 
   // ---- Transport-facing entry point ----
 
   // The controller's delivery handler: decodes one envelope (src/task/wire.h) and
-  // dispatches to the matching entry point. Worker traffic (heartbeats, group completions)
+  // dispatches to the matching entry point. Traffic from workers (heartbeats, completions)
   // feeds the callbacks below; driver requests (stages, instantiations, checkpoints) run
   // the driver-facing interface and answer with kBlockDone / kCheckpointDone envelopes
   // carrying the request id. Registered with the transport by the cluster.
@@ -100,7 +100,9 @@ class NimbusController {
   ControlMode mode() const { return mode_; }
 
   // ---- Cluster membership (resource manager interface, Fig 2) ----
-  void AttachWorker(Worker* worker);
+  // The controller knows a worker only by id and reaches it at NodeAddress::ForWorker(id)
+  // through the transport.
+  void AttachWorker(WorkerId worker);
   // Gracefully revokes workers: they stop receiving tasks but can still source data copies.
   void RevokeWorkers(const std::vector<WorkerId>& workers);
   // Returns previously revoked workers to the allocation.
@@ -167,12 +169,14 @@ class NimbusController {
   void TriggerCheckpoint(std::uint64_t driver_marker, std::function<void()> done);
   // Failure detection entry (driven by heartbeat timeout or injected by tests).
   void OnWorkerFailed(WorkerId worker);
-  // Arms heartbeat-based detection: each tracked worker must be heard from within
+  // Arms the heartbeat sweep, once: each tracked worker must be heard from within
   // `timeout`; a worker `miss_threshold` timeouts silent is declared failed (the first
-  // missed timeout only marks it suspect and notifies the driver). The default threshold
-  // of 1 keeps the original fail-on-first-miss behavior.
-  void EnableFailureDetection(sim::Duration heartbeat_period, sim::Duration timeout,
-                              int miss_threshold = 1);
+  // missed timeout only marks it suspect and notifies the driver). The sweep runs every
+  // `heartbeat_period`, half a period after the workers' beats, so it sees a silence as
+  // soon as it is long enough (DESIGN.md §14.2). The cluster calls this in the same step
+  // that starts every worker's beats; a sweep without beats would fail every worker.
+  void ArmHeartbeatSweep(sim::Duration heartbeat_period, sim::Duration timeout,
+                         int miss_threshold);
   // Transport-level loss report (redial budget exhausted under TCP): feeds the same
   // failure path as a heartbeat timeout. Non-worker and already-failed peers are ignored.
   void OnPeerLost(net::NodeAddress peer);
@@ -188,14 +192,14 @@ class NimbusController {
     phase_probe_ = std::move(probe);
   }
 
-  // ---- Worker-facing callbacks (invoked at message delivery) ----
+  // ---- Callbacks for worker messages (invoked at message delivery) ----
   void OnGroupComplete(WorkerId worker, std::uint64_t seq, std::vector<ScalarResult> scalars);
   // `seq` is the worker's heartbeat sequence number, echoed back in the kHeartbeatAck
   // answered while failure detection is armed.
   void OnHeartbeat(WorkerId worker, std::uint64_t seq = 0);
 
-  // Whether `worker` participates in heartbeat timeout accounting. Failed and revoked
-  // workers are untracked (regression surface for stale-liveness bugs).
+  // Whether `worker` participates in heartbeat timeout accounting: detection is armed and
+  // the worker is neither failed nor revoked (regression surface for stale-liveness bugs).
   bool HeartbeatTracked(WorkerId worker) const;
 
   // ---- Introspection ----
@@ -209,7 +213,8 @@ class NimbusController {
   sim::Duration control_busy() const { return control_thread_.total_busy(); }
   std::uint64_t tasks_dispatched() const { return tasks_dispatched_; }
   std::uint64_t tasks_via_templates() const { return tasks_via_templates_; }
-  const Worker* worker(WorkerId id) const;
+  // Blocks accepted but not yet finished (or abandoned by a failure).
+  std::size_t pending_block_count() const { return pending_blocks_.size(); }
 
  private:
   struct PendingBlock {
@@ -237,15 +242,13 @@ class NimbusController {
     }
   };
 
-  // One attached worker's control-plane record, in a flat array by dense worker id.
+  // One attached worker's control-plane record, in a flat array by dense worker id
+  // (worker_ids_ interns in attachment order).
   struct WorkerRecord {
-    Worker* worker = nullptr;
-    sim::TimePoint last_heard = 0;   // stamped from timers_->Now() (detection clock)
-    bool revoked = false;            // temporarily out of the allocation
+    sim::TimePoint last_heard = 0;  // stamped from timers_->Now() (detection clock)
+    bool revoked = false;           // temporarily out of the allocation
     bool failed = false;
-    bool heartbeat_tracked = false;  // participates in timeout accounting
-    std::uint64_t missed_beats = 0;  // consecutive timeouts with no heartbeat
-    bool suspect = false;            // missed at least one timeout; cleared on contact
+    bool suspect = false;           // missed at least one timeout; cleared on contact
   };
 
   struct CheckpointState {
@@ -254,7 +257,6 @@ class NimbusController {
     bool valid = false;
   };
 
-  Worker* FindWorker(WorkerId id);
   WorkerRecord* RecordFor(WorkerId id);
   const WorkerRecord* RecordFor(WorkerId id) const;
   SetState& StateFor(WorkerTemplateId id);
@@ -333,7 +335,9 @@ class NimbusController {
 
   std::uint64_t NewGroupSeq() { return next_group_seq_++; }
   PendingBlock* NewPendingBlock(BlockDone done);
-  void ErasePendingBlock(PendingBlock* block);
+  // The one completion path: once `block` has no outstanding group, erases it and then
+  // runs its `done` with the collected scalars. A no-op while groups are outstanding.
+  void FinishIfIdle(PendingBlock* block);
 
   void RunRecovery();
   void CheckHeartbeats();
@@ -342,10 +346,8 @@ class NimbusController {
   void SendBlockDone(std::uint64_t request_id, std::vector<ScalarResult> scalars);
 
   net::Transport* transport_;
-  // Liveness clock (see ctor comment): owned_timers_ backs timers_ when the caller did
-  // not supply one. Heartbeat deadlines, last_heard stamps and the recovery delay all go
-  // through timers_.
-  std::unique_ptr<net::SimTimerQueue> owned_timers_;
+  // Liveness clock (see ctor comment): heartbeat deadlines, last_heard stamps and the
+  // recovery delay all go through it.
   net::TimerQueue* timers_;
   const sim::CostModel* costs_;
   ObjectDirectory* directory_;
@@ -363,7 +365,6 @@ class NimbusController {
 
   int partitions_ = 0;
   core::Assignment assignment_;
-  std::vector<Worker*> workers_;  // all attached, in attachment order
   // Dense worker table: liveness, revocation, and heartbeat state in one flat array.
   Interner<WorkerId> worker_ids_;
   DenseMap<WorkerRecord> worker_records_;

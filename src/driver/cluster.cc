@@ -8,7 +8,7 @@
 namespace nimbus {
 
 Cluster::Cluster(ClusterOptions options)
-    : options_(options), network_(&simulation_, &options_.costs) {
+    : options_(options), network_(&simulation_, &options_.costs), sim_timers_(&simulation_) {
   // Bind the span tracer's virtual clock to this cluster's simulation; a later cluster
   // rebinds it (sequential cluster lifetimes, which is how examples and benches run).
   // Under TCP nodes run on real time with no simulation, so spans keep the last-bound
@@ -28,13 +28,15 @@ Cluster::Cluster(ClusterOptions options)
   }
 
   // TCP nodes run on real time: no simulation, so their modeled work runs inline
-  // (sim::RunInline) and their timers ride the node's timerfd.
+  // (sim::RunInline) and their timers ride the node's timerfd. Simulator nodes share the
+  // cluster's one SimTimerQueue.
   sim::Simulation* node_sim = tcp ? nullptr : &simulation_;
   const auto controller_address = net::NodeAddress::Controller();
   net::Transport* controller_transport =
       tcp ? static_cast<net::Transport*>(tcp_->endpoint(controller_address))
           : sim_transport_.get();
-  net::TimerQueue* controller_timers = tcp ? tcp_->node_timers(controller_address) : nullptr;
+  net::TimerQueue* controller_timers =
+      tcp ? tcp_->node_timers(controller_address) : &sim_timers_;
   ControllerSwitches switches;
   switches.serialized_batching = options_.serialized_batching;
   switches.force_full_validation = options_.force_full_validation;
@@ -54,14 +56,14 @@ Cluster::Cluster(ClusterOptions options)
       // traffic passes through untouched (src/net/fault_injector.h).
       worker_transport = options_.fault_injector->Wrap(worker_transport);
     }
-    net::TimerQueue* worker_timers = tcp ? tcp_->node_timers(address) : nullptr;
+    net::TimerQueue* worker_timers = tcp ? tcp_->node_timers(address) : &sim_timers_;
     auto worker = std::make_unique<Worker>(id, node_sim, worker_transport,
                                            &options_.costs, &functions_, &durable_,
                                            worker_timers);
     if (options_.enable_command_log) {
       worker->EnableCommandLog();
     }
-    controller_->AttachWorker(worker.get());
+    controller_->AttachWorker(id);
     workers_.push_back(std::move(worker));
   }
   controller_->SetPartitions(options_.partitions);
@@ -80,27 +82,29 @@ Cluster::Cluster(ClusterOptions options)
     tcp_->InstallPeerLossHandler(
         controller_address,
         [this](net::NodeAddress peer) { controller_->OnPeerLost(peer); });
-    // Arm detection between mesh establishment and loop start: the first heartbeats need
-    // standing connections to flush into, and pre-Start everything is still main-thread
-    // only, so the controller/worker state mutations need no node mutexes yet.
     tcp_->EstablishMesh();
-    if (options_.failure_detection) {
-      controller_->EnableFailureDetection(options_.heartbeat_period,
-                                          options_.heartbeat_timeout,
-                                          options_.miss_threshold);
-    }
-    tcp_->StartLoops();
   } else {
     sim_transport_->RegisterHandler(controller_address, MakeControllerHandler());
     sim_transport_->RegisterHandler(net::NodeAddress::Driver(), MakeDriverHandler());
     for (auto& w : workers_) {
       sim_transport_->RegisterHandler(w->address(), MakeWorkerHandler(w.get()));
     }
-    if (options_.failure_detection) {
-      controller_->EnableFailureDetection(options_.heartbeat_period,
-                                          options_.heartbeat_timeout,
-                                          options_.miss_threshold);
+  }
+
+  // The one place failure detection is armed (DESIGN.md §14.2): every worker's beats and
+  // the controller's sweep start together, so the sweep runs half a period after the
+  // beats. Under TCP this sits between mesh establishment and loop start: the first
+  // heartbeats need standing connections to flush into, and before the loops start all
+  // node state is main-thread only, so these calls need no node mutexes.
+  if (options_.failure_detection) {
+    for (auto& w : workers_) {
+      w->StartHeartbeats(options_.heartbeat_period);
     }
+    controller_->ArmHeartbeatSweep(options_.heartbeat_period, options_.heartbeat_timeout,
+                                   options_.miss_threshold);
+  }
+  if (tcp) {
+    tcp_->StartLoops();
   }
 }
 

@@ -23,6 +23,7 @@
 #include "src/data/object_directory.h"
 #include "src/net/fault_injector.h"
 #include "src/net/sim_transport.h"
+#include "src/net/timer_queue.h"
 #include "src/net/transport.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/network.h"
@@ -58,9 +59,10 @@ struct ClusterOptions {
   bool enable_command_log = false;  // workers record their observed command streams
 
   // --- Failure detection (DESIGN.md §14) ---
-  // Arms heartbeat/suspicion detection at construction, before any traffic flows. Under
-  // the simulator timers ride virtual time; under TCP they ride the per-node timerfd
-  // heaps, so pick wall-clock-realistic knobs when transport == kTcp.
+  // Arms heartbeat/suspicion detection at construction, before any traffic flows; there
+  // is no other way to arm it. Under the simulator timers ride virtual time; under TCP
+  // they ride the per-node timerfd heaps, so pick wall-clock-realistic knobs when
+  // transport == kTcp.
   bool failure_detection = false;
   sim::Duration heartbeat_period = sim::Millis(25);
   sim::Duration heartbeat_timeout = sim::Millis(100);
@@ -151,6 +153,7 @@ class Cluster {
   ClusterOptions options_;
   sim::Simulation simulation_;
   sim::Network network_;
+  net::SimTimerQueue sim_timers_;  // the simulator nodes' one clock (unused under TCP)
   ObjectDirectory directory_;
   DurableStore durable_;
   FunctionRegistry functions_;

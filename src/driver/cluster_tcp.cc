@@ -101,11 +101,6 @@ void TcpClusterRuntime::InstallPeerLossHandler(net::NodeAddress address,
   });
 }
 
-void TcpClusterRuntime::Bootstrap() {
-  EstablishMesh();
-  StartLoops();
-}
-
 void TcpClusterRuntime::EstablishMesh() {
   std::vector<std::uint16_t> ports(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {

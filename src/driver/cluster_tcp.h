@@ -51,25 +51,21 @@ class TcpClusterRuntime {
 
   // Registers `handler` as `node`'s delivery handler, wrapped with the node mutex (file
   // comment). The driver node's wrapper additionally signals the AwaitDriver mailbox. Call
-  // before Bootstrap().
+  // before StartLoops().
   void InstallHandler(net::NodeAddress node, net::Transport::Handler handler);
 
   // Registers `node`'s peer-loss callback (redial budget exhausted), wrapped exactly like
-  // a delivery: node mutex, then the callback. Call before Bootstrap().
+  // a delivery: node mutex, then the callback. Call before StartLoops().
   void InstallPeerLossHandler(net::NodeAddress node,
                               std::function<void(net::NodeAddress)> fn);
 
-  // Establishes the full connection mesh and starts every event loop. Main thread, once,
-  // after all handlers are installed: listen everywhere, then for each node pair the lower
-  // DenseIndex dials while the higher accepts, then spawn the loops (threads last, so
-  // thread creation hands each loop a happens-before edge over all setup state).
-  // Equivalent to EstablishMesh() + StartLoops().
-  void Bootstrap();
-
-  // The two halves of Bootstrap, split so the cluster can run setup that must see the
-  // full mesh but single-threaded main-thread state — arming failure detection sends the
-  // first heartbeats — between them (sends queue on the standing sockets; timers hold in
-  // the heap and arm when the loop spawns).
+  // Bootstrap, main thread, once, after all handlers are installed. EstablishMesh
+  // listens everywhere, then for each node pair the lower DenseIndex dials while the
+  // higher accepts. StartLoops then spawns the event loops (threads last, so thread
+  // creation hands each loop a happens-before edge over all setup state). The cluster arms
+  // failure detection between the two: the first heartbeats need the full mesh, and
+  // main-thread state is still single-threaded (sends queue on the standing sockets;
+  // timers hold in the heap and arm when the loop spawns).
   void EstablishMesh();
   void StartLoops();
 

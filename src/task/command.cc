@@ -4,26 +4,6 @@
 
 namespace nimbus {
 
-const char* CommandTypeName(CommandType type) {
-  switch (type) {
-    case CommandType::kTask:
-      return "task";
-    case CommandType::kCopySend:
-      return "copy-send";
-    case CommandType::kCopyReceive:
-      return "copy-recv";
-    case CommandType::kDataCreate:
-      return "data-create";
-    case CommandType::kDataDestroy:
-      return "data-destroy";
-    case CommandType::kFileLoad:
-      return "file-load";
-    case CommandType::kFileSave:
-      return "file-save";
-  }
-  return "unknown";
-}
-
 void Command::ResetKeepingCapacity() {
   // Park the capacity-bearing vectors, reset the whole command from a default, then hand
   // the (cleared) vectors back: a field added later is reset too without being listed here.

@@ -35,8 +35,6 @@ enum class CommandType : std::uint8_t {
   kFileSave,      // write the object to durable storage
 };
 
-const char* CommandTypeName(CommandType type);
-
 // Copy ids are structured: the high bits carry the (globally unique) group sequence number
 // of the command group both halves of the copy pair belong to, the low 24 bits the
 // block-local copy index. Workers rely on this to route an arriving data message to its

@@ -81,17 +81,12 @@ Worker::Worker(WorkerId id, sim::Simulation* simulation, net::Transport* transpo
                DurableStore* durable, net::TimerQueue* timers)
     : id_(id),
       transport_(transport),
-      owned_timers_(timers == nullptr ? std::make_unique<net::SimTimerQueue>(simulation)
-                                      : nullptr),
-      timers_(timers == nullptr ? owned_timers_.get() : timers),
+      timers_(timers),
       costs_(costs),
       functions_(functions),
       durable_(durable),
       cores_(simulation, costs->worker_cores),
-      control_thread_(simulation) {
-  NIMBUS_CHECK(simulation != nullptr || timers != nullptr)
-      << "a real-time worker (no simulation) needs a TimerQueue";
-}
+      control_thread_(simulation) {}
 
 void Worker::OnEnvelope(net::NodeAddress src, MessageKind kind, ParameterBlob bytes) {
   static_cast<void>(src);
@@ -153,17 +148,8 @@ void Worker::OnEnvelope(net::NodeAddress src, MessageKind kind, ParameterBlob by
 }
 
 void Worker::StartHeartbeats(sim::Duration period) {
-  if (heartbeats_running_) {
-    return;
-  }
-  heartbeats_running_ = true;
-  HeartbeatTick(period);
-}
-
-void Worker::HeartbeatTick(sim::Duration period) {
   if (failed_) {
-    heartbeats_running_ = false;
-    return;
+    return;  // a dead worker falls silent
   }
   wire::HeartbeatEnvelope beat;
   beat.worker = id_;
@@ -171,7 +157,7 @@ void Worker::HeartbeatTick(sim::Duration period) {
   transport_->Send(address(), net::NodeAddress::Controller(), MessageKind::kControl,
                    wire::EncodeHeartbeatEnvelope(beat), /*cost_bytes=*/16);
   ++failure_counters_.heartbeats_sent;
-  timers_->Schedule(period, [this, period]() { HeartbeatTick(period); });
+  timers_->Schedule(period, [this, period]() { StartHeartbeats(period); });
 }
 
 void Worker::OnHeartbeatAck(std::uint64_t seq) {

@@ -52,12 +52,11 @@ class Worker {
  public:
   // `simulation` backs the modeled cores and control thread; null makes a real-time
   // worker whose tasks run inline in submission order (sim::RunInline, DESIGN.md §13.3).
-  // `timers` is the clock heartbeats are scheduled against (DESIGN.md §14). Null means
-  // "own a SimTimerQueue over `simulation`", so a real-time worker must pass one; the TCP
-  // cluster passes the node's timerfd-backed queue.
+  // `timers` is the clock heartbeats are scheduled against (DESIGN.md §14): the simulator
+  // cluster passes its one SimTimerQueue, the TCP cluster the node's timerfd-backed queue.
   Worker(WorkerId id, sim::Simulation* simulation, net::Transport* transport,
          const sim::CostModel* costs, const FunctionRegistry* functions,
-         DurableStore* durable, net::TimerQueue* timers = nullptr);
+         DurableStore* durable, net::TimerQueue* timers);
 
   WorkerId id() const { return id_; }
   net::NodeAddress address() const { return net::NodeAddress::ForWorker(id_); }
@@ -128,6 +127,8 @@ class Worker {
 
   const MaterializeCounters& materialize_counters() const { return materialize_counters_; }
 
+  // Sends a heartbeat now and one every `period` after it until the worker fails. The
+  // cluster calls it once, when it arms failure detection (DESIGN.md §14.2).
   void StartHeartbeats(sim::Duration period);
   // Controller's echo of a heartbeat's sequence number (failure detection armed).
   void OnHeartbeatAck(std::uint64_t seq);
@@ -252,7 +253,6 @@ class Worker {
   void CompleteCommand(std::uint64_t group_seq, std::int32_t index)
       NIMBUS_REQUIRES(control_phase_);
   void FinishGroupIfDone(std::uint64_t seq) NIMBUS_REQUIRES(control_phase_);
-  void HeartbeatTick(sim::Duration period);
 
   void ExecuteTask(Group& group, std::int32_t index) NIMBUS_REQUIRES(control_phase_);
   void ExecuteCopySend(Group& group, std::int32_t index) NIMBUS_REQUIRES(control_phase_);
@@ -261,9 +261,7 @@ class Worker {
 
   WorkerId id_;
   net::Transport* transport_;
-  // Heartbeat clock (see ctor comment); owned_timers_ backs timers_ when not supplied.
-  std::unique_ptr<net::SimTimerQueue> owned_timers_;
-  net::TimerQueue* timers_;
+  net::TimerQueue* timers_;  // heartbeat clock (see ctor comment)
   const sim::CostModel* costs_;
   const FunctionRegistry* functions_;
   DurableStore* durable_;
@@ -316,7 +314,6 @@ class Worker {
   std::uint64_t halt_epoch_ = 0;
 
   bool failed_ = false;
-  bool heartbeats_running_ = false;
   std::uint64_t heartbeat_seq_ = 0;        // sequence stamped into each beat
   std::uint64_t last_acked_heartbeat_ = 0;  // highest seq echoed back by the controller
   FailureCounters failure_counters_;

@@ -27,6 +27,14 @@ LogisticRegressionApp::Config SmallConfig() {
   return config;
 }
 
+// Heartbeat detection with 100 ms beats and a 500 ms timeout; the cluster arms it at
+// construction.
+void ArmDetection(ClusterOptions* options) {
+  options->failure_detection = true;
+  options->heartbeat_period = sim::Millis(100);
+  options->heartbeat_timeout = sim::Millis(500);
+}
+
 TEST(FaultRecoveryTest, CheckpointPersistsEveryLiveObject) {
   ClusterOptions options;
   options.workers = 4;
@@ -56,12 +64,12 @@ TEST(FaultRecoveryTest, RecoveryMatchesFailureFreeRun) {
   options.workers = 4;
   options.partitions = 8;
   options.mode = ControlMode::kTemplates;
+  ArmDetection(&options);
   Cluster cluster(options);
   Job job(&cluster);
 
   LogisticRegressionApp app(&job, SmallConfig());
   app.Setup();
-  cluster.controller().EnableFailureDetection(sim::Millis(100), sim::Millis(500));
 
   int iter = 0;
   while (iter < total_iterations) {
@@ -94,12 +102,12 @@ TEST(FaultRecoveryTest, RecoveryRedistributesToSurvivors) {
   ClusterOptions options;
   options.workers = 4;
   options.partitions = 8;
+  ArmDetection(&options);
   Cluster cluster(options);
   Job job(&cluster);
 
   LogisticRegressionApp app(&job, SmallConfig());
   app.Setup();
-  cluster.controller().EnableFailureDetection(sim::Millis(100), sim::Millis(500));
   app.RunInnerLoop(2);
   job.Checkpoint(2);
 
@@ -124,12 +132,12 @@ TEST(FaultRecoveryTest, FailedWorkerIsEvictedFromHeartbeatAccounting) {
   ClusterOptions options;
   options.workers = 4;
   options.partitions = 8;
+  ArmDetection(&options);
   Cluster cluster(options);
   Job job(&cluster);
 
   LogisticRegressionApp app(&job, SmallConfig());
   app.Setup();
-  cluster.controller().EnableFailureDetection(sim::Millis(100), sim::Millis(500));
   app.RunInnerLoop(2);
   job.Checkpoint(2);
 
@@ -154,12 +162,12 @@ TEST(FaultRecoveryTest, RestoreAfterLongRevocationDoesNotTripFailureDetection) {
   ClusterOptions options;
   options.workers = 4;
   options.partitions = 8;
+  ArmDetection(&options);
   Cluster cluster(options);
   Job job(&cluster);
 
   LogisticRegressionApp app(&job, SmallConfig());
   app.Setup();
-  cluster.controller().EnableFailureDetection(sim::Millis(100), sim::Millis(500));
   app.RunInnerLoop(2);
 
   // Revoked workers leave liveness accounting; parking one far past the heartbeat timeout
@@ -191,12 +199,12 @@ void RunPhaseFailure(const char* phase, ControlMode mode, bool serialized_batchi
   options.partitions = 8;
   options.mode = mode;
   options.serialized_batching = serialized_batching;
+  ArmDetection(&options);
   Cluster cluster(options);
   Job job(&cluster);
 
   LogisticRegressionApp app(&job, SmallConfig());
   app.Setup();
-  cluster.controller().EnableFailureDetection(sim::Millis(100), sim::Millis(500));
 
   bool armed = false;
   bool killed = false;
@@ -353,6 +361,69 @@ TEST(FaultRecoveryTest, RevokeRestoreKeepsLookaheadAndPatchStampsValid) {
   for (std::size_t d = 0; d < control.coefficients.size(); ++d) {
     EXPECT_EQ(control.coefficients[d], churned.coefficients[d]) << "coefficient " << d;
   }
+}
+
+// Sweeps run every heartbeat period, half a period after the beats (DESIGN.md §14.2), so
+// detection fires at the first sweep that can see `miss_threshold × timeout` of silence:
+// a worker whose last beat left at `b` is declared failed at `b + threshold × timeout +
+// period / 2`, whatever the one-hop delay before the beat arrived.
+TEST(FaultRecoveryTest, DetectionFiresAtTheFirstSweepThatSeesTheSilence) {
+  ClusterOptions options;
+  options.workers = 4;
+  options.partitions = 8;
+  options.failure_detection = true;
+  options.heartbeat_period = sim::Millis(100);
+  options.heartbeat_timeout = sim::Millis(200);
+  options.miss_threshold = 2;
+  Cluster cluster(options);
+  Job job(&cluster);
+
+  LogisticRegressionApp app(&job, SmallConfig());
+  app.Setup();
+  app.RunInnerLoop(2);
+  job.Checkpoint(2);
+  // Let worker 2 beat after its last group completion, so the controller last hears a beat.
+  sim::Simulation& simulation = cluster.simulation();
+  simulation.RunUntil(simulation.now() + 2 * options.heartbeat_period);
+
+  const std::uint64_t beats = cluster.worker(WorkerId(2))->failure_counters().heartbeats_sent;
+  ASSERT_GT(beats, 0u);
+  cluster.FailWorker(WorkerId(2));
+  ASSERT_TRUE(simulation.RunUntilCondition(
+      [&]() { return cluster.controller().failure_counters().workers_failed > 0; }));
+
+  // Beats start when the cluster arms detection, at virtual time 0.
+  const sim::TimePoint last_beat =
+      static_cast<sim::TimePoint>(beats - 1) * options.heartbeat_period;
+  EXPECT_EQ(simulation.now(), last_beat + options.miss_threshold * options.heartbeat_timeout +
+                                  options.heartbeat_period / 2);
+}
+
+// Every block leaves the controller's pending list once it finishes or is abandoned: a
+// failure drops the blocks in flight, and an empty block finishes at once.
+TEST(FaultRecoveryTest, FinishedAndAbandonedBlocksLeaveNoPendingBlock) {
+  ClusterOptions options;
+  options.workers = 4;
+  options.partitions = 8;
+  ArmDetection(&options);
+  Cluster cluster(options);
+  Job job(&cluster);
+
+  LogisticRegressionApp app(&job, SmallConfig());
+  app.Setup();
+  app.RunInnerLoop(2);
+  job.Checkpoint(2);
+  EXPECT_EQ(cluster.controller().pending_block_count(), 0u);
+
+  cluster.FailWorker(WorkerId(3));
+  auto result = app.RunInnerIteration();
+  while (!result.recovered) {
+    result = app.RunInnerIteration();
+  }
+  EXPECT_EQ(cluster.controller().pending_block_count(), 0u) << "after a recovery";
+
+  job.RunStages({});
+  EXPECT_EQ(cluster.controller().pending_block_count(), 0u) << "after an empty block";
 }
 
 TEST(FaultRecoveryTest, FailureWithoutCheckpointAborts) {

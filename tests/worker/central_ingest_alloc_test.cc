@@ -22,6 +22,7 @@
 
 #include "src/data/durable_store.h"
 #include "src/net/sim_transport.h"
+#include "src/net/timer_queue.h"
 #include "src/sim/network.h"
 #include "src/sim/simulation.h"
 #include "src/task/wire.h"
@@ -57,6 +58,7 @@ struct Rig {
   sim::CostModel costs;
   sim::Network network{&simulation, &costs};
   net::SimTransport transport{&network};
+  net::SimTimerQueue timers{&simulation};
   FunctionRegistry functions;
   DurableStore durable;
   std::unique_ptr<Worker> worker;
@@ -82,7 +84,7 @@ struct Rig {
       ctx.WriteScalar(0).set_value(sum);
     });
     worker = std::make_unique<Worker>(WorkerId(0), &simulation, &transport, &costs,
-                                      &functions, &durable);
+                                      &functions, &durable, &timers);
     // Seed the objects the gradients read (LR's partitions and coefficients).
     for (std::uint64_t p = 0; p < 128; ++p) {
       worker->store().Put(LogicalObjectId(1000 + p), 1, std::make_unique<ScalarPayload>(1.0));

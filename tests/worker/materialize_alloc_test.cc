@@ -18,6 +18,7 @@
 
 #include "src/data/durable_store.h"
 #include "src/net/sim_transport.h"
+#include "src/net/timer_queue.h"
 #include "src/sim/network.h"
 #include "src/sim/simulation.h"
 #include "src/worker/function_registry.h"
@@ -51,6 +52,7 @@ struct Rig {
   sim::CostModel costs;
   sim::Network network{&simulation, &costs};
   net::SimTransport transport{&network};
+  net::SimTimerQueue timers{&simulation};
   FunctionRegistry functions;
   DurableStore durable;
   std::unique_ptr<Worker> worker;
@@ -62,7 +64,7 @@ struct Rig {
                                 ++completions;
                               });
     worker = std::make_unique<Worker>(WorkerId(0), &simulation, &transport, &costs,
-                                      &functions, &durable);
+                                      &functions, &durable, &timers);
   }
 };
 

@@ -8,6 +8,7 @@
 
 #include "src/data/durable_store.h"
 #include "src/net/sim_transport.h"
+#include "src/net/timer_queue.h"
 #include "src/sim/network.h"
 #include "src/sim/simulation.h"
 #include "src/task/wire.h"
@@ -24,6 +25,7 @@ struct Harness {
   sim::CostModel costs;
   sim::Network network{&simulation, &costs};
   net::SimTransport transport{&network};
+  net::SimTimerQueue timers{&simulation};
   FunctionRegistry functions;
   DurableStore durable;
   std::vector<std::unique_ptr<Worker>> workers;
@@ -46,7 +48,7 @@ struct Harness {
     for (int i = 0; i < n; ++i) {
       auto worker = std::make_unique<Worker>(WorkerId(static_cast<std::uint64_t>(i)),
                                              &simulation, &transport, &costs, &functions,
-                                             &durable);
+                                             &durable, &timers);
       transport.RegisterHandler(
           worker->address(),
           [w = worker.get()](net::NodeAddress src, MessageKind kind, ParameterBlob bytes) {
