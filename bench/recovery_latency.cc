@@ -4,6 +4,11 @@
 // silence on the wall clock, halt the survivors, reload the checkpoint, and hand the
 // driver a recovered result. The measured span is kill -> recovered return.
 //
+// Detection latency depends on where the kill lands between two beats: a kill just after a
+// beat waits out the most silence. So the repetitions spread the kill instant over one
+// heartbeat period (stratified, rep i in [i/n, (i+1)/n) of it, from a fixed seed), and the
+// samples cover the whole range instead of one phase.
+//
 // The shape claim driving the exit code bounds detection from BOTH sides:
 //  * min > heartbeat_timeout — detection cannot be instant; real silence must elapse.
 //    (This edge catches clock-domain bugs: a liveness stamp taken from the wrong clock
@@ -19,9 +24,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/rng.h"
 
 namespace nimbus::bench {
 namespace {
@@ -33,9 +40,11 @@ constexpr double kPeriodMs = 20.0;
 constexpr double kTimeoutMs = 80.0;
 constexpr int kMissThreshold = 2;
 constexpr double kSlackMs = 300.0;  // halt + reload + rerun handshake, and CI jitter
+constexpr std::uint64_t kKillPhaseSeed = 30;
 
-// One kill/recover cycle on a fresh cluster; returns kill -> recovered-return in ms.
-double RunOnce() {
+// One kill/recover cycle on a fresh cluster, killing `kill_delay_ms` after the checkpoint
+// returns; returns kill -> recovered-return in ms.
+double RunOnce(double kill_delay_ms) {
   ClusterOptions options;
   options.workers = kWorkers;
   options.partitions = 8;
@@ -62,6 +71,7 @@ double RunOnce() {
   }
   job.Checkpoint(kWarmIterations);
 
+  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(kill_delay_ms));
   cluster.FailWorker(WorkerId(2));
   const auto start = std::chrono::steady_clock::now();
   const Job::RunResult result = app.RunInnerIteration();
@@ -80,13 +90,18 @@ int Run(const char* json_path) {
               "%d repetitions\n\n",
               kWorkers, kPeriodMs, kTimeoutMs, kMissThreshold, kRepetitions);
 
+  Rng rng(kKillPhaseSeed);
+  std::vector<double> kill_delays;
   std::vector<double> samples;
   for (int rep = 0; rep < kRepetitions; ++rep) {
-    const double ms = RunOnce();
+    const double delay_ms = (rep + rng.NextDouble()) / kRepetitions * kPeriodMs;
+    const double ms = RunOnce(delay_ms);
     if (ms < 0.0) {
       return 1;
     }
-    std::printf("  rep %d: kill -> recovered in %8.1f ms\n", rep, ms);
+    std::printf("  rep %d: kill %5.1f ms after the checkpoint -> recovered in %8.1f ms\n",
+                rep, delay_ms, ms);
+    kill_delays.push_back(delay_ms);
     samples.push_back(ms);
   }
 
@@ -113,6 +128,11 @@ int Run(const char* json_path) {
     std::fprintf(f, "  \"heartbeat_period_ms\": %.0f,\n", kPeriodMs);
     std::fprintf(f, "  \"heartbeat_timeout_ms\": %.0f,\n", kTimeoutMs);
     std::fprintf(f, "  \"miss_threshold\": %d,\n", kMissThreshold);
+    std::fprintf(f, "  \"kill_delays_ms\": [");
+    for (std::size_t i = 0; i < kill_delays.size(); ++i) {
+      std::fprintf(f, "%s%.1f", i == 0 ? "" : ", ", kill_delays[i]);
+    }
+    std::fprintf(f, "],\n");
     std::fprintf(f, "  \"samples_ms\": [");
     for (std::size_t i = 0; i < samples.size(); ++i) {
       std::fprintf(f, "%s%.1f", i == 0 ? "" : ", ", samples[i]);

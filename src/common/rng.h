@@ -41,9 +41,6 @@ class Rng {
   // Standard normal via Box-Muller (uses two uniforms, caches nothing for determinism).
   double NextGaussian();
 
-  // Derives an independent child generator, e.g. one per partition.
-  constexpr Rng Fork() { return Rng(NextU64()); }
-
  private:
   std::uint64_t state_;
 };

@@ -475,14 +475,12 @@ void NimbusController::DispatchSetCentrally(
 
       // Each command is individually scheduled (per-task controller cost) and sent as its
       // own message: this is exactly the bottleneck the paper's Fig 1/8 demonstrate.
-      const bool final = i + 1 == half.entries.size();
       const std::int64_t wire = cmd.WireSize();
       control_thread_.Submit(per_task, [this, dst, cmd = std::move(cmd), seq, total,
-                                        final, wire]() mutable {
+                                        wire]() mutable {
         wire::CommandsEnvelope envelope;
         envelope.group_seq = seq;
         envelope.expected_total = total;
-        envelope.finalize = final;
         envelope.commands.push_back(std::move(cmd));
         transport_->Send(net::NodeAddress::Controller(), dst, MessageKind::kCommand,
                          wire::EncodeCommandsEnvelope(envelope), wire);
@@ -495,15 +493,31 @@ void NimbusController::DispatchSetCentrally(
   }
 }
 
-void NimbusController::AssignGroupIdRanges(
-    std::map<WorkerId, std::vector<Command>>* per_worker) {
-  for (auto& group : *per_worker) {
-    std::vector<Command>& cmds = group.second;
+void NimbusController::SendCommandGroups(std::uint64_t seq,
+                                         std::map<WorkerId, std::vector<Command>> per_worker,
+                                         PendingBlock* block) {
+  if (per_worker.empty()) {
+    return;
+  }
+  const int participating = static_cast<int>(per_worker.size());
+  for (auto& [wid, cmds] : per_worker) {
     const CommandId base = command_ids_.NextRange(cmds.size());
+    std::int64_t wire = 0;
     for (std::size_t i = 0; i < cmds.size(); ++i) {
       cmds[i].id = CommandId(base.value() + i);
+      wire += cmds[i].WireSize();
     }
+    control_thread_.Submit(0, [this, dst = net::NodeAddress::ForWorker(wid), seq,
+                               cmds = std::move(cmds), wire]() mutable {
+      wire::CommandsEnvelope e;
+      e.group_seq = seq;
+      e.expected_total = cmds.size();
+      e.commands = std::move(cmds);
+      transport_->Send(net::NodeAddress::Controller(), dst, MessageKind::kCommand,
+                       wire::EncodeCommandsEnvelope(e), wire);
+    });
   }
+  RegisterGroup(seq, block, participating);
 }
 
 void NimbusController::DispatchPatch(const core::Patch& patch, PendingBlock* block) {
@@ -534,8 +548,8 @@ void NimbusController::DispatchPatch(const core::Patch& patch, PendingBlock* blo
     ++copy_index;
   }
 
-  // A worker may be both a copy source and destination within one patch: merge its send
-  // and receive commands into a single group message so the group total is consistent.
+  // A worker may be both a copy source and destination within one patch: its sends
+  // precede its receives in its one group.
   std::map<WorkerId, std::vector<Command>> merged = std::move(sends);
   for (auto& [wid, cmds] : recvs) {
     auto& dst = merged[wid];
@@ -543,33 +557,7 @@ void NimbusController::DispatchPatch(const core::Patch& patch, PendingBlock* blo
       dst.push_back(std::move(c));
     }
   }
-  AssignGroupIdRanges(&merged);
-
-  int participating = 0;
-  for (auto& [wid, cmds] : merged) {
-    ++participating;
-    const std::size_t total = cmds.size();
-    std::int64_t wire = 0;
-    for (const Command& c : cmds) {
-      wire += c.WireSize();
-    }
-    // Route through the control thread so patches keep FIFO order with respect to any
-    // still-draining per-task dispatches of earlier stages (workers rely on arrival
-    // order to sequence groups).
-    control_thread_.Submit(0, [this, dst = net::NodeAddress::ForWorker(wid),
-                               cmds = std::move(cmds), seq, total, wire]() mutable {
-      wire::CommandsEnvelope e;
-      e.group_seq = seq;
-      e.expected_total = total;
-      e.commands = std::move(cmds);
-      transport_->Send(net::NodeAddress::Controller(), dst, MessageKind::kCommand,
-                       wire::EncodeCommandsEnvelope(e), wire);
-    });
-  }
-
-  if (participating > 0) {
-    RegisterGroup(seq, block, participating);
-  }
+  SendCommandGroups(seq, std::move(merged), block);
 }
 
 // -----------------------------------------------------------------------------------------
@@ -878,8 +866,7 @@ void NimbusController::InstantiateSet(
     if (wm.edits != nullptr) {
       msg.edits = *wm.edits;
     }
-    // Assembly already sized the message (WorkerMessage::wire_size mirrors
-    // InstantiateMsg::WireSize; the equivalence tests pin them together).
+    // Assembly already sized the message (WorkerMessage::wire_size).
     const std::int64_t wire = wm.wire_size;
     control_thread_.Submit(0, [this, dst = net::NodeAddress::ForWorker(wm.worker),
                                msg = std::move(msg), wire]() mutable {
@@ -1032,7 +1019,6 @@ void NimbusController::TriggerCheckpoint(std::uint64_t driver_marker,
     cmd.copy_bytes = ObjectBytes(entry.object);
     per_worker[holder].push_back(std::move(cmd));
   }
-  AssignGroupIdRanges(&per_worker);
 
   PendingBlock* block = NewPendingBlock([this, done = std::move(done)](auto) {
     checkpoint_.valid = true;
@@ -1042,21 +1028,7 @@ void NimbusController::TriggerCheckpoint(std::uint64_t driver_marker,
     }
   });
 
-  const std::uint64_t seq = NewGroupSeq();
-  int participating = 0;
-  for (auto& [wid, cmds] : per_worker) {
-    ++participating;
-    wire::CommandsEnvelope e;
-    e.group_seq = seq;
-    e.expected_total = cmds.size();
-    e.commands = std::move(cmds);
-    transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::ForWorker(wid),
-                     MessageKind::kCommand, wire::EncodeCommandsEnvelope(e),
-                     /*cost_bytes=*/64);
-  }
-  if (participating > 0) {
-    RegisterGroup(seq, block, participating);
-  }
+  SendCommandGroups(NewGroupSeq(), std::move(per_worker), block);
   FinishIfIdle(block);
 }
 
@@ -1103,7 +1075,6 @@ void NimbusController::CheckHeartbeats() {
     }
     if (missed >= static_cast<std::uint64_t>(miss_threshold_)) {
       NIMBUS_LOG(Info) << "worker " << worker << " missed heartbeats; starting recovery";
-      // Ignored while a recovery runs; the worker stays silent, so a later sweep retries.
       OnWorkerFailed(worker);
     }
   }
@@ -1155,19 +1126,18 @@ bool NimbusController::HeartbeatTracked(WorkerId worker_id) const {
 }
 
 void NimbusController::OnWorkerFailed(WorkerId worker_id) {
-  if (recovering_) {
-    return;
+  WorkerRecord* record = RecordFor(worker_id);
+  if (record == nullptr || record->failed) {
+    return;  // a repeat report of a failure already handled
   }
-  recovering_ = true;
   InvalidateLookahead();  // DropWorker below rewrites residency the cached sweep read
-  if (WorkerRecord* record = RecordFor(worker_id)) {
-    // A failed worker leaves liveness accounting for good: its late beats are ignored.
-    record->failed = true;
-  }
+  // A failed worker leaves liveness accounting for good: its late beats are ignored.
+  record->failed = true;
   ++failure_counters_.workers_failed;
   versions_.DropWorker(worker_id);
 
-  // Abandon all in-flight blocks: the driver reruns from the checkpoint marker.
+  // Abandon all in-flight blocks, a running recovery's reload too: the driver reruns from
+  // the checkpoint marker, and the reload below starts over on the new assignment.
   groups_.Clear();
   pending_blocks_.clear();
 
@@ -1181,30 +1151,38 @@ void NimbusController::OnWorkerFailed(WorkerId worker_id) {
   }
   Rebalance();
 
-  // Give the halt round trip time to settle, then reload the checkpoint.
-  timers_->Schedule(costs_->network_latency * 4, [this]() { RunRecovery(); });
+  // Give the halt round trip time to settle, then reload the checkpoint. A reload already
+  // scheduled runs on the assignment just rebalanced, so a second failure adds none.
+  if (!recovery_scheduled_) {
+    recovery_scheduled_ = true;
+    timers_->Schedule(costs_->network_latency * 4, [this]() { RunRecovery(); });
+  }
 }
 
 void NimbusController::RunRecovery() {
+  recovery_scheduled_ = false;
   NIMBUS_CHECK(checkpoint_.valid) << "worker failed with no valid checkpoint";
   InvalidateLookahead();  // Restore() resets the map to the checkpoint state
 
   // Revert the version map to the snapshot, with every object now resident only on its
   // reload target (instances on live workers are stale relative to the restored graph).
   VersionMap::SnapshotState restored;
-  std::unordered_map<WorkerId, std::vector<LogicalObjectId>> reload;
+  std::map<WorkerId, std::vector<Command>> reload;
   restored.reserve(checkpoint_.version_snapshot.size());
   for (const VersionMap::SnapshotEntry& snap : checkpoint_.version_snapshot) {
     const auto& info = directory_->object(snap.object);
     const WorkerId owner = assignment_.WorkerFor(info.partition % partitions_);
     restored.push_back(VersionMap::SnapshotEntry{
         snap.object, snap.latest, {{owner, snap.latest}}});
-    reload[owner].push_back(snap.object);
+    Command load;
+    load.type = CommandType::kFileLoad;
+    load.data_object = snap.object;
+    reload[owner].push_back(std::move(load));
   }
   versions_.Restore(restored);
+  NIMBUS_CHECK(!reload.empty()) << "checkpoint holds no object to reload";
 
   PendingBlock* block = NewPendingBlock([this](auto) {
-    recovering_ = false;
     prev_executed_ = core::PatchCache::kEntryFromOutside;
     ++counters_.recoveries;
     // Tell the driver which checkpoint marker the cluster reverted to.
@@ -1214,19 +1192,7 @@ void NimbusController::RunRecovery() {
                      /*cost_bytes=*/16);
   });
 
-  const std::uint64_t seq = NewGroupSeq();
-  int participating = 0;
-  for (auto& [wid, objects] : reload) {
-    ++participating;
-    wire::LoadObjectsEnvelope e;
-    e.group_seq = seq;
-    e.objects = std::move(objects);
-    transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::ForWorker(wid),
-                     MessageKind::kControl, wire::EncodeLoadObjectsEnvelope(e),
-                     /*cost_bytes=*/64);
-  }
-  NIMBUS_CHECK_GT(participating, 0);
-  RegisterGroup(seq, block, participating);
+  SendCommandGroups(NewGroupSeq(), std::move(reload), block);
 }
 
 }  // namespace nimbus

@@ -167,7 +167,9 @@ class NimbusController {
 
   // ---- Fault tolerance (paper §4.4) ----
   void TriggerCheckpoint(std::uint64_t driver_marker, std::function<void()> done);
-  // Failure detection entry (driven by heartbeat timeout or injected by tests).
+  // Failure detection entry (driven by heartbeat timeout or injected by tests). A repeat
+  // report for a worker already failed is ignored; a failure while a recovery runs
+  // abandons that recovery and starts one over on the remaining workers.
   void OnWorkerFailed(WorkerId worker);
   // Arms the heartbeat sweep, once: each tracked worker must be heard from within
   // `timeout`; a worker `miss_threshold` timeouts silent is declared failed (the first
@@ -295,9 +297,16 @@ class NimbusController {
                             const std::vector<std::pair<std::int32_t, ParameterBlob>>& params,
                             PendingBlock* block);
 
-  // Gives each worker's command group one contiguous id range, in ascending worker id, so
-  // the worker resolves ids and edges by offset from the range's base (DESIGN.md §8).
-  void AssignGroupIdRanges(std::map<WorkerId, std::vector<Command>>* per_worker);
+  // The one path for a group of explicit commands built on the controller (patches,
+  // checkpoint saves, recovery reloads): gives each worker's commands one contiguous id
+  // range, in ascending worker id, so the worker resolves ids and edges by offset from the
+  // range's base (DESIGN.md §8); sends each worker one kCommands envelope through the
+  // control thread, so the group keeps FIFO order behind per-task sends still queued
+  // there (workers sequence groups by arrival); and registers group `seq` for `block`.
+  // Every listed worker must have at least one command.
+  void SendCommandGroups(std::uint64_t seq,
+                         std::map<WorkerId, std::vector<Command>> per_worker,
+                         PendingBlock* block);
 
   // Sends the patch as command groups (send half on src, receive half on dst).
   void DispatchPatch(const core::Patch& patch, PendingBlock* block);
@@ -407,7 +416,7 @@ class NimbusController {
   std::uint64_t lookahead_hits_ = 0;
 
   CheckpointState checkpoint_;
-  bool recovering_ = false;
+  bool recovery_scheduled_ = false;  // a RunRecovery is pending on the liveness clock
 
   // Heartbeat-based failure detection (per-worker liveness lives in worker_records_).
   bool failure_detection_ = false;

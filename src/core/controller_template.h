@@ -65,21 +65,6 @@ class ControllerTemplate {
   bool finished_ = false;
 };
 
-// The parameters of one controller-template instantiation (paper Fig 5a): a fresh task-id
-// base (task ids are consecutive within the block) and the per-slot parameter blobs.
-struct InstantiationParams {
-  TaskId task_id_base;
-  std::vector<ParameterBlob> params;
-
-  std::int64_t WireSize() const {
-    std::int64_t bytes = 32;
-    for (const auto& p : params) {
-      bytes += 8 + static_cast<std::int64_t>(p.size());
-    }
-    return bytes;
-  }
-};
-
 }  // namespace nimbus::core
 
 #endif  // NIMBUS_SRC_CORE_CONTROLLER_TEMPLATE_H_

@@ -86,12 +86,6 @@ class ObjectDirectory {
     return name_to_variable_.count(name) > 0;
   }
 
-  VariableId FindVariable(const std::string& name) const {
-    auto it = name_to_variable_.find(name);
-    NIMBUS_CHECK(it != name_to_variable_.end()) << "unknown variable '" << name << "'";
-    return it->second;
-  }
-
   LogicalObjectId ObjectFor(VariableId var, int partition) const {
     const VariableInfo& info = variable(var);
     NIMBUS_CHECK_GE(partition, 0);

@@ -13,7 +13,6 @@
 #define NIMBUS_SRC_DATA_OBJECT_STORE_H_
 
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "src/common/dense_id.h"
@@ -100,10 +99,6 @@ class ObjectStore {
     PutDense(Intern(object), version, std::move(payload));
   }
 
-  Payload* GetMutable(LogicalObjectId object) {
-    return GetMutableDense(ExistingIndex(object));
-  }
-
   const Payload* Get(LogicalObjectId object) const {
     return GetDense(ExistingIndex(object));
   }
@@ -125,24 +120,6 @@ class ObjectStore {
   }
 
   std::size_t size() const { return resident_; }
-
-  // Deep-copies every resident instance (checkpoint persistence).
-  // lint:allow(hot-map) -- checkpoint-only snapshot, off the steady-state path
-  std::unordered_map<LogicalObjectId, Instance> SnapshotAll() const {
-    std::unordered_map<LogicalObjectId, Instance> out;  // lint:allow(hot-map) -- see above
-    out.reserve(resident_);
-    for (DenseIndex i = 0; i < instances_.size(); ++i) {
-      const Instance& inst = instances_[i];
-      if (inst.payload == nullptr) {
-        continue;
-      }
-      Instance copy;
-      copy.version = inst.version;
-      copy.payload = inst.payload->Clone();
-      out.emplace(objects_.Resolve(i), std::move(copy));
-    }
-    return out;
-  }
 
  private:
   DenseIndex ExistingIndex(LogicalObjectId object) const {

@@ -79,8 +79,6 @@ class Job {
   // scheduling charge and a wasted overlapped sweep, so don't hint blocks you will
   // rarely run next.
   void HintNextBlock(const std::string& name) { next_block_hint_ = name; }
-  // The currently announced next block ("" when none) — the controller-facing lookahead.
-  const std::string& PeekNextBlock() const { return next_block_hint_; }
 
   // Runs a sequence of recorded blocks back to back, hinting each block's successor so
   // the controller sees every (current, next) pair. Returns the last block's result;

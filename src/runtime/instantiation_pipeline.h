@@ -58,7 +58,9 @@ struct WorkerMessage {
   std::size_t entry_count = 0;   // table size incl. tombstones (O(1); live_count is O(n))
   ParamList params;  // only slots whose entry lives on this worker
   const std::vector<core::WorkerEditOp>* edits = nullptr;  // borrowed from the EditPlan
-  std::int64_t wire_size = 0;  // mirrors InstantiateMsg::WireSize()
+  // Modeled message size: 64 B, plus 8 B + the blob per parameter, plus
+  // WorkerEditOp::WireSize() per edit.
+  std::int64_t wire_size = 0;
 };
 
 // One worker's share of a serialized central dispatch as a ready-to-ship wire buffer

@@ -169,15 +169,6 @@ class CorePool {
   int cores() const { return static_cast<int>(available_.size()); }
   Duration total_busy() const { return busy_accum_; }
 
-  // Earliest time by which every core is idle.
-  TimePoint AllIdleAt() const {
-    TimePoint t = 0;
-    for (TimePoint a : available_) {
-      t = std::max(t, a);
-    }
-    return t;
-  }
-
  private:
   Simulation* simulation_;
   std::vector<TimePoint> available_;

@@ -32,17 +32,6 @@ struct InstantiateMsg {
   std::vector<std::pair<std::int32_t, ParameterBlob>> params;
   // Edits to apply to the cached template before materializing (paper §4.3).
   std::vector<core::WorkerEditOp> edits;
-
-  std::int64_t WireSize() const {
-    std::int64_t bytes = 64;
-    for (const auto& [slot, blob] : params) {
-      bytes += 8 + static_cast<std::int64_t>(blob.size());
-    }
-    for (const auto& op : edits) {
-      bytes += op.WireSize();
-    }
-    return bytes;
-  }
 };
 
 }  // namespace nimbus

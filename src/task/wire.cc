@@ -557,17 +557,16 @@ IfRecord<T, std::unique_ptr<Payload>> Walk(W& w, T& payload) {
   }
 }
 
-// The two group envelopes lead with the same group-delivery fields; the flags byte is
-// `finalize`.
+// The two group envelopes lead with the same group-delivery fields.
 template <typename W, typename T>
 IfRecord<T, CommandsEnvelope> Walk(W& w, T& e) {
-  w(e.group_seq, e.expected_total, e.finalize);
+  w(e.group_seq, e.expected_total);
   w.List(e.commands, &e.spare);
 }
 
 template <typename W, typename T>
 IfRecord<T, SerializedBatchEnvelope> Walk(W& w, T& e) {
-  w(e.group_seq, e.expected_total, e.finalize, e.batch);
+  w(e.group_seq, e.expected_total, e.batch);
 }
 
 template <typename W, typename T>
@@ -578,11 +577,6 @@ IfRecord<T, InstallTemplateEnvelope> Walk(W& w, T& e) {
 template <typename W, typename T>
 IfRecord<T, InstantiateMsg> Walk(W& w, T& m) {
   w(m.worker_template, m.group_seq, m.command_base, m.task_base, m.params, m.edits);
-}
-
-template <typename W, typename T>
-IfRecord<T, LoadObjectsEnvelope> Walk(W& w, T& e) {
-  w(e.group_seq, e.objects);
 }
 
 template <typename W, typename T>
@@ -722,14 +716,6 @@ ParameterBlob EncodeHaltEnvelope() { return EncodeEnvelope(EnvelopeType::kHalt);
 
 void DecodeHaltEnvelope(const ParameterBlob& bytes) {
   DecodeEnvelope(bytes, EnvelopeType::kHalt);
-}
-
-ParameterBlob EncodeLoadObjectsEnvelope(const LoadObjectsEnvelope& e) {
-  return EncodeEnvelope(EnvelopeType::kLoadObjects, e);
-}
-
-LoadObjectsEnvelope DecodeLoadObjectsEnvelope(const ParameterBlob& bytes) {
-  return DecodeValue<LoadObjectsEnvelope>(bytes, EnvelopeType::kLoadObjects);
 }
 
 ParameterBlob EncodeHeartbeatEnvelope(const HeartbeatEnvelope& e) {

@@ -173,18 +173,18 @@ class ScratchGuard {
   bool* live_;
 };
 
-// "NBE1": Nimbus Envelope format, version 1. Bump the trailing digit on layout changes.
-inline constexpr std::uint32_t kEnvelopeMagic = 0x3145424E;
+// "NBE2": Nimbus Envelope format, version 2. Bump the trailing digit on layout changes.
+inline constexpr std::uint32_t kEnvelopeMagic = 0x3245424E;
 inline constexpr std::size_t kEnvelopeHeaderSize = 5;
 
 enum class EnvelopeType : std::uint8_t {
   // Controller -> worker.
-  kCommands = 0,       // explicit command group (central dispatch, patches, checkpoints)
+  kCommands = 0,       // explicit command group (central dispatch, patches, checkpoint
+                       // saves, recovery reloads)
   kSerializedBatch,    // NBW1-encoded command group (serialized dispatch)
   kInstallTemplate,    // cache one worker-template half
   kInstantiate,        // instantiate a cached template (params + edits)
   kHalt,               // terminate ongoing work (failure handling)
-  kLoadObjects,        // reload objects from durable storage (recovery)
   // Worker -> controller.
   kHeartbeat,          // periodic liveness signal
   kGroupComplete,      // one group finished (carries scalar results)
@@ -202,7 +202,7 @@ enum class EnvelopeType : std::uint8_t {
   kHeartbeatAck,       // controller -> worker: echoes a heartbeat's sequence number
   kSuspectNotice,      // controller -> driver: a worker missed beats and is suspected
 };
-inline constexpr std::uint8_t kEnvelopeTypeCount = 17;
+inline constexpr std::uint8_t kEnvelopeTypeCount = 16;
 
 // Reads and validates the envelope header, returning the type. CHECK-fails on a short
 // buffer, a bad magic, or an unknown type byte.
@@ -210,10 +210,12 @@ EnvelopeType PeekEnvelopeType(const ParameterBlob& bytes);
 
 // -- Controller -> worker --
 
+// The two group envelopes carry one worker's share of group `group_seq`, in one frame or
+// streamed over several. Every frame names the share's full command count; the worker
+// takes it from the first frame and the share is complete once that many have run.
 struct CommandsEnvelope {
   std::uint64_t group_seq = 0;
-  std::uint64_t expected_total = 0;  // the group's full command count (0 while streaming)
-  bool finalize = true;
+  std::uint64_t expected_total = 0;
   std::vector<Command> commands;
   std::vector<Command> spare;  // reuse-decode storage (see DecodedBatch); never encoded
 };
@@ -224,7 +226,6 @@ void DecodeCommandsEnvelope(const ParameterBlob& bytes, CommandsEnvelope* out);
 struct SerializedBatchEnvelope {
   std::uint64_t group_seq = 0;
   std::uint64_t expected_total = 0;
-  bool finalize = true;
   ParameterBlob batch;  // NBW1 bytes (EncodeBatch), nested verbatim
 };
 ParameterBlob EncodeSerializedBatchEnvelope(const SerializedBatchEnvelope& e);
@@ -243,13 +244,6 @@ InstantiateMsg DecodeInstantiateEnvelope(const ParameterBlob& bytes);
 
 ParameterBlob EncodeHaltEnvelope();
 void DecodeHaltEnvelope(const ParameterBlob& bytes);  // validation only (empty body)
-
-struct LoadObjectsEnvelope {
-  std::uint64_t group_seq = 0;
-  std::vector<LogicalObjectId> objects;
-};
-ParameterBlob EncodeLoadObjectsEnvelope(const LoadObjectsEnvelope& e);
-LoadObjectsEnvelope DecodeLoadObjectsEnvelope(const ParameterBlob& bytes);
 
 // -- Worker -> controller --
 

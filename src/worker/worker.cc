@@ -102,8 +102,7 @@ void Worker::OnEnvelope(net::NodeAddress src, MessageKind kind, ParameterBlob by
       const wire::ScratchGuard guard(&scratch_live_);
       wire::DecodeCommandsEnvelope(bytes, &commands_scratch_);
       const wire::CommandsEnvelope& e = commands_scratch_;
-      OnCommands(e.group_seq, e.commands, static_cast<std::size_t>(e.expected_total),
-                 e.finalize);
+      OnCommands(e.group_seq, e.commands, static_cast<std::size_t>(e.expected_total));
       break;
     }
     case wire::EnvelopeType::kSerializedBatch: {
@@ -112,8 +111,7 @@ void Worker::OnEnvelope(net::NodeAddress src, MessageKind kind, ParameterBlob by
       control_phase_.Assert();
       wire::DecodeSerializedBatchEnvelope(bytes, &batch_envelope_scratch_);
       const wire::SerializedBatchEnvelope& e = batch_envelope_scratch_;
-      OnSerializedCommands(e.group_seq, e.batch, static_cast<std::size_t>(e.expected_total),
-                           e.finalize);
+      OnSerializedCommands(e.group_seq, e.batch, static_cast<std::size_t>(e.expected_total));
       break;
     }
     case wire::EnvelopeType::kInstallTemplate: {
@@ -128,11 +126,6 @@ void Worker::OnEnvelope(net::NodeAddress src, MessageKind kind, ParameterBlob by
       wire::DecodeHaltEnvelope(bytes);
       OnHalt();
       break;
-    case wire::EnvelopeType::kLoadObjects: {
-      wire::LoadObjectsEnvelope e = wire::DecodeLoadObjectsEnvelope(bytes);
-      OnLoadObjects(e.group_seq, std::move(e.objects));
-      break;
-    }
     case wire::EnvelopeType::kHeartbeatAck:
       OnHeartbeatAck(wire::DecodeHeartbeatAckEnvelope(bytes).seq);
       break;
@@ -232,7 +225,7 @@ void Worker::ResolveTaskObjects(RuntimeCommand& rc) {
 }
 
 void Worker::OnCommands(std::uint64_t group_seq, const std::vector<Command>& commands,
-                        std::size_t expected_total, bool finalize) {
+                        std::size_t expected_total) {
   // Message handlers run serially (simulator delivery): assert the control-phase role so
   // the group machinery's REQUIRES contract is satisfied from here down (DESIGN.md §11).
   control_phase_.Assert();
@@ -245,11 +238,11 @@ void Worker::OnCommands(std::uint64_t group_seq, const std::vector<Command>& com
   const sim::Duration charge =
       costs_->worker_receive_task * static_cast<sim::Duration>(commands.size());
   control_thread_.Charge(charge);
-  IngestCommands(group_seq, commands, expected_total, finalize);
+  IngestCommands(group_seq, commands, expected_total);
 }
 
 void Worker::OnSerializedCommands(std::uint64_t group_seq, const ParameterBlob& bytes,
-                                  std::size_t expected_total, bool finalize) {
+                                  std::size_t expected_total) {
   control_phase_.Assert();
   if (failed_) {
     return;
@@ -271,16 +264,23 @@ void Worker::OnSerializedCommands(std::uint64_t group_seq, const ParameterBlob& 
   const sim::Duration charge = costs_->serialized_decode_per_task *
                                static_cast<sim::Duration>(batch.commands.size());
   control_thread_.Charge(charge);
-  IngestCommands(group_seq, batch.commands, expected_total, finalize);
+  IngestCommands(group_seq, batch.commands, expected_total);
 }
 
 void Worker::IngestCommands(std::uint64_t group_seq, const std::vector<Command>& commands,
-                            std::size_t expected_total, bool finalize) {
+                            std::size_t expected_total) {
   if (command_log_enabled_) {
     command_log_.insert(command_log_.end(), commands.begin(), commands.end());
   }
 
+  // The group's first frame sets its total; every later frame must repeat it.
+  NIMBUS_CHECK_GT(expected_total, 0u) << "group " << group_seq << " frame names no total";
   Group& group = GetOrCreateGroup(group_seq);
+  if (group.expected_total == 0) {
+    group.expected_total = expected_total;
+  }
+  NIMBUS_CHECK_EQ(group.expected_total, expected_total)
+      << "group " << group_seq << " frame disagrees with its first frame's total";
   // A batch fills an empty group's table with at most one allocation (none once a recycled
   // table is big enough). Sized from what was decoded, never from the sender's
   // expected_total; per-task frames (one command each) grow the table geometrically.
@@ -289,10 +289,6 @@ void Worker::IngestCommands(std::uint64_t group_seq, const std::vector<Command>&
   }
   for (const Command& cmd : commands) {
     AddCommandToGroup(group, cmd);
-  }
-  if (finalize) {
-    group.finalized = true;
-    group.expected_total = expected_total;
   }
   MaybeStartGroups();
   FinishGroupIfDone(group_seq);
@@ -505,7 +501,6 @@ void Worker::MaterializeInstantiation(DenseIndex tmpl_index, const InstantiateMs
     }
   }
 
-  group.finalized = true;
   group.expected_total = entries.size();
   MaybeStartGroups();
   FinishGroupIfDone(msg.group_seq);
@@ -522,23 +517,6 @@ void Worker::OnHalt() {
   groups_.clear();
   early_data_.clear();
   ++halt_epoch_;  // voids instantiations still queued behind their control-thread charge
-}
-
-void Worker::OnLoadObjects(std::uint64_t group_seq, std::vector<LogicalObjectId> objects) {
-  if (failed_) {
-    return;
-  }
-  std::vector<Command> commands;
-  commands.reserve(objects.size());
-  for (LogicalObjectId object : objects) {
-    Command cmd;
-    cmd.id = CommandId((group_seq << 24) | commands.size());
-    cmd.type = CommandType::kFileLoad;
-    cmd.data_object = object;
-    commands.push_back(std::move(cmd));
-  }
-  const std::size_t total = commands.size();
-  OnCommands(group_seq, std::move(commands), total, /*finalize=*/true);
 }
 
 std::uint32_t Worker::IdOffset(Group& group, CommandId id) {
@@ -634,7 +612,7 @@ void Worker::MaybeStartGroups() {
       StartGroup(group.seq);
       return;
     }
-    if (!group.finalized || group.done_count != group.expected_total) {
+    if (group.done_count != group.expected_total) {
       return;
     }
   }
@@ -876,8 +854,7 @@ void Worker::CompleteCommand(std::uint64_t group_seq, std::int32_t index) {
 
 void Worker::FinishGroupIfDone(std::uint64_t seq) {
   Group* group = FindGroup(seq);
-  if (group == nullptr || !group->finalized || !group->started ||
-      group->done_count != group->expected_total) {
+  if (group == nullptr || !group->started || group->done_count != group->expected_total) {
     return;
   }
   NIMBUS_CHECK_EQ(group->done_count, group->commands.size());
@@ -900,8 +877,7 @@ void Worker::FinishGroupIfDone(std::uint64_t seq) {
   bool pruned = false;
   while (!groups_.empty()) {
     Group& front = groups_.front();
-    if (front.finalized && front.started && front.reported &&
-        front.done_count == front.expected_total) {
+    if (front.started && front.reported && front.done_count == front.expected_total) {
       stale_seq_floor_ = std::max(stale_seq_floor_, front.seq);
       RecycleGroup(front);
       groups_.pop_front();

@@ -6,9 +6,11 @@
 // worker explicitly, so no controller lookup is on the data path).
 //
 // Commands arrive grouped: a *group* is either the materialization of one worker-template
-// instantiation, one patch, or a batch of individually-dispatched commands (the no-template
-// path). A group starts only after every earlier group completes, which is how patch
-// copies are ordered before the block that needs them.
+// instantiation or one command group the controller sent as explicit commands (a central
+// stage, a patch, a checkpoint's saves, a recovery's reloads), in one frame or streamed
+// one command per frame. Every frame carries the group's command total, and the group is
+// complete once that many commands have run. A group starts only after every earlier
+// group completes, which is how patch copies are ordered before the block that needs them.
 //
 // Hot-path layout (DESIGN.md §6.6): cached templates live in a flat array indexed by dense
 // template id and carry per-entry read/write sets pre-resolved to store-dense indices, so
@@ -69,19 +71,20 @@ class Worker {
 
   // ---- Controller-facing entry points (invoked at message delivery) ----
 
-  // Receives a batch of explicit commands forming group `group_seq`. `finalize` marks the
-  // last batch of the group; `expected_total` is the group's full command count (0 while
-  // streaming). The group starts once every earlier group is done.
+  // Receives a batch of explicit commands of group `group_seq`: the whole group, or one
+  // frame of a group streamed over several. `expected_total` is the group's full command
+  // count, the same on every frame (CHECKed; 0 is rejected); the group is complete once
+  // that many commands have run. The group starts once every earlier group is done.
   // The commands are copied into the group's (recycled) slots, so the caller keeps them.
   void OnCommands(std::uint64_t group_seq, const std::vector<Command>& commands,
-                  std::size_t expected_total, bool finalize);
+                  std::size_t expected_total);
 
   // Receives a wire-encoded command batch (src/task/wire.h) forming group `group_seq`.
   // Decodes it into the worker's decode scratch and feeds the same ingestion path as
   // OnCommands, so the observed command stream (and the command log) is identical to a
   // per-task send of the same group.
   void OnSerializedCommands(std::uint64_t group_seq, const ParameterBlob& bytes,
-                            std::size_t expected_total, bool finalize);
+                            std::size_t expected_total);
 
   // Installs (caches) a worker template. Charged per entry.
   void OnInstallTemplate(core::WorkerHalf half, WorkerTemplateId id);
@@ -91,9 +94,6 @@ class Worker {
 
   // Halts: terminate ongoing work, flush queues (paper §4.4 failure handling).
   void OnHalt();
-
-  // Reloads `objects` from durable storage (recovery), as one group.
-  void OnLoadObjects(std::uint64_t group_seq, std::vector<LogicalObjectId> objects);
 
   // ---- Peer-facing ----
   void OnDataMessage(CopyId copy, LogicalObjectId object, Version version,
@@ -168,10 +168,9 @@ class Worker {
 
   struct Group {
     std::uint64_t seq = 0;
-    bool finalized = false;
     bool started = false;
     bool reported = false;
-    std::size_t expected_total = 0;
+    std::size_t expected_total = 0;  // from the first frame (or the template); 0 until then
     std::size_t done_count = 0;
     std::vector<RuntimeCommand> commands;  // by local index (arrival order)
     std::vector<CopySlot> copy_slots;      // by block-local copy index
@@ -224,7 +223,7 @@ class Worker {
   // without declaring itself part of the serial control phase.
   // Shared tail of OnCommands/OnSerializedCommands: log, group the commands, maybe start.
   void IngestCommands(std::uint64_t group_seq, const std::vector<Command>& commands,
-                      std::size_t expected_total, bool finalize)
+                      std::size_t expected_total)
       NIMBUS_REQUIRES(control_phase_);
   // Creates a group from a recycled record when the pool has one.
   Group& GetOrCreateGroup(std::uint64_t seq) NIMBUS_REQUIRES(control_phase_);

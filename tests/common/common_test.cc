@@ -148,12 +148,6 @@ TEST(RngTest, GaussianHasReasonableMoments) {
   EXPECT_NEAR(sum2 / n, 1.0, 0.05);
 }
 
-TEST(RngTest, ForkIsIndependent) {
-  Rng parent(11);
-  Rng child = parent.Fork();
-  EXPECT_NE(parent.NextU64(), child.NextU64());
-}
-
 TEST(SampleStatsTest, BasicMoments) {
   SampleStats s;
   for (double v : {1.0, 2.0, 3.0, 4.0}) {

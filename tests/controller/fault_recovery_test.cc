@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/apps/logistic_regression.h"
+#include "src/common/logging.h"
 #include "src/driver/cluster.h"
 #include "src/driver/job.h"
 
@@ -425,6 +427,94 @@ TEST(FaultRecoveryTest, FinishedAndAbandonedBlocksLeaveNoPendingBlock) {
   job.RunStages({});
   EXPECT_EQ(cluster.controller().pending_block_count(), 0u) << "after an empty block";
 }
+
+// A second worker failure while the first one's recovery is pending or running
+// (DESIGN.md §14.2): the second worker is declared failed too, a running reload is
+// abandoned, and one recovery over the two survivors completes, tells the driver once,
+// and converges to the failure-free result. `together` kills workers 2 and 3 at once, so
+// one sweep declares both; otherwise worker 3 dies right after worker 2's detection.
+void RunSecondFailure(bool together) {
+  SCOPED_TRACE(together ? "workers 2 and 3 killed at once"
+                        : "worker 3 killed on worker 2's detection");
+  const int total_iterations = 10;
+  const int checkpoint_at = 5;
+  const auto expected =
+      LogisticRegressionApp::ReferenceInnerLoop(SmallConfig(), total_iterations);
+
+  ClusterOptions options;
+  options.workers = 4;
+  options.partitions = 8;
+  options.mode = ControlMode::kTemplates;
+  ArmDetection(&options);
+  Cluster cluster(options);
+  Job job(&cluster);
+  NimbusController& controller = cluster.controller();
+  sim::Simulation& simulation = cluster.simulation();
+
+  LogisticRegressionApp app(&job, SmallConfig());
+  app.Setup();
+
+  // Polls every 100 µs of virtual time, so it sees the first detection before the
+  // recovery it starts (4 network latencies later) has sent its reload. Then it watches
+  // for the recovery, for at most 30 s of virtual time: a recovery that waits on a dead
+  // worker forever would otherwise spin the simulator forever.
+  sim::TimePoint detected = -1;
+  std::function<void()> watch = [&]() {
+    if (detected < 0 && controller.failure_counters().workers_failed > 0) {
+      detected = simulation.now();
+      if (together) {
+        EXPECT_EQ(controller.failure_counters().workers_failed, 2u) << "not one sweep";
+      } else {
+        EXPECT_EQ(controller.failure_counters().workers_failed, 1u);
+        cluster.FailWorker(WorkerId(3));
+      }
+    }
+    if (controller.counters().recoveries > 0) {
+      return;
+    }
+    NIMBUS_CHECK(detected < 0 || simulation.now() - detected < sim::Seconds(30))
+        << "no recovery completed within 30 s of the first detection";
+    simulation.ScheduleAfter(sim::Micros(100), watch);
+  };
+
+  int iter = 0;
+  int recovery_notices = 0;
+  while (iter < total_iterations) {
+    auto result = app.RunInnerIteration();
+    if (result.recovered) {
+      ++recovery_notices;
+      iter = static_cast<int>(result.resume_marker);
+      continue;
+    }
+    ++iter;
+    if (iter == checkpoint_at) {
+      job.Checkpoint(static_cast<std::uint64_t>(iter));
+    }
+    if (iter == 7 && controller.failure_counters().workers_failed == 0) {
+      // The next block hangs on the dead worker until detection.
+      cluster.FailWorker(WorkerId(2));
+      if (together) {
+        cluster.FailWorker(WorkerId(3));
+      }
+      watch();
+    }
+  }
+
+  EXPECT_EQ(controller.failure_counters().workers_failed, 2u);
+  EXPECT_EQ(controller.counters().recoveries, 1u);
+  EXPECT_EQ(recovery_notices, 1);
+  EXPECT_EQ(controller.pending_block_count(), 0u);
+  EXPECT_EQ(controller.ActiveWorkers(), (std::vector<WorkerId>{WorkerId(0), WorkerId(1)}));
+  const auto actual = app.CoeffSnapshot();
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t d = 0; d < expected.size(); ++d) {
+    EXPECT_DOUBLE_EQ(expected[d], actual[d]) << "coefficient " << d;
+  }
+}
+
+TEST(FaultRecoveryTest, FailureDuringRecoveryRestartsIt) { RunSecondFailure(false); }
+
+TEST(FaultRecoveryTest, TwoFailuresInOneSweepRecoverOnce) { RunSecondFailure(true); }
 
 TEST(FaultRecoveryTest, FailureWithoutCheckpointAborts) {
   ClusterOptions options;

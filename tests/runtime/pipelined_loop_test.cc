@@ -236,8 +236,8 @@ TEST(PipelinedLoopTest, EditsBetweenHintedBlocksInvalidateLookahead) {
   EXPECT_LT(hinted.hits, hinted.scheduled);
 }
 
-// The driver-facing surface: hints are sticky until changed, PeekNextBlock exposes the
-// announcement, and RunBlockSequence hints every (current, next) pair then clears.
+// The driver-facing surface: RunBlockSequence hints every (current, next) pair, then
+// clears the hint.
 TEST(PipelinedLoopTest, JobHintApiAndRunBlockSequence) {
   ClusterOptions options;
   options.workers = 4;
@@ -247,12 +247,6 @@ TEST(PipelinedLoopTest, JobHintApiAndRunBlockSequence) {
   Job job(&cluster);
   apps::LogisticRegressionApp app(&job, SmallConfig());
   app.Setup();
-
-  EXPECT_EQ(job.PeekNextBlock(), "");
-  job.HintNextBlock("some_block");
-  EXPECT_EQ(job.PeekNextBlock(), "some_block");
-  job.HintNextBlock(std::string());
-  EXPECT_EQ(job.PeekNextBlock(), "");
 
   // Bring both blocks to the fast path, then run a sequence: the controller must see the
   // successor of every element (3 overlappable transitions in a 4-element sequence).
@@ -266,8 +260,12 @@ TEST(PipelinedLoopTest, JobHintApiAndRunBlockSequence) {
                                                     {app.InnerBlockName(), {}},
                                                     {app.OuterBlockName(), {}}});
   EXPECT_FALSE(last.recovered);
-  EXPECT_EQ(job.PeekNextBlock(), "");
   EXPECT_GE(cluster.controller().lookaheads_scheduled() - scheduled_before, 3u);
+
+  // The sequence leaves no hint behind: an unhinted block after it schedules no overlap.
+  const std::uint64_t scheduled_after = cluster.controller().lookaheads_scheduled();
+  app.RunInnerIteration();
+  EXPECT_EQ(cluster.controller().lookaheads_scheduled(), scheduled_after);
 }
 
 }  // namespace

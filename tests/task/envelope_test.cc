@@ -77,7 +77,6 @@ TEST(EnvelopeCodecTest, CommandsEnvelopeRandomizedRoundTrip) {
     wire::CommandsEnvelope e;
     e.group_seq = rng();
     e.expected_total = rng() % 500;
-    e.finalize = rng() % 2 == 0;
     e.commands = RandomCommands(rng, rng() % 40);
 
     const ParameterBlob bytes = wire::EncodeCommandsEnvelope(e);
@@ -85,7 +84,6 @@ TEST(EnvelopeCodecTest, CommandsEnvelopeRandomizedRoundTrip) {
     const wire::CommandsEnvelope d = wire::DecodeCommandsEnvelope(bytes);
     EXPECT_EQ(d.group_seq, e.group_seq);
     EXPECT_EQ(d.expected_total, e.expected_total);
-    EXPECT_EQ(d.finalize, e.finalize);
     ASSERT_EQ(d.commands.size(), e.commands.size());
     for (std::size_t i = 0; i < e.commands.size(); ++i) {
       EXPECT_EQ(d.commands[i], e.commands[i]) << "command " << i;
@@ -100,14 +98,12 @@ TEST(EnvelopeCodecTest, SerializedBatchEnvelopeNestsBytesVerbatim) {
   wire::SerializedBatchEnvelope e;
   e.group_seq = 42;
   e.expected_total = 17;
-  e.finalize = true;
   e.batch = RandomBlob(rng, 513);
 
   const ParameterBlob bytes = wire::EncodeSerializedBatchEnvelope(e);
   const wire::SerializedBatchEnvelope d = wire::DecodeSerializedBatchEnvelope(bytes);
   EXPECT_EQ(d.group_seq, 42u);
   EXPECT_EQ(d.expected_total, 17u);
-  EXPECT_TRUE(d.finalize);
   EXPECT_EQ(d.batch, e.batch);
 }
 
@@ -198,14 +194,6 @@ TEST(EnvelopeCodecTest, ControlEnvelopesRoundTrip) {
       wire::DecodeSuspectNoticeEnvelope(wire::EncodeSuspectNoticeEnvelope(suspect));
   EXPECT_EQ(suspectd.worker, WorkerId(3));
   EXPECT_EQ(suspectd.missed_beats, 2u);
-
-  wire::LoadObjectsEnvelope lo;
-  lo.group_seq = 88;
-  lo.objects = {LogicalObjectId(1), LogicalObjectId(2), LogicalObjectId(500)};
-  const wire::LoadObjectsEnvelope lod =
-      wire::DecodeLoadObjectsEnvelope(wire::EncodeLoadObjectsEnvelope(lo));
-  EXPECT_EQ(lod.group_seq, 88u);
-  EXPECT_EQ(lod.objects, lo.objects);
 
   wire::GroupCompleteEnvelope gc;
   gc.worker = WorkerId(2);
@@ -326,7 +314,6 @@ ParameterBlob GoldenBatchEnvelope() {
   wire::SerializedBatchEnvelope e;
   e.group_seq = 6;
   e.expected_total = 2;
-  e.finalize = true;
   e.batch = wire::EncodeBatch(6, CommandId(1000), TaskId(500), {task, send});
   return wire::EncodeSerializedBatchEnvelope(e);
 }
@@ -352,7 +339,6 @@ ParameterBlob GoldenCommandsEnvelope() {
   wire::CommandsEnvelope e;
   e.group_seq = 77;
   e.expected_total = 1;
-  e.finalize = true;
   e.commands = {c};
   return wire::EncodeCommandsEnvelope(e);
 }
@@ -382,7 +368,7 @@ std::vector<StageDescriptor> GoldenStages() {
 
 TEST(EnvelopeCodecTest, GoldenBytesSerializedBatchEnvelope) {
   EXPECT_EQ(Hex(GoldenBatchEnvelope()),
-      "4e424531010600000000000000020000000000000001b70000004e42573102000000060000000000"
+      "4e4245320106000000000000000200000000000000b70000004e42573102000000060000000000"
       "0000e803000000000000f40100000000000001000000000000000001010000000100000000000000"
       "020000000700000000000000080000000000000001000000090000000000000003000000a1b2c304"
       "0000000000000002000000fa00000000000000010002000000010000000100000001000000090000"
@@ -392,7 +378,7 @@ TEST(EnvelopeCodecTest, GoldenBytesSerializedBatchEnvelope) {
 
 TEST(EnvelopeCodecTest, GoldenBytesCommandsEnvelope) {
   EXPECT_EQ(Hex(GoldenCommandsEnvelope()),
-      "4e424531004d00000000000000010000000000000001010000000208070605040302010200000003"
+      "4e424532004d000000000000000100000000000000010000000208070605040302010200000003"
       "000000000000000400000000000000010000000b00000000000000020000000c000000000000000d"
       "0000000000000002000000dead15000000000000001600000000000000fbffffffffffffff011700"
       "000000000000180000000000000019000000000000001a000000000000001b000000000000001c00"
@@ -401,7 +387,7 @@ TEST(EnvelopeCodecTest, GoldenBytesCommandsEnvelope) {
 
 TEST(EnvelopeCodecTest, GoldenBytesSubmitStagesEnvelope) {
   EXPECT_EQ(Hex(wire::EncodeSubmitStagesEnvelope(9, "lr", GoldenStages())),
-      "4e424531090900000000000000020000006c7202000000030000006d617001000000030000000000"
+      "4e424532080900000000000000020000006c7202000000030000006d617001000000030000000000"
       "000002000000010000000000000000000000000000000200000000000000ffffffffffffffff0100"
       "0000040000000000000007000000000000000400000010203040ffffffffffffffffdc0500000000"
       "00000006000000726564756365010000000500000000000000010000000400000000000000070000"
@@ -444,7 +430,7 @@ std::vector<GoldenCase> GoldenCases() {
   install.half.worker = WorkerId(62);
   install.half.entries = {GoldenWtEntry()};
   cases.push_back({"install_template", wire::EncodeInstallTemplateEnvelope(install),
-      "4e424531023d000000000000003e00000000000000010000000229000000000000002a0000000000"
+      "4e424532023d000000000000003e00000000000000010000000229000000000000002a0000000000"
       "00002b0000000000000001020000002c000000000000002d00000000000000010000002e00000000"
       "00000002000000c1c22f000000000000003000000000000000310000000000000032000000000000"
       "0002000000fdffffffffffffff330000000000000001"});
@@ -462,7 +448,7 @@ std::vector<GoldenCase> GoldenCases() {
   op.entry = GoldenWtEntry();
   inst.edits = {op};
   cases.push_back({"instantiate", wire::EncodeInstantiateEnvelope(inst),
-      "4e424531034700000000000000480000000000000049000000000000004a00000000000000020000"
+      "4e424532034700000000000000480000000000000049000000000000004a00000000000000020000"
       "004b0000000000000002000000a7a8b4ffffffffffffff0000000001000000024d00000000000000"
       "4e000000000000000229000000000000002a000000000000002b0000000000000001020000002c00"
       "0000000000002d00000000000000010000002e0000000000000002000000c1c22f00000000000000"
@@ -470,26 +456,20 @@ std::vector<GoldenCase> GoldenCases() {
       "0000000001"});
 
   cases.push_back({"halt", wire::EncodeHaltEnvelope(),
-      "4e42453104"});
-
-  wire::LoadObjectsEnvelope load;
-  load.group_seq = 81;
-  load.objects = {LogicalObjectId(82), LogicalObjectId(83)};
-  cases.push_back({"load_objects", wire::EncodeLoadObjectsEnvelope(load),
-      "4e4245310551000000000000000200000052000000000000005300000000000000"});
+      "4e42453204"});
 
   wire::HeartbeatEnvelope beat;
   beat.worker = WorkerId(91);
   beat.seq = 92;
   cases.push_back({"heartbeat", wire::EncodeHeartbeatEnvelope(beat),
-      "4e424531065b000000000000005c00000000000000"});
+      "4e424532055b000000000000005c00000000000000"});
 
   wire::GroupCompleteEnvelope complete;
   complete.worker = WorkerId(101);
   complete.group_seq = 102;
   complete.scalars = {{TaskId(103), 1.5}, {TaskId(104), -0.25}};
   cases.push_back({"group_complete", wire::EncodeGroupCompleteEnvelope(complete),
-      "4e4245310765000000000000006600000000000000020000006700000000000000000000000000f8"
+      "4e4245320665000000000000006600000000000000020000006700000000000000000000000000f8"
       "3f6800000000000000000000000000d0bf"});
 
   wire::DataCopyEnvelope scalar_copy;
@@ -498,7 +478,7 @@ std::vector<GoldenCase> GoldenCases() {
   scalar_copy.version = 113;
   scalar_copy.payload = std::make_unique<ScalarPayload>(2.5);
   cases.push_back({"data_copy_scalar", wire::EncodeDataCopyEnvelope(scalar_copy),
-      "4e424531086f0000000000000070000000000000007100000000000000010000000000000440"});
+      "4e424532076f0000000000000070000000000000007100000000000000010000000000000440"});
 
   wire::DataCopyEnvelope vector_copy;
   vector_copy.copy = CopyId(114);
@@ -506,7 +486,7 @@ std::vector<GoldenCase> GoldenCases() {
   vector_copy.version = 116;
   vector_copy.payload = std::make_unique<VectorPayload>(std::vector<double>{0.5, -8.0});
   cases.push_back({"data_copy_vector", wire::EncodeDataCopyEnvelope(vector_copy),
-      "4e424531087200000000000000730000000000000074000000000000000202000000000000000000"
+      "4e424532077200000000000000730000000000000074000000000000000202000000000000000000"
       "e03f00000000000020c0"});
 
   wire::InstantiateRequestEnvelope request;
@@ -515,37 +495,37 @@ std::vector<GoldenCase> GoldenCases() {
   request.params = {{122, ParameterBlob{0xB1}}};
   request.next_hint = "nx";
   cases.push_back({"instantiate_request", wire::EncodeInstantiateRequestEnvelope(request),
-      "4e4245310a790000000000000003000000626c6b010000007a0000000000000001000000b1020000"
+      "4e42453209790000000000000003000000626c6b010000007a0000000000000001000000b1020000"
       "006e78"});
 
   wire::CheckpointRequestEnvelope checkpoint;
   checkpoint.request_id = 131;
   checkpoint.marker = 132;
   cases.push_back({"checkpoint_request", wire::EncodeCheckpointRequestEnvelope(checkpoint),
-      "4e4245310b83000000000000008400000000000000"});
+      "4e4245320a83000000000000008400000000000000"});
 
   wire::BlockDoneEnvelope done;
   done.request_id = 141;
   done.scalars = {{TaskId(142), 3.75}};
   cases.push_back({"block_done", wire::EncodeBlockDoneEnvelope(done),
-      "4e4245310c8d00000000000000010000008e000000000000000000000000000e40"});
+      "4e4245320b8d00000000000000010000008e000000000000000000000000000e40"});
 
   cases.push_back({"checkpoint_done", wire::EncodeCheckpointDoneEnvelope(151),
-      "4e4245310d9700000000000000"});
+      "4e4245320c9700000000000000"});
   cases.push_back({"recovery_notice", wire::EncodeRecoveryNoticeEnvelope(161),
-      "4e4245310ea100000000000000"});
+      "4e4245320da100000000000000"});
 
   wire::HeartbeatAckEnvelope ack;
   ack.worker = WorkerId(171);
   ack.seq = 172;
   cases.push_back({"heartbeat_ack", wire::EncodeHeartbeatAckEnvelope(ack),
-      "4e4245310fab00000000000000ac00000000000000"});
+      "4e4245320eab00000000000000ac00000000000000"});
 
   wire::SuspectNoticeEnvelope suspect;
   suspect.worker = WorkerId(181);
   suspect.missed_beats = 182;
   cases.push_back({"suspect_notice", wire::EncodeSuspectNoticeEnvelope(suspect),
-      "4e42453110b500000000000000b600000000000000"});
+      "4e4245320fb500000000000000b600000000000000"});
   return cases;
 }
 
@@ -560,8 +540,6 @@ ParameterBlob Reencode(const ParameterBlob& b) {
     case wire::EnvelopeType::kHalt:
       wire::DecodeHaltEnvelope(b);
       return wire::EncodeHaltEnvelope();
-    case wire::EnvelopeType::kLoadObjects:
-      return wire::EncodeLoadObjectsEnvelope(wire::DecodeLoadObjectsEnvelope(b));
     case wire::EnvelopeType::kHeartbeat:
       return wire::EncodeHeartbeatEnvelope(wire::DecodeHeartbeatEnvelope(b));
     case wire::EnvelopeType::kGroupComplete:
@@ -697,20 +675,6 @@ TEST(EnvelopeCodecDeathTest, OversizedCountFieldDiesBeforeAllocating) {
   EXPECT_DEATH(wire::DecodeCommandsEnvelope(corrupt), "");
 }
 
-TEST(EnvelopeCodecDeathTest, GroupFlagBitsBeyondFinalizeDie) {
-  // A group envelope's flags byte (after u64 group_seq and u64 expected_total) carries only
-  // `finalize`: 0x03 sets a bit no decoder may accept.
-  const std::size_t flags_at = wire::kEnvelopeHeaderSize + 16;
-  ParameterBlob commands = wire::EncodeCommandsEnvelope(wire::CommandsEnvelope{});
-  ASSERT_EQ(commands[flags_at], 1u);
-  commands[flags_at] = 0x03;
-  EXPECT_DEATH(wire::DecodeCommandsEnvelope(commands), "unknown flag");
-  ParameterBlob batch = wire::EncodeSerializedBatchEnvelope(wire::SerializedBatchEnvelope{});
-  ASSERT_EQ(batch[flags_at], 1u);
-  batch[flags_at] = 0x03;
-  EXPECT_DEATH(wire::DecodeSerializedBatchEnvelope(batch), "unknown flag");
-}
-
 // Overwrites the first occurrence of the 8-byte little-endian `from` in `bytes` with `to`.
 void ReplaceU64(ParameterBlob* bytes, std::uint64_t from, std::uint64_t to) {
   for (std::size_t i = 0; i + 8 <= bytes->size(); ++i) {
@@ -740,9 +704,9 @@ TEST(EnvelopeCodecDeathTest, IdSetCountOverrunDiesBeforeAllocating) {
   c.read_set = {LogicalObjectId(5)};
   e.commands = {c};
   ParameterBlob bytes = wire::EncodeCommandsEnvelope(e);
-  // header, group fields (u64 seq, u64 total, u8 flags), u32 command count, then the
-  // record: u8 type, u64 id, u32 + u64[] before (empty), and the read set's u32 count.
-  const std::size_t read_count_at = wire::kEnvelopeHeaderSize + 17 + 4 + 1 + 8 + 4;
+  // header, group fields (u64 seq, u64 total), u32 command count, then the record: u8
+  // type, u64 id, u32 + u64[] before (empty), and the read set's u32 count.
+  const std::size_t read_count_at = wire::kEnvelopeHeaderSize + 16 + 4 + 1 + 8 + 4;
   std::uint32_t count;
   std::memcpy(&count, bytes.data() + read_count_at, sizeof(count));
   ASSERT_EQ(count, 1u);

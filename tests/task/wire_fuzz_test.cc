@@ -85,11 +85,6 @@ std::vector<CorpusEntry> BuildCorpus() {
 
   add("halt", wire::EnvelopeType::kHalt, wire::EncodeHaltEnvelope());
 
-  wire::LoadObjectsEnvelope load;
-  load.group_seq = 14;
-  load.objects = {LogicalObjectId(1), LogicalObjectId(2)};
-  add("load_objects", wire::EnvelopeType::kLoadObjects, wire::EncodeLoadObjectsEnvelope(load));
-
   wire::HeartbeatEnvelope beat;
   beat.worker = WorkerId(3);
   beat.seq = 77;
@@ -180,9 +175,6 @@ void DecodeAs(wire::EnvelopeType type, const ParameterBlob& bytes) {
       return;
     case wire::EnvelopeType::kHalt:
       wire::DecodeHaltEnvelope(bytes);
-      return;
-    case wire::EnvelopeType::kLoadObjects:
-      wire::DecodeLoadObjectsEnvelope(bytes);
       return;
     case wire::EnvelopeType::kHeartbeat:
       wire::DecodeHeartbeatEnvelope(bytes);

@@ -163,7 +163,6 @@ std::vector<ParameterBlob> PerTaskEnvelopes(const Rig& rig, std::uint64_t seq, i
     wire::CommandsEnvelope e;
     e.group_seq = seq;
     e.expected_total = half.size();
-    e.finalize = i + 1 == half.size();
     e.commands = {half[i]};
     out.push_back(wire::EncodeCommandsEnvelope(e));
   }

@@ -94,7 +94,7 @@ TEST(WorkerTest, ExecutesTasksInDependencyOrder) {
   std::vector<Command> cmds;
   cmds.push_back(TaskCmd(2, f2, {LogicalObjectId(1)}, {}, {1}));
   cmds.push_back(TaskCmd(1, f1, {}, {LogicalObjectId(1)}));
-  h.w(0).OnCommands(1, std::move(cmds), 2, true);
+  h.w(0).OnCommands(1, std::move(cmds), 2);
   h.simulation.Run();
 
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
@@ -114,13 +114,13 @@ TEST(WorkerTest, StreamingArrivalResolvesForwardEdges) {
   // The dependent command arrives in a separate (earlier) message than its dependency.
   std::vector<Command> first;
   first.push_back(TaskCmd(2, f2, {LogicalObjectId(1)}, {}, {1}));
-  h.w(0).OnCommands(1, std::move(first), 0, false);
+  h.w(0).OnCommands(1, std::move(first), 2);
   h.simulation.Run();
   EXPECT_TRUE(order.empty());
 
   std::vector<Command> second;
   second.push_back(TaskCmd(1, f1, {}, {LogicalObjectId(1)}));
-  h.w(0).OnCommands(1, std::move(second), 2, true);
+  h.w(0).OnCommands(1, std::move(second), 2);
   h.simulation.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
@@ -133,10 +133,10 @@ TEST(WorkerTest, BarrierGroupsRunInArrivalOrder) {
 
   std::vector<Command> g1;
   g1.push_back(TaskCmd(1, fa, {}, {}, {}, sim::Millis(50)));
-  h.w(0).OnCommands(1, std::move(g1), 1, true);
+  h.w(0).OnCommands(1, std::move(g1), 1);
   std::vector<Command> g2;
   g2.push_back(TaskCmd(2, fb, {}, {}, {}, sim::Millis(1)));
-  h.w(0).OnCommands(2, std::move(g2), 1, true);
+  h.w(0).OnCommands(2, std::move(g2), 1);
   h.simulation.Run();
 
   // Even though its task is shorter, group 2 waits for group 1.
@@ -167,7 +167,7 @@ TEST(WorkerTest, CopyPairMovesDataBetweenWorkers) {
   send.copy_bytes = 16;
   send.before = {CommandId(1)};
   g0.push_back(std::move(send));
-  h.w(0).OnCommands(1, std::move(g0), 2, true);
+  h.w(0).OnCommands(1, std::move(g0), 2);
 
   std::vector<Command> g1;
   Command recv;
@@ -178,7 +178,7 @@ TEST(WorkerTest, CopyPairMovesDataBetweenWorkers) {
   recv.copy_object = LogicalObjectId(5);
   g1.push_back(std::move(recv));
   g1.push_back(TaskCmd(4, fr, {LogicalObjectId(5)}, {}, {3}));
-  h.w(1).OnCommands(1, std::move(g1), 2, true);
+  h.w(1).OnCommands(1, std::move(g1), 2);
 
   h.simulation.Run();
   EXPECT_DOUBLE_EQ(read_back, 6.5);
@@ -206,7 +206,7 @@ TEST(WorkerTest, DataArrivingBeforeReceiveCommandIsBuffered) {
   recv.copy_object = LogicalObjectId(3);
   g.push_back(std::move(recv));
   g.push_back(TaskCmd(2, fr, {LogicalObjectId(3)}, {}, {1}));
-  h.w(1).OnCommands(1, std::move(g), 2, true);
+  h.w(1).OnCommands(1, std::move(g), 2);
   h.simulation.Run();
   EXPECT_DOUBLE_EQ(read_back, 42.0);
   EXPECT_EQ(h.w(1).buffered_copy_count(), 0u);
@@ -218,7 +218,7 @@ TEST(WorkerTest, HaltMidGroupDropsBufferedCopyData) {
   // Group 1 keeps the worker busy so group 2 cannot start.
   std::vector<Command> g1;
   g1.push_back(TaskCmd(1, slow, {}, {}, {}, sim::Millis(50)));
-  h.w(1).OnCommands(1, std::move(g1), 1, true);
+  h.w(1).OnCommands(1, std::move(g1), 1);
 
   // Group 2: a receive whose payload arrives while the group is still blocked.
   const CopyId copy = MakeCopyId(2, 0);
@@ -230,7 +230,7 @@ TEST(WorkerTest, HaltMidGroupDropsBufferedCopyData) {
   recv.peer = WorkerId(0);
   recv.copy_object = LogicalObjectId(3);
   g2.push_back(std::move(recv));
-  h.w(1).OnCommands(2, std::move(g2), 1, true);
+  h.w(1).OnCommands(2, std::move(g2), 1);
   h.w(1).OnDataMessage(copy, LogicalObjectId(3), 1, std::make_unique<ScalarPayload>(1.5));
   EXPECT_EQ(h.w(1).buffered_copy_count(), 1u);
 
@@ -259,7 +259,7 @@ TEST(WorkerTest, FailedWorkerMidGroupIgnoresInFlightData) {
   recv.peer = WorkerId(0);
   recv.copy_object = LogicalObjectId(3);
   g.push_back(std::move(recv));
-  h.w(1).OnCommands(1, std::move(g), 1, true);
+  h.w(1).OnCommands(1, std::move(g), 1);
 
   // The worker dies while the copy's payload is still in flight; the late delivery must
   // not buffer anything on the corpse.
@@ -276,7 +276,7 @@ TEST(WorkerTest, StaleDataForFinishedGroupIsDropped) {
   const FunctionId f = h.functions.Register("fn", [](TaskContext&) {});
   std::vector<Command> g;
   g.push_back(TaskCmd(1, f, {}, {}));
-  h.w(0).OnCommands(1, std::move(g), 1, true);
+  h.w(0).OnCommands(1, std::move(g), 1);
   h.simulation.Run();
   ASSERT_EQ(h.completions.size(), 1u);  // group 1 finished and was pruned
 
@@ -296,7 +296,7 @@ TEST(WorkerTest, ScalarsReportedWithCompletion) {
   cmd.returns_scalar = true;
   std::vector<Command> g;
   g.push_back(std::move(cmd));
-  h.w(0).OnCommands(1, std::move(g), 1, true);
+  h.w(0).OnCommands(1, std::move(g), 1);
   h.simulation.Run();
   ASSERT_EQ(h.scalars.size(), 1u);
   EXPECT_EQ(h.scalars[0].task, TaskId(1));
@@ -345,7 +345,7 @@ TEST(WorkerTest, FailedWorkerIgnoresAllInput) {
   h.w(0).Fail();
   std::vector<Command> g;
   g.push_back(TaskCmd(1, f, {}, {}));
-  h.w(0).OnCommands(1, std::move(g), 1, true);
+  h.w(0).OnCommands(1, std::move(g), 1);
   h.simulation.Run();
   EXPECT_EQ(runs, 0);
   EXPECT_TRUE(h.completions.empty());
@@ -358,7 +358,7 @@ TEST(WorkerTest, HaltFlushesQueues) {
   std::vector<Command> g;
   g.push_back(TaskCmd(1, f, {}, {}, {}, sim::Millis(10)));
   g.push_back(TaskCmd(2, f, {}, {}, {1}, sim::Millis(10)));
-  h.w(0).OnCommands(1, std::move(g), 2, true);
+  h.w(0).OnCommands(1, std::move(g), 2);
   h.w(0).OnHalt();
   h.simulation.Run();
   // Whatever was in flight on a core may or may not land, but the dependent task and the
@@ -380,13 +380,19 @@ TEST(WorkerTest, FileSaveAndLoadRoundTripThroughDurableStore) {
   save.copy_bytes = 8;
   std::vector<Command> g;
   g.push_back(std::move(save));
-  h.w(0).OnCommands(1, std::move(g), 1, true);
+  h.w(0).OnCommands(1, std::move(g), 1);
   h.simulation.Run();
   ASSERT_TRUE(h.durable.Has(LogicalObjectId(4)));
 
   // Clear the store and reload.
   h.w(0).store().Clear();
-  h.w(0).OnLoadObjects(2, {LogicalObjectId(4)});
+  Command load;
+  load.id = CommandId(2);
+  load.type = CommandType::kFileLoad;
+  load.data_object = LogicalObjectId(4);
+  std::vector<Command> reload;
+  reload.push_back(std::move(load));
+  h.w(0).OnCommands(2, std::move(reload), 1);
   h.simulation.Run();
   ASSERT_TRUE(h.w(0).store().Has(LogicalObjectId(4)));
   EXPECT_DOUBLE_EQ(
@@ -610,12 +616,10 @@ TEST(WorkerTest, HaltWithLiveGroupThenInstantiateMaterializesCleanly) {
 
 // Delivers `cmd` as its own kCommands envelope (a per-task frame), through the worker's
 // decode scratch.
-void SendFrame(Harness& h, int worker, std::uint64_t seq, Command cmd, std::size_t total,
-               bool finalize) {
+void SendFrame(Harness& h, int worker, std::uint64_t seq, Command cmd, std::size_t total) {
   wire::CommandsEnvelope e;
   e.group_seq = seq;
   e.expected_total = total;
-  e.finalize = finalize;
   e.commands.push_back(std::move(cmd));
   h.w(worker).OnEnvelope(net::NodeAddress::Controller(), MessageKind::kCommand,
                          wire::EncodeCommandsEnvelope(e));
@@ -635,11 +639,11 @@ TEST(WorkerTest, ForwardEdgeAcrossPerTaskFramesWaitsForItsProvider) {
 
   // Id 40 names id 41 (an edit-appended provider) and arrives first, in its own frame:
   // the edge parks at offset 1 of a table that has only seen offset 0.
-  SendFrame(h, 0, 1, TaskCmd(40, dependent, {LogicalObjectId(9)}, {}, {41}), 2, false);
+  SendFrame(h, 0, 1, TaskCmd(40, dependent, {LogicalObjectId(9)}, {}, {41}), 2);
   h.simulation.Run();
   EXPECT_TRUE(order.empty()) << "the dependent ran before its provider arrived";
 
-  SendFrame(h, 0, 1, TaskCmd(41, provider, {}, {LogicalObjectId(9)}), 2, true);
+  SendFrame(h, 0, 1, TaskCmd(41, provider, {}, {LogicalObjectId(9)}), 2);
   h.simulation.Run();
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
   ASSERT_EQ(h.completions.size(), 1u);
@@ -652,12 +656,12 @@ TEST(WorkerTest, EdgeToAlreadyCompletedCommandDoesNotWait) {
   const FunctionId f = h.functions.Register("fn", [&](TaskContext&) { ++runs; });
 
   // Id 7 runs and completes before id 8, which names it, arrives.
-  SendFrame(h, 0, 1, TaskCmd(7, f, {}, {}), 2, false);
+  SendFrame(h, 0, 1, TaskCmd(7, f, {}, {}), 2);
   h.simulation.Run();
   ASSERT_EQ(runs, 1);
   EXPECT_TRUE(h.completions.empty());
 
-  SendFrame(h, 0, 1, TaskCmd(8, f, {}, {}, {7}), 2, true);
+  SendFrame(h, 0, 1, TaskCmd(8, f, {}, {}, {7}), 2);
   h.simulation.Run();
   EXPECT_EQ(runs, 2) << "the edge to a done command must not park";
   ASSERT_EQ(h.completions.size(), 1u);
@@ -677,23 +681,23 @@ TEST(WorkerTest, RecycledStreamingTablesAreCleanAfterHalt) {
   };
 
   // Group 1 fills its tables, completes and is pruned into the pools.
-  SendFrame(h, 0, 1, task(100, {}), 2, false);
-  SendFrame(h, 0, 1, task(101, {100}), 2, true);
+  SendFrame(h, 0, 1, task(100, {}), 2);
+  SendFrame(h, 0, 1, task(101, {100}), 2);
   h.simulation.Run();
   ASSERT_EQ(ran, (std::vector<std::uint64_t>{100, 101}));
 
   // Group 2 takes the recycled record and parks an edge; the halt recycles it mid-flight.
-  SendFrame(h, 0, 2, task(200, {203}), 0, false);
+  SendFrame(h, 0, 2, task(200, {203}), 4);
   h.w(0).OnHalt();
   EXPECT_TRUE(h.w(0).idle());
   h.simulation.Run();
 
   // Group 3 reuses the halted group's record and slots: nothing of group 2 (its parked
   // edge, its base, its done flags) may leak. Offsets 0 and 3 repeat group 2's pattern.
-  SendFrame(h, 0, 3, task(50, {}), 4, false);
-  SendFrame(h, 0, 3, task(51, {50}), 4, false);
-  SendFrame(h, 0, 3, task(52, {51}), 4, false);
-  SendFrame(h, 0, 3, task(53, {}), 4, true);
+  SendFrame(h, 0, 3, task(50, {}), 4);
+  SendFrame(h, 0, 3, task(51, {50}), 4);
+  SendFrame(h, 0, 3, task(52, {51}), 4);
+  SendFrame(h, 0, 3, task(53, {}), 4);
   h.simulation.Run();
   EXPECT_EQ(ran, (std::vector<std::uint64_t>{100, 101, 50, 53, 51, 52}));
   ASSERT_EQ(h.completions.size(), 2u);
@@ -712,11 +716,11 @@ TEST(WorkerTest, LowerIdArrivingLaterRebasesTheIdTable) {
   // it.
   std::vector<Command> first;
   first.push_back(TaskCmd(12, fc, {}, {}, {11}));
-  h.w(0).OnCommands(1, first, 0, false);
+  h.w(0).OnCommands(1, first, 3);
   std::vector<Command> second;
   second.push_back(TaskCmd(10, fa, {}, {}));
   second.push_back(TaskCmd(11, fb, {}, {}, {10}));
-  h.w(0).OnCommands(1, second, 3, true);
+  h.w(0).OnCommands(1, second, 3);
   h.simulation.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   ASSERT_EQ(h.completions.size(), 1u);
@@ -728,7 +732,7 @@ TEST(WorkerDeathTest, BeforeIdPastTheCommandIndexBudgetDiesBeforeAnyResize) {
     Harness h(1);
     std::vector<Command> g;
     g.push_back(TaskCmd(id, f, {}, {}, {before}));
-    h.w(0).OnCommands(1, g, 1, true);
+    h.w(0).OnCommands(1, g, 1);
   };
   // One past the 2^24 budget above the base, and one far past it: a table sized first
   // would allocate 2^40 slots and die of that instead.
@@ -736,6 +740,20 @@ TEST(WorkerDeathTest, BeforeIdPastTheCommandIndexBudgetDiesBeforeAnyResize) {
   EXPECT_DEATH(deliver(5, 5 + (std::uint64_t{1} << 40)), "2\\^24 command-index budget");
   // Below the base: the rebase is bounded the same way.
   EXPECT_DEATH(deliver(std::uint64_t{1} << 30, 1), "2\\^24 command-index budget");
+}
+
+// Every frame of a group names the group's total: the first frame sets it, and a frame
+// naming no total or another total is a malformed group.
+TEST(WorkerDeathTest, GroupFrameWithNoTotalOrAnotherTotalDies) {
+  const FunctionId f(0);
+  auto deliver = [&](std::size_t first_total, std::size_t second_total) {
+    Harness h(1);
+    SendFrame(h, 0, 1, TaskCmd(10, f, {}, {}, {11}), first_total);
+    SendFrame(h, 0, 1, TaskCmd(11, f, {}, {}), second_total);
+  };
+  EXPECT_DEATH(deliver(0, 2), "names no total");
+  EXPECT_DEATH(deliver(2, 0), "names no total");
+  EXPECT_DEATH(deliver(2, 3), "disagrees with its first frame");
 }
 
 }  // namespace
