@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Runs the Table 1-4 microbenchmarks (and the Fig 8, wire and recovery series) and writes
-# BENCH_table{1,2,3,4}.json + BENCH_fig8.json + BENCH_wire.json + BENCH_recovery.json at
+# Runs the Table 1-4 microbenchmarks (and the Fig 8-10, wire and recovery series) and writes
+# BENCH_table{1,2,3,4}.json + BENCH_fig{8,9,10}.json + BENCH_wire.json + BENCH_recovery.json at
 # the repo root, plus BENCH_src.json with the src/ line count (the code-size side of each
 # sample), so every PR leaves a comparable perf sample behind (the paper's Tables 1-3 are
 # the control-plane cost claims this reproduction tracks; Table 4 is this repo's
 # shard-scaling series for the runtime engine, DESIGN.md §7; Fig 8 carries the central
-# per-task and serialized series, §8; the wire series is real-socket dispatch throughput
-# over the TCP transport, §13).
+# per-task and serialized series, §8; Figs 9 and 10 are the paper's adaptation and
+# migration timelines; the wire series is real-socket dispatch throughput over the TCP
+# transport, §13).
 #
 # Usage:
 #   bench/run_benchmarks.sh [extra google-benchmark flags...]
@@ -126,8 +127,8 @@ fi
 cmake -B "$BUILD" -S "$ROOT" -DNIMBUS_BUILD_BENCHMARKS=ON >/dev/null
 cmake --build "$BUILD" -j"$(nproc)" \
   --target bench_table1_install bench_table2_instantiate bench_table3_edits \
-  bench_table4_sharding bench_fig8_task_throughput bench_wire_throughput \
-  bench_recovery_latency >/dev/null
+  bench_table4_sharding bench_fig8_task_throughput bench_fig9_dynamic_adaptation \
+  bench_fig10_migration bench_wire_throughput bench_recovery_latency >/dev/null
 
 for bench in table1_install table2_instantiate table3_edits table4_sharding; do
   out="$ROOT/BENCH_${bench%%_*}.json"
@@ -144,6 +145,16 @@ done
 echo "== fig8_task_throughput -> $ROOT/BENCH_fig8.json"
 "$BUILD/bench/bench_fig8_task_throughput" --json "$ROOT/BENCH_fig8.json.tmp"
 mv "$ROOT/BENCH_fig8.json.tmp" "$ROOT/BENCH_fig8.json"
+
+# Figs 9 and 10 write their own JSON too (virtual clock) and exit nonzero if the paper's
+# shape fails: the 2x-after-eviction and back-to-band-after-restore claims (Fig 9), and
+# edits finishing >1.5x sooner than a full reinstall (Fig 10).
+for fig in fig9_dynamic_adaptation fig10_migration; do
+  out="$ROOT/BENCH_${fig%%_*}.json"
+  echo "== $fig -> $out"
+  "$BUILD/bench/bench_${fig}" --json "$out.tmp"
+  mv "$out.tmp" "$out"
+done
 
 # The wire bench runs the control plane over real loopback sockets and exits nonzero if
 # the dispatch-strategy ordering (serialized >= per-task) fails.
