@@ -4,7 +4,7 @@
 # the repo root, plus BENCH_src.json with the src/ line count (the code-size side of each
 # sample), so every PR leaves a comparable perf sample behind (the paper's Tables 1-3 are
 # the control-plane cost claims this reproduction tracks; Table 4 is this repo's
-# shard-scaling series for the runtime engine, DESIGN.md §7; Fig 8 carries the central
+# pipelined-controller-loop series, DESIGN.md §9; Fig 8 carries the central
 # per-task and serialized series, §8; Figs 9 and 10 are the paper's adaptation and
 # migration timelines; the wire series is real-socket dispatch throughput over the TCP
 # transport, §13).
@@ -127,10 +127,10 @@ fi
 cmake -B "$BUILD" -S "$ROOT" -DNIMBUS_BUILD_BENCHMARKS=ON >/dev/null
 cmake --build "$BUILD" -j"$(nproc)" \
   --target bench_table1_install bench_table2_instantiate bench_table3_edits \
-  bench_table4_sharding bench_fig8_task_throughput bench_fig9_dynamic_adaptation \
+  bench_table4_pipelined_loop bench_fig8_task_throughput bench_fig9_dynamic_adaptation \
   bench_fig10_migration bench_wire_throughput bench_recovery_latency >/dev/null
 
-for bench in table1_install table2_instantiate table3_edits table4_sharding; do
+for bench in table1_install table2_instantiate table3_edits table4_pipelined_loop; do
   out="$ROOT/BENCH_${bench%%_*}.json"
   echo "== $bench -> $out"
   if [ "$bench" = table2_instantiate ]; then

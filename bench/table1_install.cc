@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "bench/bench_util.h"
-#include "src/runtime/executor.h"
 #include "src/runtime/instantiation_pipeline.h"
 
 namespace nimbus::bench {
@@ -67,20 +66,19 @@ BENCHMARK(BM_InstallWorkerTemplateWorker)->Unit(benchmark::kMillisecond);
 // central path amortizes the projection across the stage; we measure the full ad-hoc
 // dependency analysis + validation + patch resolution + effect application per task, which
 // is the recurring data-structure work of scheduling one task centrally. The stages run on
-// the instantiation engine in the controller's configuration (InlineExecutor, 1 shard).
+// the instantiation pipeline, as in the controller.
 void BM_CentralSchedulePerTask(benchmark::State& state) {
   auto block = BuildMicroBlock(kPartitions, kWorkers);
   const core::ControllerTemplate* tmpl = block->manager.Find(block->template_id);
   VersionMap versions;
   SeedVersions(*block, &versions);
-  runtime::InlineExecutor executor;
-  runtime::InstantiationPipeline pipeline(&executor, 1);
   for (auto _ : state) {
     core::WorkerTemplateSet set = core::ProjectBlock(*tmpl, block->assignment,
                                                      WorkerTemplateId(0), ConstantBytes(80));
-    // Every iteration's projection reuses id 0: drop the previous one's cached shard plan
-    // so each schedule pays its own plan build, as an uncached projection would.
-    pipeline.Configure(&executor, 1);
+    // Every iteration's projection reuses id 0: a fresh pipeline drops the previous one's
+    // cached set plan, so each schedule pays its own plan build, as an uncached projection
+    // would.
+    runtime::InstantiationPipeline pipeline;
     auto needed = pipeline.Validate(set, versions);
     core::Patch patch = block->manager.ResolvePatch(set, core::PatchCache::kEntryFromOutside,
                                                     versions, std::move(needed));

@@ -12,8 +12,8 @@
 // full validation) to 0.052/0.052/0.098 ms — ~4x / ~4x / ~5x. Subsequent PRs compare
 // against BENCH_table2.json at the repo root (regenerate via bench/run_benchmarks.sh).
 //
-// Every row drives the instantiation engine's stages (runtime::InstantiationPipeline) in
-// the controller's own configuration: InlineExecutor, 1 shard (DESIGN.md §7).
+// Every row drives the instantiation pipeline's stages (runtime::InstantiationPipeline), as
+// the controller does (DESIGN.md §7).
 
 #include <benchmark/benchmark.h>
 
@@ -23,7 +23,6 @@
 #include "bench/bench_util.h"
 #include "src/common/metrics.h"
 #include "src/common/stats.h"
-#include "src/runtime/executor.h"
 #include "src/runtime/instantiation_pipeline.h"
 
 namespace nimbus::bench {
@@ -51,8 +50,7 @@ void BM_InstantiateControllerTemplate(benchmark::State& state) {
       core::ProjectBlock(*tmpl, block->assignment, WorkerTemplateId(0), ConstantBytes(80));
   VersionMap versions;
   SeedVersions(*block, &versions);
-  runtime::InlineExecutor executor;
-  runtime::InstantiationPipeline pipeline(&executor, 1);
+  runtime::InstantiationPipeline pipeline;
   core::Patch patch;
   for (auto _ : state) {
     pipeline.ApplyEffects(set, patch, &versions);
@@ -70,8 +68,7 @@ void BM_InstantiateWorkerTemplateAutoValidation(benchmark::State& state) {
       core::ProjectBlock(*tmpl, block->assignment, WorkerTemplateId(0), ConstantBytes(80));
   VersionMap versions;
   SeedVersions(*block, &versions);
-  runtime::InlineExecutor executor;
-  runtime::InstantiationPipeline pipeline(&executor, 1);
+  runtime::InstantiationPipeline pipeline;
   core::Patch patch;
   for (auto _ : state) {
     // Steady state: prev == self && self-validating => only bookkeeping + param fill.
@@ -85,7 +82,7 @@ BENCHMARK(BM_InstantiateWorkerTemplateAutoValidation)->Unit(benchmark::kMillisec
 
 // Full validation: check every precondition against the version map (paper row: 7.3µs/task,
 // the dynamic-control-flow path). The perf-gate canary (bench/run_benchmarks.sh --check);
-// exports the engine's executor and per-shard counters.
+// exports the pipeline's counters.
 void BM_InstantiateWorkerTemplateFullValidation(benchmark::State& state) {
   auto block = BuildMicroBlock(kPartitions, kWorkers);
   const core::ControllerTemplate* tmpl = block->manager.Find(block->template_id);
@@ -93,8 +90,7 @@ void BM_InstantiateWorkerTemplateFullValidation(benchmark::State& state) {
       core::ProjectBlock(*tmpl, block->assignment, WorkerTemplateId(0), ConstantBytes(80));
   VersionMap versions;
   SeedVersions(*block, &versions);
-  runtime::InlineExecutor executor;
-  runtime::InstantiationPipeline pipeline(&executor, 1);
+  runtime::InstantiationPipeline pipeline;
   core::Patch patch;
   for (auto _ : state) {
     auto needed = pipeline.Validate(set, versions);
@@ -102,7 +98,6 @@ void BM_InstantiateWorkerTemplateFullValidation(benchmark::State& state) {
     pipeline.ApplyEffects(set, patch, &versions);
   }
   metrics::Registry registry;
-  registry.Register(&executor.counters());
   registry.Register(&pipeline.shard_counters());
   ExportRegistry(registry, state);
   ReportPerTaskTime(state, 8000.0);
@@ -120,8 +115,7 @@ void BM_ResolvePatchCacheHit(benchmark::State& state) {
   SeedVersions(*block, &versions);
   // Invalidate the broadcast object everywhere but its writer: a realistic entry patch.
   versions.RecordWrite(block->coeff, block->assignment.WorkerFor(0));
-  runtime::InlineExecutor executor;
-  runtime::InstantiationPipeline pipeline(&executor, 1);
+  runtime::InstantiationPipeline pipeline;
   bool hit = false;
   core::Patch first = block->manager.ResolvePatch(set, 12345, versions,
                                                   pipeline.Validate(set, versions), &hit);
@@ -219,8 +213,7 @@ void BM_SerializedBatchAssembly(benchmark::State& state) {
   const core::ControllerTemplate* tmpl = block->manager.Find(block->template_id);
   core::WorkerTemplateSet set =
       core::ProjectBlock(*tmpl, block->assignment, WorkerTemplateId(0), ConstantBytes(80));
-  runtime::InlineExecutor executor;
-  runtime::InstantiationPipeline pipeline(&executor, 1);
+  runtime::InstantiationPipeline pipeline;
   const std::vector<CommandId> bases = HalfBases(set, 1000);
   pipeline.AssembleSerializedBatches(set, {}, 1, TaskId(0), bases);  // warm: cold encode
   for (auto _ : state) {

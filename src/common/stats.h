@@ -26,15 +26,6 @@ struct ClearableCounters {
   void Clear() { *static_cast<T*>(this) = T{}; }
 };
 
-template <typename C>
-std::uint64_t SumCounters(const C& c) {
-  std::uint64_t n = 0;
-  for (const auto v : c) {
-    n += static_cast<std::uint64_t>(v);
-  }
-  return n;
-}
-
 }  // namespace detail
 
 // Hit/miss/eviction counters for the control plane's caches (patch cache, projection
@@ -58,74 +49,24 @@ struct CacheCounters : detail::ClearableCounters<CacheCounters> {
   }
 };
 
-// Work accounting for a runtime::Executor. `busy_ns` is per-job CPU time summed over all
-// jobs; `critical_path_ns` accumulates, per batch, the greedy-schedule lower bound
-// max(longest job, busy / concurrency) — on a single-core container wall clock cannot show
-// shard scaling, so benchmarks report modeled throughput from this critical path (and say
-// so). The InlineExecutor times a whole batch with one clock read pair instead of each
-// job: on its one lane the batch's CPU is the jobs' sum, so `busy_ns` keeps its meaning and
-// each batch adds `critical_path_ns == busy_ns`. `steals` counts jobs claimed by a thread
-// other than the job's home thread (index-striped), the shared-queue analogue of work
-// stealing (always 0 inline).
-struct ExecutorCounters : detail::ClearableCounters<ExecutorCounters> {
-  std::uint64_t jobs_run = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t busy_ns = 0;
-  std::uint64_t critical_path_ns = 0;
-  // Caller-side wall time spent inside Run() barriers. On an undersubscribed machine this
-  // includes scheduler churn; benchmarks model ideal-parallel runs as
-  // (loop wall - wall_ns + critical_path_ns).
-  std::uint64_t wall_ns = 0;
-
-  // busy / (concurrency * critical_path): 1.0 = perfectly balanced batches.
-  double ParallelEfficiency(std::size_t concurrency) const {
-    const double denom =
-        static_cast<double>(critical_path_ns) * static_cast<double>(concurrency);
-    return denom == 0.0 ? 0.0 : static_cast<double>(busy_ns) / denom;
-  }
-
-  static constexpr const char* kGroupName = "executor";
-  template <typename V>
-  void VisitFields(V&& visit) const {
-    visit("jobs_run", jobs_run);
-    visit("batches", batches);
-    visit("steals", steals);
-    visit("busy_ns", busy_ns);
-    visit("critical_path_ns", critical_path_ns);
-    visit("wall_ns", wall_ns);
-  }
-};
-
-// Per-shard accounting for the sharded instantiation pipeline. Vectors are indexed by shard
-// and sized on first use; `validation_failures[s]` counts preconditions that failed in shard
-// s's dense-index range (a skew diagnostic: one hot shard means the striping is off).
+// Accounting for the instantiation pipeline (DESIGN.md §7). The group keeps the name it had
+// when the pipeline was sharded, so exported metric names stay stable.
 struct ShardCounters : detail::ClearableCounters<ShardCounters> {
   std::uint64_t validate_batches = 0;
   std::uint64_t apply_batches = 0;
   std::uint64_t assemble_jobs = 0;
-  // Shard-plan cache (one materialized plan per worker-template set, revalidated by
-  // map uid + set edit generation + shard count). `plan_builds` counts cold builds AND
-  // invalidation rebuilds; steady state is all reuses.
+  // Set-plan cache (one plan record per worker-template set, revalidated by map uid + set
+  // edit generation). `plan_builds` counts cold builds AND invalidation rebuilds; steady
+  // state is all reuses.
   std::uint64_t plan_builds = 0;
   std::uint64_t plan_reuses = 0;
   // Commands built by the serialized central path's cold encodes (DESIGN.md §10): the
   // explicit command lists a cached half encoding is produced from. Steady state adds none.
   std::uint64_t commands_assembled = 0;
-  std::vector<std::uint64_t> preconditions_checked;   // by shard
-  std::vector<std::uint64_t> validation_failures;     // by shard
-  std::vector<std::uint64_t> deltas_applied;          // by shard
+  std::uint64_t preconditions_checked = 0;
+  std::uint64_t validation_failures = 0;
+  std::uint64_t deltas_applied = 0;
 
-  void EnsureShards(std::size_t shards) {
-    if (preconditions_checked.size() < shards) {
-      preconditions_checked.resize(shards, 0);
-      validation_failures.resize(shards, 0);
-      deltas_applied.resize(shards, 0);
-    }
-  }
-
-  // The per-shard vectors export as totals so the field list stays fixed regardless of
-  // shard count; skew diagnostics read the vectors directly.
   static constexpr const char* kGroupName = "shards";
   template <typename V>
   void VisitFields(V&& visit) const {
@@ -135,9 +76,9 @@ struct ShardCounters : detail::ClearableCounters<ShardCounters> {
     visit("plan_builds", plan_builds);
     visit("plan_reuses", plan_reuses);
     visit("commands_assembled", commands_assembled);
-    visit("preconditions_checked", detail::SumCounters(preconditions_checked));
-    visit("validation_failures", detail::SumCounters(validation_failures));
-    visit("deltas_applied", detail::SumCounters(deltas_applied));
+    visit("preconditions_checked", preconditions_checked);
+    visit("validation_failures", validation_failures);
+    visit("deltas_applied", deltas_applied);
   }
 };
 

@@ -1,17 +1,15 @@
 // Clang thread-safety-analysis annotations (DESIGN.md §11).
 //
-// The runtime engine's concurrency contract — single-writer shard ownership, serial
-// control-plane phases, the thread-pool queue mutex — is modeled as *capabilities* so the
-// clang CI leg can machine-check it with `-Wthread-safety -Werror=thread-safety`:
+// The concurrency contract — serial control-plane and worker phases, the mutexes that
+// guard cross-thread state — is modeled as *capabilities* so the clang CI leg can
+// machine-check it with `-Wthread-safety -Werror=thread-safety`:
 //
 //  * a real mutex (`Mutex`) is a capability acquired by locking;
-//  * a `ShardedVersionMap::Shard` is a capability acquired by opening an ownership window
-//    (`ShardWriteScope`/`ShardReadScope` in sharded_version_map.h);
 //  * a `RoleCapability` is a phantom capability with no runtime state: it names a phase
-//    ("the serial between-batch phase", "the simulated control thread") and is *asserted*
-//    at the entry points that are, by construction, only reached in that phase. Members
-//    `GUARDED_BY` a role can then only be touched from code that asserted or `REQUIRES`
-//    the role — an executor-job lambda that reaches for serial-phase state fails to
+//    ("the controller's serial control plane", "a worker's control phase") and is
+//    *asserted* at the entry points that are, by construction, only reached in that phase.
+//    Members `GUARDED_BY` a role can then only be touched from code that asserted or
+//    `REQUIRES` the role — code outside the phase that reaches for its state fails to
 //    compile instead of racing.
 //
 // Everything expands to nothing on compilers without the attributes (GCC), so the
@@ -90,7 +88,7 @@ class NIMBUS_SCOPED_CAPABILITY MutexLock {
 };
 
 // A phase/role token with no runtime state. Declared next to the state it guards; code
-// that runs in the phase (simulation callbacks, serial pipeline prologues) asserts it at
+// that runs in the phase (simulation callbacks, node handlers) asserts it at
 // entry, and internal helpers document the contract with NIMBUS_REQUIRES(role). Assert()
 // compiles to nothing — the enforcement is entirely in the clang analysis, which refuses
 // guarded accesses from code that neither asserted nor requires the role.

@@ -23,8 +23,7 @@ const char* LaneName(Lane lane) {
 }
 
 // One recording thread's ring. Written lock-free by its owning thread; read/reset under
-// the tracer mutex only between runs (Enable/Clear/Snapshot are serial-phase operations,
-// like executor counter reads).
+// the tracer mutex only between runs (Enable/Clear/Snapshot are serial-phase operations).
 struct Tracer::ThreadBuffer {
   std::vector<Event> ring;
   std::size_t next = 0;        // write cursor

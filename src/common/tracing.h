@@ -1,5 +1,5 @@
 // Span tracer (DESIGN.md §12): a timeline of the control plane's work across the
-// controller loop, pipeline shard jobs, worker materialization and network sends.
+// controller loop, instantiation-pipeline stages, worker materialization and network sends.
 //
 // Model
 //   * Spans are RAII scopes recorded as one complete event at scope exit, stamped with the
@@ -10,11 +10,11 @@
 //     counter events carry a value series.
 //   * Every event lands in the recording thread's ring buffer (fixed capacity, oldest
 //     overwritten) and carries a global sequence number, so export merges buffers into one
-//     deterministic order. Under the InlineExecutor the stream is bit-identical across
-//     runs (names, order, tracks, virtual timestamps) — traces double as regression
-//     oracles, like worker command logs.
+//     deterministic order. Under the simulator the stream is bit-identical across runs
+//     (names, order, tracks, virtual timestamps) — traces double as regression oracles,
+//     like worker command logs.
 //   * Lanes map to Chrome trace-event processes, tracks to threads: controller phases
-//     (one track), pipeline shard jobs (shard id = track), worker materialization
+//     (one track), pipeline stages (one track, 0), worker materialization
 //     (worker id = track), network sends (MessageKind = track). Export is Chrome
 //     trace-event JSON, loadable in Perfetto / chrome://tracing.
 //
@@ -40,7 +40,7 @@ namespace nimbus::trace {
 // Where an event belongs on the timeline; exported as one Chrome trace "process" each.
 enum class Lane : std::uint8_t {
   kController = 0,  // controller phases (validate / apply / assemble / lookahead)
-  kPipeline,        // instantiation-engine executor jobs; track = shard id
+  kPipeline,        // instantiation-pipeline stages; track 0
   kWorker,          // worker decode / materialize / group-start; track = worker id
   kNetwork,         // sends; track = MessageKind
 };
@@ -75,7 +75,7 @@ class Tracer {
 
   // Starts recording. Ring capacity applies to buffers created or reset after the call.
   // Enable/Disable/Clear must not race with recording threads (call them between
-  // executor batches / simulation runs).
+  // simulation runs).
   void Enable(const Options& options);
   void Enable() { Enable(Options()); }
   void Disable();

@@ -468,7 +468,7 @@ void NimbusController::DispatchSetCentrally(
         }
         ++tasks_dispatched_;
       }
-      // One shared builder with the engine's serialized cold encode
+      // One shared builder with the pipeline's serialized cold encode
       // (core::CommandFromEntry): the bit-identical-streams contract between the two wire
       // forms is structural.
       Command cmd = core::CommandFromEntry(e, i, base, task_base, seq, override_params);
@@ -674,7 +674,7 @@ void NimbusController::RunSetCentrallyWithPatches(
   InvalidateLookahead();
   EnsureObjectsExist(set);
 
-  // Sharded precondition sweep over the set's cached shard plan; failures become explicit
+  // Precondition sweep over the set's compiled preconditions; failures become explicit
   // patch copies (no templates on the workers => nothing to validate against there).
   std::vector<core::PatchDirective> needed;
   if (phase_probe_) {
@@ -699,7 +699,7 @@ void NimbusController::RunSetCentrallyWithPatches(
     DispatchSetCentrally(set, params, block);
   }
 
-  // Patch effects were applied above; only the write deltas remain (sharded apply).
+  // Patch effects were applied above; only the write deltas remain.
   if (phase_probe_) {
     phase_probe_("apply");
   }
@@ -739,8 +739,8 @@ void NimbusController::InstantiateSet(
   const bool auto_validates = !switches_.force_full_validation && !has_edits &&
                               follows_self && mode_ != ControlMode::kCentralOnly;
   if (!auto_validates) {
-    // Overlapped-result consumption (DESIGN.md §9.2): this set's sweep already ran on a
-    // spare engine lane during the previous block's message assembly. Reuse is legal iff
+    // Lookahead consumption (DESIGN.md §9.2): this set's sweep already ran right after the
+    // previous block's message assembly. Reuse is legal iff
     // the stamps prove nothing it read has moved since — same set, same map id space,
     // same edit generation, no intervening version-map mutation (every such site calls
     // InvalidateLookahead) — which makes the cached directives bit-identical to what the
@@ -754,10 +754,11 @@ void NimbusController::InstantiateSet(
         lookahead_.set_generation == set->generation();
     std::vector<core::PatchDirective> required;
     if (lookahead_hit) {
-      // Audit builds re-prove the reuse dynamically: the result must be consumed at the
-      // generation it was filled at, so a version-map mutation site that forgot
-      // InvalidateLookahead aborts here instead of silently reusing a stale sweep.
-      runtime::audit::CheckStamp("controller lookahead", lookahead_.audit_stamp);
+      // Re-proved on every hit: no pipeline stage may have written the map since the fill,
+      // so a mutation site that forgot InvalidateLookahead aborts here instead of silently
+      // reusing a stale sweep.
+      NIMBUS_CHECK_EQ(lookahead_.map_writes, pipeline_.map_writes())
+          << "lookahead consumed after a version-map write without InvalidateLookahead";
       ++lookahead_hits_;
       required = std::move(lookahead_.required);
       NIMBUS_TRACE_INSTANT(trace::Lane::kController, kControlTrack, "lookahead_consume",
@@ -783,8 +784,8 @@ void NimbusController::InstantiateSet(
         switches_.disable_patch_cache
             ? core::PatchCache::kEntryFromOutside - 1 - next_group_seq_
             : prev_executed_;
-    // The engine runs the sharded precondition sweep; the template manager only resolves
-    // the result against the patch cache.
+    // The pipeline runs the precondition sweep; the template manager only resolves the
+    // result against the patch cache.
     patch = templates_.ResolvePatch(*set, cache_key, versions_, std::move(required),
                                     &cache_hit);
     NIMBUS_TRACE_INSTANT(trace::Lane::kController, kControlTrack,
@@ -815,10 +816,10 @@ void NimbusController::InstantiateSet(
   }
 
   // One instantiation message per worker (steady state: n+1 messages total, §2.2). The
-  // engine's assembly stage routes params and edit ops to the worker owning each entry
+  // pipeline's assembly stage routes params and edit ops to the worker owning each entry
   // (smaller wire than broadcasting the full parameter list to every worker). When a
-  // lookahead target is known, its precondition sweep rides the same executor batch
-  // (DESIGN.md §9.2) and the merged result is stamped for the next instantiation.
+  // lookahead target is known, its precondition sweep runs next, inside the same phase
+  // (DESIGN.md §9.2), and the result is stamped for the next instantiation.
   const std::uint64_t seq = NewGroupSeq();
   const TaskId task_base = task_ids_.NextRange(n_tasks);
   std::vector<core::PatchDirective> next_required;
@@ -828,14 +829,16 @@ void NimbusController::InstantiateSet(
   }
   {
     NIMBUS_TRACE_SPAN(trace::Lane::kController, kControlTrack, "assemble_messages");
-    assembled = pipeline_.AssembleMessages(
-        *set, params, has_edits ? &edits : nullptr, next_set,
-        next_set != nullptr ? &versions_ : nullptr,
-        next_set != nullptr ? &next_required : nullptr);
+    assembled = pipeline_.AssembleMessages(*set, params, has_edits ? &edits : nullptr);
+    if (next_set != nullptr) {
+      // Assembly read no version-map state, and this block's effects are applied: the
+      // sweep reads exactly the state the next instantiation would.
+      next_required = pipeline_.Validate(*next_set, versions_);
+    }
   }
   if (next_set != nullptr) {
     NIMBUS_TRACE_SPAN(trace::Lane::kController, kControlTrack, "lookahead_fill");
-    // Serial charge is job setup only; the sweep itself overlapped with assembly.
+    // Modeled as overlapped with assembly (DESIGN.md §9.2): the serial charge is setup only.
     control_thread_.Charge(costs_->lookahead_schedule_per_task *
                            static_cast<sim::Duration>(next_set->entry_meta().size()));
     lookahead_.valid = true;
@@ -843,9 +846,7 @@ void NimbusController::InstantiateSet(
     lookahead_.map_uid = versions_.uid();
     lookahead_.map_churn_epoch = versions_.churn_epoch();
     lookahead_.set_generation = next_set->generation();
-    // Fill stamp: this block's ApplyEffects already bumped, so the captured value is the
-    // generation the overlapped sweep actually read.
-    lookahead_.audit_stamp = runtime::audit::CurrentStamp();
+    lookahead_.map_writes = pipeline_.map_writes();
     lookahead_.required = std::move(next_required);
     ++lookaheads_scheduled_;
   }

@@ -35,9 +35,7 @@
 #include "src/data/version_map.h"
 #include "src/net/timer_queue.h"
 #include "src/net/transport.h"
-#include "src/runtime/executor.h"
 #include "src/runtime/instantiation_pipeline.h"
-#include "src/runtime/shard_audit.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/simulation.h"
 #include "src/task/command.h"
@@ -60,9 +58,9 @@ using BlockDone = std::function<void(std::vector<ScalarResult>)>;
 struct ControllerSwitches {
   // Central dispatch wire form (DESIGN.md §8). Every central stage runs through a cached
   // stage plan (a worker-template set keyed by stage identity + schedule), validated and
-  // applied through the instantiation engine. This switch picks how its commands reach the
+  // applied through the instantiation pipeline. This switch picks how its commands reach the
   // workers: off (the paper's Fig 1/8 baseline) sends every command as its own message; on
-  // ships each worker ONE pre-encoded wire buffer from the engine's serialized-template
+  // ships each worker ONE pre-encoded wire buffer from the pipeline's serialized-template
   // cache (memcpy + header patch + in-place parameter patch, DESIGN.md §10). Workers decode
   // the bytes back into the identical command stream, so output (worker command streams,
   // version-map state, scalars) matches bit-for-bit; only cost accounting, message count
@@ -131,16 +129,16 @@ class NimbusController {
   //
   // `next_name` is the driver's lookahead hint (DESIGN.md §9): the block it will
   // instantiate after this one. When that block's worker-template set is already past
-  // bring-up, its precondition sweep rides this block's message-assembly batch on a spare
-  // engine lane, and the next InstantiateTemplate consumes the overlapped result instead
-  // of sweeping serially. Purely advisory: a wrong (or stale) hint falls back to the
-  // serial sweep via the stamp check, never changing results.
+  // bring-up, its precondition sweep runs right after this block's message assembly, and
+  // the next InstantiateTemplate consumes that result instead of sweeping again. Purely
+  // advisory: a wrong (or stale) hint falls back to the serial sweep via the stamp check,
+  // never changing results.
   void InstantiateTemplate(const std::string& name,
                            std::vector<std::pair<std::int32_t, ParameterBlob>> params,
                            BlockDone done, const std::string& next_name = std::string());
 
   // --- Controller-loop lookahead (DESIGN.md §9) ---
-  // Overlapped sweeps scheduled into assembly batches / consumed at the next instantiation.
+  // Lookahead sweeps run after assembly / consumed at the next instantiation.
   // A driver that sends no hint gets no overlap; results are bit-identical either way (the
   // equality tests pin it) — only cost accounting changes.
   std::uint64_t lookaheads_scheduled() const { return lookaheads_scheduled_; }
@@ -207,10 +205,8 @@ class NimbusController {
   // ---- Introspection ----
   const VersionMap& versions() const { return versions_; }
   core::TemplateManager& templates() { return templates_; }
-  // The sharded instantiation engine this controller drives instantiations through
-  // (DESIGN.md §7). Ships on InlineExecutor with 1 shard: the simulator must stay
-  // bit-reproducible, and engine results are executor- and shard-count-invariant, so any
-  // reconfiguration (tests poke it) cannot change observable behavior.
+  // The instantiation pipeline this controller drives instantiations through (DESIGN.md
+  // §7).
   runtime::InstantiationPipeline& instantiation_pipeline() { return pipeline_; }
   sim::Duration control_busy() const { return control_thread_.total_busy(); }
   std::uint64_t tasks_dispatched() const { return tasks_dispatched_; }
@@ -291,7 +287,7 @@ class NimbusController {
   // dispatch supplies fresh parameters).
   core::ControllerTemplate CompileStageTemplate(const StageDescriptor& stage,
                                                 bool include_params);
-  // Dispatches `set` as one pre-encoded wire buffer per worker assembled by the engine,
+  // Dispatches `set` as one pre-encoded wire buffer per worker assembled by the pipeline,
   // charging per-batch + per-task costs (same command streams as DispatchSetCentrally).
   void DispatchCentralBlock(const core::WorkerTemplateSet& set,
                             const std::vector<std::pair<std::int32_t, ParameterBlob>>& params,
@@ -312,14 +308,14 @@ class NimbusController {
   void DispatchPatch(const core::Patch& patch, PendingBlock* block);
 
   // The one central-dispatch body (every submitted stage and both template bring-up
-  // iterations): create missing objects -> sharded validate -> patch copies -> dispatch
-  // per task or serialized -> sharded apply. `set` must carry a real id.
+  // iterations): create missing objects -> validate -> patch copies -> dispatch per task
+  // or serialized -> apply. `set` must carry a real id.
   void RunSetCentrallyWithPatches(
       const core::WorkerTemplateSet& set,
       const std::vector<std::pair<std::int32_t, ParameterBlob>>& params, PendingBlock* block);
 
   // Template fast path. `next_set` (may be null) is the lookahead target whose
-  // precondition sweep rides this instantiation's assembly batch (DESIGN.md §9).
+  // precondition sweep runs right after this instantiation's assembly (DESIGN.md §9).
   void InstantiateSet(core::WorkerTemplateSet* set, SetState* state,
                       std::vector<std::pair<std::int32_t, ParameterBlob>> params,
                       PendingBlock* block, const core::WorkerTemplateSet* next_set);
@@ -333,13 +329,12 @@ class NimbusController {
   // Every controller-side version-map mutation outside the lookahead-covered window runs
   // through a site that calls this: an overlapped validation result is only reusable if
   // the map state it swept is exactly the state the consuming instantiation would sweep.
-  // Bumps the audit generation stamp, so in audit builds a mutation site that forgets to
-  // call this is caught the moment the stale lookahead result is consumed (DESIGN.md §11);
-  // scripts/lint_invariants.py rule map-invalidate enforces the pairing statically.
+  // scripts/lint_invariants.py rule map-invalidate enforces the pairing statically; the
+  // pipeline's write count, checked on every lookahead hit, catches a pipeline write that
+  // slipped past it at run time (DESIGN.md §9.2).
   void InvalidateLookahead() {
     control_plane_.Assert();
     lookahead_.valid = false;
-    runtime::audit::BumpStamp();
   }
 
   std::uint64_t NewGroupSeq() { return next_group_seq_++; }
@@ -367,10 +362,9 @@ class NimbusController {
   sim::Processor control_thread_;
   core::TemplateManager templates_;
   VersionMap versions_;
-  // Instantiation engine: validation, version-map effects, and per-worker message assembly
-  // all route through the pipeline (declared after the state it borrows).
-  runtime::InlineExecutor inline_executor_;
-  runtime::InstantiationPipeline pipeline_{&inline_executor_, 1};
+  // Instantiation pipeline: validation, version-map effects, and per-worker message
+  // assembly all route through it.
+  runtime::InstantiationPipeline pipeline_;
 
   int partitions_ = 0;
   core::Assignment assignment_;
@@ -402,9 +396,9 @@ class NimbusController {
     // forget InvalidateLookahead().
     std::uint64_t map_churn_epoch = 0;
     std::uint64_t set_generation = 0;
-    // Audit-build generation stamp (DESIGN.md §11): captured when the overlapped result
-    // is filled, checked on consumption. Compiles to 0==0 in release builds.
-    std::uint64_t audit_stamp = 0;
+    // The pipeline's map_writes() when the result was filled; a hit with any other value
+    // means a pipeline write reached the map without InvalidateLookahead, and aborts.
+    std::uint64_t map_writes = 0;
     std::vector<core::PatchDirective> required;
   };
   // The control plane is a role capability (DESIGN.md §11): the overlapped-validation

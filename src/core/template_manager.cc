@@ -142,7 +142,7 @@ WorkerTemplateSet* TemplateManager::GetOrBuildStagePlan(
       ProjectBlock(adhoc, assignment, wtid, object_bytes));
   WorkerTemplateSet* out = set.get();
   // Stage plans share the projection table (and its contiguous id space) with template
-  // projections, so downstream per-set state (engine shard plans, controller SetState)
+  // projections, so downstream per-set state (pipeline set plans, controller SetState)
   // indexes both uniformly.
   NIMBUS_CHECK_EQ(wtid.value(), projections_.size());
   projections_.push_back(std::move(set));

@@ -13,7 +13,7 @@
 //  * edits: in-place task migration between workers (§4.3, Fig 6).
 //
 // Validating a set's preconditions and applying its cached version-map delta are the
-// instantiation engine's stages (runtime::InstantiationPipeline, DESIGN.md §7).
+// instantiation pipeline's stages (runtime::InstantiationPipeline, DESIGN.md §7).
 
 #ifndef NIMBUS_SRC_CORE_TEMPLATE_MANAGER_H_
 #define NIMBUS_SRC_CORE_TEMPLATE_MANAGER_H_
@@ -88,7 +88,7 @@ class TemplateManager {
   // Returns the cached stage plan for `signature` (a content hash of stage identity +
   // schedule computed by the caller), projecting one from `build()`'s throwaway template on
   // first use. Stage plans are ordinary worker-template sets with a real id — so the
-  // runtime engine caches and revalidates shard plans for them by (map uid, set
+  // instantiation pipeline caches and revalidates set plans for them by (map uid, set
   // generation) exactly like template projections — but have no parent template and are
   // never installed on workers: the controller dispatches their commands explicitly.
   // `expected_tasks` guards against signature collisions (entry-count mismatch aborts).
@@ -102,7 +102,7 @@ class TemplateManager {
   // --- Patching ---
 
   // Resolves the patch for instantiating `set` given what executed before and the
-  // engine's validation result `required` (runtime::InstantiationPipeline::Validate).
+  // pipeline's validation result `required` (runtime::InstantiationPipeline::Validate).
   // Reuses the cached patch when it is provably still correct; `cache_hit` (optional out)
   // reports whether it was.
   Patch ResolvePatch(const WorkerTemplateSet& set, std::uint64_t prev_executed,

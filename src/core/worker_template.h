@@ -230,7 +230,7 @@ class PreconditionSet {
 
 // The instantiation plan of a worker-template set compiled against one VersionMap's dense
 // id space (paper §4.1: "pointers are turned into indexes for fast lookups into arrays of
-// values"). The instantiation engine's validate stage walks `preconditions` with O(1) array
+// values"). The instantiation pipeline's validate stage walks `preconditions` with O(1) array
 // probes and its apply stage walks `write_deltas` (runtime::InstantiationPipeline) — no
 // hashing and no allocation on either sweep. The cache is rebuilt only when the set is
 // edited or used against a different version map.
@@ -440,7 +440,7 @@ void ApplyWorkerEditOps(WorkerHalf* half, const std::vector<WorkerEditOp>& ops);
 
 // Materializes entry `index` of a worker half as an explicit command. This is THE command
 // builder for central dispatch: the per-task dispatcher calls it once per entry and the
-// engine's serialized cold encode calls it per half (DESIGN.md §8, §10) — one
+// pipeline's serialized cold encode calls it per half (DESIGN.md §8, §10) — one
 // implementation, so the two wire forms cannot drift apart on the bit-identical-streams
 // contract. `override_params`
 // (nullable) replaces the entry's cached params; ids derive from the caller's bases.

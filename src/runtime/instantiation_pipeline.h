@@ -1,27 +1,19 @@
-// The sharded instantiation engine (DESIGN.md §7).
+// The instantiation pipeline (DESIGN.md §7).
 //
 // The one instantiation path (paper §4.2): validate the set's preconditions, patch the ones
 // that fail (TemplateManager::ResolvePatch consults the patch cache), apply the block's
 // effects to the version map, assemble the worker messages. The controller calls these
-// stages directly, since cost accounting and dispatch interleave with them. Each stage
-// splits into independent jobs an Executor can run in parallel, deterministically:
+// stages directly, since cost accounting and dispatch interleave with them. Every stage is
+// one serial sweep over the set's compiled arrays (§6.3):
 //
-//  * validate     — one job per shard, sweeping the shard's slice of the compiled
-//                   precondition array against its dense-index range of the version map;
-//  * apply-delta  — one job per shard, applying the shard's patch-copy effects and compiled
-//                   write deltas (shard-disjoint writes, order-independent by construction);
-//  * assemble     — one job per worker half, routing instantiation parameters and pending
-//                   edit ops to the worker they address and sizing the wire message.
+//  * validate     — the compiled preconditions, in compiled order, against the version map;
+//  * apply        — the patch's copy effects, then the compiled write deltas;
+//  * assemble     — one loop over the worker halves, routing instantiation parameters and
+//                   pending edit ops to the worker they address and sizing the message.
 //
-// The assemble batch can additionally carry the *next* block's validate jobs: message
-// assembly never touches the version map, so once block N's deltas are applied, validating
-// block N+1 overlaps with assembling block N's messages (the ROADMAP's pipelined controller
-// loop). Results are executor- and shard-count-invariant; with the InlineExecutor the same
-// batches run sequentially in index order, which is why the simulator keeps it.
-//
-// Shard plans (which compiled-array entries each shard owns) are cached per worker-template
-// set and revalidated by (map uid, set edit generation, shard count), exactly like compiled
-// instantiations (§6.3).
+// A per-set plan record, revalidated by (map uid, set edit generation) exactly like
+// compiled instantiations, carries the existence memo that lets the steady state skip the
+// create-missing sweep.
 
 #ifndef NIMBUS_SRC_RUNTIME_INSTANTIATION_PIPELINE_H_
 #define NIMBUS_SRC_RUNTIME_INSTANTIATION_PIPELINE_H_
@@ -34,13 +26,10 @@
 #include "src/common/ids.h"
 #include "src/common/serialize.h"
 #include "src/common/stats.h"
-#include "src/common/thread_annotations.h"
 #include "src/core/patch.h"
 #include "src/core/template_manager.h"
 #include "src/core/worker_template.h"
 #include "src/data/version_map.h"
-#include "src/runtime/executor.h"
-#include "src/runtime/sharded_version_map.h"
 #include "src/task/wire.h"
 
 namespace nimbus::runtime {
@@ -51,7 +40,7 @@ using ParamList = std::vector<std::pair<std::int32_t, ParameterBlob>>;
 // One worker's assembled share of an instantiation: everything the controller needs to
 // build the wire message, with parameters already routed to the worker that owns the entry
 // (workers used to receive the full parameter list and discard foreign slots; routing here
-// shrinks the wire and parallelizes the routing work).
+// shrinks the wire).
 struct WorkerMessage {
   WorkerId worker;
   std::uint32_t half_index = 0;  // index into set.halves()
@@ -81,43 +70,28 @@ struct SerializedBatch {
 
 class InstantiationPipeline {
  public:
-  // The pipeline borrows the executor. `shard_count` must be a power of two.
-  InstantiationPipeline(Executor* executor, std::uint32_t shard_count);
-
-  // Swaps the executor and/or shard count (drops cached shard plans and counters). The
-  // simulator stays on (InlineExecutor, any shard count) — results are identical; real
-  // parallelism is for the bench/test harnesses.
-  void Configure(Executor* executor, std::uint32_t shard_count);
-
-  std::uint32_t shard_count() const { return shard_count_; }
-  Executor* executor() { return executor_; }
-
   // Returns the copy directives required to make all preconditions of `set` hold, sorted
-  // by (object, dst) — the compiled precondition array's order, at any shard count. Empty
-  // means the set validates as-is. A precondition on an object that does not exist yet is
-  // skipped: the block creates it on first write.
+  // by (object, dst) — the compiled precondition array's order. Empty means the set
+  // validates as-is. A precondition on an object that does not exist yet is skipped: the
+  // block creates it on first write.
   std::vector<core::PatchDirective> Validate(const core::WorkerTemplateSet& set,
                                              const VersionMap& versions);
 
   // Applies the patch's copy effects and the set's compiled write deltas (write counts and
-  // final holders) — what executing the block does to global state. Object creation
-  // (map-global state) runs serially before the shard batch.
+  // final holders) — what executing the block does to global state. Missing objects are
+  // created first.
   void ApplyEffects(const core::WorkerTemplateSet& set, const core::Patch& patch,
                     VersionMap* versions);
 
   // First write creates an object on its in-block home (the controller's pre-dispatch
-  // sweep; serial — creation mutates map-global counters).
+  // sweep).
   void EnsureObjectsExist(const core::WorkerTemplateSet& set, VersionMap* versions);
 
-  // Per-worker message assembly. Halves with no entries produce no message. When
-  // `next_set` is non-null its validation jobs ride in the same executor batch
-  // (assembly reads no version-map state, so this is the block-overlap point);
-  // the result lands in `next_required`, ordered like Validate().
-  std::vector<WorkerMessage> AssembleMessages(
-      const core::WorkerTemplateSet& set, const ParamList& params,
-      const core::EditPlan* edits, const core::WorkerTemplateSet* next_set = nullptr,
-      const VersionMap* versions = nullptr,
-      std::vector<core::PatchDirective>* next_required = nullptr);
+  // Per-worker message assembly. Halves with no entries produce no message. Reads no
+  // version-map state.
+  std::vector<WorkerMessage> AssembleMessages(const core::WorkerTemplateSet& set,
+                                              const ParamList& params,
+                                              const core::EditPlan* edits);
 
   // Serialized central dispatch (DESIGN.md §10): per worker half, the pre-encoded wire
   // buffer of the half's full explicit command list — exactly the commands the per-task
@@ -126,48 +100,28 @@ class InstantiationPipeline {
   // in-place parameter overwrites — zero per-task allocation in steady state. `half_bases[h]`
   // is the command-id base pre-allocated for half h (invalid for empty halves, which
   // produce no batch); task ids are task_base + global entry; copy ids embed `group_seq`.
-  // The cache is keyed like shard plans (by set id) and stamped by the set's edit
+  // The cache is keyed like set plans (by set id) and stamped by the set's edit
   // generation alone: the encoded bytes never read the version map, so map uid / churn
-  // epoch cannot invalidate them. Assembly runs as shard_count contiguous chunks of halves,
-  // like AssembleMessages.
+  // epoch cannot invalidate them.
   std::vector<SerializedBatch> AssembleSerializedBatches(
       const core::WorkerTemplateSet& set, const ParamList& params, std::uint64_t group_seq,
       TaskId task_base, const std::vector<CommandId>& half_bases);
 
-  const ShardCounters& shard_counters() const {
-    serial_phase_.Assert();
-    return shard_counters_;
-  }
-  const SerializedBatchCounters& serialized_counters() const {
-    serial_phase_.Assert();
-    return serialized_counters_;
-  }
-  void ClearCounters() {
-    serial_phase_.Assert();
-    shard_counters_.Clear();
-    shard_counters_.EnsureShards(shard_count_);
-    serialized_counters_.Clear();
-  }
+  // How many times a stage that may write the version map ran (ApplyEffects and
+  // EnsureObjectsExist; never Validate or assembly). A cache filled from a sweep of the map
+  // records this and is stale once it moves (the controller's lookahead, DESIGN.md §9.2).
+  std::uint64_t map_writes() const { return map_writes_; }
+
+  const ShardCounters& shard_counters() const { return shard_counters_; }
+  const SerializedBatchCounters& serialized_counters() const { return serialized_counters_; }
 
  private:
-  // A compiled precondition tagged with its index in the compiled array (merging per-shard
-  // failures back into compiled order needs it).
-  struct PlannedPrecondition {
-    core::CompiledInstantiation::CompiledPrecondition pre;
-    std::uint32_t compiled_index = 0;
-  };
-
-  // Each shard's slice of the compiled arrays, cached per set and revalidated by (map uid,
-  // set generation, shard count). Entries are *materialized* per shard, not indexed: a
-  // shard's sweep must be a contiguous scan like the 1-shard sweep, or the hash partition
-  // turns every probe into a cache miss.
-  struct ShardPlan {
+  // Per-set plan record, revalidated by (map uid, set generation) like compiled
+  // instantiations.
+  struct SetPlan {
     std::uint64_t map_uid = 0;
     std::uint64_t set_generation = ~std::uint64_t{0};
-    std::uint32_t shard_count = 0;
     bool built = false;
-    std::vector<std::vector<PlannedPrecondition>> pre_by_shard;
-    std::vector<std::vector<core::CompiledInstantiation::CompiledDelta>> delta_by_shard;
     // Existence-sweep memo: once every delta object exists, it stays existing until the
     // map's churn epoch moves (creation doesn't bump the epoch; destruction/restore does),
     // so the O(deltas) create-missing sweep is skipped in steady state.
@@ -194,67 +148,20 @@ class InstantiationPipeline {
     std::vector<HalfTemplate> halves;
   };
 
-  // A validation failure tagged with its index in the compiled precondition array, so
-  // per-shard results merge back into compiled order.
-  struct TaggedFailure {
-    std::uint32_t compiled_index = 0;
-    core::PatchDirective directive;
-  };
-
-  ShardPlan& PlanFor(const core::WorkerTemplateSet& set,
-                     const core::CompiledInstantiation& compiled)
-      NIMBUS_REQUIRES(serial_phase_);
-  static void BuildPlan(const core::CompiledInstantiation& compiled,
-                        std::uint32_t shard_count, ShardPlan* plan);
+  SetPlan& PlanFor(const core::WorkerTemplateSet& set,
+                   const core::CompiledInstantiation& compiled);
 
   // The create-missing sweep behind EnsureObjectsExist/ApplyEffects, memoized on `plan`.
-  void EnsureObjectsExistPlanned(ShardPlan* plan,
-                                 const core::CompiledInstantiation& compiled,
+  void EnsureObjectsExistPlanned(SetPlan* plan, const core::CompiledInstantiation& compiled,
                                  VersionMap* versions);
 
-  // Validation decomposes finer than shards: the sweep only READS the version map, so a
-  // shard's slice can be scheduled as several sub-ranges (shorter critical path on an
-  // uneven batch) without touching the single-writer invariant — which only binds the
-  // apply stage. A 1-shard engine still gets exactly one job: sub-chunking scales with the
-  // shard count, never past it.
-  std::uint32_t ValidateSubchunks() const;
-  std::size_t ValidateJobCount() const;
-
-  // Runs validation job `job` (shard job/subs, sub-range job%subs) into `out[job]`,
-  // counting probes into `checked[job]`. Called from executor jobs; each job writes only
-  // its own slots.
-  void ValidateJob(const ShardPlan& plan, const VersionMap& versions, std::size_t job,
-                   std::vector<TaggedFailure>* out, std::uint64_t* checked);
-
-  // Serially folds per-job probe/failure counts into the per-shard counters after a batch.
-  void FoldValidateCounters(const std::vector<std::vector<TaggedFailure>>& failures,
-                            const std::vector<std::uint64_t>& checked)
-      NIMBUS_REQUIRES(serial_phase_);
-
-  // Assembles messages for halves [begin, end) into their slots of `messages`. Called from
-  // executor jobs; chunks write disjoint slots.
-  void AssembleChunk(const core::WorkerTemplateSet& set, const ParamList& params,
-                     const core::EditPlan* edits, std::size_t begin, std::size_t end,
-                     std::vector<WorkerMessage>* messages);
-
-  static std::vector<core::PatchDirective> MergeFailures(
-      std::vector<std::vector<TaggedFailure>> failures);
-
-  Executor* executor_;
-  std::uint32_t shard_count_;
-
-  // The serial between-batch phase (DESIGN.md §11). Plan caches and counters may only be
-  // touched between executor batches: the public stage methods assert the role at entry
-  // (they run on the single control thread by construction), and executor-job lambdas —
-  // analyzed without it — cannot reach any of the guarded state below without a compile
-  // error on the clang leg. Jobs receive plan state through captured locals instead.
-  RoleCapability serial_phase_;
-  // Cached per-set shard plans, by worker-template-set id value (contiguous from 0).
-  DenseMap<ShardPlan> plans_ NIMBUS_GUARDED_BY(serial_phase_);
+  // Cached per-set plans, by worker-template set id value (contiguous from 0).
+  DenseMap<SetPlan> plans_;
   // Cached per-set serialized encodings; same keying as plans_.
-  DenseMap<SerializedPlan> serialized_plans_ NIMBUS_GUARDED_BY(serial_phase_);
-  ShardCounters shard_counters_ NIMBUS_GUARDED_BY(serial_phase_);
-  SerializedBatchCounters serialized_counters_ NIMBUS_GUARDED_BY(serial_phase_);
+  DenseMap<SerializedPlan> serialized_plans_;
+  std::uint64_t map_writes_ = 0;
+  ShardCounters shard_counters_;
+  SerializedBatchCounters serialized_counters_;
 };
 
 }  // namespace nimbus::runtime

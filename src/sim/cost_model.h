@@ -37,7 +37,7 @@ struct CostModel {
   // Worker-side cost to receive and enqueue one individually-dispatched task.
   Duration worker_receive_task = Micros(5);
 
-  // ---- Batched central dispatch (engine-driven, DESIGN.md §8) ----
+  // ---- Batched central dispatch (pipeline-driven, DESIGN.md §8) ----
   // Serialized dispatch ships each worker ONE message carrying all of its commands, so the
   // message build/send overhead is paid once per worker per stage instead of once per
   // task. This is that fixed per-worker cost on a cold (freshly encoded) batch.
@@ -56,12 +56,12 @@ struct CostModel {
   Duration serialized_decode_per_task = Micros(3);
 
   // ---- Pipelined controller loop (DESIGN.md §9) ----
-  // Scheduling block N+1's precondition sweep into block N's message-assembly batch: the
-  // serial charge is only job setup and routing; the sweep itself rides a spare engine
-  // lane while assembly runs.
+  // Block N+1's precondition sweep, run during block N's message-assembly phase. The model
+  // charges only setup and routing: the sweep is modeled as overlapping assembly on a
+  // spare controller core, so its own cost stays off the control thread.
   Duration lookahead_schedule_per_task = Micros(0.3);
-  // Consuming an overlapped validation at the next instantiation: stamp check plus the
-  // handoff of the merged failure list. Replaces the serial full-sweep surcharge
+  // Consuming a lookahead validation at the next instantiation: stamp check plus the
+  // handoff of the failure list. Replaces the serial full-sweep surcharge
   // (instantiate_worker_template_validate_per_task -
   // instantiate_worker_template_auto_per_task).
   Duration lookahead_consume_per_task = Micros(0.5);

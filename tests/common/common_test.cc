@@ -234,21 +234,21 @@ TEST(NameInternerTest, InternFindName) {
 
 TEST(MetricsRegistryTest, RegisteredStructsExportEveryField) {
   CacheCounters cache;
-  ExecutorCounters exec;
+  SerializedBatchCounters serialized;
   metrics::Registry registry;
   registry.Register(&cache);
-  registry.Register(&exec);
+  registry.Register(&serialized);
   EXPECT_EQ(registry.group_count(), 2u);
-  EXPECT_EQ(registry.field_count(), 3u + 6u);
+  EXPECT_EQ(registry.field_count(), 3u + 8u);
 
   cache.hits = 5;
   cache.misses = 2;
-  exec.jobs_run = 40;
+  serialized.batches = 40;
   const metrics::Snapshot snap = registry.Take();
   std::uint64_t value = 0;
   ASSERT_TRUE(registry.Value(snap, "cache.hits", &value));
   EXPECT_EQ(value, 5u);
-  ASSERT_TRUE(registry.Value(snap, "executor.jobs_run", &value));
+  ASSERT_TRUE(registry.Value(snap, "serialized.batches", &value));
   EXPECT_EQ(value, 40u);
   EXPECT_FALSE(registry.Value(snap, "cache.nonexistent", &value));
 }
@@ -294,16 +294,24 @@ TEST(MetricsRegistryTest, ForEachWalksRegistrationOrder) {
   EXPECT_EQ(names, expected);
 }
 
-TEST(MetricsRegistryTest, ShardCountersExportVectorSums) {
+// The pipeline's counters keep their exported `shards.*` names (BENCH_table2.json and
+// perfbench read them) as plain scalars.
+TEST(MetricsRegistryTest, ShardCountersExportScalarFields) {
   ShardCounters shards;
-  shards.EnsureShards(3);
-  shards.preconditions_checked[0] = 5;
-  shards.preconditions_checked[2] = 7;
+  shards.preconditions_checked = 12;
+  shards.validation_failures = 3;
+  shards.deltas_applied = 7;
   metrics::Registry registry;
   registry.Register(&shards);
+  EXPECT_EQ(registry.field_count(), 9u);
+  const metrics::Snapshot snap = registry.Take();
   std::uint64_t value = 0;
-  ASSERT_TRUE(registry.Value(registry.Take(), "shards.preconditions_checked", &value));
+  ASSERT_TRUE(registry.Value(snap, "shards.preconditions_checked", &value));
   EXPECT_EQ(value, 12u);
+  ASSERT_TRUE(registry.Value(snap, "shards.validation_failures", &value));
+  EXPECT_EQ(value, 3u);
+  ASSERT_TRUE(registry.Value(snap, "shards.deltas_applied", &value));
+  EXPECT_EQ(value, 7u);
 }
 
 TEST(MetricsRegistryTest, NetworkCountersExportPerKindFields) {

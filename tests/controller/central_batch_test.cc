@@ -1,12 +1,11 @@
 // The central dispatch path (DESIGN.md §8).
 //
-// Every submitted stage compiles into a cached stage plan and runs through the sharded
-// engine; dispatch then sends one message per task or one serialized batch per worker.
-// Cost accounting and message count change with the wire form and the engine's shard
-// count; the worker-observed command streams, the version-map state, and the computed
-// results must NOT. These tests pin that equivalence at 1/2/4 engine shards against the
-// single-shard per-task run, and cover the stage-plan cache (keyed by stage identity +
-// schedule) that both wire forms share.
+// Every submitted stage compiles into a cached stage plan and runs through the
+// instantiation pipeline; dispatch then sends one message per task or one serialized batch
+// per worker. Cost accounting and message count change with the wire form; the
+// worker-observed command streams, the version-map state, and the computed results must
+// NOT. These tests pin that equivalence against the per-task run, and cover the stage-plan
+// cache (keyed by stage identity + schedule) that both wire forms share.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +15,6 @@
 #include "src/apps/logistic_regression.h"
 #include "src/driver/cluster.h"
 #include "src/driver/job.h"
-#include "src/runtime/executor.h"
-#include "src/runtime/instantiation_pipeline.h"
 
 namespace nimbus {
 namespace {
@@ -47,18 +44,13 @@ struct CentralRun {
   std::uint64_t stage_plan_misses = 0;
 };
 
-CentralRun RunLrCentral(bool serialized, std::uint32_t shards) {
-  // Declared before the cluster: the controller's pipeline borrows this executor.
-  runtime::InlineExecutor inline_exec;
+CentralRun RunLrCentral(bool serialized) {
   ClusterOptions options;
   options.workers = 4;
   options.partitions = 8;
   options.mode = ControlMode::kCentralOnly;
   options.serialized_batching = serialized;
   Cluster cluster(options);
-  if (shards != 1) {
-    cluster.controller().instantiation_pipeline().Configure(&inline_exec, shards);
-  }
   for (WorkerId id : cluster.worker_ids()) {
     cluster.worker(id)->EnableCommandLog();
   }
@@ -110,28 +102,19 @@ void ExpectRunsEqual(const CentralRun& reference, const CentralRun& other,
   }
 }
 
-// The headline contract: under the InlineExecutor batched (serialized) dispatch is
-// bit-identical to per-task central dispatch — same per-worker command streams (ids,
-// before-edges, params, copy ids), same version-map state, same results — and both wire
-// forms are invariant under the engine's shard count.
-TEST(CentralBatchTest, BatchedDispatchBitIdenticalToPerTaskAt124Shards) {
-  const CentralRun per_task = RunLrCentral(/*serialized=*/false, /*shards=*/1);
-  for (std::uint32_t shards : {1u, 2u, 4u}) {
-    const std::string label = "shards=" + std::to_string(shards);
-    if (shards != 1) {
-      ExpectRunsEqual(per_task, RunLrCentral(/*serialized=*/false, shards),
-                      label + " per-task");
-    }
-    ExpectRunsEqual(per_task, RunLrCentral(/*serialized=*/true, shards),
-                    label + " serialized");
-  }
+// The headline contract: batched (serialized) dispatch is bit-identical to per-task
+// central dispatch — same per-worker command streams (ids, before-edges, params, copy
+// ids), same version-map state, same results.
+TEST(CentralBatchTest, BatchedDispatchBitIdenticalToPerTask) {
+  ExpectRunsEqual(RunLrCentral(/*serialized=*/false), RunLrCentral(/*serialized=*/true),
+                  "serialized");
 }
 
 // Steady-state central dispatch must hit the stage-plan cache: every stage shape is
 // compiled once, then reused on each re-submission (kCentralOnly re-submits every
 // iteration — exactly the redundant work the cache removes).
 TEST(CentralBatchTest, StagePlanCacheCompilesEachStageShapeOnce) {
-  const CentralRun run = RunLrCentral(/*serialized=*/true, /*shards=*/1);
+  const CentralRun run = RunLrCentral(/*serialized=*/true);
   // Misses = distinct stage shapes (setup stages + inner block stages + outer block
   // stages); every later submission of the same shape must hit.
   EXPECT_GT(run.stage_plan_hits, 0u);
@@ -141,7 +124,7 @@ TEST(CentralBatchTest, StagePlanCacheCompilesEachStageShapeOnce) {
   EXPECT_GE(run.stage_plan_hits, run.stage_plan_misses);
   // Per-task dispatch runs through the same plan cache: the wire form changes nothing
   // about which stage shapes compile and which reuse.
-  const CentralRun per_task = RunLrCentral(/*serialized=*/false, /*shards=*/1);
+  const CentralRun per_task = RunLrCentral(/*serialized=*/false);
   EXPECT_EQ(per_task.stage_plan_hits, run.stage_plan_hits);
   EXPECT_EQ(per_task.stage_plan_misses, run.stage_plan_misses);
 }

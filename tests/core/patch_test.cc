@@ -1,6 +1,5 @@
 // Unit tests for validation, patching and the patch cache (paper §2.4, §4.2), driven
-// through the instantiation engine's stages as the controller runs them (InlineExecutor,
-// 1 shard).
+// through the instantiation pipeline's stages as the controller runs them.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +7,6 @@
 
 #include "src/core/patch.h"
 #include "src/core/template_manager.h"
-#include "src/runtime/executor.h"
 #include "src/runtime/instantiation_pipeline.h"
 
 namespace nimbus::core {
@@ -25,8 +23,7 @@ struct Fixture {
   TemplateId tid;
   WorkerTemplateSet* set = nullptr;
   VersionMap versions;
-  runtime::InlineExecutor executor;
-  runtime::InstantiationPipeline pipeline{&executor, 1};
+  runtime::InstantiationPipeline pipeline;
 
   // Block: workers 0 and 1 each read broadcast object 100 and write their own output.
   Fixture() {

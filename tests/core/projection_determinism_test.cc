@@ -11,7 +11,6 @@
 
 #include "src/core/template_manager.h"
 #include "src/core/worker_template.h"
-#include "src/runtime/executor.h"
 #include "src/runtime/instantiation_pipeline.h"
 
 namespace nimbus::core {
@@ -171,11 +170,10 @@ TEST(ProjectionDeterminismTest, ValidationIdenticalAcrossEquivalentProjections) 
   // An empty version map fails every created-object precondition the same way for both.
   VersionMap versions;
   versions.CreateObject(LogicalObjectId(1000), WorkerId(3));  // broadcast object elsewhere
-  // One engine per set: both projections carry id 0, and the engine caches shard plans by
-  // set id.
-  runtime::InlineExecutor executor;
-  runtime::InstantiationPipeline pipeline_a(&executor, 1);
-  runtime::InstantiationPipeline pipeline_b(&executor, 1);
+  // One pipeline per set: both projections carry id 0, and the pipeline caches set plans
+  // by set id.
+  runtime::InstantiationPipeline pipeline_a;
+  runtime::InstantiationPipeline pipeline_b;
   const auto needed_a = pipeline_a.Validate(set_a, versions);
   const auto needed_b = pipeline_b.Validate(set_b, versions);
   ASSERT_EQ(needed_a.size(), needed_b.size());

@@ -1,13 +1,12 @@
 // Serialized command batches (DESIGN.md §10).
 //
 // The serialized central path ships each worker one pre-encoded wire buffer produced from
-// the engine's cached template encoding by memcpy + header patch + in-place parameter
+// the pipeline's cached template encoding by memcpy + header patch + in-place parameter
 // patch. Cost accounting and wire bytes change; the decoded command streams, the
 // version-map state, and the computed results must NOT. These tests pin that equivalence
 // against the per-task dispatcher's command builder (core::CommandFromEntry) and the
-// per-task cluster runs, at 1/2/4 engine shards, under the InlineExecutor and a
-// ThreadPoolExecutor, and cover the serialized-plan cache (stamped by set edit generation;
-// rebuilt plan-wide on edits).
+// per-task cluster runs, and cover the serialized-plan cache (stamped by set edit
+// generation; rebuilt plan-wide on edits).
 
 #include <gtest/gtest.h>
 
@@ -20,21 +19,18 @@
 #include "src/core/template_manager.h"
 #include "src/driver/cluster.h"
 #include "src/driver/job.h"
-#include "src/runtime/executor.h"
 #include "src/runtime/instantiation_pipeline.h"
 #include "src/task/wire.h"
 
 namespace nimbus {
 namespace {
 
-using runtime::InlineExecutor;
 using runtime::InstantiationPipeline;
 using runtime::ParamList;
 using runtime::SerializedBatch;
-using runtime::ThreadPoolExecutor;
 
 // -----------------------------------------------------------------------------------------
-// Engine-level equivalence: serialized batches decode to exactly the per-task commands
+// Pipeline-level equivalence: serialized batches decode to exactly the per-task commands
 // -----------------------------------------------------------------------------------------
 
 // The LR-shaped micro block of runtime_test.cc, with cached per-task parameters so the
@@ -167,10 +163,9 @@ void ExpectSerializedDecodesToReference(const std::vector<ReferenceHalf>& refere
   }
 }
 
-// The headline engine contract: decoding a serialized batch yields exactly the command
+// The headline pipeline contract: decoding a serialized batch yields exactly the command
 // stream the per-task dispatcher builds for the same arguments — cold encodes, same-size
-// in-place patches, splices, and pure memcpy reuse included — under every executor and
-// shard count.
+// in-place patches, splices, and pure memcpy reuse included.
 TEST(SerializedBatchTest, DecodedBatchesBitIdenticalToPerTaskCommands) {
   auto block = BuildMicroBlock(64, 8);
   core::WorkerTemplateSet set = core::ProjectBlock(
@@ -182,37 +177,28 @@ TEST(SerializedBatchTest, DecodedBatchesBitIdenticalToPerTaskCommands) {
   params.emplace_back(17, ParameterBlob{5});          // size change: splice
   ParamList no_params;
 
-  InlineExecutor inline_exec;
-  ThreadPoolExecutor pool(4);
-  for (std::uint32_t shards : {1u, 2u, 4u}) {
-    for (runtime::Executor* executor :
-         std::initializer_list<runtime::Executor*>{&inline_exec, &pool}) {
-      InstantiationPipeline pipeline(executor, shards);
-      // Three instantiations through one pipeline: cold encode, warm reuse with patches,
-      // warm reuse with no overrides (pure memcpy replay).
-      std::uint64_t seq = 7;
-      std::uint64_t first_base = 1'000;
-      for (const ParamList* p :
-           std::initializer_list<const ParamList*>{&params, &params, &no_params}) {
-        const std::string label = std::string(executor->name()) +
-                                  " shards=" + std::to_string(shards) +
-                                  " seq=" + std::to_string(seq);
-        const std::vector<CommandId> bases = AllocateBases(set, first_base);
-        const std::vector<SerializedBatch> serialized =
-            pipeline.AssembleSerializedBatches(set, *p, seq, TaskId(500), bases);
-        ASSERT_FALSE(serialized.empty()) << label;
-        ExpectSerializedDecodesToReference(
-            PerTaskReference(set, *p, seq, TaskId(500), bases), serialized, seq, label);
-        ++seq;
-        first_base += set.entry_meta().size() * 2;
-      }
-      const SerializedBatchCounters& counters = pipeline.serialized_counters();
-      EXPECT_GT(counters.half_encodes, 0u) << shards;
-      EXPECT_EQ(counters.half_reuses, counters.half_encodes * 2) << shards;
-      EXPECT_GT(counters.params_patched, 0u) << shards;
-      EXPECT_GT(counters.splices, 0u) << shards;
-    }
+  InstantiationPipeline pipeline;
+  // Three instantiations through one pipeline: cold encode, warm reuse with patches, warm
+  // reuse with no overrides (pure memcpy replay).
+  std::uint64_t seq = 7;
+  std::uint64_t first_base = 1'000;
+  for (const ParamList* p :
+       std::initializer_list<const ParamList*>{&params, &params, &no_params}) {
+    const std::string label = "seq=" + std::to_string(seq);
+    const std::vector<CommandId> bases = AllocateBases(set, first_base);
+    const std::vector<SerializedBatch> serialized =
+        pipeline.AssembleSerializedBatches(set, *p, seq, TaskId(500), bases);
+    ASSERT_FALSE(serialized.empty()) << label;
+    ExpectSerializedDecodesToReference(PerTaskReference(set, *p, seq, TaskId(500), bases),
+                                       serialized, seq, label);
+    ++seq;
+    first_base += set.entry_meta().size() * 2;
   }
+  const SerializedBatchCounters& counters = pipeline.serialized_counters();
+  EXPECT_GT(counters.half_encodes, 0u);
+  EXPECT_EQ(counters.half_reuses, counters.half_encodes * 2);
+  EXPECT_GT(counters.params_patched, 0u);
+  EXPECT_GT(counters.splices, 0u);
 }
 
 TEST(SerializedBatchTest, SerializedPlanRebuiltWhenSetGenerationBumps) {
@@ -221,8 +207,7 @@ TEST(SerializedBatchTest, SerializedPlanRebuiltWhenSetGenerationBumps) {
       *block->manager.Find(block->template_id), block->assignment, WorkerTemplateId(0),
       [](LogicalObjectId) { return 80; });
 
-  InlineExecutor inline_exec;
-  InstantiationPipeline pipeline(&inline_exec, 1);
+  InstantiationPipeline pipeline;
   const std::vector<CommandId> bases = AllocateBases(set, 100);
   pipeline.AssembleSerializedBatches(set, {}, 1, TaskId(0), bases);
   const std::uint64_t cold = pipeline.serialized_counters().half_encodes;
@@ -265,21 +250,13 @@ struct CentralRun {
   NetworkCounters network;
 };
 
-CentralRun RunLrCentral(bool serialized, std::uint32_t shards, bool threaded) {
-  // Declared before the cluster: the controller's pipeline borrows these executors.
-  InlineExecutor inline_exec;
-  ThreadPoolExecutor pool(3);
+CentralRun RunLrCentral(bool serialized) {
   ClusterOptions options;
   options.workers = 4;
   options.partitions = 8;
   options.mode = ControlMode::kCentralOnly;
   options.serialized_batching = serialized;
   Cluster cluster(options);
-  if (shards != 1 || threaded) {
-    runtime::Executor* executor = threaded ? static_cast<runtime::Executor*>(&pool)
-                                           : static_cast<runtime::Executor*>(&inline_exec);
-    cluster.controller().instantiation_pipeline().Configure(executor, shards);
-  }
   for (WorkerId id : cluster.worker_ids()) {
     cluster.worker(id)->EnableCommandLog();
   }
@@ -332,27 +309,17 @@ void ExpectRunsEqual(const CentralRun& reference, const CentralRun& other,
 
 // The headline cluster contract: the worker-observed command streams of the serialized
 // path (decoded from wire buffers) are bit-identical to the per-task streams — same ids,
-// before-edges, params, copy ids — at 1/2/4 shards.
-TEST(SerializedBatchTest, SerializedDispatchBitIdenticalToPerTaskAt124Shards) {
-  const CentralRun per_task = RunLrCentral(/*serialized=*/false, 1, /*threaded=*/false);
-  for (std::uint32_t shards : {1u, 2u, 4u}) {
-    const CentralRun serialized = RunLrCentral(/*serialized=*/true, shards, false);
-    ExpectRunsEqual(per_task, serialized, "shards=" + std::to_string(shards));
-  }
-}
-
-// Same contract with real parallelism in the engine (the sanitizer-raced configuration:
-// serialized assembly jobs write disjoint half slots and read the shared plan).
-TEST(SerializedBatchTest, SerializedDispatchBitIdenticalUnderThreadPool) {
-  const CentralRun reference = RunLrCentral(/*serialized=*/false, 1, /*threaded=*/false);
-  const CentralRun threaded = RunLrCentral(/*serialized=*/true, 4, /*threaded=*/true);
-  ExpectRunsEqual(reference, threaded, "thread-pool serialized");
+// before-edges, params, copy ids.
+TEST(SerializedBatchTest, SerializedDispatchBitIdenticalToPerTask) {
+  const CentralRun per_task = RunLrCentral(/*serialized=*/false);
+  const CentralRun serialized = RunLrCentral(/*serialized=*/true);
+  ExpectRunsEqual(per_task, serialized, "serialized");
 }
 
 // Steady state must reuse cached template bytes (the whole point of the cache) and the
 // wire accounting must move from the command bucket to the serialized-batch bucket.
 TEST(SerializedBatchTest, SerializedPathReusesTemplateBytesAndTagsWireKind) {
-  const CentralRun run = RunLrCentral(/*serialized=*/true, 1, /*threaded=*/false);
+  const CentralRun run = RunLrCentral(/*serialized=*/true);
   EXPECT_GT(run.serialized.batches, 0u);
   EXPECT_GT(run.serialized.half_encodes, 0u);
   EXPECT_GT(run.serialized.half_reuses, run.serialized.half_encodes);
@@ -361,7 +328,7 @@ TEST(SerializedBatchTest, SerializedPathReusesTemplateBytesAndTagsWireKind) {
   EXPECT_EQ(run.network.bytes_for(MessageKind::kSerializedBatch),
             static_cast<std::int64_t>(run.serialized.bytes_shipped));
 
-  const CentralRun per_task = RunLrCentral(/*serialized=*/false, 1, false);
+  const CentralRun per_task = RunLrCentral(/*serialized=*/false);
   EXPECT_EQ(per_task.network.messages_for(MessageKind::kSerializedBatch), 0u);
   EXPECT_EQ(per_task.serialized.batches, 0u);
   EXPECT_GT(per_task.network.messages_for(MessageKind::kCommand), 0u);

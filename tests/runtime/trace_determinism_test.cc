@@ -1,4 +1,4 @@
-// Trace determinism (DESIGN.md §12): under the InlineExecutor two identical runs must
+// Trace determinism (DESIGN.md §12): under the simulator two identical runs must
 // produce bit-identical event streams — same names, order, lanes, tracks, virtual
 // timestamps and values. Wall-clock stamps are the only nondeterministic fields, so a
 // trace minus its wall times is a regression oracle for the whole control plane, the
