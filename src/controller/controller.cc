@@ -44,6 +44,9 @@ void NimbusController::OnEnvelope(net::NodeAddress src, MessageKind kind,
       const wire::ScratchGuard guard(&submit_scratch_live_);
       wire::DecodeSubmitStagesEnvelope(bytes, &submit_scratch_);
       const wire::SubmitStagesEnvelope& e = submit_scratch_;
+      if (!RequestIsCurrent(e.epoch)) {
+        break;
+      }
       const std::uint64_t request_id = e.request_id;
       BlockDone done = [this, request_id](std::vector<ScalarResult> scalars) {
         SendBlockDone(request_id, std::move(scalars));
@@ -59,6 +62,9 @@ void NimbusController::OnEnvelope(net::NodeAddress src, MessageKind kind,
     }
     case wire::EnvelopeType::kInstantiateRequest: {
       wire::InstantiateRequestEnvelope e = wire::DecodeInstantiateRequestEnvelope(bytes);
+      if (!RequestIsCurrent(e.epoch)) {
+        break;
+      }
       const std::uint64_t request_id = e.request_id;
       InstantiateTemplate(
           e.name, std::move(e.params),
@@ -70,6 +76,9 @@ void NimbusController::OnEnvelope(net::NodeAddress src, MessageKind kind,
     }
     case wire::EnvelopeType::kCheckpointRequest: {
       wire::CheckpointRequestEnvelope e = wire::DecodeCheckpointRequestEnvelope(bytes);
+      if (!RequestIsCurrent(e.epoch)) {
+        break;
+      }
       const std::uint64_t request_id = e.request_id;
       TriggerCheckpoint(e.marker, [this, request_id]() {
         transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::Driver(),
@@ -83,6 +92,30 @@ void NimbusController::OnEnvelope(net::NodeAddress src, MessageKind kind,
       NIMBUS_CHECK(false) << "controller: unexpected envelope type "
                           << static_cast<int>(wire::PeekEnvelopeType(bytes));
   }
+}
+
+bool NimbusController::RequestIsCurrent(std::uint64_t epoch) {
+  if (epoch == recovery_epoch_) {
+    return true;
+  }
+  // Sent before the driver learned of the latest recovery: running it would apply a block
+  // the driver reruns from the checkpoint marker. Answer with the notice, unless that
+  // recovery is still reloading — its own notice answers the request when it completes.
+  // (No driver sends an epoch it was never told; such a request is dropped too.)
+  if (epoch < recovery_epoch_ && notified_epoch_ == recovery_epoch_) {
+    SendRecoveryNotice();
+  }
+  return false;
+}
+
+void NimbusController::SendRecoveryNotice() {
+  notified_epoch_ = recovery_epoch_;
+  wire::RecoveryNoticeEnvelope e;
+  e.epoch = recovery_epoch_;
+  e.marker = checkpoint_.driver_marker;
+  transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::Driver(),
+                   MessageKind::kControl, wire::EncodeRecoveryNoticeEnvelope(e),
+                   /*cost_bytes=*/16);
 }
 
 void NimbusController::SendBlockDone(std::uint64_t request_id,
@@ -1162,6 +1195,7 @@ void NimbusController::OnWorkerFailed(WorkerId worker_id) {
 
 void NimbusController::RunRecovery() {
   recovery_scheduled_ = false;
+  ++recovery_epoch_;
   NIMBUS_CHECK(checkpoint_.valid) << "worker failed with no valid checkpoint";
   InvalidateLookahead();  // Restore() resets the map to the checkpoint state
 
@@ -1187,10 +1221,7 @@ void NimbusController::RunRecovery() {
     prev_executed_ = core::PatchCache::kEntryFromOutside;
     ++counters_.recoveries;
     // Tell the driver which checkpoint marker the cluster reverted to.
-    transport_->Send(net::NodeAddress::Controller(), net::NodeAddress::Driver(),
-                     MessageKind::kControl,
-                     wire::EncodeRecoveryNoticeEnvelope(checkpoint_.driver_marker),
-                     /*cost_bytes=*/16);
+    SendRecoveryNotice();
   });
 
   SendCommandGroups(NewGroupSeq(), std::move(reload), block);

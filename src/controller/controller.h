@@ -346,6 +346,13 @@ class NimbusController {
   void RunRecovery();
   void CheckHeartbeats();
 
+  // Whether a driver request stamped with recovery epoch `epoch` may run (DESIGN.md §14.6).
+  // A request from an older epoch does not run; it is answered with the recovery notice.
+  bool RequestIsCurrent(std::uint64_t epoch);
+  // Tells the driver that recovery `recovery_epoch_` completed and which checkpoint marker
+  // the cluster reverted to.
+  void SendRecoveryNotice();
+
   // Answers one driver request with a kBlockDone envelope carrying the block's scalars.
   void SendBlockDone(std::uint64_t request_id, std::vector<ScalarResult> scalars);
 
@@ -411,6 +418,10 @@ class NimbusController {
 
   CheckpointState checkpoint_;
   bool recovery_scheduled_ = false;  // a RunRecovery is pending on the liveness clock
+  // Recovery epochs (DESIGN.md §14.6): RunRecovery bumps recovery_epoch_; notified_epoch_
+  // is the epoch of the last kRecoveryNotice sent, so they differ while a reload runs.
+  std::uint64_t recovery_epoch_ = 0;
+  std::uint64_t notified_epoch_ = 0;
 
   // Heartbeat-based failure detection (per-worker liveness lives in worker_records_).
   bool failure_detection_ = false;

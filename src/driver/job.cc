@@ -32,8 +32,14 @@ void Job::OnEnvelope(net::NodeAddress src, MessageKind kind, ParameterBlob bytes
       return;
     }
     case wire::EnvelopeType::kRecoveryNotice: {
-      recovery_marker_ = wire::DecodeRecoveryNoticeEnvelope(bytes);
-      recovery_pending_ = true;
+      const wire::RecoveryNoticeEnvelope e = wire::DecodeRecoveryNoticeEnvelope(bytes);
+      // The controller repeats a notice to answer each request sent before the driver saw
+      // it; only a newer epoch is news.
+      if (e.epoch > recovery_epoch_) {
+        recovery_epoch_ = e.epoch;
+        recovery_marker_ = e.marker;
+        recovery_pending_ = true;
+      }
       return;
     }
     case wire::EnvelopeType::kSuspectNotice: {
@@ -68,14 +74,35 @@ void Job::DefineBlock(const std::string& name, std::vector<StageDescriptor> stag
   blocks_[name] = std::move(def);
 }
 
-Job::RunResult Job::ExecuteAndWait(std::uint64_t request_id, ParameterBlob request,
-                                   std::int64_t request_bytes) {
-  cluster_->WithDriver([&]() {
-    waiting_request_ = request_id;
+std::uint64_t Job::OpenRequest(std::uint64_t* epoch) {
+  ++last_request_id_;
+  cluster_->WithDriver([this, epoch]() {
+    if (recovery_pending_) {
+      return;
+    }
+    waiting_request_ = last_request_id_;
     pending_done_ = false;
     pending_scalars_.clear();
+    checkpoint_done_ = false;
+    *epoch = recovery_epoch_;
   });
+  // Only this thread writes waiting_request_ (0 between requests), so reading it back
+  // needs no serialization.
+  return waiting_request_;
+}
 
+Job::RunResult Job::TakeRecovery() {
+  RunResult result;
+  cluster_->WithDriver([this, &result]() {
+    NIMBUS_CHECK(recovery_pending_);
+    recovery_pending_ = false;
+    result.recovered = true;
+    result.resume_marker = recovery_marker_;
+  });
+  return result;
+}
+
+Job::RunResult Job::ExecuteAndWait(ParameterBlob request, std::int64_t request_bytes) {
   cluster_->transport().Send(net::NodeAddress::Driver(), net::NodeAddress::Controller(),
                              MessageKind::kControl, std::move(request), request_bytes);
 
@@ -84,19 +111,16 @@ Job::RunResult Job::ExecuteAndWait(std::uint64_t request_id, ParameterBlob reque
   NIMBUS_CHECK(ok || pending_done_ || recovery_pending_)
       << "cluster drained without completing the request";
 
-  RunResult result;
-  if (pending_done_) {
-    result.scalars = std::move(pending_scalars_);
-    // Transport invariance: under TCP workers complete concurrently, so arrival order
-    // races. Task ids give the one canonical order both backends agree on bit-for-bit.
-    std::sort(result.scalars.begin(), result.scalars.end(),
-              [](const ScalarResult& a, const ScalarResult& b) { return a.task < b.task; });
-  } else {
-    recovery_pending_ = false;
-    result.recovered = true;
-    result.resume_marker = recovery_marker_;
-  }
   cluster_->WithDriver([&]() { waiting_request_ = 0; });
+  if (!pending_done_) {
+    return TakeRecovery();
+  }
+  RunResult result;
+  result.scalars = std::move(pending_scalars_);
+  // Transport invariance: under TCP workers complete concurrently, so arrival order
+  // races. Task ids give the one canonical order both backends agree on bit-for-bit.
+  std::sort(result.scalars.begin(), result.scalars.end(),
+            [](const ScalarResult& a, const ScalarResult& b) { return a.task < b.task; });
   return result;
 }
 
@@ -135,10 +159,13 @@ Job::RunResult Job::SubmitStages(const std::vector<StageDescriptor>& stages,
   for (const auto& s : stages) {
     bytes += static_cast<std::int64_t>(s.tasks.size()) * 96;
   }
-  const std::uint64_t request_id = next_request_id_++;
-  return ExecuteAndWait(request_id,
-                        wire::EncodeSubmitStagesEnvelope(request_id, capture_name, stages),
-                        bytes);
+  std::uint64_t epoch = 0;
+  const std::uint64_t request_id = OpenRequest(&epoch);
+  if (request_id == 0) {
+    return TakeRecovery();
+  }
+  return ExecuteAndWait(
+      wire::EncodeSubmitStagesEnvelope(request_id, epoch, capture_name, stages), bytes);
 }
 
 Job::RunResult Job::RunStages(std::vector<StageDescriptor> stages) {
@@ -187,13 +214,15 @@ Job::RunResult Job::RunBlock(const std::string& name, SparseParams params) {
     bytes += 8 + static_cast<std::int64_t>(blob.size());
   }
   bytes += static_cast<std::int64_t>(next_block_hint_.size());
-  const std::uint64_t request_id = next_request_id_++;
   wire::InstantiateRequestEnvelope e;
-  e.request_id = request_id;
+  e.request_id = OpenRequest(&e.epoch);
+  if (e.request_id == 0) {
+    return TakeRecovery();
+  }
   e.name = name;
   e.params = std::move(params);
   e.next_hint = next_block_hint_;
-  return ExecuteAndWait(request_id, wire::EncodeInstantiateRequestEnvelope(e), bytes);
+  return ExecuteAndWait(wire::EncodeInstantiateRequestEnvelope(e), bytes);
 }
 
 Job::RunResult Job::RunBlockSequence(
@@ -211,19 +240,20 @@ Job::RunResult Job::RunBlockSequence(
 }
 
 void Job::Checkpoint(std::uint64_t marker) {
-  const std::uint64_t request_id = next_request_id_++;
-  cluster_->WithDriver([&]() {
-    waiting_request_ = request_id;
-    checkpoint_done_ = false;
-  });
   wire::CheckpointRequestEnvelope e;
-  e.request_id = request_id;
+  e.request_id = OpenRequest(&e.epoch);
+  if (e.request_id == 0) {
+    return;  // a recovery is pending: the next block reports it, and no checkpoint is due
+  }
   e.marker = marker;
   cluster_->transport().Send(net::NodeAddress::Driver(), net::NodeAddress::Controller(),
                              MessageKind::kControl, wire::EncodeCheckpointRequestEnvelope(e),
                              /*cost_bytes=*/32);
-  const bool ok = cluster_->AwaitDriver([this]() { return checkpoint_done_; });
-  NIMBUS_CHECK(ok) << "checkpoint did not complete";
+  // A recovery that lands first abandons the checkpoint; its notice stays pending for the
+  // next block to report.
+  const bool ok = cluster_->AwaitDriver(
+      [this]() { return checkpoint_done_ || recovery_pending_; });
+  NIMBUS_CHECK(ok || checkpoint_done_ || recovery_pending_) << "checkpoint did not complete";
   cluster_->WithDriver([&]() { waiting_request_ = 0; });
 }
 

@@ -119,15 +119,24 @@ class Job {
     std::size_t task_count = 0;
   };
 
-  // Ships an encoded request envelope driver -> controller (`request_bytes` is its modeled
-  // size), waits until the matching kBlockDone reply or a recovery notice arrives, and
-  // returns the result. Scalars are sorted by task id: completion order is deterministic
-  // under the simulator but races under TCP, and results must be transport-invariant.
-  RunResult ExecuteAndWait(std::uint64_t request_id, ParameterBlob request,
-                           std::int64_t request_bytes);
+  // Opens the next request and returns its id: the driver now waits on it, and `*epoch` is
+  // the recovery epoch the request must carry (DESIGN.md §14.6). Returns 0, opening
+  // nothing, when a recovery notice is already pending: the request must not reach the
+  // controller, since the driver reruns from the notice's marker instead.
+  std::uint64_t OpenRequest(std::uint64_t* epoch);
+
+  // Consumes the pending recovery notice as a recovered result.
+  RunResult TakeRecovery();
+
+  // Ships the opened request's encoded envelope driver -> controller (`request_bytes` is
+  // its modeled size), waits until the matching kBlockDone reply or a recovery notice
+  // arrives, and returns the result. Scalars are sorted by task id: completion order is
+  // deterministic under the simulator but races under TCP, and results must be
+  // transport-invariant.
+  RunResult ExecuteAndWait(ParameterBlob request, std::int64_t request_bytes);
 
   // Encodes `stages` as one kSubmitStages request (capturing them as template
-  // `capture_name` when it is non-empty) and runs it through ExecuteAndWait.
+  // `capture_name` when it is non-empty) and runs it through OpenRequest/ExecuteAndWait.
   RunResult SubmitStages(const std::vector<StageDescriptor>& stages,
                          const std::string& capture_name);
 
@@ -148,13 +157,14 @@ class Job {
   // Request/reply mailbox. Written by the main thread (under Cluster::WithDriver) and by
   // the driver delivery handler; AwaitDriver's predicate reads it under the same
   // serialization.
-  std::uint64_t next_request_id_ = 1;
+  std::uint64_t last_request_id_ = 0;  // the last id opened; ids start at 1
   std::uint64_t waiting_request_ = 0;  // id the driver is blocked on; 0 = none
   bool pending_done_ = false;
   std::vector<ScalarResult> pending_scalars_;
   bool checkpoint_done_ = false;
   bool recovery_pending_ = false;
   std::uint64_t recovery_marker_ = 0;
+  std::uint64_t recovery_epoch_ = 0;  // epoch of the newest kRecoveryNotice seen
   std::uint64_t suspect_notices_ = 0;
 };
 

@@ -596,12 +596,17 @@ IfRecord<T, DataCopyEnvelope> Walk(W& w, T& e) {
 
 template <typename W, typename T>
 IfRecord<T, InstantiateRequestEnvelope> Walk(W& w, T& e) {
-  w(e.request_id, e.name, e.params, e.next_hint);
+  w(e.request_id, e.epoch, e.name, e.params, e.next_hint);
 }
 
 template <typename W, typename T>
 IfRecord<T, CheckpointRequestEnvelope> Walk(W& w, T& e) {
-  w(e.request_id, e.marker);
+  w(e.request_id, e.epoch, e.marker);
+}
+
+template <typename W, typename T>
+IfRecord<T, RecoveryNoticeEnvelope> Walk(W& w, T& e) {
+  w(e.epoch, e.marker);
 }
 
 template <typename W, typename T>
@@ -759,11 +764,12 @@ DataCopyEnvelope DecodeDataCopyEnvelope(const ParameterBlob& bytes) {
 }
 
 // The encoder walks the caller's parts rather than an envelope struct, so the stage list
-// is encoded where it lies; the reuse decoder walks the same three fields.
-ParameterBlob EncodeSubmitStagesEnvelope(std::uint64_t request_id,
+// is encoded where it lies; the reuse decoder walks the same four fields.
+ParameterBlob EncodeSubmitStagesEnvelope(std::uint64_t request_id, std::uint64_t epoch,
                                          std::string_view capture_name,
                                          const std::vector<StageDescriptor>& stages) {
-  return EncodeEnvelope(EnvelopeType::kSubmitStages, request_id, capture_name, stages);
+  return EncodeEnvelope(EnvelopeType::kSubmitStages, request_id, epoch, capture_name,
+                        stages);
 }
 
 SubmitStagesEnvelope DecodeSubmitStagesEnvelope(const ParameterBlob& bytes) {
@@ -773,8 +779,8 @@ SubmitStagesEnvelope DecodeSubmitStagesEnvelope(const ParameterBlob& bytes) {
 }
 
 void DecodeSubmitStagesEnvelope(const ParameterBlob& bytes, SubmitStagesEnvelope* out) {
-  DecodeEnvelope(bytes, EnvelopeType::kSubmitStages, out->request_id, out->capture_name,
-                 out->stages);
+  DecodeEnvelope(bytes, EnvelopeType::kSubmitStages, out->request_id, out->epoch,
+                 out->capture_name, out->stages);
 }
 
 ParameterBlob EncodeInstantiateRequestEnvelope(const InstantiateRequestEnvelope& e) {
@@ -809,12 +815,12 @@ std::uint64_t DecodeCheckpointDoneEnvelope(const ParameterBlob& bytes) {
   return DecodeValue<std::uint64_t>(bytes, EnvelopeType::kCheckpointDone);
 }
 
-ParameterBlob EncodeRecoveryNoticeEnvelope(std::uint64_t marker) {
-  return EncodeEnvelope(EnvelopeType::kRecoveryNotice, marker);
+ParameterBlob EncodeRecoveryNoticeEnvelope(const RecoveryNoticeEnvelope& e) {
+  return EncodeEnvelope(EnvelopeType::kRecoveryNotice, e);
 }
 
-std::uint64_t DecodeRecoveryNoticeEnvelope(const ParameterBlob& bytes) {
-  return DecodeValue<std::uint64_t>(bytes, EnvelopeType::kRecoveryNotice);
+RecoveryNoticeEnvelope DecodeRecoveryNoticeEnvelope(const ParameterBlob& bytes) {
+  return DecodeValue<RecoveryNoticeEnvelope>(bytes, EnvelopeType::kRecoveryNotice);
 }
 
 ParameterBlob ApplyParamOverrides(

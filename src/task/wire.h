@@ -173,8 +173,8 @@ class ScratchGuard {
   bool* live_;
 };
 
-// "NBE2": Nimbus Envelope format, version 2. Bump the trailing digit on layout changes.
-inline constexpr std::uint32_t kEnvelopeMagic = 0x3245424E;
+// "NBE3": Nimbus Envelope format, version 3. Bump the trailing digit on layout changes.
+inline constexpr std::uint32_t kEnvelopeMagic = 0x3345424E;
 inline constexpr std::size_t kEnvelopeHeaderSize = 5;
 
 enum class EnvelopeType : std::uint8_t {
@@ -277,8 +277,13 @@ DataCopyEnvelope DecodeDataCopyEnvelope(const ParameterBlob& bytes);
 
 // -- Driver -> controller --
 
+// Every driver request carries `epoch`, the recovery epoch of the last kRecoveryNotice the
+// driver saw. The controller runs a request only if it is the current epoch: an older one
+// was sent before the driver learned of a recovery, and is answered with the notice instead
+// (DESIGN.md §14.6).
 struct SubmitStagesEnvelope {
   std::uint64_t request_id = 0;
+  std::uint64_t epoch = 0;
   // Non-empty: capture the stages as a named template while executing (BeginTemplate /
   // SubmitStages / EndTemplate). Empty: plain central execution.
   std::string capture_name;
@@ -286,7 +291,7 @@ struct SubmitStagesEnvelope {
 };
 // Encodes straight from the caller's stage list, so the driver ships its recorded block
 // definitions without copying them into an envelope struct first.
-ParameterBlob EncodeSubmitStagesEnvelope(std::uint64_t request_id,
+ParameterBlob EncodeSubmitStagesEnvelope(std::uint64_t request_id, std::uint64_t epoch,
                                          std::string_view capture_name,
                                          const std::vector<StageDescriptor>& stages);
 SubmitStagesEnvelope DecodeSubmitStagesEnvelope(const ParameterBlob& bytes);
@@ -294,6 +299,7 @@ void DecodeSubmitStagesEnvelope(const ParameterBlob& bytes, SubmitStagesEnvelope
 
 struct InstantiateRequestEnvelope {
   std::uint64_t request_id = 0;
+  std::uint64_t epoch = 0;
   std::string name;
   std::vector<std::pair<std::int32_t, ParameterBlob>> params;
   std::string next_hint;  // lookahead announcement ("" = none, DESIGN.md §9)
@@ -303,6 +309,7 @@ InstantiateRequestEnvelope DecodeInstantiateRequestEnvelope(const ParameterBlob&
 
 struct CheckpointRequestEnvelope {
   std::uint64_t request_id = 0;
+  std::uint64_t epoch = 0;
   std::uint64_t marker = 0;
 };
 ParameterBlob EncodeCheckpointRequestEnvelope(const CheckpointRequestEnvelope& e);
@@ -320,8 +327,14 @@ BlockDoneEnvelope DecodeBlockDoneEnvelope(const ParameterBlob& bytes);
 ParameterBlob EncodeCheckpointDoneEnvelope(std::uint64_t request_id);
 std::uint64_t DecodeCheckpointDoneEnvelope(const ParameterBlob& bytes);
 
-ParameterBlob EncodeRecoveryNoticeEnvelope(std::uint64_t marker);
-std::uint64_t DecodeRecoveryNoticeEnvelope(const ParameterBlob& bytes);
+// A recovery finished: `epoch` numbers it (1 for the first), `marker` is the checkpoint
+// marker the cluster reverted to.
+struct RecoveryNoticeEnvelope {
+  std::uint64_t epoch = 0;
+  std::uint64_t marker = 0;
+};
+ParameterBlob EncodeRecoveryNoticeEnvelope(const RecoveryNoticeEnvelope& e);
+RecoveryNoticeEnvelope DecodeRecoveryNoticeEnvelope(const ParameterBlob& bytes);
 
 // -- Failure detection (DESIGN.md §14) --
 

@@ -13,6 +13,7 @@
 #include "src/common/logging.h"
 #include "src/driver/cluster.h"
 #include "src/driver/job.h"
+#include "src/task/wire.h"
 
 namespace nimbus {
 namespace {
@@ -93,6 +94,131 @@ TEST(FaultRecoveryTest, RecoveryMatchesFailureFreeRun) {
   }
 
   EXPECT_EQ(cluster.controller().counters().recoveries, 1u);
+  const auto actual = app.CoeffSnapshot();
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t d = 0; d < expected.size(); ++d) {
+    EXPECT_DOUBLE_EQ(expected[d], actual[d]) << "coefficient " << d;
+  }
+}
+
+// A failure detected between blocks: the recovery runs and its notice reaches a driver
+// that waits on no request. The next block must come back as recovered without running:
+// the driver reruns from the checkpoint marker, so a block that also ran on the restored
+// state would be applied twice.
+TEST(FaultRecoveryTest, RecoveryWhileDriverIdleRunsEachBlockOnce) {
+  const int total_iterations = 10;
+  const int checkpoint_at = 4;
+  const int kill_at = 6;
+  const auto expected =
+      LogisticRegressionApp::ReferenceInnerLoop(SmallConfig(), total_iterations);
+
+  ClusterOptions options;
+  options.workers = 4;
+  options.partitions = 8;
+  options.mode = ControlMode::kTemplates;
+  ArmDetection(&options);
+  Cluster cluster(options);
+  Job job(&cluster);
+
+  LogisticRegressionApp app(&job, SmallConfig());
+  app.Setup();
+
+  int iter = 0;
+  bool killed = false;
+  int recovered_returns = 0;
+  while (iter < total_iterations) {
+    auto result = app.RunInnerIteration();
+    if (result.recovered) {
+      ++recovered_returns;
+      iter = static_cast<int>(result.resume_marker);
+      continue;
+    }
+    ++iter;
+    if (iter == checkpoint_at) {
+      job.Checkpoint(static_cast<std::uint64_t>(iter));
+    }
+    if (iter == kill_at && !killed) {
+      killed = true;
+      cluster.FailWorker(WorkerId(2));
+      // The driver stays idle through detection, halt, reload and the notice.
+      sim::Simulation& simulation = cluster.simulation();
+      simulation.RunUntil(simulation.now() + sim::Seconds(3));
+      ASSERT_EQ(cluster.controller().counters().recoveries, 1u);
+    }
+  }
+
+  EXPECT_EQ(recovered_returns, 1);
+  EXPECT_EQ(cluster.controller().counters().recoveries, 1u);
+  const auto actual = app.CoeffSnapshot();
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t d = 0; d < expected.size(); ++d) {
+    EXPECT_DOUBLE_EQ(expected[d], actual[d]) << "coefficient " << d;
+  }
+}
+
+// The other half of the epoch check: a request that left the driver before it learned of a
+// recovery (under TCP, a request and the notice can cross on the wire) must not run on the
+// restored state. The controller answers it with the notice again, and the driver takes
+// the repeat as no news: it rewinds once.
+TEST(FaultRecoveryTest, RequestFromBeforeARecoveryIsAnsweredWithTheNotice) {
+  const int total_iterations = 8;
+  const auto expected =
+      LogisticRegressionApp::ReferenceInnerLoop(SmallConfig(), total_iterations);
+
+  ClusterOptions options;
+  options.workers = 4;
+  options.partitions = 8;
+  options.mode = ControlMode::kTemplates;
+  ArmDetection(&options);
+  Cluster cluster(options);
+  Job job(&cluster);
+  std::vector<wire::RecoveryNoticeEnvelope> notices;
+  cluster.SetDriverHandler(
+      [&job, &notices](net::NodeAddress src, MessageKind kind, ParameterBlob bytes) {
+        if (wire::PeekEnvelopeType(bytes) == wire::EnvelopeType::kRecoveryNotice) {
+          notices.push_back(wire::DecodeRecoveryNoticeEnvelope(bytes));
+        }
+        job.OnEnvelope(src, kind, std::move(bytes));
+      });
+
+  LogisticRegressionApp app(&job, SmallConfig());
+  app.Setup();
+  app.RunInnerLoop(4);  // captured and installed: later blocks take the template path
+  job.Checkpoint(4);
+  cluster.FailWorker(WorkerId(2));
+  sim::Simulation& simulation = cluster.simulation();
+  simulation.RunUntil(simulation.now() + sim::Seconds(3));
+  ASSERT_EQ(cluster.controller().counters().recoveries, 1u);
+  ASSERT_EQ(notices.size(), 1u);
+  EXPECT_EQ(notices[0].epoch, 1u);
+  EXPECT_EQ(notices[0].marker, 4u);
+
+  // A block request still stamped with epoch 0, as if sent before the notice arrived.
+  const std::uint64_t dispatched = cluster.controller().tasks_dispatched();
+  wire::InstantiateRequestEnvelope stale;
+  stale.request_id = 1000;
+  stale.epoch = 0;
+  stale.name = app.InnerBlockName();
+  cluster.transport().Send(net::NodeAddress::Driver(), net::NodeAddress::Controller(),
+                           MessageKind::kControl,
+                           wire::EncodeInstantiateRequestEnvelope(stale), 64);
+  simulation.RunUntil(simulation.now() + sim::Millis(50));
+  EXPECT_EQ(cluster.controller().tasks_dispatched(), dispatched);
+  ASSERT_EQ(notices.size(), 2u);
+  EXPECT_EQ(notices[1].epoch, 1u);
+
+  int iter = 4;
+  int recovered_returns = 0;
+  while (iter < total_iterations) {
+    const auto result = app.RunInnerIteration();
+    if (result.recovered) {
+      ++recovered_returns;
+      iter = static_cast<int>(result.resume_marker);
+      continue;
+    }
+    ++iter;
+  }
+  EXPECT_EQ(recovered_returns, 1);
   const auto actual = app.CoeffSnapshot();
   ASSERT_EQ(expected.size(), actual.size());
   for (std::size_t d = 0; d < expected.size(); ++d) {

@@ -144,7 +144,7 @@ std::vector<StageDescriptor> LrShapedStages() {
 TEST(EnvelopeAllocTest, SubmitStagesEnvelopeAllocatesOnce) {
   const std::vector<StageDescriptor> stages = LrShapedStages();
   EXPECT_EQ(CountAllocations([&] {
-              return wire::EncodeSubmitStagesEnvelope(1, "", stages);
+              return wire::EncodeSubmitStagesEnvelope(1, 0, "", stages);
             }),
             1u);
 }

@@ -213,12 +213,14 @@ TEST(EnvelopeCodecTest, ControlEnvelopesRoundTrip) {
 TEST(EnvelopeCodecTest, DriverEnvelopesRoundTrip) {
   wire::InstantiateRequestEnvelope ir;
   ir.request_id = 5;
+  ir.epoch = 2;
   ir.name = "lr_inner";
   ir.params.emplace_back(3, ParameterBlob{1, 2, 3});
   ir.next_hint = "lr_outer";
   const wire::InstantiateRequestEnvelope ird =
       wire::DecodeInstantiateRequestEnvelope(wire::EncodeInstantiateRequestEnvelope(ir));
   EXPECT_EQ(ird.request_id, 5u);
+  EXPECT_EQ(ird.epoch, 2u);
   EXPECT_EQ(ird.name, "lr_inner");
   ASSERT_EQ(ird.params.size(), 1u);
   EXPECT_EQ(ird.params[0], ir.params[0]);
@@ -226,10 +228,12 @@ TEST(EnvelopeCodecTest, DriverEnvelopesRoundTrip) {
 
   wire::CheckpointRequestEnvelope cr;
   cr.request_id = 6;
+  cr.epoch = 3;
   cr.marker = 40;
   const wire::CheckpointRequestEnvelope crd =
       wire::DecodeCheckpointRequestEnvelope(wire::EncodeCheckpointRequestEnvelope(cr));
   EXPECT_EQ(crd.request_id, 6u);
+  EXPECT_EQ(crd.epoch, 3u);
   EXPECT_EQ(crd.marker, 40u);
 
   wire::BlockDoneEnvelope bd;
@@ -242,7 +246,10 @@ TEST(EnvelopeCodecTest, DriverEnvelopesRoundTrip) {
   EXPECT_EQ(bdd.scalars[0].task, TaskId(1));
 
   EXPECT_EQ(wire::DecodeCheckpointDoneEnvelope(wire::EncodeCheckpointDoneEnvelope(9)), 9u);
-  EXPECT_EQ(wire::DecodeRecoveryNoticeEnvelope(wire::EncodeRecoveryNoticeEnvelope(13)), 13u);
+  const wire::RecoveryNoticeEnvelope rnd =
+      wire::DecodeRecoveryNoticeEnvelope(wire::EncodeRecoveryNoticeEnvelope({4, 13}));
+  EXPECT_EQ(rnd.epoch, 4u);
+  EXPECT_EQ(rnd.marker, 13u);
 }
 
 TEST(EnvelopeCodecTest, DataCopyEnvelopeCarriesScalarAndVectorPayloads) {
@@ -368,7 +375,7 @@ std::vector<StageDescriptor> GoldenStages() {
 
 TEST(EnvelopeCodecTest, GoldenBytesSerializedBatchEnvelope) {
   EXPECT_EQ(Hex(GoldenBatchEnvelope()),
-      "4e4245320106000000000000000200000000000000b70000004e42573102000000060000000000"
+      "4e4245330106000000000000000200000000000000b70000004e42573102000000060000000000"
       "0000e803000000000000f40100000000000001000000000000000001010000000100000000000000"
       "020000000700000000000000080000000000000001000000090000000000000003000000a1b2c304"
       "0000000000000002000000fa00000000000000010002000000010000000100000001000000090000"
@@ -378,7 +385,7 @@ TEST(EnvelopeCodecTest, GoldenBytesSerializedBatchEnvelope) {
 
 TEST(EnvelopeCodecTest, GoldenBytesCommandsEnvelope) {
   EXPECT_EQ(Hex(GoldenCommandsEnvelope()),
-      "4e424532004d000000000000000100000000000000010000000208070605040302010200000003"
+      "4e424533004d000000000000000100000000000000010000000208070605040302010200000003"
       "000000000000000400000000000000010000000b00000000000000020000000c000000000000000d"
       "0000000000000002000000dead15000000000000001600000000000000fbffffffffffffff011700"
       "000000000000180000000000000019000000000000001a000000000000001b000000000000001c00"
@@ -386,12 +393,12 @@ TEST(EnvelopeCodecTest, GoldenBytesCommandsEnvelope) {
 }
 
 TEST(EnvelopeCodecTest, GoldenBytesSubmitStagesEnvelope) {
-  EXPECT_EQ(Hex(wire::EncodeSubmitStagesEnvelope(9, "lr", GoldenStages())),
-      "4e424532080900000000000000020000006c7202000000030000006d617001000000030000000000"
-      "000002000000010000000000000000000000000000000200000000000000ffffffffffffffff0100"
-      "0000040000000000000007000000000000000400000010203040ffffffffffffffffdc0500000000"
-      "00000006000000726564756365010000000500000000000000010000000400000000000000070000"
-      "000000000000000000000000000200000000000000280000000000000001");
+  EXPECT_EQ(Hex(wire::EncodeSubmitStagesEnvelope(9, 10, "lr", GoldenStages())),
+      "4e4245330809000000000000000a00000000000000020000006c7202000000030000006d61700100"
+      "0000030000000000000002000000010000000000000000000000000000000200000000000000ffff"
+      "ffffffffffff01000000040000000000000007000000000000000400000010203040ffffffffffff"
+      "ffffdc05000000000000000600000072656475636501000000050000000000000001000000040000"
+      "0000000000070000000000000000000000000000000200000000000000280000000000000001");
 }
 
 // Every remaining envelope type, one fixture each. Every field holds a distinct non-default
@@ -430,7 +437,7 @@ std::vector<GoldenCase> GoldenCases() {
   install.half.worker = WorkerId(62);
   install.half.entries = {GoldenWtEntry()};
   cases.push_back({"install_template", wire::EncodeInstallTemplateEnvelope(install),
-      "4e424532023d000000000000003e00000000000000010000000229000000000000002a0000000000"
+      "4e424533023d000000000000003e00000000000000010000000229000000000000002a0000000000"
       "00002b0000000000000001020000002c000000000000002d00000000000000010000002e00000000"
       "00000002000000c1c22f000000000000003000000000000000310000000000000032000000000000"
       "0002000000fdffffffffffffff330000000000000001"});
@@ -448,7 +455,7 @@ std::vector<GoldenCase> GoldenCases() {
   op.entry = GoldenWtEntry();
   inst.edits = {op};
   cases.push_back({"instantiate", wire::EncodeInstantiateEnvelope(inst),
-      "4e424532034700000000000000480000000000000049000000000000004a00000000000000020000"
+      "4e424533034700000000000000480000000000000049000000000000004a00000000000000020000"
       "004b0000000000000002000000a7a8b4ffffffffffffff0000000001000000024d00000000000000"
       "4e000000000000000229000000000000002a000000000000002b0000000000000001020000002c00"
       "0000000000002d00000000000000010000002e0000000000000002000000c1c22f00000000000000"
@@ -456,20 +463,20 @@ std::vector<GoldenCase> GoldenCases() {
       "0000000001"});
 
   cases.push_back({"halt", wire::EncodeHaltEnvelope(),
-      "4e42453204"});
+      "4e42453304"});
 
   wire::HeartbeatEnvelope beat;
   beat.worker = WorkerId(91);
   beat.seq = 92;
   cases.push_back({"heartbeat", wire::EncodeHeartbeatEnvelope(beat),
-      "4e424532055b000000000000005c00000000000000"});
+      "4e424533055b000000000000005c00000000000000"});
 
   wire::GroupCompleteEnvelope complete;
   complete.worker = WorkerId(101);
   complete.group_seq = 102;
   complete.scalars = {{TaskId(103), 1.5}, {TaskId(104), -0.25}};
   cases.push_back({"group_complete", wire::EncodeGroupCompleteEnvelope(complete),
-      "4e4245320665000000000000006600000000000000020000006700000000000000000000000000f8"
+      "4e4245330665000000000000006600000000000000020000006700000000000000000000000000f8"
       "3f6800000000000000000000000000d0bf"});
 
   wire::DataCopyEnvelope scalar_copy;
@@ -478,7 +485,7 @@ std::vector<GoldenCase> GoldenCases() {
   scalar_copy.version = 113;
   scalar_copy.payload = std::make_unique<ScalarPayload>(2.5);
   cases.push_back({"data_copy_scalar", wire::EncodeDataCopyEnvelope(scalar_copy),
-      "4e424532076f0000000000000070000000000000007100000000000000010000000000000440"});
+      "4e424533076f0000000000000070000000000000007100000000000000010000000000000440"});
 
   wire::DataCopyEnvelope vector_copy;
   vector_copy.copy = CopyId(114);
@@ -486,46 +493,48 @@ std::vector<GoldenCase> GoldenCases() {
   vector_copy.version = 116;
   vector_copy.payload = std::make_unique<VectorPayload>(std::vector<double>{0.5, -8.0});
   cases.push_back({"data_copy_vector", wire::EncodeDataCopyEnvelope(vector_copy),
-      "4e424532077200000000000000730000000000000074000000000000000202000000000000000000"
+      "4e424533077200000000000000730000000000000074000000000000000202000000000000000000"
       "e03f00000000000020c0"});
 
   wire::InstantiateRequestEnvelope request;
   request.request_id = 121;
+  request.epoch = 122;
   request.name = "blk";
   request.params = {{122, ParameterBlob{0xB1}}};
   request.next_hint = "nx";
   cases.push_back({"instantiate_request", wire::EncodeInstantiateRequestEnvelope(request),
-      "4e42453209790000000000000003000000626c6b010000007a0000000000000001000000b1020000"
-      "006e78"});
+      "4e4245330979000000000000007a0000000000000003000000626c6b010000007a00000000000000"
+      "01000000b1020000006e78"});
 
   wire::CheckpointRequestEnvelope checkpoint;
   checkpoint.request_id = 131;
+  checkpoint.epoch = 133;
   checkpoint.marker = 132;
   cases.push_back({"checkpoint_request", wire::EncodeCheckpointRequestEnvelope(checkpoint),
-      "4e4245320a83000000000000008400000000000000"});
+      "4e4245330a830000000000000085000000000000008400000000000000"});
 
   wire::BlockDoneEnvelope done;
   done.request_id = 141;
   done.scalars = {{TaskId(142), 3.75}};
   cases.push_back({"block_done", wire::EncodeBlockDoneEnvelope(done),
-      "4e4245320b8d00000000000000010000008e000000000000000000000000000e40"});
+      "4e4245330b8d00000000000000010000008e000000000000000000000000000e40"});
 
   cases.push_back({"checkpoint_done", wire::EncodeCheckpointDoneEnvelope(151),
-      "4e4245320c9700000000000000"});
-  cases.push_back({"recovery_notice", wire::EncodeRecoveryNoticeEnvelope(161),
-      "4e4245320da100000000000000"});
+      "4e4245330c9700000000000000"});
+  cases.push_back({"recovery_notice", wire::EncodeRecoveryNoticeEnvelope({162, 161}),
+      "4e4245330da200000000000000a100000000000000"});
 
   wire::HeartbeatAckEnvelope ack;
   ack.worker = WorkerId(171);
   ack.seq = 172;
   cases.push_back({"heartbeat_ack", wire::EncodeHeartbeatAckEnvelope(ack),
-      "4e4245320eab00000000000000ac00000000000000"});
+      "4e4245330eab00000000000000ac00000000000000"});
 
   wire::SuspectNoticeEnvelope suspect;
   suspect.worker = WorkerId(181);
   suspect.missed_beats = 182;
   cases.push_back({"suspect_notice", wire::EncodeSuspectNoticeEnvelope(suspect),
-      "4e4245320fb500000000000000b600000000000000"});
+      "4e4245330fb500000000000000b600000000000000"});
   return cases;
 }
 
@@ -589,7 +598,7 @@ TEST(EnvelopeCodecTest, SubmitStagesRoundTripsEmptyTaskDescriptors) {
   stage.name = "s";
   stage.tasks.resize(3);
   const wire::SubmitStagesEnvelope d =
-      wire::DecodeSubmitStagesEnvelope(wire::EncodeSubmitStagesEnvelope(4, "", {stage}));
+      wire::DecodeSubmitStagesEnvelope(wire::EncodeSubmitStagesEnvelope(4, 0, "", {stage}));
   ASSERT_EQ(d.stages.size(), 1u);
   ASSERT_EQ(d.stages[0].tasks.size(), 3u);
   EXPECT_TRUE(d.stages[0].tasks[2].reads.empty());
@@ -598,9 +607,10 @@ TEST(EnvelopeCodecTest, SubmitStagesRoundTripsEmptyTaskDescriptors) {
 
 TEST(EnvelopeCodecTest, SubmitStagesRoundTripsEveryTaskField) {
   const std::vector<StageDescriptor> stages = GoldenStages();
-  const ParameterBlob bytes = wire::EncodeSubmitStagesEnvelope(9, "lr", stages);
+  const ParameterBlob bytes = wire::EncodeSubmitStagesEnvelope(9, 5, "lr", stages);
   const wire::SubmitStagesEnvelope d = wire::DecodeSubmitStagesEnvelope(bytes);
   EXPECT_EQ(d.request_id, 9u);
+  EXPECT_EQ(d.epoch, 5u);
   EXPECT_EQ(d.capture_name, "lr");
   ASSERT_EQ(d.stages.size(), stages.size());
   for (std::size_t s = 0; s < stages.size(); ++s) {
@@ -618,7 +628,8 @@ TEST(EnvelopeCodecTest, SubmitStagesRoundTripsEveryTaskField) {
       EXPECT_EQ(a.returns_scalar, b.returns_scalar);
     }
   }
-  EXPECT_EQ(wire::EncodeSubmitStagesEnvelope(d.request_id, d.capture_name, d.stages), bytes);
+  EXPECT_EQ(wire::EncodeSubmitStagesEnvelope(d.request_id, d.epoch, d.capture_name, d.stages),
+            bytes);
 }
 
 TEST(EnvelopeCodecDeathTest, TruncationAtEveryBoundaryDies) {
@@ -693,7 +704,7 @@ TEST(EnvelopeCodecDeathTest, ObjRefPartitionOutsideInt32DiesAfterBulkRead) {
   task.function = FunctionId(1);
   task.reads = {ObjRef{VariableId(2), 0x5A5A5}};
   stage.tasks = {task};
-  ParameterBlob bytes = wire::EncodeSubmitStagesEnvelope(1, "", {stage});
+  ParameterBlob bytes = wire::EncodeSubmitStagesEnvelope(1, 0, "", {stage});
   ReplaceU64(&bytes, 0x5A5A5, std::uint64_t{1} << 31);
   EXPECT_DEATH(wire::DecodeSubmitStagesEnvelope(bytes), "2147483647");
 }

@@ -115,10 +115,11 @@ std::vector<CorpusEntry> BuildCorpus() {
   task.params = ParameterBlob{1, 2};
   stage.tasks.push_back(task);
   add("submit_stages", wire::EnvelopeType::kSubmitStages,
-      wire::EncodeSubmitStagesEnvelope(31, "block", {stage}));
+      wire::EncodeSubmitStagesEnvelope(31, 1, "block", {stage}));
 
   wire::InstantiateRequestEnvelope request;
   request.request_id = 32;
+  request.epoch = 1;
   request.name = "block";
   request.params.emplace_back(1, ParameterBlob{8});
   request.next_hint = "next";
@@ -127,6 +128,7 @@ std::vector<CorpusEntry> BuildCorpus() {
 
   wire::CheckpointRequestEnvelope checkpoint;
   checkpoint.request_id = 33;
+  checkpoint.epoch = 1;
   checkpoint.marker = 4;
   add("checkpoint_request", wire::EnvelopeType::kCheckpointRequest,
       wire::EncodeCheckpointRequestEnvelope(checkpoint));
@@ -139,7 +141,7 @@ std::vector<CorpusEntry> BuildCorpus() {
   add("checkpoint_done", wire::EnvelopeType::kCheckpointDone,
       wire::EncodeCheckpointDoneEnvelope(35));
   add("recovery_notice", wire::EnvelopeType::kRecoveryNotice,
-      wire::EncodeRecoveryNoticeEnvelope(36));
+      wire::EncodeRecoveryNoticeEnvelope({1, 36}));
 
   wire::HeartbeatAckEnvelope ack;
   ack.worker = WorkerId(3);

@@ -255,7 +255,7 @@ std::vector<StageDescriptor> LrStages() {
 
 TEST(CentralIngestAllocTest, SubmitStagesDecodeIntoRecycledEnvelopeAllocatesNothing) {
   const std::vector<StageDescriptor> stages = LrStages();
-  const ParameterBlob bytes = wire::EncodeSubmitStagesEnvelope(7, "", stages);
+  const ParameterBlob bytes = wire::EncodeSubmitStagesEnvelope(7, 0, "", stages);
   wire::SubmitStagesEnvelope e;
   wire::DecodeSubmitStagesEnvelope(bytes, &e);  // warm-up: sizes every list and blob
   const std::uint64_t before = g_allocations.load();
