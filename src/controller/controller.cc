@@ -773,12 +773,12 @@ void NimbusController::InstantiateSet(
                               follows_self && mode_ != ControlMode::kCentralOnly;
   if (!auto_validates) {
     // Lookahead consumption (DESIGN.md §9.2): this set's sweep already ran right after the
-    // previous block's message assembly. Reuse is legal iff
-    // the stamps prove nothing it read has moved since — same set, same map id space,
-    // same edit generation, no intervening version-map mutation (every such site calls
-    // InvalidateLookahead) — which makes the cached directives bit-identical to what the
-    // serial sweep below would produce. force_full_validation keeps the serial sweep so
-    // the ablation bench measures what it claims to.
+    // previous block's message assembly. Reuse is legal iff the stamps prove nothing it
+    // read has moved since — same set, same map id space, same edit generation, no
+    // intervening version-map mutation (every such site calls InvalidateLookahead) —
+    // which makes the cached directives bit-identical to what the serial sweep below
+    // would produce. force_full_validation keeps the serial sweep so the ablation bench
+    // measures what it claims to.
     const bool lookahead_hit =
         lookahead_.valid && !has_edits && !switches_.force_full_validation &&
         lookahead_.set_id_value == set->id().value() &&

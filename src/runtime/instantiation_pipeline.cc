@@ -85,26 +85,12 @@ void InstantiationPipeline::ApplyEffects(const core::WorkerTemplateSet& set,
                                          const core::Patch& patch, VersionMap* versions) {
   ++map_writes_;
   const core::CompiledInstantiation& compiled = set.CompiledFor(*versions);
-  SetPlan& plan = PlanFor(set, compiled);
-
-  // Patch copies are interned before any object is created, so dense ids come out in the
-  // same order however the block's objects are spread.
-  struct DenseCopy {
-    DenseIndex object;
-    DenseIndex dst;
-  };
-  std::vector<DenseCopy> copies;
-  copies.reserve(patch.directives.size());
-  for (const core::PatchDirective& d : patch.directives) {
-    copies.push_back(
-        DenseCopy{versions->InternObject(d.object), versions->InternWorker(d.dst)});
-  }
-  EnsureObjectsExistPlanned(&plan, compiled, versions);
+  EnsureObjectsExistPlanned(&PlanFor(set, compiled), compiled, versions);
 
   NIMBUS_TRACE_SPAN(trace::Lane::kPipeline, 0, "apply_job");
   // Patch copies land before the block's own writes.
-  for (const DenseCopy& c : copies) {
-    versions->RecordCopyToLatestDense(c.object, c.dst);
+  for (const core::PatchDirective& d : patch.directives) {
+    versions->RecordCopyToLatest(d.object, d.dst);
   }
   for (const auto& delta : compiled.write_deltas) {
     versions->AdvanceVersionsDense(delta.object, delta.primary_holder, delta.write_count);
