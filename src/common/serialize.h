@@ -7,6 +7,7 @@
 #ifndef NIMBUS_SRC_COMMON_SERIALIZE_H_
 #define NIMBUS_SRC_COMMON_SERIALIZE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -20,14 +21,28 @@ namespace nimbus {
 // An opaque parameter blob attached to a command or template instantiation.
 using ParameterBlob = std::vector<std::uint8_t>;
 
+namespace internal {
+// The failure path of BlobReader's bounds check: a failed NIMBUS_CHECK_LE, out of line
+// (serialize.cc). An inlined CHECK brings its ostringstream into every caller, and GCC
+// then outlines the fixed-size reads the decoders are made of.
+[[noreturn]] void BlobOverrun(std::size_t need, std::size_t remaining);
+}  // namespace internal
+
+// Writes through a cursor into a buffer sized ahead of it: each write is one bounds-checked
+// memcpy at the cursor. An encoder that knows its size calls Reserve once and never grows;
+// one that does not (app params) grows geometrically. Take() trims to the cursor.
 class BlobWriter {
  public:
   BlobWriter() = default;
 
   // Presizes the buffer for an encoding of known size: one allocation per envelope.
-  void Reserve(std::size_t n) { blob_.reserve(n); }
+  void Reserve(std::size_t n) {
+    if (n > blob_.size()) {
+      blob_.resize(n);
+    }
+  }
 
-  void WriteU8(std::uint8_t v) { blob_.push_back(v); }
+  void WriteU8(std::uint8_t v) { AppendRaw(&v, sizeof(v)); }
 
   void WriteU32(std::uint32_t v) { AppendRaw(&v, sizeof(v)); }
 
@@ -50,41 +65,40 @@ class BlobWriter {
   // Appends `n` raw bytes in one copy (blobs, id arrays).
   void WriteBytes(const void* data, std::size_t n) { AppendRaw(data, n); }
 
-  std::size_t size() const { return blob_.size(); }
+  // Bytes written so far.
+  std::size_t size() const { return pos_; }
 
-  ParameterBlob Take() { return std::move(blob_); }
-  const ParameterBlob& blob() const { return blob_; }
+  // Returns exactly the written bytes and leaves the writer empty and reusable.
+  ParameterBlob Take() {
+    blob_.resize(pos_);
+    pos_ = 0;
+    return std::move(blob_);
+  }
 
  private:
   void AppendRaw(const void* data, std::size_t n) {
     if (n == 0) {
       return;  // empty ranges may carry a null source pointer (e.g. string_view{}.data())
     }
-    const auto* bytes = static_cast<const std::uint8_t*>(data);
-    // Single-copy append: this is the serialized-dispatch hot path (DESIGN.md §10), and
-    // resize-then-memcpy would zero-fill before overwriting. GCC 12's -Wstringop-overflow
-    // misfires on the inlined range-insert copy; the range really is n bytes.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wstringop-overflow"
-#endif
-    blob_.insert(blob_.end(), bytes, bytes + n);
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
+    if (n > blob_.size() - pos_) {
+      // Not presized for this write: grow geometrically, so an unsized writer stays
+      // amortized O(1) per byte.
+      blob_.resize(std::max(pos_ + n, 2 * blob_.size()));
+    }
+    NIMBUS_CHECK_LE(pos_ + n, blob_.size());
+    std::memcpy(blob_.data() + pos_, data, n);
+    pos_ += n;
   }
 
-  ParameterBlob blob_;
+  ParameterBlob blob_;  // sized ahead of the cursor; bytes past `pos_` are not yet written
+  std::size_t pos_ = 0;
 };
 
 class BlobReader {
  public:
   explicit BlobReader(const ParameterBlob& blob) : blob_(blob) {}
 
-  std::uint8_t ReadU8() {
-    NIMBUS_CHECK_LE(pos_ + 1, blob_.size());
-    return blob_[pos_++];
-  }
+  std::uint8_t ReadU8() { return *Span(1); }
 
   std::uint32_t ReadU32() {
     std::uint32_t v;
@@ -138,7 +152,9 @@ class BlobReader {
   // Bounds-checks the next `n` bytes once, advances past them and returns where they
   // start: a decoder reads a fixed-stride array out of the span with no per-field check.
   const std::uint8_t* Span(std::size_t n) {
-    NIMBUS_CHECK_LE(n, remaining());
+    if (n > remaining()) {
+      internal::BlobOverrun(n, remaining());
+    }
     const std::uint8_t* span = blob_.data() + pos_;
     pos_ += n;
     return span;
@@ -156,9 +172,10 @@ class BlobReader {
 
  private:
   void ExtractRaw(void* out, std::size_t n) {
-    NIMBUS_CHECK_LE(pos_ + n, blob_.size());
-    std::memcpy(out, blob_.data() + pos_, n);
-    pos_ += n;
+    const std::uint8_t* span = Span(n);
+    if (n > 0) {
+      std::memcpy(out, span, n);  // an empty read may have a null `out` (an empty vector)
+    }
   }
 
   const ParameterBlob& blob_;

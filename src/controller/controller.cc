@@ -481,6 +481,10 @@ void NimbusController::DispatchSetCentrally(
                                      ? costs_->nimbus_central_schedule_per_task
                                      : costs_->spark_schedule_per_task;
 
+  // Per-task dispatch encodes one single-command envelope per entry, refilled in place.
+  wire::CommandsEnvelope& envelope = dispatch_scratch_;
+  envelope.commands.resize(1);
+  Command& cmd = envelope.commands[0];
   int participating = 0;
   for (const core::WorkerHalf& half : set.halves()) {
     if (half.entries.empty()) {
@@ -490,7 +494,8 @@ void NimbusController::DispatchSetCentrally(
     const net::NodeAddress dst = net::NodeAddress::ForWorker(half.worker);
     const CommandId base = command_ids_.NextRange(half.entries.size());
 
-    const std::size_t total = half.entries.size();
+    envelope.group_seq = seq;
+    envelope.expected_total = half.entries.size();
     for (std::size_t i = 0; i < half.entries.size(); ++i) {
       const core::WtEntry& e = half.entries[i];
       const ParameterBlob* override_params = nullptr;
@@ -503,20 +508,17 @@ void NimbusController::DispatchSetCentrally(
       }
       // One shared builder with the pipeline's serialized cold encode
       // (core::CommandFromEntry): the bit-identical-streams contract between the two wire
-      // forms is structural.
-      Command cmd = core::CommandFromEntry(e, i, base, task_base, seq, override_params);
+      // forms is structural. The one scratch command is refilled within its kept capacity
+      // and encoded here, so the queued send carries only its bytes.
+      core::CommandFromEntry(e, i, base, task_base, seq, override_params, &cmd);
+      const std::int64_t wire = cmd.WireSize();
 
       // Each command is individually scheduled (per-task controller cost) and sent as its
       // own message: this is exactly the bottleneck the paper's Fig 1/8 demonstrate.
-      const std::int64_t wire = cmd.WireSize();
-      control_thread_.Submit(per_task, [this, dst, cmd = std::move(cmd), seq, total,
-                                        wire]() mutable {
-        wire::CommandsEnvelope envelope;
-        envelope.group_seq = seq;
-        envelope.expected_total = total;
-        envelope.commands.push_back(std::move(cmd));
+      ParameterBlob bytes = wire::EncodeCommandsEnvelope(envelope);
+      control_thread_.Submit(per_task, [this, dst, wire, bytes = std::move(bytes)]() mutable {
         transport_->Send(net::NodeAddress::Controller(), dst, MessageKind::kCommand,
-                         wire::EncodeCommandsEnvelope(envelope), wire);
+                         std::move(bytes), wire);
       });
     }
   }

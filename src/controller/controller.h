@@ -443,6 +443,10 @@ class NimbusController {
   // catches a nested delivery that would overwrite it mid-submit (wire::ScratchGuard).
   wire::SubmitStagesEnvelope submit_scratch_;
   bool submit_scratch_live_ = false;
+  // Encode scratch for per-task dispatch (DispatchSetCentrally): one single-command
+  // envelope refilled per entry, so a warm dispatch builds no command of its own. Each
+  // entry is encoded before the next refill, so no nested call can see it half-written.
+  wire::CommandsEnvelope dispatch_scratch_;
 };
 
 }  // namespace nimbus

@@ -416,10 +416,11 @@ void ApplyWorkerEditOps(WorkerHalf* half, const std::vector<WorkerEditOp>& ops) 
   }
 }
 
-Command CommandFromEntry(const WtEntry& entry, std::size_t index, CommandId command_base,
-                         TaskId task_base, std::uint64_t group_seq,
-                         const ParameterBlob* override_params) {
-  Command cmd;
+void CommandFromEntry(const WtEntry& entry, std::size_t index, CommandId command_base,
+                      TaskId task_base, std::uint64_t group_seq,
+                      const ParameterBlob* override_params, Command* out) {
+  Command& cmd = *out;
+  cmd.ResetKeepingCapacity();
   cmd.id = CommandId(command_base.value() + index);
   for (std::int32_t bidx : entry.before) {
     cmd.before.push_back(CommandId(command_base.value() + static_cast<std::uint64_t>(bidx)));
@@ -432,6 +433,7 @@ Command CommandFromEntry(const WtEntry& entry, std::size_t index, CommandId comm
           TaskId(task_base.value() + static_cast<std::uint64_t>(entry.global_entry));
       cmd.duration = entry.duration;
       cmd.returns_scalar = entry.returns_scalar;
+      // Copy-assignment reuses the kept capacity when it suffices.
       cmd.read_set = entry.reads;
       cmd.write_set = entry.writes;
       cmd.params = override_params != nullptr ? *override_params : entry.cached_params;
@@ -447,6 +449,13 @@ Command CommandFromEntry(const WtEntry& entry, std::size_t index, CommandId comm
       cmd.data_object = entry.object;
       break;
   }
+}
+
+Command CommandFromEntry(const WtEntry& entry, std::size_t index, CommandId command_base,
+                         TaskId task_base, std::uint64_t group_seq,
+                         const ParameterBlob* override_params) {
+  Command cmd;
+  CommandFromEntry(entry, index, command_base, task_base, group_seq, override_params, &cmd);
   return cmd;
 }
 

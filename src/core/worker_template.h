@@ -439,11 +439,18 @@ WorkerTemplateSet ProjectBlock(const ControllerTemplate& block, const Assignment
 void ApplyWorkerEditOps(WorkerHalf* half, const std::vector<WorkerEditOp>& ops);
 
 // Materializes entry `index` of a worker half as an explicit command. This is THE command
-// builder for central dispatch: the per-task dispatcher calls it once per entry and the
-// pipeline's serialized cold encode calls it per half (DESIGN.md §8, §10) — one
-// implementation, so the two wire forms cannot drift apart on the bit-identical-streams
-// contract. `override_params`
-// (nullable) replaces the entry's cached params; ids derive from the caller's bases.
+// builder for central dispatch: the per-task dispatcher refills one command per entry and
+// the pipeline's serialized cold encode builds one per entry of a half (DESIGN.md §8,
+// §10) — one implementation, so the two wire forms cannot drift apart on the
+// bit-identical-streams contract. `override_params` (nullable) replaces the entry's cached
+// params; ids derive from the caller's bases.
+//
+// The out-param form resets `*out` and refills it within the capacity its lists kept, so
+// a caller that reuses one command allocates nothing once it is warm. The value form
+// wraps it.
+void CommandFromEntry(const WtEntry& entry, std::size_t index, CommandId command_base,
+                      TaskId task_base, std::uint64_t group_seq,
+                      const ParameterBlob* override_params, Command* out);
 Command CommandFromEntry(const WtEntry& entry, std::size_t index, CommandId command_base,
                          TaskId task_base, std::uint64_t group_seq,
                          const ParameterBlob* override_params);

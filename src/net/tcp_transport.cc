@@ -23,8 +23,6 @@ namespace nimbus::net {
 
 namespace {
 
-// Frame header: u32 payload_len, u8 kind, i64 src, i64 dst.
-constexpr std::size_t kFrameHeaderSize = 4 + 1 + 8 + 8;
 constexpr std::uint8_t kHelloKind = 0xFF;
 // Loopback frames are trusted, but a corrupt length would allocate unbounded memory:
 // bound it well above any real envelope (worker halves of huge blocks are ~MBs).
@@ -51,27 +49,6 @@ bool IsConnectionLossErrno(int err) {
          err == ECONNABORTED || err == EPROTO;
 }
 
-void AppendRaw(std::vector<std::uint8_t>* out, const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  out->insert(out->end(), p, p + n);
-}
-
-std::vector<std::uint8_t> BuildFrame(std::uint8_t kind, NodeAddress src, NodeAddress dst,
-                                     const ParameterBlob& payload) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  NIMBUS_CHECK_LE(len, kMaxFramePayload);
-  AppendRaw(&frame, &len, sizeof(len));
-  AppendRaw(&frame, &kind, sizeof(kind));
-  const std::int64_t s = src.value();
-  const std::int64_t d = dst.value();
-  AppendRaw(&frame, &s, sizeof(s));
-  AppendRaw(&frame, &d, sizeof(d));
-  AppendRaw(&frame, payload.data(), payload.size());
-  return frame;
-}
-
 void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   NIMBUS_CHECK_GE(flags, 0) << "fcntl(F_GETFL): " << std::strerror(errno);
@@ -90,7 +67,7 @@ void SetNoDelay(int fd) {
 // socket write here: a send on a reset socket must surface as EPIPE, not kill the process
 // with SIGPIPE.
 void WriteHello(int fd, NodeAddress self, NodeAddress peer) {
-  const std::vector<std::uint8_t> hello = BuildFrame(kHelloKind, self, peer, ParameterBlob{});
+  const FrameHeader hello = MakeFrameHeader(kHelloKind, self, peer, 0);
   std::size_t done = 0;
   while (done < hello.size()) {
     const ssize_t w = ::send(fd, hello.data() + done, hello.size() - done, MSG_NOSIGNAL);
@@ -122,6 +99,48 @@ NodeAddress ReadHello(int fd) {
 }
 
 }  // namespace
+
+FrameHeader MakeFrameHeader(std::uint8_t kind, NodeAddress src, NodeAddress dst,
+                            std::size_t payload_size) {
+  // Check the size_t: a narrowed length of a 4 GiB payload would wrap and pass.
+  NIMBUS_CHECK_LE(payload_size, kMaxFramePayload) << "frame payload too large";
+  const auto len = static_cast<std::uint32_t>(payload_size);
+  const std::int64_t s = src.value();
+  const std::int64_t d = dst.value();
+  FrameHeader header{};
+  std::memcpy(header.data(), &len, sizeof(len));
+  header[4] = kind;
+  std::memcpy(header.data() + 5, &s, sizeof(s));
+  std::memcpy(header.data() + 13, &d, sizeof(d));
+  return header;
+}
+
+int GatherFrames(const std::deque<QueuedFrame>& queue, std::size_t offset, iovec* iov,
+                 int max_iov) {
+  int n = 0;
+  for (const QueuedFrame& frame : queue) {
+    if (offset < kFrameHeaderSize) {
+      if (n == max_iov) {
+        break;
+      }
+      iov[n].iov_base = const_cast<std::uint8_t*>(frame.header.data()) + offset;
+      iov[n].iov_len = kFrameHeaderSize - offset;
+      ++n;
+      offset = kFrameHeaderSize;
+    }
+    if (offset < frame.size()) {
+      if (n == max_iov) {
+        break;
+      }
+      iov[n].iov_base =
+          const_cast<std::uint8_t*>(frame.payload.data()) + (offset - kFrameHeaderSize);
+      iov[n].iov_len = frame.size() - offset;
+      ++n;
+    }
+    offset = 0;
+  }
+  return n;
+}
 
 TcpEndpoint::TcpEndpoint(NodeAddress self) : self_(self) {}
 
@@ -289,31 +308,23 @@ void TcpEndpoint::Send(NodeAddress src, NodeAddress dst, MessageKind kind,
   NIMBUS_CHECK(src == self_) << "endpoint " << self_ << " cannot send as " << src;
   const std::int64_t charged =
       cost_bytes < 0 ? static_cast<std::int64_t>(bytes.size()) : cost_bytes;
-  {
-    std::lock_guard<std::mutex> lock(counter_mutex_);
-    ++counters_.frames_sent;
-    counters_.payload_bytes_sent += bytes.size();
-    ++kind_frames_[static_cast<std::size_t>(kind)];
-    kind_cost_bytes_[static_cast<std::size_t>(kind)] +=
-        static_cast<std::uint64_t>(charged);
-  }
+  counters_.frames_sent.fetch_add(1, std::memory_order_relaxed);
+  counters_.payload_bytes_sent.fetch_add(bytes.size(), std::memory_order_relaxed);
+  kind_frames_[static_cast<std::size_t>(kind)].fetch_add(1, std::memory_order_relaxed);
+  kind_cost_bytes_[static_cast<std::size_t>(kind)].fetch_add(
+      static_cast<std::uint64_t>(charged), std::memory_order_relaxed);
   if (dst == self_) {
     // Self-sends short-circuit the socket (no node pair dials itself).
     NIMBUS_CHECK(handler_) << "no delivery handler registered for " << self_;
     handler_(src, kind, std::move(bytes));
     return;
   }
-  std::vector<std::uint8_t> frame =
-      BuildFrame(static_cast<std::uint8_t>(kind), src, dst, bytes);
+  const FrameHeader header =
+      MakeFrameHeader(static_cast<std::uint8_t>(kind), src, dst, bytes.size());
   Connection* conn = ConnectionTo(dst);
   std::lock_guard<std::mutex> lock(conn->send_mutex);
-  {
-    std::lock_guard<std::mutex> clock(counter_mutex_);
-    counters_.queued_bytes += frame.size();
-    counters_.peak_queued_bytes =
-        std::max(counters_.peak_queued_bytes, counters_.queued_bytes);
-  }
-  conn->send_queue.push_back(std::move(frame));
+  AddQueuedBytes(kFrameHeaderSize + bytes.size());
+  conn->send_queue.push_back(QueuedFrame{header, std::move(bytes)});
   if (t_loop_owner == this) {
     // Event-loop thread: the running callback's first frame to this peer leaves at once,
     // so a lone reply or instantiate message waits for nothing the callback does after
@@ -339,12 +350,18 @@ void TcpEndpoint::FlushPending() {
   pending_flush_.clear();
 }
 
-void TcpEndpoint::RewindFrontLocked(Connection* conn) {
-  if (conn->send_offset > 0) {
-    // FlushLocked already subtracted these bytes; the resend will subtract them again.
-    std::lock_guard<std::mutex> clock(counter_mutex_);
-    counters_.queued_bytes += conn->send_offset;
+void TcpEndpoint::AddQueuedBytes(std::uint64_t n) {
+  const std::uint64_t queued =
+      counters_.queued_bytes.fetch_add(n, std::memory_order_relaxed) + n;
+  std::uint64_t peak = counters_.peak_queued_bytes.load(std::memory_order_relaxed);
+  while (queued > peak && !counters_.peak_queued_bytes.compare_exchange_weak(
+                              peak, queued, std::memory_order_relaxed)) {
   }
+}
+
+void TcpEndpoint::RewindFrontLocked(Connection* conn) {
+  // FlushLocked already subtracted these bytes; the resend will subtract them again.
+  counters_.queued_bytes.fetch_add(conn->send_offset, std::memory_order_relaxed);
   conn->send_offset = 0;
 }
 
@@ -353,21 +370,11 @@ void TcpEndpoint::FlushLocked(Connection* conn) {
     return;  // connection down: frames stay queued and resend after redial/re-accept
   }
   while (!conn->send_queue.empty()) {
-    // Gather up to IOV_MAX queued frames into one writev (per-task dispatch and patch
-    // copies queue many small frames back to back; a deferred loop-thread flush drains a
-    // whole handler's fan-out to this peer at once).
+    // Gather up to IOV_MAX iovecs, two per frame, into one writev (per-task dispatch and
+    // patch copies queue many small frames back to back; a deferred loop-thread flush
+    // drains a whole handler's fan-out to this peer at once).
     iovec iov[kMaxGather];
-    int iovcnt = 0;
-    std::size_t offset = conn->send_offset;
-    for (const auto& buf : conn->send_queue) {
-      if (iovcnt == kMaxGather) {
-        break;
-      }
-      iov[iovcnt].iov_base = const_cast<std::uint8_t*>(buf.data()) + offset;
-      iov[iovcnt].iov_len = buf.size() - offset;
-      ++iovcnt;
-      offset = 0;
-    }
+    const int iovcnt = GatherFrames(conn->send_queue, conn->send_offset, iov, kMaxGather);
     // sendmsg is writev plus flags: MSG_NOSIGNAL turns a send on a reset or shut-down
     // socket (SeverPeer, a peer crash) into EPIPE for the loss path below instead of a
     // process-killing SIGPIPE. The counter stays `writev_calls`: benchmarks read that name.
@@ -376,10 +383,7 @@ void TcpEndpoint::FlushLocked(Connection* conn) {
     msg.msg_iovlen = static_cast<std::size_t>(iovcnt);
     const ssize_t written = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
     const int err = errno;  // before any other call can clobber it
-    {
-      std::lock_guard<std::mutex> clock(counter_mutex_);
-      ++counters_.writev_calls;
-    }
+    counters_.writev_calls.fetch_add(1, std::memory_order_relaxed);
     if (written < 0) {
       if (err != EAGAIN && err != EWOULDBLOCK) {
         NIMBUS_CHECK(IsConnectionLossErrno(err))
@@ -392,12 +396,9 @@ void TcpEndpoint::FlushLocked(Connection* conn) {
       break;  // socket full: EPOLLOUT will resume
     }
     std::size_t remaining = static_cast<std::size_t>(written);
-    {
-      std::lock_guard<std::mutex> clock(counter_mutex_);
-      counters_.queued_bytes -= remaining;
-    }
+    counters_.queued_bytes.fetch_sub(remaining, std::memory_order_relaxed);
     while (remaining > 0) {
-      std::vector<std::uint8_t>& front = conn->send_queue.front();
+      const QueuedFrame& front = conn->send_queue.front();
       const std::size_t left = front.size() - conn->send_offset;
       if (remaining >= left) {
         remaining -= left;
@@ -411,8 +412,7 @@ void TcpEndpoint::FlushLocked(Connection* conn) {
   }
   const bool backlog = !conn->send_queue.empty();
   if (backlog) {
-    std::lock_guard<std::mutex> clock(counter_mutex_);
-    ++counters_.partial_writes;
+    counters_.partial_writes.fetch_add(1, std::memory_order_relaxed);
   }
   if (backlog != conn->want_write && running_.load()) {
     conn->want_write = backlog;
@@ -497,7 +497,7 @@ void TcpEndpoint::ReadReady(Connection* conn) {
       HandleConnectionLoss(conn);
       return;
     }
-    AppendRaw(&conn->recv_buffer, buf, static_cast<std::size_t>(r));
+    conn->recv_buffer.insert(conn->recv_buffer.end(), buf, buf + r);
   }
   DrainFrames(conn);
 }
@@ -523,10 +523,7 @@ void TcpEndpoint::HandleConnectionLoss(Connection* conn) {
   if (orderly) {
     return;  // the whole mesh is coming down; nothing to heal, nobody to suspect
   }
-  {
-    std::lock_guard<std::mutex> clock(counter_mutex_);
-    ++counters_.connection_losses;
-  }
+  counters_.connection_losses.fetch_add(1, std::memory_order_relaxed);
   if (conn->dialer) {
     conn->redial_attempts = 0;
     ScheduleTimer(kRedialBackoffBase, [this, conn]() { TryRedial(conn); });
@@ -538,10 +535,7 @@ void TcpEndpoint::TryRedial(Connection* conn) {
   if (stop_.load() || draining_.load() || conn->fd >= 0 || conn->declared_lost) {
     return;  // torn down, already healed by a concurrent re-accept, or given up
   }
-  {
-    std::lock_guard<std::mutex> clock(counter_mutex_);
-    ++counters_.redials;
-  }
+  counters_.redials.fetch_add(1, std::memory_order_relaxed);
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   NIMBUS_CHECK_GE(fd, 0) << "socket: " << std::strerror(errno);
   sockaddr_in addr{};
@@ -573,10 +567,7 @@ void TcpEndpoint::TryRedial(Connection* conn) {
   ev.data.ptr = conn;
   NIMBUS_CHECK_GE(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev), 0)
       << "epoll_ctl(redial): " << std::strerror(errno);
-  {
-    std::lock_guard<std::mutex> clock(counter_mutex_);
-    ++counters_.redials_succeeded;
-  }
+  counters_.redials_succeeded.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(conn->send_mutex);
   conn->fd = fd;
   RewindFrontLocked(conn);
@@ -707,10 +698,7 @@ void TcpEndpoint::DrainFrames(Connection* conn) {
                                                                    kFrameHeaderSize +
                                                                    payload_len));
     cursor += kFrameHeaderSize + payload_len;
-    {
-      std::lock_guard<std::mutex> clock(counter_mutex_);
-      ++counters_.frames_received;
-    }
+    counters_.frames_received.fetch_add(1, std::memory_order_relaxed);
     NIMBUS_CHECK(handler_) << "no delivery handler registered for " << self_;
     handler_(NodeAddress(src), static_cast<MessageKind>(kind), std::move(payload));
     // The handler (and the cluster's node-mutex wrapper) has returned: ship what it sent.
@@ -722,18 +710,29 @@ void TcpEndpoint::DrainFrames(Connection* conn) {
 }
 
 TcpEndpoint::Counters TcpEndpoint::counters() const {
-  std::lock_guard<std::mutex> lock(counter_mutex_);
-  return counters_;
+  const auto read = [](const std::atomic<std::uint64_t>& v) {
+    return v.load(std::memory_order_relaxed);
+  };
+  Counters c;
+  c.frames_sent = read(counters_.frames_sent);
+  c.frames_received = read(counters_.frames_received);
+  c.payload_bytes_sent = read(counters_.payload_bytes_sent);
+  c.writev_calls = read(counters_.writev_calls);
+  c.partial_writes = read(counters_.partial_writes);
+  c.peak_queued_bytes = read(counters_.peak_queued_bytes);
+  c.queued_bytes = read(counters_.queued_bytes);
+  c.connection_losses = read(counters_.connection_losses);
+  c.redials = read(counters_.redials);
+  c.redials_succeeded = read(counters_.redials_succeeded);
+  return c;
 }
 
 std::uint64_t TcpEndpoint::frames_for(MessageKind kind) const {
-  std::lock_guard<std::mutex> lock(counter_mutex_);
-  return kind_frames_[static_cast<std::size_t>(kind)];
+  return kind_frames_[static_cast<std::size_t>(kind)].load(std::memory_order_relaxed);
 }
 
 std::uint64_t TcpEndpoint::cost_bytes_for(MessageKind kind) const {
-  std::lock_guard<std::mutex> lock(counter_mutex_);
-  return kind_cost_bytes_[static_cast<std::size_t>(kind)];
+  return kind_cost_bytes_[static_cast<std::size_t>(kind)].load(std::memory_order_relaxed);
 }
 
 }  // namespace nimbus::net

@@ -12,8 +12,10 @@
 //   u32 payload_len   u8 kind (MessageKind; 0xFF = bootstrap hello)   i64 src   i64 dst
 //   u8[payload_len] envelope bytes
 //
-// Sends append to a per-connection queue under its mutex and flush with a gather writev
-// (issued as sendmsg with MSG_NOSIGNAL, so a reset socket reports EPIPE, never SIGPIPE).
+// A send moves its payload into a per-connection queue beside the frame's 21-byte header
+// (no copy), under the connection's mutex, and flushes with a gather writev of two iovecs
+// per frame (issued as sendmsg with MSG_NOSIGNAL, so a reset socket reports EPIPE, never
+// SIGPIPE).
 // When flushes run depends on the sending thread (DESIGN.md §13.3):
 //  * on this endpoint's own event-loop thread (delivery handlers, timer callbacks) the
 //    callback's first frame to a peer flushes at once and marks the connection pending;
@@ -24,7 +26,8 @@
 //    Start) every send flushes eagerly on the calling thread.
 // A stalled flush leaves the tail queued and the event loop finishes it under EPOLLOUT
 // (backpressure). Counters record queue depth, partial writes, and per-kind frame
-// traffic. Delivery invokes the registered handler on the event-loop thread; the cluster
+// traffic in relaxed atomics: counters() is a field-wise snapshot, not one atomic read
+// across fields. Delivery invokes the registered handler on the event-loop thread; the cluster
 // wraps handlers with per-node serialization.
 //
 // Failure handling (DESIGN.md §14): a timerfd drives the endpoint's TimerHeap inside the
@@ -39,7 +42,11 @@
 #ifndef NIMBUS_SRC_NET_TCP_TRANSPORT_H_
 #define NIMBUS_SRC_NET_TCP_TRANSPORT_H_
 
+#include <sys/uio.h>
+
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -54,6 +61,29 @@
 #include "src/net/transport.h"
 
 namespace nimbus::net {
+
+// Frame header: u32 payload_len, u8 kind, i64 src, i64 dst (file comment).
+inline constexpr std::size_t kFrameHeaderSize = 4 + 1 + 8 + 8;
+using FrameHeader = std::array<std::uint8_t, kFrameHeaderSize>;
+
+// The header of a frame carrying `payload_size` bytes. CHECKs the size against the frame
+// bound before narrowing it to the u32 length field.
+FrameHeader MakeFrameHeader(std::uint8_t kind, NodeAddress src, NodeAddress dst,
+                            std::size_t payload_size);
+
+// One queued frame: its header and the moved-in payload, written as two iovecs.
+struct QueuedFrame {
+  FrameHeader header;
+  ParameterBlob payload;
+
+  std::size_t size() const { return kFrameHeaderSize + payload.size(); }
+};
+
+// Fills up to `max_iov` iovecs with the bytes of `queue` still to be written, the front
+// frame starting `offset` bytes in (offset < its size). Header and payload are one iovec
+// each; an empty or fully written part gets none. Returns the count filled.
+int GatherFrames(const std::deque<QueuedFrame>& queue, std::size_t offset, iovec* iov,
+                 int max_iov);
 
 class TcpEndpoint final : public Transport {
  public:
@@ -144,8 +174,8 @@ class TcpEndpoint final : public Transport {
     // only by the event-loop thread, under this mutex (loss/reconnect swap), so the loop
     // reads it bare while senders read it under the lock.
     std::mutex send_mutex;
-    std::deque<std::vector<std::uint8_t>> send_queue;
-    std::size_t send_offset = 0;  // consumed bytes of the front buffer
+    std::deque<QueuedFrame> send_queue;
+    std::size_t send_offset = 0;  // written bytes of the front frame, header first
     bool want_write = false;      // EPOLLOUT currently armed
     // Receive side: event-loop thread only.
     std::vector<std::uint8_t> recv_buffer;
@@ -208,11 +238,27 @@ class TcpEndpoint final : public Transport {
   TimerHeap timers_;
   std::function<void(NodeAddress)> peer_loss_handler_;
 
-  mutable std::mutex counter_mutex_;
-  Counters counters_;
+  // The live counters behind counters(): relaxed atomics, bumped by any sending thread
+  // and the event loop without a lock.
+  struct LiveCounters {
+    std::atomic<std::uint64_t> frames_sent{0};
+    std::atomic<std::uint64_t> frames_received{0};
+    std::atomic<std::uint64_t> payload_bytes_sent{0};
+    std::atomic<std::uint64_t> writev_calls{0};
+    std::atomic<std::uint64_t> partial_writes{0};
+    std::atomic<std::uint64_t> peak_queued_bytes{0};
+    std::atomic<std::uint64_t> queued_bytes{0};
+    std::atomic<std::uint64_t> connection_losses{0};
+    std::atomic<std::uint64_t> redials{0};
+    std::atomic<std::uint64_t> redials_succeeded{0};
+  };
+  // Adds `n` bytes to the send backlog and raises the peak to match.
+  void AddQueuedBytes(std::uint64_t n);
+
+  LiveCounters counters_;
   // Modeled per-kind traffic (mirrors sim::NetworkCounters for cross-backend reporting).
-  std::uint64_t kind_frames_[kMessageKindCount] = {};
-  std::uint64_t kind_cost_bytes_[kMessageKindCount] = {};
+  std::atomic<std::uint64_t> kind_frames_[kMessageKindCount] = {};
+  std::atomic<std::uint64_t> kind_cost_bytes_[kMessageKindCount] = {};
 
  public:
   std::uint64_t frames_for(MessageKind kind) const;

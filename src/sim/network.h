@@ -60,7 +60,7 @@ class Network {
 
     Processor& tx = TxPath(src);
     counters_.Record(kind, payload_bytes);
-    const TimePoint tx_done = tx.Submit(costs_->SerializationTime(payload_bytes), nullptr);
+    const TimePoint tx_done = tx.Charge(costs_->SerializationTime(payload_bytes));
     simulation_->ScheduleAt(tx_done + costs_->network_latency, std::move(deliver));
   }
 

@@ -38,24 +38,33 @@ bool Simulation::RunUntilCondition(const std::function<bool()>& predicate) {
   return false;
 }
 
-void RunInline(Simulation::Callback fn) {
-  // `pending` keeps its capacity between cascades, so a steady-state drain allocates
-  // nothing beyond what the callbacks themselves capture.
-  thread_local std::vector<Simulation::Callback> pending;
-  thread_local bool draining = false;
-  if (draining) {
-    pending.push_back(std::move(fn));
-    return;
+namespace internal {
+namespace {
+// `pending` keeps its capacity between cascades, so a steady-state drain allocates nothing
+// beyond what the queued callbacks themselves capture.
+thread_local std::vector<Simulation::Callback> t_pending;
+thread_local bool t_draining = false;
+}  // namespace
+
+bool BeginInline() {
+  if (t_draining) {
+    return false;
   }
-  draining = true;
-  fn();
+  t_draining = true;
+  return true;
+}
+
+void QueueInline(Simulation::Callback fn) { t_pending.push_back(std::move(fn)); }
+
+void FinishInline() {
   // Indexed, not iterated: a callback may append (and reallocate) while it runs.
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    Simulation::Callback next = std::move(pending[i]);
+  for (std::size_t i = 0; i < t_pending.size(); ++i) {
+    Simulation::Callback next = std::move(t_pending[i]);
     next();
   }
-  pending.clear();
-  draining = false;
+  t_pending.clear();
+  t_draining = false;
 }
+}  // namespace internal
 
 }  // namespace nimbus::sim

@@ -13,9 +13,12 @@
 #ifndef NIMBUS_SRC_SIM_SIMULATION_H_
 #define NIMBUS_SRC_SIM_SIMULATION_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -83,11 +86,29 @@ class Simulation {
   std::priority_queue<Event> queue_;
 };
 
+namespace internal {
+// RunInline's thread-local drain state (simulation.cc). BeginInline returns false when a
+// RunInline further up this thread's stack is already draining; otherwise it marks this
+// call as the drain. FinishInline runs the queued callbacks in FIFO order and ends it.
+bool BeginInline();
+void QueueInline(Simulation::Callback fn);
+void FinishInline();
+}  // namespace internal
+
 // Runs `fn` now. If a RunInline call further up this thread's stack is still running, `fn`
 // instead joins a thread-local FIFO that the outermost call drains before it returns. A
 // completion cascade (task done -> successor launched -> its completion ...) therefore runs
 // as a loop in submission order instead of recursing once per link of a dependency chain.
-void RunInline(Simulation::Callback fn);
+// Only a queued `fn` is boxed into a std::function; the outermost call runs it as it came.
+template <typename F>
+void RunInline(F&& fn) {
+  if (!internal::BeginInline()) {
+    internal::QueueInline(std::forward<F>(fn));
+    return;
+  }
+  fn();
+  internal::FinishInline();
+}
 
 // Models a serial execution resource (e.g. the controller's control-plane thread, a NIC
 // transmit path). Work items are processed one at a time in submission order; the resource
@@ -99,29 +120,33 @@ class Processor {
   explicit Processor(Simulation* simulation) : simulation_(simulation) {}
 
   // Submits `work` of the given duration. It starts when the resource is free (but not
-  // before now()) and `done` fires at completion. Returns the completion time; a real-time
-  // resource runs `done` through RunInline and returns 0.
-  TimePoint Submit(Duration work, Simulation::Callback done) {
+  // before now()) and `done` (any callable) fires at completion. Returns the completion
+  // time; a real-time resource runs `done` through RunInline and returns 0.
+  template <typename Done>
+  TimePoint Submit(Duration work, Done&& done) {
+    if (simulation_ == nullptr) {
+      NIMBUS_CHECK_GE(work, 0);
+      RunInline(std::forward<Done>(done));
+      return 0;
+    }
+    const TimePoint finish = Charge(work);
+    simulation_->ScheduleAt(finish, std::forward<Done>(done));
+    return finish;
+  }
+  TimePoint Submit(Duration work, std::nullptr_t) { return Charge(work); }
+
+  // Charges busy time without a completion callback (for accounting sequential costs) and
+  // returns when it ends; a no-op on a real-time resource.
+  TimePoint Charge(Duration work) {
     NIMBUS_CHECK_GE(work, 0);
     if (simulation_ == nullptr) {
-      if (done) {
-        RunInline(std::move(done));
-      }
       return 0;
     }
     const TimePoint start = std::max(simulation_->now(), available_at_);
-    const TimePoint finish = start + work;
-    available_at_ = finish;
+    available_at_ = start + work;
     busy_accum_ += work;
-    if (done) {
-      simulation_->ScheduleAt(finish, std::move(done));
-    }
-    return finish;
+    return available_at_;
   }
-
-  // Charges busy time without a completion callback (for accounting sequential costs); a
-  // no-op on a real-time resource.
-  TimePoint Charge(Duration work) { return Submit(work, nullptr); }
 
   Duration total_busy() const { return busy_accum_; }
 
@@ -141,15 +166,28 @@ class CorePool {
     NIMBUS_CHECK_GT(cores, 0);
   }
 
-  TimePoint Submit(Duration work, Simulation::Callback done) {
+  template <typename Done>
+  TimePoint Submit(Duration work, Done&& done) {
     NIMBUS_CHECK_GE(work, 0);
     if (simulation_ == nullptr) {
-      if (done) {
-        RunInline(std::move(done));
-      }
+      RunInline(std::forward<Done>(done));
       return 0;
     }
-    // Pick the earliest-available core.
+    const TimePoint finish = Occupy(work);
+    simulation_->ScheduleAt(finish, std::forward<Done>(done));
+    return finish;
+  }
+  TimePoint Submit(Duration work, std::nullptr_t) {
+    NIMBUS_CHECK_GE(work, 0);
+    return simulation_ == nullptr ? 0 : Occupy(work);
+  }
+
+  int cores() const { return static_cast<int>(available_.size()); }
+  Duration total_busy() const { return busy_accum_; }
+
+ private:
+  // Books `work` on the earliest-available core and returns when it ends.
+  TimePoint Occupy(Duration work) {
     std::size_t best = 0;
     for (std::size_t i = 1; i < available_.size(); ++i) {
       if (available_[i] < available_[best]) {
@@ -157,19 +195,11 @@ class CorePool {
       }
     }
     const TimePoint start = std::max(simulation_->now(), available_[best]);
-    const TimePoint finish = start + work;
-    available_[best] = finish;
+    available_[best] = start + work;
     busy_accum_ += work;
-    if (done) {
-      simulation_->ScheduleAt(finish, std::move(done));
-    }
-    return finish;
+    return available_[best];
   }
 
-  int cores() const { return static_cast<int>(available_.size()); }
-  Duration total_busy() const { return busy_accum_; }
-
- private:
   Simulation* simulation_;
   std::vector<TimePoint> available_;
   Duration busy_accum_ = 0;

@@ -3,9 +3,10 @@
 // connection when the delivery handler returns; sends from any other thread flush eagerly.
 // Each test builds a bare loopback mesh of endpoints, bootstrapped the way the cluster
 // does it, and pins delivery (exactly once, in order) alongside the writev accounting;
-// one checks that a send on a severed socket fails softly (no SIGPIPE). The last test
-// pins the endpoint's timers: held until Start, then fired on the event-loop thread in
-// deadline order and never before their deadline.
+// one checks that a send on a severed socket fails softly (no SIGPIPE). One test pins the
+// endpoint's timers: held until Start, then fired on the event-loop thread in deadline
+// order and never before their deadline. The last two need no sockets: they pin the
+// flush's iovec fill at every write offset and the frame-length check.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -398,6 +401,81 @@ TEST(TcpTransportTest, TimersFireOnTheLoopThreadInDeadlineOrderNeverEarly) {
   EXPECT_EQ(order, (std::vector<int>{0, 10, 20, 30}));
   EXPECT_GE(fired[0].at, started);
   EXPECT_NE(handler_thread, std::this_thread::get_id());
+}
+
+// (g) GatherFrames, the flush's iovec fill: from every write offset into the front frame
+// (inside its header, at the header/payload boundary, inside its payload), the gathered
+// iovecs hold exactly the queued bytes from that offset on, one iovec per non-empty header
+// or payload part; an iovec cap that falls between a frame's header and its payload
+// gathers a prefix that ends at that boundary.
+std::vector<std::uint8_t> Concat(const iovec* iov, int n) {
+  std::vector<std::uint8_t> out;
+  for (int i = 0; i < n; ++i) {
+    const auto* base = static_cast<const std::uint8_t*>(iov[i].iov_base);
+    out.insert(out.end(), base, base + iov[i].iov_len);
+  }
+  return out;
+}
+
+TEST(TcpTransportTest, GatherFramesCoversEveryWriteOffset) {
+  const NodeAddress src = NodeAddress::Controller();
+  const NodeAddress dst = AddressOfDense(2);
+  for (const std::size_t payload_size : {std::size_t{0}, std::size_t{1}, std::size_t{150}}) {
+    std::deque<net::QueuedFrame> queue;
+    std::vector<std::uint8_t> stream;  // the bytes the queue puts on the wire, in order
+    for (const std::size_t size : {payload_size, std::size_t{7}}) {
+      ParameterBlob payload(size);
+      for (std::size_t i = 0; i < size; ++i) {
+        payload[i] = static_cast<std::uint8_t>(i * 13 + size);
+      }
+      const net::FrameHeader header = net::MakeFrameHeader(
+          static_cast<std::uint8_t>(MessageKind::kCommand), src, dst, payload.size());
+      stream.insert(stream.end(), header.begin(), header.end());
+      stream.insert(stream.end(), payload.begin(), payload.end());
+      queue.push_back(net::QueuedFrame{header, std::move(payload)});
+    }
+    const std::size_t front_size = queue.front().size();
+    ASSERT_EQ(front_size, net::kFrameHeaderSize + payload_size);
+    for (std::size_t offset = 0; offset < front_size; ++offset) {
+      SCOPED_TRACE("payload " + std::to_string(payload_size) + ", offset " +
+                   std::to_string(offset));
+      iovec iov[8];
+      const int n = net::GatherFrames(queue, offset, iov, 8);
+      // Front frame: header part (if any left) and payload part (if non-empty); the second
+      // frame: header and its 7-byte payload.
+      const int front_parts = (offset < net::kFrameHeaderSize ? 1 : 0) +
+                              (payload_size > 0 ? 1 : 0);
+      EXPECT_EQ(n, front_parts + 2);
+      const std::vector<std::uint8_t> tail(
+          stream.begin() + static_cast<std::ptrdiff_t>(offset), stream.end());
+      EXPECT_EQ(Concat(iov, n), tail);
+      for (int i = 0; i < n; ++i) {
+        EXPECT_GT(iov[i].iov_len, 0u) << "empty iovec " << i;
+      }
+      // A smaller cap gathers the first `cap` of those iovecs, each whole.
+      for (int cap = 1; cap < n; ++cap) {
+        iovec capped[8];
+        ASSERT_EQ(net::GatherFrames(queue, offset, capped, cap), cap);
+        EXPECT_EQ(Concat(capped, cap), Concat(iov, cap));
+      }
+    }
+    // A cap of one at offset zero cuts between the front frame's header and its payload.
+    iovec one[1];
+    ASSERT_EQ(net::GatherFrames(queue, 0, one, 1), 1);
+    EXPECT_EQ(one[0].iov_base, static_cast<const void*>(queue.front().header.data()));
+    EXPECT_EQ(one[0].iov_len, net::kFrameHeaderSize);
+  }
+}
+
+// (h) The frame length is checked as a size_t before it narrows to the u32 field: a
+// payload of 4 GiB or more must fail the check, not wrap to a small length and pass. The
+// header writer takes only the size, so this allocates nothing that large.
+TEST(TcpTransportDeathTest, FrameHeaderRejectsALengthThatWouldWrap) {
+  const std::size_t wraps_to_five = (std::size_t{1} << 32) + 5;
+  EXPECT_DEATH(net::MakeFrameHeader(static_cast<std::uint8_t>(MessageKind::kCommand),
+                                    NodeAddress::Controller(), AddressOfDense(2),
+                                    wraps_to_five),
+               "frame payload too large");
 }
 
 }  // namespace

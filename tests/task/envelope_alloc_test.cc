@@ -4,7 +4,8 @@
 // and stays out of the sanitizer builds (which interpose operator new too).
 //
 // Each encode below must allocate exactly once: the returned buffer. A writer that grows
-// by doubling allocates O(log size) times instead.
+// by doubling allocates O(log size) times instead. The last two tests pin the writer's
+// cursor semantics and the per-task dispatcher's command refill, which allocates nothing.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/serialize.h"
+#include "src/core/worker_template.h"
 #include "src/task/command.h"
 #include "src/task/wire.h"
 
@@ -147,6 +150,88 @@ TEST(EnvelopeAllocTest, SubmitStagesEnvelopeAllocatesOnce) {
               return wire::EncodeSubmitStagesEnvelope(1, 0, "", stages);
             }),
             1u);
+}
+
+// BlobWriter is a cursor over a buffer sized ahead of it (DESIGN.md §10.1): writes within
+// Reserve allocate nothing, writes past it grow the buffer, Take returns exactly the bytes
+// written, and the writer starts over empty after Take.
+TEST(EnvelopeAllocTest, BlobWriterGrowsPastReserveAndIsReusableAfterTake) {
+  BlobWriter w;
+  w.Reserve(12);
+  const std::uint64_t before = g_allocations.load();
+  w.WriteU32(0x01020304);
+  w.WriteU64(0x1122334455667788ull);
+  EXPECT_EQ(g_allocations.load() - before, 0u) << "writes within Reserve allocated";
+  w.WriteU8(0xAB);  // past the reserve: grows
+  const ParameterBlob payload = Blob(100);
+  w.WriteBytes(payload.data(), payload.size());
+  EXPECT_EQ(w.size(), 13u + payload.size());
+  const ParameterBlob first = w.Take();
+  ASSERT_EQ(first.size(), 13u + payload.size());
+  BlobReader r(first);
+  EXPECT_EQ(r.ReadU32(), 0x01020304u);
+  EXPECT_EQ(r.ReadU64(), 0x1122334455667788ull);
+  EXPECT_EQ(r.ReadU8(), 0xAB);
+  const std::uint8_t* tail = r.Span(payload.size());
+  EXPECT_EQ(ParameterBlob(tail, tail + payload.size()), payload);
+  EXPECT_TRUE(r.AtEnd());
+
+  EXPECT_EQ(w.size(), 0u);
+  w.WriteString("again");
+  EXPECT_EQ(w.Take(), (ParameterBlob{5, 0, 0, 0, 'a', 'g', 'a', 'i', 'n'}));
+  EXPECT_TRUE(w.Take().empty());
+}
+
+// One entry of each command family CommandFromEntry materializes.
+std::vector<core::WtEntry> EntriesOfEveryKind() {
+  core::WtEntry task;
+  task.type = CommandType::kTask;
+  task.function = FunctionId(4);
+  task.global_entry = 3;
+  task.duration = 250;
+  task.returns_scalar = true;
+  task.reads = {LogicalObjectId(10), LogicalObjectId(11), LogicalObjectId(12)};
+  task.writes = {LogicalObjectId(20)};
+  task.cached_params = Blob(16);
+  task.before = {0, 1};
+  core::WtEntry copy;
+  copy.type = CommandType::kCopySend;
+  copy.copy_index = 2;
+  copy.peer = WorkerId(3);
+  copy.object = LogicalObjectId(30);
+  copy.bytes = 4096;
+  copy.before = {0};
+  core::WtEntry data;
+  data.type = CommandType::kDataCreate;
+  data.object = LogicalObjectId(40);
+  return {task, copy, data};
+}
+
+// The per-task dispatcher refills one command through the out-param builder: once it is
+// warm, a refill for a task, a copy and a data entry allocates nothing, and each result
+// equals the value form's command.
+TEST(EnvelopeAllocTest, CommandRefillFromEntryAllocatesNothingOnceWarm) {
+  const std::vector<core::WtEntry> entries = EntriesOfEveryKind();
+  const ParameterBlob override_params = Blob(24);
+  Command cmd;
+  for (std::size_t i = 0; i < entries.size(); ++i) {  // warm: the lists reach their size
+    core::CommandFromEntry(entries[i], i, CommandId(100), TaskId(50), 7, &override_params,
+                           &cmd);
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      for (const ParameterBlob* params : {static_cast<const ParameterBlob*>(nullptr),
+                                          &override_params}) {
+        const std::uint64_t before = g_allocations.load();
+        core::CommandFromEntry(entries[i], i, CommandId(100 + round), TaskId(50), 7, params,
+                               &cmd);
+        EXPECT_EQ(g_allocations.load() - before, 0u) << "entry " << i;
+        EXPECT_EQ(cmd, core::CommandFromEntry(entries[i], i, CommandId(100 + round),
+                                              TaskId(50), 7, params))
+            << "entry " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
