@@ -266,15 +266,7 @@ double KMeansApp::RunIterations(int n) {
 }
 
 std::vector<double> KMeansApp::CentroidSnapshot() {
-  Cluster& cluster = job_->cluster();
-  const LogicalObjectId obj = cluster.directory().ObjectFor(centroids_, 0);
-  const WorkerId holder = cluster.controller().versions().AnyLatestHolder(obj);
-  NIMBUS_CHECK(holder.valid());
-  Worker* worker = cluster.worker(holder);
-  NIMBUS_CHECK(worker != nullptr);
-  const auto* payload = dynamic_cast<const VectorPayload*>(worker->store().Get(obj));
-  NIMBUS_CHECK(payload != nullptr);
-  return payload->values();
+  return job_->ReadVector(centroids_, 0);
 }
 
 std::vector<double> KMeansApp::ReferenceRun(const Config& config, int iters) {

@@ -399,15 +399,7 @@ LogisticRegressionApp::NestedResult LogisticRegressionApp::RunNestedLoop(double 
 }
 
 std::vector<double> LogisticRegressionApp::CoeffSnapshot() {
-  Cluster& cluster = job_->cluster();
-  const LogicalObjectId coeff_obj = cluster.directory().ObjectFor(coeff_, 0);
-  const WorkerId holder = cluster.controller().versions().AnyLatestHolder(coeff_obj);
-  NIMBUS_CHECK(holder.valid());
-  Worker* worker = cluster.worker(holder);
-  NIMBUS_CHECK(worker != nullptr);
-  const auto* payload = dynamic_cast<const VectorPayload*>(worker->store().Get(coeff_obj));
-  NIMBUS_CHECK(payload != nullptr);
-  return payload->values();
+  return job_->ReadVector(coeff_, 0);
 }
 
 std::vector<double> LogisticRegressionApp::ReferenceInnerLoop(const Config& config,

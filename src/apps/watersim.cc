@@ -1111,33 +1111,17 @@ WaterSimApp::FrameStats WaterSimApp::RunFrame() {
   }
   stats.frame_time = frame_time;
 
-  // Read the max speed from the stats object.
-  Cluster& cluster = job_->cluster();
-  const LogicalObjectId obj = cluster.directory().ObjectFor(stats_, 0);
-  const WorkerId holder = cluster.controller().versions().AnyLatestHolder(obj);
-  if (holder.valid()) {
-    if (Worker* worker = cluster.worker(holder)) {
-      const auto* payload = dynamic_cast<const VectorPayload*>(worker->store().Get(obj));
-      if (payload != nullptr && payload->values().size() >= 2) {
-        stats.max_speed = payload->values()[1];
-      }
-    }
-  }
+  // Read the max speed from the stats object (every frame's project block writes it).
+  const std::vector<double> frame_stats = job_->ReadVector(stats_, 0);
+  NIMBUS_CHECK_GE(frame_stats.size(), 2u);
+  stats.max_speed = frame_stats[1];
   return stats;
 }
 
 double WaterSimApp::MeasureVolume() {
-  Cluster& cluster = job_->cluster();
   double volume = 0.0;
   for (int q = 0; q < config_.partitions; ++q) {
-    const LogicalObjectId obj = cluster.directory().ObjectFor(phi_, q);
-    const WorkerId holder = cluster.controller().versions().AnyLatestHolder(obj);
-    NIMBUS_CHECK(holder.valid());
-    Worker* worker = cluster.worker(holder);
-    NIMBUS_CHECK(worker != nullptr);
-    const auto* payload = dynamic_cast<const VectorPayload*>(worker->store().Get(obj));
-    NIMBUS_CHECK(payload != nullptr);
-    for (double phi : payload->values()) {
+    for (double phi : job_->ReadVector(phi_, q)) {
       if (phi > 0) {
         volume += 1.0;
       }

@@ -174,7 +174,8 @@ struct NetworkCounters : detail::ClearableCounters<NetworkCounters> {
 };
 
 // Failure-detection accounting (DESIGN.md §14): the heartbeat/suspicion protocol on the
-// controller plus the TCP transport's connection-loss/redial path. `suspects_marked` /
+// controller plus the peer losses the TCP transport reports (its own `tcp.*` counters
+// count the redials). `suspects_marked` /
 // `suspects_cleared` track the suspicion state machine (a cleared suspect was a false
 // alarm — a late heartbeat arrived before the miss threshold); `injected_*` count fault
 // events the FaultInjector actually applied, so tests can assert a schedule executed.
@@ -186,12 +187,9 @@ struct FailureCounters : detail::ClearableCounters<FailureCounters> {
   std::uint64_t suspects_cleared = 0;      // suspects exonerated by a late beat
   std::uint64_t workers_failed = 0;        // suspects declared dead (recovery triggered)
   std::uint64_t connection_losses = 0;     // TCP peer losses (EPIPE/ECONNRESET/read-zero)
-  std::uint64_t redials = 0;               // TCP reconnect attempts
-  std::uint64_t redials_succeeded = 0;     // reconnects that completed a hello exchange
   std::uint64_t injected_drops = 0;        // fault-injector: heartbeats dropped
   std::uint64_t injected_delays = 0;       // fault-injector: heartbeats held back
   std::uint64_t injected_duplicates = 0;   // fault-injector: heartbeats sent twice
-  std::uint64_t injected_severs = 0;       // fault-injector: connections severed
 
   static constexpr const char* kGroupName = "failure";
   template <typename V>
@@ -203,12 +201,9 @@ struct FailureCounters : detail::ClearableCounters<FailureCounters> {
     visit("suspects_cleared", suspects_cleared);
     visit("workers_failed", workers_failed);
     visit("connection_losses", connection_losses);
-    visit("redials", redials);
-    visit("redials_succeeded", redials_succeeded);
     visit("injected_drops", injected_drops);
     visit("injected_delays", injected_delays);
     visit("injected_duplicates", injected_duplicates);
-    visit("injected_severs", injected_severs);
   }
 };
 

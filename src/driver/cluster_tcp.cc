@@ -21,24 +21,27 @@ net::NodeAddress AddressOfDense(std::size_t dense) {
 
 }  // namespace
 
+template <typename Fn>
+void TcpClusterRuntime::RunOnNode(Node* n, Fn&& fn) {
+  {
+    std::lock_guard<std::mutex> lock(n->mutex);
+    fn();
+  }
+  if (n == nodes_.front().get()) {  // the driver node (DenseIndex 0)
+    driver_cv_.notify_all();
+  }
+}
+
 // TimerQueue facade over the node endpoint's timer heap: callbacks get the same wrapping
 // as deliveries (node mutex + driver mailbox signal), so a heartbeat tick firing from the
 // timerfd is indistinguishable from one arriving off the wire.
 class TcpClusterRuntime::NodeTimerQueue final : public net::TimerQueue {
  public:
-  NodeTimerQueue(TcpClusterRuntime* runtime, Node* node, bool is_driver)
-      : runtime_(runtime), node_(node), is_driver_(is_driver) {}
+  NodeTimerQueue(TcpClusterRuntime* runtime, Node* node) : runtime_(runtime), node_(node) {}
 
   void Schedule(sim::Duration delay, std::function<void()> fn) override {
-    node_->endpoint->ScheduleTimer(delay, [this, fn = std::move(fn)]() {
-      {
-        std::lock_guard<std::mutex> lock(node_->mutex);
-        fn();
-      }
-      if (is_driver_) {
-        runtime_->driver_cv_.notify_all();
-      }
-    });
+    node_->endpoint->ScheduleTimer(
+        delay, [this, fn = std::move(fn)]() { runtime_->RunOnNode(node_, fn); });
   }
 
   sim::TimePoint Now() const override { return net::TcpEndpoint::NowNanos(); }
@@ -46,7 +49,6 @@ class TcpClusterRuntime::NodeTimerQueue final : public net::TimerQueue {
  private:
   TcpClusterRuntime* runtime_;
   Node* node_;
-  bool is_driver_;
 };
 
 TcpClusterRuntime::TcpClusterRuntime(int workers) {
@@ -54,7 +56,7 @@ TcpClusterRuntime::TcpClusterRuntime(int workers) {
   for (std::size_t dense = 0; dense < static_cast<std::size_t>(workers) + 2; ++dense) {
     auto node = std::make_unique<Node>();
     node->endpoint = std::make_unique<net::TcpEndpoint>(AddressOfDense(dense));
-    node->timers = std::make_unique<NodeTimerQueue>(this, node.get(), dense == 0);
+    node->timers = std::make_unique<NodeTimerQueue>(this, node.get());
     nodes_.push_back(std::move(node));
   }
 }
@@ -78,26 +80,18 @@ net::TimerQueue* TcpClusterRuntime::node_timers(net::NodeAddress address) {
 void TcpClusterRuntime::InstallHandler(net::NodeAddress address,
                                        net::Transport::Handler handler) {
   Node* n = node(address);
-  const bool is_driver = address == net::NodeAddress::Driver();
   n->endpoint->RegisterHandler(
-      address, [this, n, is_driver, handler = std::move(handler)](
-                   net::NodeAddress src, MessageKind kind, ParameterBlob bytes) {
-        {
-          std::lock_guard<std::mutex> lock(n->mutex);
-          handler(src, kind, std::move(bytes));
-        }
-        if (is_driver) {
-          driver_cv_.notify_all();
-        }
+      address, [this, n, handler = std::move(handler)](net::NodeAddress src, MessageKind kind,
+                                                        ParameterBlob bytes) {
+        RunOnNode(n, [&] { handler(src, kind, std::move(bytes)); });
       });
 }
 
 void TcpClusterRuntime::InstallPeerLossHandler(net::NodeAddress address,
                                                std::function<void(net::NodeAddress)> fn) {
   Node* n = node(address);
-  n->endpoint->SetPeerLossHandler([n, fn = std::move(fn)](net::NodeAddress peer) {
-    std::lock_guard<std::mutex> lock(n->mutex);
-    fn(peer);
+  n->endpoint->SetPeerLossHandler([this, n, fn = std::move(fn)](net::NodeAddress peer) {
+    RunOnNode(n, [&] { fn(peer); });
   });
 }
 
@@ -134,9 +128,7 @@ bool TcpClusterRuntime::AwaitDriver(const std::function<bool()>& pred) {
 }
 
 void TcpClusterRuntime::WithDriver(const std::function<void()>& fn) {
-  Node* driver = node(net::NodeAddress::Driver());
-  std::lock_guard<std::mutex> lock(driver->mutex);
-  fn();
+  WithNode(net::NodeAddress::Driver(), fn);
 }
 
 void TcpClusterRuntime::Quiesce() {

@@ -55,7 +55,7 @@ class TcpClusterRuntime {
   void InstallHandler(net::NodeAddress node, net::Transport::Handler handler);
 
   // Registers `node`'s peer-loss callback (redial budget exhausted), wrapped exactly like
-  // a delivery: node mutex, then the callback. Call before StartLoops().
+  // a delivery (file comment). Call before StartLoops().
   void InstallPeerLossHandler(net::NodeAddress node,
                               std::function<void(net::NodeAddress)> fn);
 
@@ -102,6 +102,10 @@ class TcpClusterRuntime {
   class NodeTimerQueue;
 
   Node* node(net::NodeAddress address);
+  // Runs `fn` the way every delivery, timer and peer-loss callback runs: under `n`'s
+  // mutex, then, on the driver node, the AwaitDriver mailbox signal.
+  template <typename Fn>
+  void RunOnNode(Node* n, Fn&& fn);
 
   std::vector<std::unique_ptr<Node>> nodes_;  // by NodeAddress::DenseIndex()
   std::condition_variable driver_cv_;         // paired with the driver node's mutex

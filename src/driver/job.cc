@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/logging.h"
+#include "src/data/payload.h"
 #include "src/task/wire.h"
 
 namespace nimbus {
@@ -237,6 +239,17 @@ Job::RunResult Job::RunBlockSequence(
   }
   HintNextBlock(std::string());
   return result;
+}
+
+std::vector<double> Job::ReadVector(VariableId variable, int partition) {
+  const LogicalObjectId obj = cluster_->directory().ObjectFor(variable, partition);
+  const WorkerId holder = cluster_->controller().versions().AnyLatestHolder(obj);
+  NIMBUS_CHECK(holder.valid());
+  Worker* worker = cluster_->worker(holder);
+  NIMBUS_CHECK(worker != nullptr);
+  const auto* payload = dynamic_cast<const VectorPayload*>(worker->store().Get(obj));
+  NIMBUS_CHECK(payload != nullptr);
+  return payload->values();
 }
 
 void Job::Checkpoint(std::uint64_t marker) {

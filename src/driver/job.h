@@ -86,6 +86,10 @@ class Job {
   // sequence. Restores an empty hint afterwards.
   RunResult RunBlockSequence(const std::vector<std::pair<std::string, SparseParams>>& seq);
 
+  // The latest values of `variable`'s partition `partition` (a VectorPayload), read from
+  // a worker that holds them. Applications read results only through this.
+  std::vector<double> ReadVector(VariableId variable, int partition);
+
   // Writes a checkpoint tagged with `marker` (typically the iteration index).
   void Checkpoint(std::uint64_t marker);
 

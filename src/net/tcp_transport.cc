@@ -56,17 +56,48 @@ void SetNonBlocking(int fd) {
       << "fcntl(F_SETFL): " << std::strerror(errno);
 }
 
+// Registers `fd` with `epoll_fd` for EPOLLIN (level-triggered; a connection arms EPOLLOUT
+// on demand), tagged with `tag`, which EventLoop uses to tell the fds apart.
+void WatchReadable(int epoll_fd, int fd, void* tag) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.ptr = tag;
+  NIMBUS_CHECK_GE(::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev), 0)
+      << "epoll_ctl(add): " << std::strerror(errno);
+}
+
+void CloseFd(int& fd) {
+  if (fd >= 0) {
+    ::close(fd);
+    fd = -1;
+  }
+}
+
 void SetNoDelay(int fd) {
   const int one = 1;
   NIMBUS_CHECK_GE(::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)), 0)
       << "setsockopt(TCP_NODELAY): " << std::strerror(errno);
 }
 
-// Writes the hello frame that names the dialing node `self` to the acceptor, on a fresh
-// (still blocking) socket: at bootstrap and on every redial. MSG_NOSIGNAL, like every
-// socket write here: a send on a reset socket must surface as EPIPE, not kill the process
-// with SIGPIPE.
-void WriteHello(int fd, NodeAddress self, NodeAddress peer) {
+// Dials 127.0.0.1:`port` and writes the hello frame that names `self` to the acceptor:
+// at bootstrap and on every redial. The socket stays blocking for the hello and returns
+// non-blocking with TCP_NODELAY set. MSG_NOSIGNAL, like every socket write here: a send
+// on a reset socket must surface as EPIPE, not kill the process with SIGPIPE. Returns -1
+// with the connect errno when no listener took the connection.
+int DialHello(NodeAddress self, NodeAddress peer, std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  NIMBUS_CHECK_GE(fd, 0) << "socket: " << std::strerror(errno);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    return -1;
+  }
+  SetNoDelay(fd);
   const FrameHeader hello = MakeFrameHeader(kHelloKind, self, peer, 0);
   std::size_t done = 0;
   while (done < hello.size()) {
@@ -74,11 +105,20 @@ void WriteHello(int fd, NodeAddress self, NodeAddress peer) {
     NIMBUS_CHECK_GT(w, 0) << "hello write: " << std::strerror(errno);
     done += static_cast<std::size_t>(w);
   }
+  SetNonBlocking(fd);
+  return fd;
 }
 
-// Reads the hello frame off a freshly accepted (still blocking) socket and returns the
-// dialing node it names: at bootstrap and on every runtime re-accept.
-NodeAddress ReadHello(int fd) {
+// Accepts one connection on `listen_fd` and reads its hello frame into `*peer`, the
+// dialing node: at bootstrap and on every runtime re-accept. The dialer writes its hello
+// right after connect, so the blocking read waits only for that. Returns the socket
+// non-blocking with TCP_NODELAY set, or -1 with the accept errno.
+int AcceptHello(int listen_fd, NodeAddress* peer) {
+  const int fd = ::accept(listen_fd, nullptr, nullptr);
+  if (fd < 0) {
+    return -1;
+  }
+  SetNoDelay(fd);
   std::uint8_t header[kFrameHeaderSize];
   std::size_t done = 0;
   while (done < sizeof(header)) {
@@ -86,16 +126,13 @@ NodeAddress ReadHello(int fd) {
     NIMBUS_CHECK_GT(r, 0) << "hello read: " << std::strerror(errno);
     done += static_cast<std::size_t>(r);
   }
-  std::uint32_t payload_len = 0;
-  std::uint8_t kind = 0;
-  std::int64_t src = 0;
-  std::memcpy(&payload_len, header, sizeof(payload_len));
-  std::memcpy(&kind, header + 4, sizeof(kind));
-  std::memcpy(&src, header + 5, sizeof(src));
-  NIMBUS_CHECK_EQ(static_cast<int>(kind), static_cast<int>(kHelloKind))
+  const FrameFields hello = ParseFrameHeader(header);
+  NIMBUS_CHECK_EQ(static_cast<int>(hello.kind), static_cast<int>(kHelloKind))
       << "accept: expected a hello frame";
-  NIMBUS_CHECK_EQ(payload_len, 0u) << "accept: hello frames carry no payload";
-  return NodeAddress(src);
+  NIMBUS_CHECK_EQ(hello.payload_len, 0u) << "accept: hello frames carry no payload";
+  *peer = hello.src;
+  SetNonBlocking(fd);
+  return fd;
 }
 
 }  // namespace
@@ -175,16 +212,8 @@ std::uint16_t TcpEndpoint::Listen() {
 }
 
 void TcpEndpoint::DialPeer(NodeAddress peer, std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  NIMBUS_CHECK_GE(fd, 0) << "socket: " << std::strerror(errno);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  NIMBUS_CHECK_GE(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0)
-      << "connect to " << peer << ": " << std::strerror(errno);
-  SetNoDelay(fd);
-  WriteHello(fd, self_, peer);  // names this node so the acceptor can map the socket
+  const int fd = DialHello(self_, peer, port);
+  NIMBUS_CHECK_GE(fd, 0) << "connect to " << peer << ": " << std::strerror(errno);
   Connection* conn = AdoptSocket(fd, peer);
   conn->dialer = true;
   conn->peer_port = port;  // kept for redial after a connection loss
@@ -192,14 +221,13 @@ void TcpEndpoint::DialPeer(NodeAddress peer, std::uint16_t port) {
 
 void TcpEndpoint::AcceptPeer() {
   NIMBUS_CHECK_GE(listen_fd_, 0) << "AcceptPeer before Listen";
-  const int fd = ::accept(listen_fd_, nullptr, nullptr);
+  NodeAddress peer;
+  const int fd = AcceptHello(listen_fd_, &peer);
   NIMBUS_CHECK_GE(fd, 0) << "accept: " << std::strerror(errno);
-  SetNoDelay(fd);
-  AdoptSocket(fd, ReadHello(fd));
+  AdoptSocket(fd, peer);
 }
 
 TcpEndpoint::Connection* TcpEndpoint::AdoptSocket(int fd, NodeAddress peer) {
-  SetNonBlocking(fd);
   auto conn = std::make_unique<Connection>();
   conn->fd = fd;
   conn->peer = peer;
@@ -219,18 +247,10 @@ void TcpEndpoint::Start() {
   NIMBUS_CHECK_GE(epoll_fd_, 0) << "epoll_create1: " << std::strerror(errno);
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   NIMBUS_CHECK_GE(wake_fd_, 0) << "eventfd: " << std::strerror(errno);
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.ptr = nullptr;  // wake marker
-  NIMBUS_CHECK_GE(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev), 0)
-      << "epoll_ctl(wake): " << std::strerror(errno);
+  WatchReadable(epoll_fd_, wake_fd_, nullptr);  // wake marker
   timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
   NIMBUS_CHECK_GE(timer_fd_, 0) << "timerfd_create: " << std::strerror(errno);
-  epoll_event tev{};
-  tev.events = EPOLLIN;
-  tev.data.ptr = static_cast<void*>(&timer_fd_);  // timer marker
-  NIMBUS_CHECK_GE(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, timer_fd_, &tev), 0)
-      << "epoll_ctl(timer): " << std::strerror(errno);
+  WatchReadable(epoll_fd_, timer_fd_, &timer_fd_);  // timer marker
   {
     // Timers scheduled before Start have been accumulating in the heap; arm for them.
     std::lock_guard<std::mutex> lock(timer_mutex_);
@@ -238,18 +258,10 @@ void TcpEndpoint::Start() {
   }
   if (listen_fd_ >= 0) {
     // The listener stays in the loop for runtime re-accepts after a connection loss.
-    epoll_event lev{};
-    lev.events = EPOLLIN;
-    lev.data.ptr = static_cast<void*>(&listen_fd_);  // accept marker
-    NIMBUS_CHECK_GE(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &lev), 0)
-        << "epoll_ctl(listen): " << std::strerror(errno);
+    WatchReadable(epoll_fd_, listen_fd_, &listen_fd_);  // accept marker
   }
   for (auto& conn : connections_) {
-    epoll_event cev{};
-    cev.events = EPOLLIN;  // level-triggered; EPOLLOUT armed on demand
-    cev.data.ptr = conn.get();
-    NIMBUS_CHECK_GE(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn->fd, &cev), 0)
-        << "epoll_ctl(conn): " << std::strerror(errno);
+    WatchReadable(epoll_fd_, conn->fd, conn.get());
   }
   running_.store(true);
   // Thread creation happens-before the loop body: every connection and the handler
@@ -268,27 +280,12 @@ void TcpEndpoint::Shutdown() {
     loop_.join();
   }
   for (auto& conn : connections_) {
-    if (conn->fd >= 0) {
-      ::close(conn->fd);
-      conn->fd = -1;
-    }
+    CloseFd(conn->fd);
   }
-  if (epoll_fd_ >= 0) {
-    ::close(epoll_fd_);
-    epoll_fd_ = -1;
-  }
-  if (timer_fd_ >= 0) {
-    ::close(timer_fd_);
-    timer_fd_ = -1;
-  }
-  if (wake_fd_ >= 0) {
-    ::close(wake_fd_);
-    wake_fd_ = -1;
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  CloseFd(epoll_fd_);
+  CloseFd(timer_fd_);
+  CloseFd(wake_fd_);
+  CloseFd(listen_fd_);
 }
 
 void TcpEndpoint::RegisterHandler(NodeAddress node, Handler handler) {
@@ -304,15 +301,10 @@ TcpEndpoint::Connection* TcpEndpoint::ConnectionTo(NodeAddress peer) const {
 }
 
 void TcpEndpoint::Send(NodeAddress src, NodeAddress dst, MessageKind kind,
-                       ParameterBlob bytes, std::int64_t cost_bytes) {
+                       ParameterBlob bytes, std::int64_t /*cost_bytes*/) {
   NIMBUS_CHECK(src == self_) << "endpoint " << self_ << " cannot send as " << src;
-  const std::int64_t charged =
-      cost_bytes < 0 ? static_cast<std::int64_t>(bytes.size()) : cost_bytes;
   counters_.frames_sent.fetch_add(1, std::memory_order_relaxed);
   counters_.payload_bytes_sent.fetch_add(bytes.size(), std::memory_order_relaxed);
-  kind_frames_[static_cast<std::size_t>(kind)].fetch_add(1, std::memory_order_relaxed);
-  kind_cost_bytes_[static_cast<std::size_t>(kind)].fetch_add(
-      static_cast<std::uint64_t>(charged), std::memory_order_relaxed);
   if (dst == self_) {
     // Self-sends short-circuit the socket (no node pair dials itself).
     NIMBUS_CHECK(handler_) << "no delivery handler registered for " << self_;
@@ -480,20 +472,15 @@ void TcpEndpoint::ReadReady(Connection* conn) {
   std::uint8_t buf[65536];
   while (true) {
     const ssize_t r = ::read(conn->fd, buf, sizeof(buf));
-    if (r < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        break;
-      }
-      NIMBUS_CHECK(IsConnectionLossErrno(errno))
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;
+    }
+    if (r <= 0) {
+      // Read-zero (the peer closed) or a reset. During orderly teardown this is expected;
+      // otherwise it enters the loss path (redial / suspicion).
+      NIMBUS_CHECK(r == 0 || IsConnectionLossErrno(errno))
           << "read from " << conn->peer << ": " << std::strerror(errno);
       DrainFrames(conn);  // deliver complete frames that beat the failure
-      HandleConnectionLoss(conn);
-      return;
-    }
-    if (r == 0) {
-      // Read-zero: the peer closed. During orderly teardown this is expected; otherwise
-      // it enters the loss path (redial / suspicion).
-      DrainFrames(conn);
       HandleConnectionLoss(conn);
       return;
     }
@@ -510,8 +497,7 @@ void TcpEndpoint::HandleConnectionLoss(Connection* conn) {
   {
     std::lock_guard<std::mutex> lock(conn->send_mutex);
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-    ::close(conn->fd);
-    conn->fd = -1;
+    CloseFd(conn->fd);
     // Resend the front frame from byte zero after reconnect: frame-granularity
     // at-least-once. The receiver discards the dead socket's partial frame, so a frame
     // cut mid-write is still delivered exactly once. Deterministic fault tests only sever
@@ -536,14 +522,8 @@ void TcpEndpoint::TryRedial(Connection* conn) {
     return;  // torn down, already healed by a concurrent re-accept, or given up
   }
   counters_.redials.fetch_add(1, std::memory_order_relaxed);
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  NIMBUS_CHECK_GE(fd, 0) << "socket: " << std::strerror(errno);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(conn->peer_port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
+  const int fd = DialHello(self_, conn->peer, conn->peer_port);
+  if (fd < 0) {
     ++conn->redial_attempts;
     if (conn->redial_attempts >= kMaxRedialAttempts) {
       conn->declared_lost = true;
@@ -557,28 +537,14 @@ void TcpEndpoint::TryRedial(Connection* conn) {
                   [this, conn]() { TryRedial(conn); });
     return;
   }
-  SetNoDelay(fd);
-  WriteHello(fd, self_, conn->peer);
-  SetNonBlocking(fd);
-  // epoll ADD before publishing the fd: once conn->fd is set, a concurrent sender's
-  // FlushLocked may arm EPOLLOUT via MOD, which requires prior registration.
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.ptr = conn;
-  NIMBUS_CHECK_GE(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev), 0)
-      << "epoll_ctl(redial): " << std::strerror(errno);
   counters_.redials_succeeded.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(conn->send_mutex);
-  conn->fd = fd;
-  RewindFrontLocked(conn);
-  conn->want_write = false;
-  conn->redial_attempts = 0;
-  FlushLocked(conn);  // backlogged frames from the outage go out now
+  InstallSocket(conn, fd);
 }
 
 void TcpEndpoint::AcceptReady() {
   // One accept per EPOLLIN event; the level-triggered loop fires again if more wait.
-  const int fd = ::accept(listen_fd_, nullptr, nullptr);
+  NodeAddress peer;
+  const int fd = AcceptHello(listen_fd_, &peer);
   if (fd < 0) {
     return;  // raced shutdown or a dialer that gave up mid-handshake
   }
@@ -586,23 +552,17 @@ void TcpEndpoint::AcceptReady() {
     ::close(fd);
     return;
   }
-  SetNoDelay(fd);
-  const NodeAddress peer = ReadHello(fd);  // the dialer writes its hello right after connect
-  const std::size_t index = peer.DenseIndex();
-  NIMBUS_CHECK(index < by_peer_.size() && by_peer_[index] != nullptr)
-      << "runtime accept from unknown peer " << peer;
-  Connection* conn = by_peer_[index];
-  SetNonBlocking(fd);
+  InstallSocket(ConnectionTo(peer), fd);
+}
+
+void TcpEndpoint::InstallSocket(Connection* conn, int fd) {
   conn->recv_buffer.clear();
-  // epoll ADD before publishing the fd (see TryRedial).
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.ptr = conn;
-  NIMBUS_CHECK_GE(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev), 0)
-      << "epoll_ctl(reaccept): " << std::strerror(errno);
+  // epoll ADD before publishing the fd: once conn->fd is set, a concurrent sender's
+  // FlushLocked may arm EPOLLOUT via MOD, which requires prior registration.
+  WatchReadable(epoll_fd_, fd, conn);
   std::lock_guard<std::mutex> lock(conn->send_mutex);
   if (conn->fd >= 0) {
-    // The peer redialed before we observed the old socket dying; retire it.
+    // Re-accept only: the peer redialed before we observed the old socket dying.
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
     ::close(conn->fd);
   }
@@ -611,7 +571,7 @@ void TcpEndpoint::AcceptReady() {
   conn->want_write = false;
   conn->redial_attempts = 0;
   conn->declared_lost = false;
-  FlushLocked(conn);
+  FlushLocked(conn);  // backlogged frames from the outage go out now
 }
 
 void TcpEndpoint::FireTimers() {
@@ -678,20 +638,14 @@ void TcpEndpoint::DrainFrames(Connection* conn) {
   std::size_t cursor = 0;
   std::vector<std::uint8_t>& rb = conn->recv_buffer;
   while (rb.size() - cursor >= kFrameHeaderSize) {
-    std::uint32_t payload_len = 0;
-    std::uint8_t kind = 0;
-    std::int64_t src = 0;
-    std::int64_t dst = 0;
-    std::memcpy(&payload_len, rb.data() + cursor, sizeof(payload_len));
-    std::memcpy(&kind, rb.data() + cursor + 4, sizeof(kind));
-    std::memcpy(&src, rb.data() + cursor + 5, sizeof(src));
-    std::memcpy(&dst, rb.data() + cursor + 13, sizeof(dst));
+    const FrameFields header = ParseFrameHeader(rb.data() + cursor);
+    const std::uint32_t payload_len = header.payload_len;
     NIMBUS_CHECK_LE(payload_len, kMaxFramePayload) << "corrupt frame length";
     if (rb.size() - cursor - kFrameHeaderSize < payload_len) {
       break;  // partial frame: wait for more bytes
     }
-    NIMBUS_CHECK_EQ(dst, self_.value()) << "misrouted frame on " << self_;
-    NIMBUS_CHECK_LT(kind, kMessageKindCount) << "corrupt frame kind";
+    NIMBUS_CHECK_EQ(header.dst.value(), self_.value()) << "misrouted frame on " << self_;
+    NIMBUS_CHECK_LT(header.kind, kMessageKindCount) << "corrupt frame kind";
     ParameterBlob payload(rb.begin() + static_cast<std::ptrdiff_t>(cursor +
                                                                    kFrameHeaderSize),
                           rb.begin() + static_cast<std::ptrdiff_t>(cursor +
@@ -700,7 +654,7 @@ void TcpEndpoint::DrainFrames(Connection* conn) {
     cursor += kFrameHeaderSize + payload_len;
     counters_.frames_received.fetch_add(1, std::memory_order_relaxed);
     NIMBUS_CHECK(handler_) << "no delivery handler registered for " << self_;
-    handler_(NodeAddress(src), static_cast<MessageKind>(kind), std::move(payload));
+    handler_(header.src, static_cast<MessageKind>(header.kind), std::move(payload));
     // The handler (and the cluster's node-mutex wrapper) has returned: ship what it sent.
     FlushPending();
   }
@@ -710,29 +664,13 @@ void TcpEndpoint::DrainFrames(Connection* conn) {
 }
 
 TcpEndpoint::Counters TcpEndpoint::counters() const {
-  const auto read = [](const std::atomic<std::uint64_t>& v) {
-    return v.load(std::memory_order_relaxed);
-  };
   Counters c;
-  c.frames_sent = read(counters_.frames_sent);
-  c.frames_received = read(counters_.frames_received);
-  c.payload_bytes_sent = read(counters_.payload_bytes_sent);
-  c.writev_calls = read(counters_.writev_calls);
-  c.partial_writes = read(counters_.partial_writes);
-  c.peak_queued_bytes = read(counters_.peak_queued_bytes);
-  c.queued_bytes = read(counters_.queued_bytes);
-  c.connection_losses = read(counters_.connection_losses);
-  c.redials = read(counters_.redials);
-  c.redials_succeeded = read(counters_.redials_succeeded);
+  Counters::ForEachField(
+      [](const char*, std::uint64_t& out, const std::atomic<std::uint64_t>& live) {
+        out = live.load(std::memory_order_relaxed);
+      },
+      c, counters_);
   return c;
-}
-
-std::uint64_t TcpEndpoint::frames_for(MessageKind kind) const {
-  return kind_frames_[static_cast<std::size_t>(kind)].load(std::memory_order_relaxed);
-}
-
-std::uint64_t TcpEndpoint::cost_bytes_for(MessageKind kind) const {
-  return kind_cost_bytes_[static_cast<std::size_t>(kind)].load(std::memory_order_relaxed);
 }
 
 }  // namespace nimbus::net

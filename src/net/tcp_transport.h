@@ -25,17 +25,19 @@
 //  * on any other thread (the driver program, WithNode callers, bootstrap, sends before
 //    Start) every send flushes eagerly on the calling thread.
 // A stalled flush leaves the tail queued and the event loop finishes it under EPOLLOUT
-// (backpressure). Counters record queue depth, partial writes, and per-kind frame
-// traffic in relaxed atomics: counters() is a field-wise snapshot, not one atomic read
-// across fields. Delivery invokes the registered handler on the event-loop thread; the cluster
-// wraps handlers with per-node serialization.
+// (backpressure). Counters record frames, queue depth and partial writes in relaxed
+// atomics: counters() is a field-wise snapshot, not one atomic read across fields.
+// Delivery invokes the registered handler on the event-loop thread; the cluster wraps
+// handlers with per-node serialization.
 //
 // Failure handling (DESIGN.md §14): a timerfd drives the endpoint's TimerHeap inside the
 // same epoll loop, so heartbeat/suspicion timers fire on the delivery thread. Connection
 // loss (read-zero, ECONNRESET, EPIPE) tears the socket out of the Connection but keeps
 // the object (senders hold pointers; queued frames survive for resend). The original
 // dialer redials with bounded exponential backoff; the acceptor re-accepts at runtime via
-// the listening socket. Redial exhaustion invokes the peer-loss handler, which the
+// the listening socket. A socket is dialed in one place and accepted in one place, at
+// bootstrap and at runtime alike, and a healed socket enters its Connection through one
+// swap (InstallSocket). Redial exhaustion invokes the peer-loss handler, which the
 // cluster routes into the controller's suspicion state. `PrepareShutdown` suppresses all
 // of this during orchestrated teardown so closing one node cannot "fail" its live peers.
 
@@ -48,6 +50,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -70,6 +73,29 @@ using FrameHeader = std::array<std::uint8_t, kFrameHeaderSize>;
 // bound before narrowing it to the u32 length field.
 FrameHeader MakeFrameHeader(std::uint8_t kind, NodeAddress src, NodeAddress dst,
                             std::size_t payload_size);
+
+// The fields of a frame header, as ParseFrameHeader decodes them.
+struct FrameFields {
+  std::uint32_t payload_len = 0;
+  std::uint8_t kind = 0;
+  NodeAddress src;
+  NodeAddress dst;
+};
+
+// The inverse of MakeFrameHeader: decodes the kFrameHeaderSize bytes at `bytes`. Checks
+// nothing; each caller checks what its context requires.
+inline FrameFields ParseFrameHeader(const std::uint8_t* bytes) {
+  FrameFields f;
+  std::int64_t src = 0;
+  std::int64_t dst = 0;
+  std::memcpy(&f.payload_len, bytes, sizeof(f.payload_len));
+  f.kind = bytes[4];
+  std::memcpy(&src, bytes + 5, sizeof(src));
+  std::memcpy(&dst, bytes + 13, sizeof(dst));
+  f.src = NodeAddress(src);
+  f.dst = NodeAddress(dst);
+  return f;
+}
 
 // One queued frame: its header and the moved-in payload, written as two iovecs.
 struct QueuedFrame {
@@ -126,41 +152,50 @@ class TcpEndpoint final : public Transport {
   // Only this endpoint's own address may register (each node owns one endpoint).
   void RegisterHandler(NodeAddress node, Handler handler) override;
   // Frames `bytes` and ships it on the standing connection to `dst`. `cost_bytes` is the
-  // simulator's modeled size — recorded in the per-kind counters for comparability with
-  // sim runs; the socket carries the encoded envelope regardless. Thread-safe; on the
-  // event-loop thread only a callback's first frame per peer flushes at once, the rest
-  // when the callback returns.
+  // simulator's modeled size, which only SimTransport's NIC model reads; the socket
+  // carries the encoded envelope. Thread-safe; on the event-loop thread only a callback's
+  // first frame per peer flushes at once, the rest when the callback returns.
   void Send(NodeAddress src, NodeAddress dst, MessageKind kind, ParameterBlob bytes,
             std::int64_t cost_bytes) override;
 
   // ---- Backpressure / traffic counters ----
-  struct Counters {
-    std::uint64_t frames_sent = 0;
-    std::uint64_t frames_received = 0;
-    std::uint64_t payload_bytes_sent = 0;
-    std::uint64_t writev_calls = 0;  // gather-write syscalls (sendmsg) on the send path
-    std::uint64_t partial_writes = 0;  // flushes that left queued bytes behind
-    std::uint64_t peak_queued_bytes = 0;
-    std::uint64_t queued_bytes = 0;  // currently waiting behind the socket
-    std::uint64_t connection_losses = 0;  // sockets torn down outside orderly shutdown
-    std::uint64_t redials = 0;            // reconnect attempts (dialer side)
-    std::uint64_t redials_succeeded = 0;  // reconnects that re-established the link
+  // Declared once for both forms: `Counters` is the plain snapshot counters() returns (the
+  // `tcp` registry group); the endpoint keeps the live form in relaxed atomics.
+  template <typename T>
+  struct CounterFields {
+    T frames_sent{};
+    T frames_received{};
+    T payload_bytes_sent{};
+    T writev_calls{};       // gather-write syscalls (sendmsg) on the send path
+    T partial_writes{};     // flushes that left queued bytes behind
+    T peak_queued_bytes{};
+    T queued_bytes{};       // currently waiting behind the socket
+    T connection_losses{};  // sockets torn down outside orderly shutdown
+    T redials{};            // reconnect attempts (dialer side)
+    T redials_succeeded{};  // reconnects that re-established the link
 
     static constexpr const char* kGroupName = "tcp";
+    // Calls visit(name, self.field...) for each field, walking one or more structs with
+    // these fields side by side.
+    template <typename V, typename... Self>
+    static void ForEachField(V&& visit, Self&... self) {
+      visit("frames_sent", self.frames_sent...);
+      visit("frames_received", self.frames_received...);
+      visit("payload_bytes_sent", self.payload_bytes_sent...);
+      visit("writev_calls", self.writev_calls...);
+      visit("partial_writes", self.partial_writes...);
+      visit("peak_queued_bytes", self.peak_queued_bytes...);
+      visit("queued_bytes", self.queued_bytes...);
+      visit("connection_losses", self.connection_losses...);
+      visit("redials", self.redials...);
+      visit("redials_succeeded", self.redials_succeeded...);
+    }
     template <typename V>
     void VisitFields(V&& visit) const {
-      visit("frames_sent", frames_sent);
-      visit("frames_received", frames_received);
-      visit("payload_bytes_sent", payload_bytes_sent);
-      visit("writev_calls", writev_calls);
-      visit("partial_writes", partial_writes);
-      visit("peak_queued_bytes", peak_queued_bytes);
-      visit("queued_bytes", queued_bytes);
-      visit("connection_losses", connection_losses);
-      visit("redials", redials);
-      visit("redials_succeeded", redials_succeeded);
+      ForEachField(visit, *this);
     }
   };
+  using Counters = CounterFields<std::uint64_t>;
   Counters counters() const;
 
   NodeAddress self() const { return self_; }
@@ -191,7 +226,13 @@ class TcpEndpoint final : public Transport {
   };
 
   Connection* ConnectionTo(NodeAddress peer) const;
+  // Bootstrap: wraps a fresh socket in a new Connection to `peer`.
   Connection* AdoptSocket(int fd, NodeAddress peer);
+  // Event-loop thread: swaps the fresh socket `fd` into `conn` to heal a lost connection,
+  // from a redial or a runtime re-accept. Registers it with epoll before publishing it
+  // under `send_mutex`, retires an older socket the loss path has not torn down yet,
+  // rewinds the front frame, clears the outage state and flushes the backlog.
+  void InstallSocket(Connection* conn, int fd);
   // Flushes `conn`'s queue with gather writes of up to IOV_MAX frames each, looping until
   // the queue drains or the socket returns EAGAIN; arms/disarms EPOLLOUT as needed.
   // Requires `conn->send_mutex`.
@@ -211,7 +252,7 @@ class TcpEndpoint final : public Transport {
   // schedules a redial (dialer side) or waits for a re-accept (acceptor side).
   void HandleConnectionLoss(Connection* conn);
   void TryRedial(Connection* conn);
-  // Event-loop thread: runtime accept — swaps a fresh socket into the peer's Connection.
+  // Event-loop thread: runtime accept — installs a fresh socket in the peer's Connection.
   void AcceptReady();
   // Drains the timerfd and runs every due timer callback (event-loop thread).
   void FireTimers();
@@ -238,31 +279,12 @@ class TcpEndpoint final : public Transport {
   TimerHeap timers_;
   std::function<void(NodeAddress)> peer_loss_handler_;
 
-  // The live counters behind counters(): relaxed atomics, bumped by any sending thread
-  // and the event loop without a lock.
-  struct LiveCounters {
-    std::atomic<std::uint64_t> frames_sent{0};
-    std::atomic<std::uint64_t> frames_received{0};
-    std::atomic<std::uint64_t> payload_bytes_sent{0};
-    std::atomic<std::uint64_t> writev_calls{0};
-    std::atomic<std::uint64_t> partial_writes{0};
-    std::atomic<std::uint64_t> peak_queued_bytes{0};
-    std::atomic<std::uint64_t> queued_bytes{0};
-    std::atomic<std::uint64_t> connection_losses{0};
-    std::atomic<std::uint64_t> redials{0};
-    std::atomic<std::uint64_t> redials_succeeded{0};
-  };
   // Adds `n` bytes to the send backlog and raises the peak to match.
   void AddQueuedBytes(std::uint64_t n);
 
-  LiveCounters counters_;
-  // Modeled per-kind traffic (mirrors sim::NetworkCounters for cross-backend reporting).
-  std::atomic<std::uint64_t> kind_frames_[kMessageKindCount] = {};
-  std::atomic<std::uint64_t> kind_cost_bytes_[kMessageKindCount] = {};
-
- public:
-  std::uint64_t frames_for(MessageKind kind) const;
-  std::uint64_t cost_bytes_for(MessageKind kind) const;
+  // The live counters behind counters(), bumped by any sending thread and the event loop
+  // without a lock.
+  CounterFields<std::atomic<std::uint64_t>> counters_;
 };
 
 }  // namespace nimbus::net

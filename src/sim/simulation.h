@@ -133,7 +133,6 @@ class Processor {
     simulation_->ScheduleAt(finish, std::forward<Done>(done));
     return finish;
   }
-  TimePoint Submit(Duration work, std::nullptr_t) { return Charge(work); }
 
   // Charges busy time without a completion callback (for accounting sequential costs) and
   // returns when it ends; a no-op on a real-time resource.
@@ -176,10 +175,6 @@ class CorePool {
     const TimePoint finish = Occupy(work);
     simulation_->ScheduleAt(finish, std::forward<Done>(done));
     return finish;
-  }
-  TimePoint Submit(Duration work, std::nullptr_t) {
-    NIMBUS_CHECK_GE(work, 0);
-    return simulation_ == nullptr ? 0 : Occupy(work);
   }
 
   int cores() const { return static_cast<int>(available_.size()); }

@@ -62,7 +62,6 @@ TEST(SendAllocTest, SendsOfPrebuiltPayloadsAllocateOnlyQueueNodes) {
   const std::uint64_t allocations = g_allocations.load() - before;
   EXPECT_LE(allocations, static_cast<std::uint64_t>(kSends / 8));
   EXPECT_EQ(sender.counters().frames_sent, static_cast<std::uint64_t>(kSends));
-  EXPECT_EQ(sender.frames_for(MessageKind::kCommand), static_cast<std::uint64_t>(kSends));
 
   sender.PrepareShutdown();
   receiver.PrepareShutdown();

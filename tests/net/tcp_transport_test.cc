@@ -5,8 +5,10 @@
 // does it, and pins delivery (exactly once, in order) alongside the writev accounting;
 // one checks that a send on a severed socket fails softly (no SIGPIPE). One test pins the
 // endpoint's timers: held until Start, then fired on the event-loop thread in deadline
-// order and never before their deadline. The last two need no sockets: they pin the
-// flush's iovec fill at every write offset and the frame-length check.
+// order and never before their deadline; one spends the redial budget against a peer
+// that is gone for good. The last three need no sockets: they pin the flush's iovec fill
+// at every write offset, the header parser against the header writer, and the
+// frame-length check.
 
 #include <gtest/gtest.h>
 
@@ -343,6 +345,39 @@ TEST(TcpTransportTest, SendAfterSeverKeepsProcessAliveAndFrameQueued) {
   EXPECT_EQ(after.connection_losses, 0u);  // only the (unstarted) event loop declares one
 }
 
+// (e2) Redial exhaustion: once the accepting endpoint is gone for good, the dialer spends
+// its whole redial budget, every attempt fails, and the peer-loss handler fires exactly
+// once, naming the lost peer.
+TEST(TcpTransportTest, RedialExhaustionFiresThePeerLossHandlerOnce) {
+  std::mutex mu;
+  std::vector<NodeAddress> lost;  // guarded by mu
+  Mesh mesh(2);  // endpoint 0 dials (and redials) endpoint 1
+  mesh.RecordOnly(0);
+  mesh.RecordOnly(1);
+  TcpEndpoint& dialer = mesh.at(0);
+  dialer.SetPeerLossHandler([&](NodeAddress peer) {
+    std::lock_guard<std::mutex> lock(mu);
+    lost.push_back(peer);
+  });
+  mesh.Start();
+
+  mesh.at(1).Shutdown();  // closes its listener and its end of the connection
+  ASSERT_TRUE(Eventually([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return !lost.empty();
+  }));
+  // The budget's backoff sums to 300 ms; wait as long again for a second firing.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(lost, std::vector<NodeAddress>{mesh.addr(1)});
+  }
+  const TcpEndpoint::Counters after = dialer.counters();
+  EXPECT_EQ(after.connection_losses, 1u);
+  EXPECT_EQ(after.redials, 4u);
+  EXPECT_EQ(after.redials_succeeded, 0u);
+}
+
 // (f) ScheduleTimer: an entry scheduled before Start waits for the event loop, then fires
 // after Start; entries fire on the loop thread (the thread that runs delivery handlers),
 // in deadline order whatever the scheduling order, and never before their deadline on
@@ -467,7 +502,34 @@ TEST(TcpTransportTest, GatherFramesCoversEveryWriteOffset) {
   }
 }
 
-// (h) The frame length is checked as a size_t before it narrows to the u32 field: a
+// (h) ParseFrameHeader inverts MakeFrameHeader: length, kind, src and dst come back as
+// written, for message kinds, the bootstrap hello kind 0xFF and the largest legal length.
+TEST(TcpTransportTest, ParseFrameHeaderInvertsMakeFrameHeader) {
+  struct Case {
+    std::uint8_t kind;
+    NodeAddress src;
+    NodeAddress dst;
+    std::size_t payload_size;
+  };
+  const Case cases[] = {
+      {static_cast<std::uint8_t>(MessageKind::kCommand), NodeAddress::Controller(),
+       AddressOfDense(2), 150},
+      {static_cast<std::uint8_t>(MessageKind::kData), AddressOfDense(7), AddressOfDense(3),
+       0},
+      {0xFF, NodeAddress::Driver(), NodeAddress::Controller(), 0},  // bootstrap hello
+      {0xFF, AddressOfDense(40000), NodeAddress::Driver(), std::size_t{1} << 30},
+  };
+  for (const Case& c : cases) {
+    const net::FrameHeader header = net::MakeFrameHeader(c.kind, c.src, c.dst, c.payload_size);
+    const net::FrameFields fields = net::ParseFrameHeader(header.data());
+    EXPECT_EQ(fields.payload_len, c.payload_size);
+    EXPECT_EQ(fields.kind, c.kind);
+    EXPECT_EQ(fields.src, c.src);
+    EXPECT_EQ(fields.dst, c.dst);
+  }
+}
+
+// (i) The frame length is checked as a size_t before it narrows to the u32 field: a
 // payload of 4 GiB or more must fail the check, not wrap to a small length and pass. The
 // header writer takes only the size, so this allocates nothing that large.
 TEST(TcpTransportDeathTest, FrameHeaderRejectsALengthThatWouldWrap) {

@@ -103,12 +103,12 @@ TEST(ProcessorTest, SerializesWork) {
 TEST(ProcessorTest, IdleGapsDoNotAccumulate) {
   Simulation s;
   Processor p(&s);
-  p.Submit(Millis(1), nullptr);
+  p.Charge(Millis(1));
   s.Run();
   s.ScheduleAt(Millis(100), [] {});
   s.Run();
   // Submitting at t=100 on an idle processor starts immediately.
-  const TimePoint done = p.Submit(Millis(2), nullptr);
+  const TimePoint done = p.Charge(Millis(2));
   EXPECT_EQ(done, Millis(102));
 }
 
@@ -131,10 +131,10 @@ TEST(CorePoolTest, ParallelUpToCoreCount) {
 TEST(CorePoolTest, WorkConserving) {
   Simulation s;
   CorePool pool(&s, 2);
-  pool.Submit(Millis(10), nullptr);
-  pool.Submit(Millis(2), nullptr);
+  pool.Submit(Millis(10), [] {});
+  pool.Submit(Millis(2), [] {});
   // The third item should land on the core that frees at 2ms, not the 10ms one.
-  const TimePoint done = pool.Submit(Millis(3), nullptr);
+  const TimePoint done = pool.Submit(Millis(3), [] {});
   EXPECT_EQ(done, Millis(5));
 }
 
