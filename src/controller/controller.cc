@@ -12,18 +12,17 @@ namespace {
 constexpr std::uint32_t kControlTrack = 0;
 }  // namespace
 
-NimbusController::NimbusController(sim::Simulation* simulation, net::Transport* transport,
-                                   const sim::CostModel* costs, ObjectDirectory* directory,
-                                   DurableStore* durable, ControlMode mode,
-                                   ControllerSwitches switches, net::TimerQueue* timers)
+NimbusController::NimbusController(sim::WorkMeter meter, net::Transport* transport,
+                                   ObjectDirectory* directory, DurableStore* durable,
+                                   ControlMode mode, ControllerSwitches switches,
+                                   net::TimerQueue* timers)
     : transport_(transport),
       timers_(timers),
-      costs_(costs),
       directory_(directory),
       durable_(durable),
       mode_(mode),
       switches_(switches),
-      control_thread_(simulation) {}
+      meter_(std::move(meter)) {}
 
 void NimbusController::OnEnvelope(net::NodeAddress src, MessageKind kind,
                                   ParameterBlob bytes) {
@@ -312,7 +311,7 @@ void NimbusController::ExecuteStagesCentrally(const std::vector<StageDescriptor>
       for (const core::TemplateEntry& e : adhoc.entries()) {
         templates_.CaptureTask(e.function, e.reads, e.writes, e.placement_partition,
                                e.duration, e.returns_scalar, e.cached_params);
-        control_thread_.Charge(costs_->install_controller_template_per_task);
+        meter_.Charge(sim::Work::kCaptureTask, 1);
       }
     }
 
@@ -326,11 +325,9 @@ void NimbusController::ExecuteStagesCentrally(const std::vector<StageDescriptor>
       // cold build only, plus the sweep. Per-task dispatch (the paper's baseline) models
       // re-analysis in its per-command charge instead.
       if (newly) {
-        control_thread_.Charge(costs_->nimbus_central_schedule_per_task *
-                               static_cast<sim::Duration>(stage.tasks.size()));
+        meter_.Charge(sim::Work::kCentralSchedule, stage.tasks.size());
       }
-      control_thread_.Charge(costs_->validate_per_entry *
-                             static_cast<sim::Duration>(set->preconditions().size()));
+      meter_.Charge(sim::Work::kValidateEntry, set->preconditions().size());
     }
 
     // Sparse per-entry params come from the stage descriptors themselves on this path.
@@ -437,18 +434,16 @@ void NimbusController::DispatchCentralBlock(
     ++participating;
     tasks_dispatched_ += batch.task_count;
     const std::size_t total = batch.command_count;
-    const auto n = static_cast<sim::Duration>(total);
-    const sim::Duration cost =
-        batch.reused
-            ? costs_->serialized_batch_per_worker + costs_->serialized_batch_per_task * n +
-                  costs_->serialized_patch_per_slot *
-                      static_cast<sim::Duration>(batch.params_patched)
-            : costs_->nimbus_central_batch_per_worker +
-                  costs_->serialized_batch_encode_per_task * n;
+    if (batch.reused) {
+      meter_.Charge(sim::Work::kBatchCopy, total);
+      meter_.Charge(sim::Work::kBatchPatchSlot, batch.params_patched);
+    } else {
+      meter_.Charge(sim::Work::kBatchEncode, total);
+    }
     const std::int64_t wire = batch.wire_size;  // modeled size: the nested NBW1 bytes
-    control_thread_.Submit(cost, [this, dst = net::NodeAddress::ForWorker(batch.worker),
-                                  bytes = std::move(batch.bytes), seq, total,
-                                  wire]() mutable {
+    meter_.Submit(batch.reused ? sim::Work::kBatchReuse : sim::Work::kBatchBuild, 1,
+                  [this, dst = net::NodeAddress::ForWorker(batch.worker),
+                   bytes = std::move(batch.bytes), seq, total, wire]() mutable {
       wire::SerializedBatchEnvelope e;
       e.group_seq = seq;
       e.expected_total = total;
@@ -476,10 +471,10 @@ void NimbusController::DispatchSetCentrally(
     param_of.emplace(slot, &blob);
   }
 
-  const sim::Duration per_task = mode_ == ControlMode::kCentralOnly ||
-                                         mode_ == ControlMode::kTemplates
-                                     ? costs_->nimbus_central_schedule_per_task
-                                     : costs_->spark_schedule_per_task;
+  const sim::Work per_task =
+      mode_ == ControlMode::kCentralOnly || mode_ == ControlMode::kTemplates
+          ? sim::Work::kCentralSchedule
+          : sim::Work::kSparkSchedule;
 
   // Per-task dispatch encodes one single-command envelope per entry, refilled in place.
   wire::CommandsEnvelope& envelope = dispatch_scratch_;
@@ -516,7 +511,7 @@ void NimbusController::DispatchSetCentrally(
       // Each command is individually scheduled (per-task controller cost) and sent as its
       // own message: this is exactly the bottleneck the paper's Fig 1/8 demonstrate.
       ParameterBlob bytes = wire::EncodeCommandsEnvelope(envelope);
-      control_thread_.Submit(per_task, [this, dst, wire, bytes = std::move(bytes)]() mutable {
+      meter_.Submit(per_task, 1, [this, dst, wire, bytes = std::move(bytes)]() mutable {
         transport_->Send(net::NodeAddress::Controller(), dst, MessageKind::kCommand,
                          std::move(bytes), wire);
       });
@@ -542,8 +537,9 @@ void NimbusController::SendCommandGroups(std::uint64_t seq,
       cmds[i].id = CommandId(base.value() + i);
       wire += cmds[i].WireSize();
     }
-    control_thread_.Submit(0, [this, dst = net::NodeAddress::ForWorker(wid), seq,
-                               cmds = std::move(cmds), wire]() mutable {
+    meter_.Submit(sim::Work::kMessageSend, 1,
+                  [this, dst = net::NodeAddress::ForWorker(wid), seq, cmds = std::move(cmds),
+                   wire]() mutable {
       wire::CommandsEnvelope e;
       e.group_seq = seq;
       e.expected_total = cmds.size();
@@ -664,12 +660,10 @@ void NimbusController::InstantiateTemplate(
   core::WorkerTemplateSet* set = templates_.GetOrProject(tid, assignment_, BytesFn(), &newly);
   SetState& state = StateFor(set->id());
   if (newly) {
-    control_thread_.Charge(costs_->install_worker_template_controller_per_task *
-                           static_cast<sim::Duration>(tmpl->task_count()));
+    meter_.Charge(sim::Work::kInstallProjection, tmpl->task_count());
     if (mode_ == ControlMode::kStaticDataflow) {
       // Naiad-style installation bundles the whole dataflow build.
-      control_thread_.Charge(costs_->naiad_install_per_task *
-                             static_cast<sim::Duration>(tmpl->task_count()));
+      meter_.Charge(sim::Work::kNaiadInstall, tmpl->task_count());
     }
     RunSetCentrallyWithPatches(*set, params, block);
     prev_executed_ = core::PatchCache::kEntryFromOutside;
@@ -680,8 +674,9 @@ void NimbusController::InstantiateTemplate(
       const std::int64_t wire = static_cast<std::int64_t>(half.entries.size()) * 64;
       core::WorkerHalf copy = half;
       const WorkerTemplateId wtid = set->id();
-      control_thread_.Submit(0, [this, dst = net::NodeAddress::ForWorker(half.worker),
-                                 copy = std::move(copy), wtid, wire]() mutable {
+      meter_.Submit(sim::Work::kMessageSend, 1,
+                    [this, dst = net::NodeAddress::ForWorker(half.worker),
+                     copy = std::move(copy), wtid, wire]() mutable {
         wire::InstallTemplateEnvelope e;
         e.id = wtid;
         e.half = std::move(copy);
@@ -751,16 +746,14 @@ void NimbusController::InstantiateSet(
   const std::size_t n_tasks = set->entry_meta().size();
 
   // Controller-template instantiation cost (Table 2 row 1).
-  control_thread_.Charge(costs_->instantiate_controller_template_per_task *
-                         static_cast<sim::Duration>(n_tasks));
+  meter_.Charge(sim::Work::kInstantiate, n_tasks);
 
   // Edits planned since the last instantiation ride along now (paper §4.3).
   core::EditPlan edits = std::move(state->pending_edits);
   state->pending_edits = core::EditPlan{};
   const bool has_edits = edits.tasks_touched > 0;
   if (has_edits) {
-    control_thread_.Charge(costs_->edit_per_task *
-                           static_cast<sim::Duration>(edits.tasks_touched));
+    meter_.Charge(sim::Work::kEdit, edits.tasks_touched);
   }
 
   // Validation: skipped when this template directly follows itself and is self-validating
@@ -798,20 +791,16 @@ void NimbusController::InstantiateSet(
       required = std::move(lookahead_.required);
       NIMBUS_TRACE_INSTANT(trace::Lane::kController, kControlTrack, "lookahead_consume",
                            static_cast<std::int64_t>(required.size()));
-      control_thread_.Charge(costs_->lookahead_consume_per_task *
-                             static_cast<sim::Duration>(n_tasks));
+      meter_.Charge(sim::Work::kLookaheadConsume, n_tasks);
     } else if (has_edits && follows_self) {
       // Edits name exactly the preconditions they touched, so only those entries need
       // re-checking (paper §4.3: edit cost scales with the size of the change).
       NIMBUS_TRACE_SPAN(trace::Lane::kController, kControlTrack, "validate");
-      control_thread_.Charge(costs_->validate_per_entry *
-                             static_cast<sim::Duration>(edits.tasks_touched));
+      meter_.Charge(sim::Work::kValidateEntry, edits.tasks_touched);
       required = pipeline_.Validate(*set, versions_);
     } else {
       NIMBUS_TRACE_SPAN(trace::Lane::kController, kControlTrack, "validate");
-      control_thread_.Charge((costs_->instantiate_worker_template_validate_per_task -
-                              costs_->instantiate_worker_template_auto_per_task) *
-                             static_cast<sim::Duration>(n_tasks));
+      meter_.Charge(sim::Work::kFullValidation, n_tasks);
       required = pipeline_.Validate(*set, versions_);
     }
     bool cache_hit = false;
@@ -827,9 +816,8 @@ void NimbusController::InstantiateSet(
                          cache_hit ? "patch_cache_hit" : "patch_cache_miss",
                          static_cast<std::int64_t>(patch.size()));
     if (!patch.empty()) {
-      control_thread_.Charge((cache_hit ? costs_->patch_directive_cost
-                                        : costs_->patch_compute_per_entry)
-                             * static_cast<sim::Duration>(patch.size()));
+      meter_.Charge(cache_hit ? sim::Work::kPatchDirective : sim::Work::kPatchCompute,
+                    patch.size());
       DispatchPatch(patch, block);
     }
   }
@@ -874,8 +862,7 @@ void NimbusController::InstantiateSet(
   if (next_set != nullptr) {
     NIMBUS_TRACE_SPAN(trace::Lane::kController, kControlTrack, "lookahead_fill");
     // Modeled as overlapped with assembly (DESIGN.md §9.2): the serial charge is setup only.
-    control_thread_.Charge(costs_->lookahead_schedule_per_task *
-                           static_cast<sim::Duration>(next_set->entry_meta().size()));
+    meter_.Charge(sim::Work::kLookaheadSchedule, next_set->entry_meta().size());
     lookahead_.valid = true;
     lookahead_.set_id_value = next_set->id().value();
     lookahead_.map_uid = versions_.uid();
@@ -904,8 +891,9 @@ void NimbusController::InstantiateSet(
     }
     // Assembly already sized the message (WorkerMessage::wire_size).
     const std::int64_t wire = wm.wire_size;
-    control_thread_.Submit(0, [this, dst = net::NodeAddress::ForWorker(wm.worker),
-                               msg = std::move(msg), wire]() mutable {
+    meter_.Submit(sim::Work::kMessageSend, 1,
+                  [this, dst = net::NodeAddress::ForWorker(wm.worker), msg = std::move(msg),
+                   wire]() mutable {
       transport_->Send(net::NodeAddress::Controller(), dst, MessageKind::kControl,
                        wire::EncodeInstantiateEnvelope(msg), wire);
     });
@@ -933,8 +921,7 @@ void NimbusController::PlanRandomMigrations(const std::string& name, int count, 
   if (mode_ == ControlMode::kStaticDataflow) {
     // Naiad has no in-place flexibility: any change reinstalls the full dataflow graph.
     const core::ControllerTemplate* tmpl = templates_.Find(tid);
-    control_thread_.Charge(costs_->naiad_install_per_task *
-                           static_cast<sim::Duration>(tmpl->task_count()));
+    meter_.Charge(sim::Work::kNaiadInstall, tmpl->task_count());
     ++counters_.naiad_reinstalls;
     return;
   }
@@ -1191,7 +1178,7 @@ void NimbusController::OnWorkerFailed(WorkerId worker_id) {
   // scheduled runs on the assignment just rebalanced, so a second failure adds none.
   if (!recovery_scheduled_) {
     recovery_scheduled_ = true;
-    timers_->Schedule(costs_->network_latency * 4, [this]() { RunRecovery(); });
+    timers_->Schedule(meter_.Price(sim::Work::kHaltSettle, 1), [this]() { RunRecovery(); });
   }
 }
 

@@ -36,8 +36,7 @@
 #include "src/net/timer_queue.h"
 #include "src/net/transport.h"
 #include "src/runtime/instantiation_pipeline.h"
-#include "src/sim/cost_model.h"
-#include "src/sim/simulation.h"
+#include "src/sim/work_meter.h"
 #include "src/task/command.h"
 #include "src/task/messages.h"
 #include "src/task/wire.h"
@@ -75,14 +74,13 @@ struct ControllerSwitches {
 
 class NimbusController {
  public:
-  // `simulation` backs the modeled control thread; null makes a real-time controller whose
-  // submitted work runs inline in submission order (sim::RunInline, DESIGN.md §13.3).
+  // `meter` prices and books the controller's work (src/sim/work_meter.h); a real-time
+  // meter runs submitted work inline in submission order (DESIGN.md §13.3).
   // `timers` is the clock the liveness protocol and the recovery delay run against
   // (DESIGN.md §14): heartbeat deadlines are scheduled and `last_heard` stamps taken from
   // it. The simulator cluster passes its one SimTimerQueue, the TCP cluster the node's
   // timerfd-backed queue, so detection uses real wall time there.
-  NimbusController(sim::Simulation* simulation, net::Transport* transport,
-                   const sim::CostModel* costs, ObjectDirectory* directory,
+  NimbusController(sim::WorkMeter meter, net::Transport* transport, ObjectDirectory* directory,
                    DurableStore* durable, ControlMode mode, ControllerSwitches switches,
                    net::TimerQueue* timers);
 
@@ -208,7 +206,7 @@ class NimbusController {
   // The instantiation pipeline this controller drives instantiations through (DESIGN.md
   // §7).
   runtime::InstantiationPipeline& instantiation_pipeline() { return pipeline_; }
-  sim::Duration control_busy() const { return control_thread_.total_busy(); }
+  sim::Duration control_busy() const { return meter_.control_busy(); }
   std::uint64_t tasks_dispatched() const { return tasks_dispatched_; }
   std::uint64_t tasks_via_templates() const { return tasks_via_templates_; }
   // Blocks accepted but not yet finished (or abandoned by a failure).
@@ -360,13 +358,12 @@ class NimbusController {
   // Liveness clock (see ctor comment): heartbeat deadlines, last_heard stamps and the
   // recovery delay all go through it.
   net::TimerQueue* timers_;
-  const sim::CostModel* costs_;
   ObjectDirectory* directory_;
   DurableStore* durable_;
   ControlMode mode_;
   const ControllerSwitches switches_;
 
-  sim::Processor control_thread_;
+  sim::WorkMeter meter_;
   core::TemplateManager templates_;
   VersionMap versions_;
   // Instantiation pipeline: validation, version-map effects, and per-worker message

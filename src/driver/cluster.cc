@@ -27,9 +27,9 @@ Cluster::Cluster(ClusterOptions options)
     });
   }
 
-  // TCP nodes run on real time: no simulation, so their modeled work runs inline
-  // (sim::RunInline) and their timers ride the node's timerfd. Simulator nodes share the
-  // cluster's one SimTimerQueue.
+  // TCP nodes run on real time: their meters get no simulation, so they charge nothing
+  // and run completions inline (sim::RunInline), and their timers ride the node's timerfd.
+  // Simulator nodes share the cluster's one SimTimerQueue.
   sim::Simulation* node_sim = tcp ? nullptr : &simulation_;
   const auto controller_address = net::NodeAddress::Controller();
   net::Transport* controller_transport =
@@ -41,9 +41,9 @@ Cluster::Cluster(ClusterOptions options)
   switches.serialized_batching = options_.serialized_batching;
   switches.force_full_validation = options_.force_full_validation;
   switches.disable_patch_cache = options_.disable_patch_cache;
-  controller_ = std::make_unique<NimbusController>(node_sim, controller_transport,
-                                                   &options_.costs, &directory_, &durable_,
-                                                   options_.mode, switches, controller_timers);
+  controller_ = std::make_unique<NimbusController>(
+      sim::WorkMeter(node_sim, &options_.costs), controller_transport, &directory_, &durable_,
+      options_.mode, switches, controller_timers);
 
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int i = 0; i < options_.workers; ++i) {
@@ -57,9 +57,9 @@ Cluster::Cluster(ClusterOptions options)
       worker_transport = options_.fault_injector->Wrap(worker_transport);
     }
     net::TimerQueue* worker_timers = tcp ? tcp_->node_timers(address) : &sim_timers_;
-    auto worker = std::make_unique<Worker>(id, node_sim, worker_transport,
-                                           &options_.costs, &functions_, &durable_,
-                                           worker_timers);
+    auto worker = std::make_unique<Worker>(
+        id, sim::WorkMeter(node_sim, &options_.costs, options_.costs.worker_cores),
+        worker_transport, &functions_, &durable_, worker_timers);
     if (options_.enable_command_log) {
       worker->EnableCommandLog();
     }

@@ -3,6 +3,10 @@
 // Default constants come from the paper's measurements (Tables 1-3, §5.1 methodology) so the
 // simulated figures reproduce the paper's *shapes*. Every constant is a plain field so tests
 // and benchmarks can override them (e.g. to run ablations or sensitivity sweeps).
+//
+// Node code never reads the constants. The controller and workers report typed work
+// (`Work`) through their WorkMeter (src/sim/work_meter.h), and `CostModel::Price` is the
+// one place the constants are combined into the price of a report (DESIGN.md §8.2).
 
 #ifndef NIMBUS_SRC_SIM_COST_MODEL_H_
 #define NIMBUS_SRC_SIM_COST_MODEL_H_
@@ -12,6 +16,41 @@
 #include "src/sim/virtual_time.h"
 
 namespace nimbus::sim {
+
+// One kind per priced action a node reports. The amount is a count of the unit named,
+// except where a byte count is noted.
+enum class Work : std::uint8_t {
+  // ---- Controller ----
+  kCaptureTask,        // a task recorded into the template being captured
+  kCentralSchedule,    // Nimbus central scheduling, per task (dependency analysis + send)
+  kSparkSchedule,      // Spark-style scheduling and dispatch, per task
+  kBatchEncode,        // cold serialized batch: wire encode, per command
+  kBatchBuild,         // cold serialized batch: build and send, per worker
+  kBatchCopy,          // cached serialized batch: buffer copy, per command
+  kBatchPatchSlot,     // cached serialized batch: one parameter overwrite
+  kBatchReuse,         // cached serialized batch: header patches and send, per worker
+  kMessageSend,        // handing a built message to the transport (its wire cost is the
+                       // network's), per message
+  kInstallProjection,  // controller side of a worker-template install, per task
+  kNaiadInstall,       // Naiad-style full dataflow (re)install, per task
+  kInstantiate,        // controller-template instantiation, per task
+  kEdit,               // one edit riding an instantiation
+  kValidateEntry,      // one precondition checked against the version map
+  kFullValidation,     // the full sweep's surcharge over auto-validation, per task
+  kLookaheadSchedule,  // arming an overlapped sweep, per task of the next block
+  kLookaheadConsume,   // consuming an overlapped sweep, per task
+  kPatchDirective,     // one patch directive from the patch cache (hit)
+  kPatchCompute,       // one patch directive computed from scratch (miss)
+  kHaltSettle,         // recovery's wait for the halt round trip, per recovery
+  // ---- Worker ----
+  kReceiveTask,        // ingesting one individually dispatched command
+  kDecodeCommand,      // decoding one serialized-batch command
+  kInstallHalf,        // worker side of a worker-template install, per entry
+  kMaterialize,        // instantiating a cached worker template, per entry
+  kTaskDispatch,       // local scheduling of one task
+  kCheckpointSave,     // writing one object to durable storage; amount = bytes
+  kCheckpointLoad,     // reading one object back from durable storage; amount = bytes
+};
 
 struct CostModel {
   // ---- Cluster topology (paper §5.1: c3.2xlarge workers, single placement group) ----
@@ -111,10 +150,44 @@ struct CostModel {
     return static_cast<Duration>(bytes / network_bytes_per_second * 1e9);
   }
 
-  Duration CheckpointWriteTime(std::int64_t payload_bytes) const {
-    return checkpoint_fixed_per_object +
-           static_cast<Duration>(static_cast<double>(payload_bytes) /
-                                 checkpoint_bytes_per_second * 1e9);
+  // The modeled duration of `amount` units of `work`.
+  Duration Price(Work work, std::int64_t amount) const {
+    switch (work) {
+      case Work::kCaptureTask: return install_controller_template_per_task * amount;
+      case Work::kCentralSchedule: return nimbus_central_schedule_per_task * amount;
+      case Work::kSparkSchedule: return spark_schedule_per_task * amount;
+      case Work::kBatchEncode: return serialized_batch_encode_per_task * amount;
+      case Work::kBatchBuild: return nimbus_central_batch_per_worker * amount;
+      case Work::kBatchCopy: return serialized_batch_per_task * amount;
+      case Work::kBatchPatchSlot: return serialized_patch_per_slot * amount;
+      case Work::kBatchReuse: return serialized_batch_per_worker * amount;
+      case Work::kMessageSend: return 0;
+      case Work::kInstallProjection:
+        return install_worker_template_controller_per_task * amount;
+      case Work::kNaiadInstall: return naiad_install_per_task * amount;
+      case Work::kInstantiate: return instantiate_controller_template_per_task * amount;
+      case Work::kEdit: return edit_per_task * amount;
+      case Work::kValidateEntry: return validate_per_entry * amount;
+      case Work::kFullValidation:
+        return (instantiate_worker_template_validate_per_task -
+                instantiate_worker_template_auto_per_task) * amount;
+      case Work::kLookaheadSchedule: return lookahead_schedule_per_task * amount;
+      case Work::kLookaheadConsume: return lookahead_consume_per_task * amount;
+      case Work::kPatchDirective: return patch_directive_cost * amount;
+      case Work::kPatchCompute: return patch_compute_per_entry * amount;
+      case Work::kHaltSettle: return network_latency * 4 * amount;
+      case Work::kReceiveTask: return worker_receive_task * amount;
+      case Work::kDecodeCommand: return serialized_decode_per_task * amount;
+      case Work::kInstallHalf: return install_worker_template_worker_per_task * amount;
+      case Work::kMaterialize: return instantiate_worker_template_auto_per_task * amount;
+      case Work::kTaskDispatch: return worker_dispatch_per_task * amount;
+      case Work::kCheckpointSave:
+      case Work::kCheckpointLoad:
+        return checkpoint_fixed_per_object +
+               static_cast<Duration>(static_cast<double>(amount) /
+                                     checkpoint_bytes_per_second * 1e9);
+    }
+    return 0;  // unreachable: the switch names every kind (-Wswitch keeps it so)
   }
 };
 

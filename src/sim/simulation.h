@@ -6,9 +6,9 @@
 // about message counts and per-operation costs, both of which are modeled explicitly, so
 // wall-clock parallelism would only add nondeterminism.
 //
-// A Processor or CorePool built over a null simulation belongs to a real-time node (the TCP
-// backend, DESIGN.md §13.3): submitted work carries no modeled cost and its completion runs
-// at once, in submission order, through RunInline.
+// Processor and CorePool are pure simulator resources (sim::Network, the Spark baseline and
+// the node WorkMeter book time on them). A real-time node (the TCP backend, DESIGN.md §13.3)
+// has none: its WorkMeter charges nothing and runs completions through RunInline.
 
 #ifndef NIMBUS_SRC_SIM_SIMULATION_H_
 #define NIMBUS_SRC_SIM_SIMULATION_H_
@@ -116,31 +116,22 @@ void RunInline(F&& fn) {
 // into a pipeline bottleneck as task counts grow.
 class Processor {
  public:
-  // A null `simulation` makes a real-time resource (file comment).
   explicit Processor(Simulation* simulation) : simulation_(simulation) {}
 
   // Submits `work` of the given duration. It starts when the resource is free (but not
   // before now()) and `done` (any callable) fires at completion. Returns the completion
-  // time; a real-time resource runs `done` through RunInline and returns 0.
+  // time.
   template <typename Done>
   TimePoint Submit(Duration work, Done&& done) {
-    if (simulation_ == nullptr) {
-      NIMBUS_CHECK_GE(work, 0);
-      RunInline(std::forward<Done>(done));
-      return 0;
-    }
     const TimePoint finish = Charge(work);
     simulation_->ScheduleAt(finish, std::forward<Done>(done));
     return finish;
   }
 
   // Charges busy time without a completion callback (for accounting sequential costs) and
-  // returns when it ends; a no-op on a real-time resource.
+  // returns when it ends.
   TimePoint Charge(Duration work) {
     NIMBUS_CHECK_GE(work, 0);
-    if (simulation_ == nullptr) {
-      return 0;
-    }
     const TimePoint start = std::max(simulation_->now(), available_at_);
     available_at_ = start + work;
     busy_accum_ += work;
@@ -156,8 +147,7 @@ class Processor {
 };
 
 // Models a pool of identical cores (a worker's execution slots). Work-conserving: a submitted
-// item starts on the earliest-available core. A null `simulation` makes a real-time pool,
-// exactly like Processor's.
+// item starts on the earliest-available core.
 class CorePool {
  public:
   CorePool(Simulation* simulation, int cores)
@@ -168,10 +158,6 @@ class CorePool {
   template <typename Done>
   TimePoint Submit(Duration work, Done&& done) {
     NIMBUS_CHECK_GE(work, 0);
-    if (simulation_ == nullptr) {
-      RunInline(std::forward<Done>(done));
-      return 0;
-    }
     const TimePoint finish = Occupy(work);
     simulation_->ScheduleAt(finish, std::forward<Done>(done));
     return finish;

@@ -76,17 +76,15 @@ void Worker::Group::ResetKeepingCapacity() {
   parked_edges = std::move(kept_parked);
 }
 
-Worker::Worker(WorkerId id, sim::Simulation* simulation, net::Transport* transport,
-               const sim::CostModel* costs, const FunctionRegistry* functions,
-               DurableStore* durable, net::TimerQueue* timers)
+Worker::Worker(WorkerId id, sim::WorkMeter meter, net::Transport* transport,
+               const FunctionRegistry* functions, DurableStore* durable,
+               net::TimerQueue* timers)
     : id_(id),
       transport_(transport),
       timers_(timers),
-      costs_(costs),
       functions_(functions),
       durable_(durable),
-      cores_(simulation, costs->worker_cores),
-      control_thread_(simulation) {}
+      meter_(std::move(meter)) {}
 
 void Worker::OnEnvelope(net::NodeAddress src, MessageKind kind, ParameterBlob bytes) {
   static_cast<void>(src);
@@ -235,9 +233,7 @@ void Worker::OnCommands(std::uint64_t group_seq, const std::vector<Command>& com
   if (group_seq <= stale_seq_floor_) {
     return;  // in-flight leftovers of a group that finished or was halted: drop
   }
-  const sim::Duration charge =
-      costs_->worker_receive_task * static_cast<sim::Duration>(commands.size());
-  control_thread_.Charge(charge);
+  meter_.Charge(sim::Work::kReceiveTask, commands.size());
   IngestCommands(group_seq, commands, expected_total);
 }
 
@@ -261,9 +257,7 @@ void Worker::OnSerializedCommands(std::uint64_t group_seq, const ParameterBlob& 
   }
   NIMBUS_CHECK_EQ(batch.header.group_seq, group_seq)
       << "serialized batch addressed to a different group";
-  const sim::Duration charge = costs_->serialized_decode_per_task *
-                               static_cast<sim::Duration>(batch.commands.size());
-  control_thread_.Charge(charge);
+  meter_.Charge(sim::Work::kDecodeCommand, batch.commands.size());
   IngestCommands(group_seq, batch.commands, expected_total);
 }
 
@@ -299,9 +293,7 @@ void Worker::OnInstallTemplate(core::WorkerHalf half, WorkerTemplateId id) {
   if (failed_) {
     return;
   }
-  const sim::Duration charge = costs_->install_worker_template_worker_per_task *
-                               static_cast<sim::Duration>(half.entries.size());
-  control_thread_.Charge(charge);
+  meter_.Charge(sim::Work::kInstallHalf, half.entries.size());
   const DenseIndex index = template_ids_.Intern(id);
   templates_.EnsureSize(template_ids_.size());
   CachedTemplate& cached = templates_[index];
@@ -364,14 +356,12 @@ void Worker::OnInstantiate(InstantiateMsg msg) {
     }
   }
 
-  const sim::Duration charge = costs_->instantiate_worker_template_auto_per_task *
-                               static_cast<sim::Duration>(cached.half.entries.size());
-
   // Materialize the cached table into a runnable group after the control-thread charge.
   // A halt between the charge and the materialization discards the instantiation: its
   // group belongs to the abandoned pre-halt schedule (halt_epoch_ tracks this).
   const std::uint64_t epoch = halt_epoch_;
-  control_thread_.Submit(charge, [this, tmpl_index, epoch, msg = std::move(msg)]() {
+  meter_.Submit(sim::Work::kMaterialize, cached.half.entries.size(),
+                [this, tmpl_index, epoch, msg = std::move(msg)]() {
     // Deferred back onto the serial control phase by the simulator; the analysis sees
     // lambda bodies as separate functions, so the role is re-asserted here.
     control_phase_.Assert();
@@ -670,10 +660,11 @@ void Worker::Launch(Group& group, std::int32_t index) {
       CompleteCommand(group.seq, index);
       break;
     case CommandType::kFileSave: {
-      const sim::Duration cost = costs_->CheckpointWriteTime(
-          rc.cmd.copy_bytes > 0 ? rc.cmd.copy_bytes
-                                : store_.Get(rc.cmd.data_object)->ByteSize());
-      cores_.Submit(cost, [this, key = LaunchKey(group.seq, index)]() {
+      const std::int64_t bytes = rc.cmd.copy_bytes > 0
+                                     ? rc.cmd.copy_bytes
+                                     : store_.Get(rc.cmd.data_object)->ByteSize();
+      meter_.RunOnCore(sim::Work::kCheckpointSave, bytes,
+                       [this, key = LaunchKey(group.seq, index)]() {
         control_phase_.Assert();  // deferred onto the serial control phase
         const std::uint64_t seq = LaunchSeq(key);
         const std::int32_t slot = LaunchIndex(key);
@@ -694,8 +685,8 @@ void Worker::Launch(Group& group, std::int32_t index) {
       NIMBUS_CHECK(durable_->Has(rc.cmd.data_object))
           << "recovery: object " << rc.cmd.data_object << " missing from durable store";
       const DurableStore::Entry& entry = durable_->Read(rc.cmd.data_object);
-      const sim::Duration cost = costs_->CheckpointWriteTime(entry.payload->ByteSize());
-      cores_.Submit(cost, [this, key = LaunchKey(group.seq, index)]() {
+      meter_.RunOnCore(sim::Work::kCheckpointLoad, entry.payload->ByteSize(),
+                       [this, key = LaunchKey(group.seq, index)]() {
         control_phase_.Assert();  // deferred onto the serial control phase
         const std::uint64_t seq = LaunchSeq(key);
         const std::int32_t slot = LaunchIndex(key);
@@ -715,8 +706,7 @@ void Worker::Launch(Group& group, std::int32_t index) {
 
 void Worker::ExecuteTask(Group& group, std::int32_t index) {
   RuntimeCommand& rc = group.commands[static_cast<std::size_t>(index)];
-  const sim::Duration total = rc.cmd.duration + costs_->worker_dispatch_per_task;
-  cores_.Submit(total, [this, key = LaunchKey(group.seq, index)]() {
+  meter_.RunTask(rc.cmd.duration, [this, key = LaunchKey(group.seq, index)]() {
     control_phase_.Assert();  // deferred onto the serial control phase
     const std::uint64_t seq = LaunchSeq(key);
     const std::int32_t slot = LaunchIndex(key);

@@ -41,8 +41,7 @@
 #include "src/data/object_store.h"
 #include "src/net/timer_queue.h"
 #include "src/net/transport.h"
-#include "src/sim/cost_model.h"
-#include "src/sim/simulation.h"
+#include "src/sim/work_meter.h"
 #include "src/task/command.h"
 #include "src/task/messages.h"
 #include "src/task/wire.h"
@@ -52,13 +51,13 @@ namespace nimbus {
 
 class Worker {
  public:
-  // `simulation` backs the modeled cores and control thread; null makes a real-time
-  // worker whose tasks run inline in submission order (sim::RunInline, DESIGN.md §13.3).
+  // `meter` prices and books the worker's work on its control thread and cores
+  // (src/sim/work_meter.h); on a real-time meter tasks run inline in submission order
+  // (DESIGN.md §13.3).
   // `timers` is the clock heartbeats are scheduled against (DESIGN.md §14): the simulator
   // cluster passes its one SimTimerQueue, the TCP cluster the node's timerfd-backed queue.
-  Worker(WorkerId id, sim::Simulation* simulation, net::Transport* transport,
-         const sim::CostModel* costs, const FunctionRegistry* functions,
-         DurableStore* durable, net::TimerQueue* timers);
+  Worker(WorkerId id, sim::WorkMeter meter, net::Transport* transport,
+         const FunctionRegistry* functions, DurableStore* durable, net::TimerQueue* timers);
 
   WorkerId id() const { return id_; }
   net::NodeAddress address() const { return net::NodeAddress::ForWorker(id_); }
@@ -106,7 +105,6 @@ class Worker {
   // ---- Introspection ----
   ObjectStore& store() { return store_; }
   const ObjectStore& store() const { return store_; }
-  sim::CorePool& cores() { return cores_; }
   std::size_t cached_template_count() const;
   bool HasTemplate(WorkerTemplateId id) const;
   std::uint64_t tasks_executed() const { return tasks_executed_; }
@@ -261,13 +259,11 @@ class Worker {
   WorkerId id_;
   net::Transport* transport_;
   net::TimerQueue* timers_;  // heartbeat clock (see ctor comment)
-  const sim::CostModel* costs_;
   const FunctionRegistry* functions_;
   DurableStore* durable_;
 
   ObjectStore store_;
-  sim::CorePool cores_;
-  sim::Processor control_thread_;  // processes control messages serially
+  sim::WorkMeter meter_;  // control thread (control messages, serially) and cores
 
   MaterializeCounters materialize_counters_;
   // Materialization state below is GUARDED_BY the control-phase role (DESIGN.md §11):

@@ -1,4 +1,5 @@
-// Unit tests for the discrete-event engine, processors, core pools and the network model.
+// Unit tests for the discrete-event engine, processors, core pools, the node work meter and
+// the network model.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 #include "src/sim/cost_model.h"
 #include "src/sim/network.h"
 #include "src/sim/simulation.h"
+#include "src/sim/work_meter.h"
 
 namespace nimbus::sim {
 namespace {
@@ -138,7 +140,7 @@ TEST(CorePoolTest, WorkConserving) {
   EXPECT_EQ(done, Millis(5));
 }
 
-// ---- Real-time resources (null simulation): RunInline's FIFO ----
+// ---- Real-time nodes (null simulation): RunInline's FIFO ----
 
 TEST(RunInlineTest, NestedCallsQueueAndRunAfterTheOuterCallInFifoOrder) {
   std::vector<int> order;
@@ -176,17 +178,33 @@ TEST(RunInlineTest, DeepNestedChainCompletes) {
   EXPECT_EQ(ran, kDepth);
 }
 
-TEST(RunInlineTest, RealTimeProcessorAndCorePoolRunDoneBeforeSubmitReturns) {
-  Processor p(nullptr);
-  CorePool pool(nullptr, 4);
+TEST(WorkMeterTest, RealTimeMeterRunsDoneBeforeSubmitReturns) {
+  CostModel costs;
+  WorkMeter meter(nullptr, &costs, 4);
   int fired = 0;
-  EXPECT_EQ(p.Submit(Millis(10), [&] { ++fired; }), 0);
+  EXPECT_EQ(meter.Submit(Work::kMaterialize, 10, [&] { ++fired; }), 0);
   EXPECT_EQ(fired, 1);
-  EXPECT_EQ(pool.Submit(Millis(10), [&] { ++fired; }), 0);
+  EXPECT_EQ(meter.RunTask(Millis(10), [&] { ++fired; }), 0);
   EXPECT_EQ(fired, 2);
-  p.Charge(Millis(5));
-  EXPECT_EQ(p.total_busy(), 0);
-  EXPECT_EQ(pool.total_busy(), 0);
+  meter.Charge(Work::kEdit, 5);
+  EXPECT_EQ(meter.control_busy(), 0);
+  EXPECT_EQ(meter.core_busy(), 0);
+}
+
+// A composite price reported as consecutive charges followed by the submit completes at
+// the same virtual instant as one submit of the summed price.
+TEST(WorkMeterTest, CompositeReportsLandAtTheSummedInstant) {
+  Simulation s;
+  CostModel costs;
+  WorkMeter meter(&s, &costs, 2);
+  meter.Charge(Work::kBatchCopy, 40);
+  meter.Charge(Work::kBatchPatchSlot, 3);
+  const TimePoint done = meter.Submit(Work::kBatchReuse, 1, [] {});
+  EXPECT_EQ(done, costs.serialized_batch_per_worker + costs.serialized_batch_per_task * 40 +
+                      costs.serialized_patch_per_slot * 3);
+  EXPECT_EQ(meter.control_busy(), done);
+  EXPECT_EQ(meter.RunTask(Millis(1), [] {}), Millis(1) + costs.worker_dispatch_per_task);
+  EXPECT_EQ(meter.core_busy(), Millis(1) + costs.worker_dispatch_per_task);
 }
 
 TEST(NetworkTest, DeliveryIncludesLatencyAndSerialization) {

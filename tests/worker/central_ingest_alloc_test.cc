@@ -83,8 +83,9 @@ struct Rig {
       }
       ctx.WriteScalar(0).set_value(sum);
     });
-    worker = std::make_unique<Worker>(WorkerId(0), &simulation, &transport, &costs,
-                                      &functions, &durable, &timers);
+    worker = std::make_unique<Worker>(WorkerId(0),
+                                      sim::WorkMeter(&simulation, &costs, costs.worker_cores),
+                                      &transport, &functions, &durable, &timers);
     // Seed the objects the gradients read (LR's partitions and coefficients).
     for (std::uint64_t p = 0; p < 128; ++p) {
       worker->store().Put(LogicalObjectId(1000 + p), 1, std::make_unique<ScalarPayload>(1.0));

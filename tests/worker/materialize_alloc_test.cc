@@ -63,8 +63,9 @@ struct Rig {
                               [this](net::NodeAddress, MessageKind, ParameterBlob) {
                                 ++completions;
                               });
-    worker = std::make_unique<Worker>(WorkerId(0), &simulation, &transport, &costs,
-                                      &functions, &durable, &timers);
+    worker = std::make_unique<Worker>(WorkerId(0),
+                                      sim::WorkMeter(&simulation, &costs, costs.worker_cores),
+                                      &transport, &functions, &durable, &timers);
   }
 };
 

@@ -46,9 +46,10 @@ struct Harness {
           }
         });
     for (int i = 0; i < n; ++i) {
-      auto worker = std::make_unique<Worker>(WorkerId(static_cast<std::uint64_t>(i)),
-                                             &simulation, &transport, &costs, &functions,
-                                             &durable, &timers);
+      auto worker = std::make_unique<Worker>(
+          WorkerId(static_cast<std::uint64_t>(i)),
+          sim::WorkMeter(&simulation, &costs, costs.worker_cores), &transport, &functions,
+          &durable, &timers);
       transport.RegisterHandler(
           worker->address(),
           [w = worker.get()](net::NodeAddress src, MessageKind kind, ParameterBlob bytes) {
