@@ -35,6 +35,11 @@ Enforces contracts the compiler cannot know about:
                   and workers are nodes: they name each other by id and meet only
                   through the transport and the wire envelopes (src/net/, src/task/).
                   An include across the boundary is what a direct call needs first.
+  pricing-boundary  No CostModel, Processor, CorePool or costs_ token in the code (comments
+                  stripped) of src/controller/ or src/worker/. Nodes report typed work
+                  through their sim::WorkMeter, and CostModel::Price is the one table that
+                  prices it (DESIGN.md §8.2); a node that reads a constant or books its own
+                  simulator resource has started pricing again.
 
 Suppression mechanism
 ---------------------
@@ -61,13 +66,17 @@ SEND_SCAN_DIRS = ("src", "tests", "bench")
 
 ALLOW_RE = re.compile(r"lint:allow\(([\w\-, ]+)\)\s*(?:--\s*(.*))?")
 RULES = ("hot-map", "send-kind", "decoder-bounds", "map-invalidate", "counters-register",
-         "byte-loop", "node-boundary")
+         "byte-loop", "node-boundary", "pricing-boundary")
 
 STATS_FILE = "src/common/stats.h"
 
 # node-boundary: each node directory and the directory its files must not include.
 NODE_BOUNDARIES = (("src/controller", "src/worker"), ("src/worker", "src/controller"))
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+
+# pricing-boundary: node directories and the pricing names their code must not use.
+PRICING_DIRS = ("src/controller", "src/worker")
+PRICING_RE = re.compile(r"\b(CostModel|Processor|CorePool|costs_)\b")
 
 # decoder-bounds: a raw access must see one of these within the window above it.
 DECODER_WINDOW = 4
@@ -310,6 +319,19 @@ def check_node_boundary(src: Source, forbidden: str, errors):
 
 
 # ------------------------------------------------------------------------------------
+# Rule: pricing-boundary
+# ------------------------------------------------------------------------------------
+
+def check_pricing_boundary(src: Source, errors):
+    for i, line in enumerate(src.code, start=1):
+        m = PRICING_RE.search(line)
+        if m is not None and not src.allowed("pricing-boundary", i):
+            emit(errors, src, i, "pricing-boundary",
+                 f"node code names {m.group(1)}; report a sim::Work kind through the "
+                 "node's WorkMeter and price it in CostModel::Price")
+
+
+# ------------------------------------------------------------------------------------
 # Driver
 # ------------------------------------------------------------------------------------
 
@@ -355,6 +377,10 @@ def main() -> int:
     for node_dir, forbidden in NODE_BOUNDARIES:
         for path in collect([f"{node_dir}/**/*.h", f"{node_dir}/**/*.cc"]):
             check_node_boundary(source(path), forbidden, errors)
+
+    for d in PRICING_DIRS:
+        for path in collect([f"{d}/**/*.h", f"{d}/**/*.cc"]):
+            check_pricing_boundary(source(path), errors)
 
     # Suppression hygiene: every allow must carry a reason and actually fire.
     for src in sources.values():

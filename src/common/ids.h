@@ -104,8 +104,6 @@ class IdAllocator {
     return first;
   }
 
-  typename Id::underlying_type peek() const { return next_; }
-
  private:
   typename Id::underlying_type next_ = 0;
 };

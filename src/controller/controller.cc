@@ -926,7 +926,6 @@ void NimbusController::PlanRandomMigrations(const std::string& name, int count, 
     return;
   }
 
-  SetState& state = StateFor(set->id());
   const auto n_entries = static_cast<std::int64_t>(set->entry_meta().size());
   const std::vector<WorkerId> active = ActiveWorkers();
   NIMBUS_CHECK_GE(active.size(), 2u);
@@ -961,12 +960,7 @@ void NimbusController::PlanRandomMigrations(const std::string& name, int count, 
     if (plan.tasks_touched == 0) {
       continue;
     }
-    // Merge into the pending plan.
-    for (auto& [worker_id, ops_in] : plan.per_worker) {
-      auto* ops = state.pending_edits.OpsFor(worker_id);
-      ops->insert(ops->end(), ops_in.begin(), ops_in.end());
-    }
-    state.pending_edits.tasks_touched += plan.tasks_touched;
+    QueueEdits(set->id(), std::move(plan));
     --load[from];
     ++load[to];
     ++planned;
@@ -983,12 +977,7 @@ bool NimbusController::PlanRemoveTask(const std::string& name, std::int32_t glob
   if (plan.tasks_touched == 0) {
     return false;
   }
-  SetState& state = StateFor(set->id());
-  for (auto& [worker_id, ops_in] : plan.per_worker) {
-    auto* ops = state.pending_edits.OpsFor(worker_id);
-    ops->insert(ops->end(), ops_in.begin(), ops_in.end());
-  }
-  state.pending_edits.tasks_touched += plan.tasks_touched;
+  QueueEdits(set->id(), std::move(plan));
   return true;
 }
 
@@ -1006,15 +995,17 @@ void NimbusController::PlanAddTask(const std::string& name, WorkerId worker,
   for (const ObjRef& w : writes) {
     write_objects.push_back(directory_->ObjectFor(w.variable, w.partition));
   }
-  core::EditPlan plan = templates_.PlanAddTask(set, worker, function,
-                                               std::move(read_objects),
-                                               std::move(write_objects), duration);
-  SetState& state = StateFor(set->id());
+  QueueEdits(set->id(), templates_.PlanAddTask(set, worker, function, std::move(read_objects),
+                                               std::move(write_objects), duration));
+}
+
+void NimbusController::QueueEdits(WorkerTemplateId set_id, core::EditPlan plan) {
+  core::EditPlan& pending = StateFor(set_id).pending_edits;
   for (auto& [worker_id, ops_in] : plan.per_worker) {
-    auto* ops = state.pending_edits.OpsFor(worker_id);
+    auto* ops = pending.OpsFor(worker_id);
     ops->insert(ops->end(), ops_in.begin(), ops_in.end());
   }
-  state.pending_edits.tasks_touched += plan.tasks_touched;
+  pending.tasks_touched += plan.tasks_touched;
 }
 
 // -----------------------------------------------------------------------------------------

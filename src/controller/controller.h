@@ -256,6 +256,8 @@ class NimbusController {
   WorkerRecord* RecordFor(WorkerId id);
   const WorkerRecord* RecordFor(WorkerId id) const;
   SetState& StateFor(WorkerTemplateId id);
+  // Appends a planned edit to the set's pending edits, which ride its next instantiation.
+  void QueueEdits(WorkerTemplateId set_id, core::EditPlan plan);
   void RegisterGroup(std::uint64_t seq, PendingBlock* block, int participating);
   std::int64_t ObjectBytes(LogicalObjectId object) const;
   core::ObjectBytesFn BytesFn() const;

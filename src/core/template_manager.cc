@@ -231,6 +231,53 @@ void ReplaceWithReceive(WorkerHalf* half, std::vector<WorkerEditOp>* ops, std::i
   slot.before = std::move(old_before);
 }
 
+// Plans one copy of `object` from `src` to `dst` under the set's next copy index: appends
+// the send to `src`'s half, after its entry `after`, and returns the matching receive for
+// the caller to place on `dst`.
+WtEntry AppendCopySend(WorkerTemplateSet* set, EditPlan* plan, WorkerId src, WorkerId dst,
+                       LogicalObjectId object, std::int32_t after) {
+  WtEntry send;
+  send.type = CommandType::kCopySend;
+  send.copy_index = set->NextCopyIndex();
+  send.peer = dst;
+  send.object = object;
+  send.bytes = set->ObjectBytes(object);
+  send.reads = {object};
+  send.before = {after};
+  AppendEntry(set->HalfFor(src), plan->OpsFor(src), send);
+
+  WtEntry recv;
+  recv.type = CommandType::kCopyReceive;
+  recv.copy_index = send.copy_index;
+  recv.peer = src;
+  recv.object = object;
+  recv.bytes = send.bytes;
+  recv.writes = {object};
+  return recv;
+}
+
+// AppendCopySend with the receive appended to `dst`'s half; returns the receive's index.
+std::int32_t AppendCopyPair(WorkerTemplateSet* set, EditPlan* plan, WorkerId src,
+                            WorkerId dst, LogicalObjectId object, std::int32_t after) {
+  WtEntry recv = AppendCopySend(set, plan, src, dst, object, after);
+  return AppendEntry(set->HalfFor(dst), plan->OpsFor(dst), std::move(recv));
+}
+
+// Adds `holder` to the final holders of `object`'s write delta. Returns the delta, or null
+// when the block does not write `object`.
+WriteDelta* AddFinalHolder(WorkerTemplateSet* set, LogicalObjectId object, WorkerId holder) {
+  for (WriteDelta& delta : set->mutable_write_deltas()) {
+    if (delta.object == object) {
+      if (std::find(delta.final_holders.begin(), delta.final_holders.end(), holder) ==
+          delta.final_holders.end()) {
+        delta.final_holders.push_back(holder);
+      }
+      return &delta;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 EditPlan TemplateManager::PlanMigration(WorkerTemplateSet* set, std::int32_t global_entry,
@@ -281,42 +328,22 @@ EditPlan TemplateManager::PlanMigration(WorkerTemplateSet* set, std::int32_t glo
         continue;
       }
       // Copy pair provider-worker -> to.
-      const std::int32_t copy_index = set->NextCopyIndex();
       WorkerHalf* prov_half = set->HalfFor(pm.worker);
       NIMBUS_CHECK(prov_half != nullptr);
-      auto* prov_ops = plan.OpsFor(pm.worker);
-
-      WtEntry send;
-      send.type = CommandType::kCopySend;
-      send.copy_index = copy_index;
-      send.peer = to;
-      send.object = r;
-      send.bytes = set->ObjectBytes(r);
-      send.reads = {r};
-      send.before = {pm.local_index};
-      const std::int32_t send_index = AppendEntry(prov_half, prov_ops, send);
+      const auto send_index = static_cast<std::int32_t>(prov_half->entries.size());
+      moved.before.push_back(AppendCopyPair(set, &plan, pm.worker, to, r, pm.local_index));
 
       // WAR fix: a later in-block writer of `r` on the provider worker must wait for the
       // appended send. O(writers-of-r) via the object index.
       if (const core::ObjectIndex* oi = set->FindObjectIndex(r)) {
         for (std::int32_t h : oi->writers) {
           if (h > provider && meta[static_cast<std::size_t>(h)].worker == pm.worker) {
-            AddBeforeEdge(prov_half, prov_ops, meta[static_cast<std::size_t>(h)].local_index,
-                          send_index);
+            AddBeforeEdge(prov_half, plan.OpsFor(pm.worker),
+                          meta[static_cast<std::size_t>(h)].local_index, send_index);
             break;
           }
         }
       }
-
-      WtEntry recv;
-      recv.type = CommandType::kCopyReceive;
-      recv.copy_index = copy_index;
-      recv.peer = pm.worker;
-      recv.object = r;
-      recv.bytes = set->ObjectBytes(r);
-      recv.writes = {r};
-      const std::int32_t recv_index = AppendEntry(set->HalfFor(to), to_ops, recv);
-      moved.before.push_back(recv_index);
     } else {
       // Block input: move the precondition. The template stops being locally satisfied on
       // `to` until the next patch runs; a restored end-of-block copy (below) keeps it
@@ -379,26 +406,7 @@ EditPlan TemplateManager::PlanMigration(WorkerTemplateSet* set, std::int32_t glo
   // send on `to` (Fig 6: same index, so downstream edges on `from` are untouched). ----
   bool first_write = true;
   for (const LogicalObjectId o : src_entry.writes) {
-    const std::int32_t copy_index = set->NextCopyIndex();
-
-    WtEntry send;
-    send.type = CommandType::kCopySend;
-    send.copy_index = copy_index;
-    send.peer = from;
-    send.object = o;
-    send.bytes = set->ObjectBytes(o);
-    send.reads = {o};
-    send.before = {task_index};
-    AppendEntry(set->HalfFor(to), to_ops, send);
-
-    WtEntry recv;
-    recv.type = CommandType::kCopyReceive;
-    recv.copy_index = copy_index;
-    recv.peer = to;
-    recv.object = o;
-    recv.bytes = set->ObjectBytes(o);
-    recv.writes = {o};
-
+    const WtEntry recv = AppendCopySend(set, &plan, to, from, o, task_index);
     if (first_write) {
       ReplaceWithReceive(from_half, from_ops, em.local_index, recv);
       first_write = false;
@@ -416,13 +424,7 @@ EditPlan TemplateManager::PlanMigration(WorkerTemplateSet* set, std::int32_t glo
     }
 
     // The write's final holders now include `to` (the task runs there first).
-    for (WriteDelta& delta : set->mutable_write_deltas()) {
-      if (delta.object == o &&
-          std::find(delta.final_holders.begin(), delta.final_holders.end(), to) ==
-              delta.final_holders.end()) {
-        delta.final_holders.push_back(to);
-      }
-    }
+    AddFinalHolder(set, o, to);
   }
 
   // ---- Restore self-validation for moved block-input reads of objects that the block
@@ -456,35 +458,8 @@ EditPlan TemplateManager::PlanMigration(WorkerTemplateSet* set, std::int32_t glo
     if (covered) {
       continue;
     }
-    const std::int32_t copy_index = set->NextCopyIndex();
-    WorkerHalf* writer_half = set->HalfFor(wm.worker);
-    auto* writer_ops = plan.OpsFor(wm.worker);
-    WtEntry send;
-    send.type = CommandType::kCopySend;
-    send.copy_index = copy_index;
-    send.peer = to;
-    send.object = r;
-    send.bytes = set->ObjectBytes(r);
-    send.reads = {r};
-    send.before = {wm.local_index};
-    AppendEntry(writer_half, writer_ops, send);
-
-    WtEntry recv;
-    recv.type = CommandType::kCopyReceive;
-    recv.copy_index = copy_index;
-    recv.peer = wm.worker;
-    recv.object = r;
-    recv.bytes = set->ObjectBytes(r);
-    recv.writes = {r};
-    AppendEntry(set->HalfFor(to), to_ops, recv);
-
-    for (WriteDelta& delta : set->mutable_write_deltas()) {
-      if (delta.object == r &&
-          std::find(delta.final_holders.begin(), delta.final_holders.end(), to) ==
-              delta.final_holders.end()) {
-        delta.final_holders.push_back(to);
-      }
-    }
+    AppendCopyPair(set, &plan, wm.worker, to, r, wm.local_index);
+    AddFinalHolder(set, r, to);
   }
 
   em.worker = to;
@@ -551,7 +526,6 @@ EditPlan TemplateManager::PlanAddTask(WorkerTemplateSet* set, WorkerId worker,
   if (set->HalfFor(worker) == nullptr) {
     set->AddHalf(worker);
   }
-  auto* ops = plan.OpsFor(worker);
 
   WtEntry task;
   task.type = CommandType::kTask;
@@ -580,39 +554,7 @@ EditPlan TemplateManager::PlanAddTask(WorkerTemplateSet* set, WorkerId worker,
       task.before.push_back(pm.local_index);
       continue;
     }
-    const std::int32_t copy_index = set->NextCopyIndex();
-    WtEntry send;
-    send.type = CommandType::kCopySend;
-    send.copy_index = copy_index;
-    send.peer = worker;
-    send.object = r;
-    send.bytes = set->ObjectBytes(r);
-    send.reads = {r};
-    send.before = {pm.local_index};
-    {
-      WorkerHalf* prov_half = set->HalfFor(pm.worker);
-      auto* prov_ops = plan.OpsFor(pm.worker);
-      WorkerEditOp op;
-      op.kind = WorkerEditOp::Kind::kAppendEntry;
-      op.entry = send;
-      prov_ops->push_back(op);
-      prov_half->entries.push_back(send);
-    }
-    WtEntry recv;
-    recv.type = CommandType::kCopyReceive;
-    recv.copy_index = copy_index;
-    recv.peer = pm.worker;
-    recv.object = r;
-    recv.bytes = set->ObjectBytes(r);
-    recv.writes = {r};
-    WorkerHalf* half = set->HalfFor(worker);
-    const auto recv_index = static_cast<std::int32_t>(half->entries.size());
-    WorkerEditOp op;
-    op.kind = WorkerEditOp::Kind::kAppendEntry;
-    op.entry = recv;
-    ops->push_back(op);
-    half->entries.push_back(std::move(recv));
-    task.before.push_back(recv_index);
+    task.before.push_back(AppendCopyPair(set, &plan, pm.worker, worker, r, pm.local_index));
   }
 
   // Writes: order after existing touchers on this worker; extend the deltas.
@@ -624,32 +566,16 @@ EditPlan TemplateManager::PlanAddTask(WorkerTemplateSet* set, WorkerId worker,
         }
       }
     }
-    bool found = false;
-    for (WriteDelta& delta : set->mutable_write_deltas()) {
-      if (delta.object == o) {
-        ++delta.write_count;
-        if (std::find(delta.final_holders.begin(), delta.final_holders.end(), worker) ==
-            delta.final_holders.end()) {
-          delta.final_holders.push_back(worker);
-        }
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    if (WriteDelta* delta = AddFinalHolder(set, o, worker)) {
+      ++delta->write_count;
+    } else {
       set->mutable_write_deltas().push_back(WriteDelta{o, 1, {worker}});
     }
   }
   std::sort(task.before.begin(), task.before.end());
   task.before.erase(std::unique(task.before.begin(), task.before.end()), task.before.end());
 
-  WorkerHalf* half = set->HalfFor(worker);
-  em.local_index = static_cast<std::int32_t>(half->entries.size());
-  WorkerEditOp op;
-  op.kind = WorkerEditOp::Kind::kAppendEntry;
-  op.entry = task;
-  ops->push_back(op);
-  half->entries.push_back(std::move(task));
+  em.local_index = AppendEntry(set->HalfFor(worker), plan.OpsFor(worker), std::move(task));
   meta.push_back(std::move(em));
 
   plan.tasks_touched += 1;  // one add = one edit

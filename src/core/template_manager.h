@@ -56,7 +56,6 @@ class TemplateManager {
   TemplateId BeginCapture(const std::string& name);
 
   bool capturing() const { return capturing_ != nullptr; }
-  ControllerTemplate* capturing_template() { return capturing_; }
 
   // Appends one task to the block being captured. Reads/writes are already resolved to
   // logical objects. Returns the entry's param slot.

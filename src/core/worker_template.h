@@ -58,8 +58,6 @@ class Assignment {
     return partition_to_worker_[static_cast<std::size_t>(partition)];
   }
 
-  int partition_count() const { return static_cast<int>(partition_to_worker_.size()); }
-
   // Distinct workers appearing in the assignment.
   std::vector<WorkerId> Workers() const;
 
@@ -106,16 +104,6 @@ struct WtEntry {
 struct WorkerHalf {
   WorkerId worker;
   std::vector<WtEntry> entries;
-
-  std::size_t live_count() const {
-    std::size_t n = 0;
-    for (const auto& e : entries) {
-      if (!e.dead) {
-        ++n;
-      }
-    }
-    return n;
-  }
 };
 
 // "Data object X must hold its latest version on worker W when the block starts."
@@ -340,14 +328,6 @@ class WorkerTemplateSet {
   // compiled plan, never this index
   std::unordered_map<LogicalObjectId, ObjectIndex>& mutable_object_index() {
     return object_index_;
-  }
-
-  std::size_t total_commands() const {
-    std::size_t n = 0;
-    for (const auto& h : halves_) {
-      n += h.live_count();
-    }
-    return n;
   }
 
   std::int32_t copy_count() const { return copy_count_; }

@@ -18,7 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/dense_id.h"
 #include "src/common/ids.h"
 #include "src/common/logging.h"
 
@@ -61,13 +60,6 @@ class ObjectDirectory {
     name_to_variable_.emplace(name, var);
     variables_.push_back(std::move(info));
     return var;
-  }
-
-  // --- Dense accessors (id value == dense index; the allocator guarantees contiguity) ---
-
-  const LogicalObjectInfo& ObjectAt(DenseIndex index) const {
-    NIMBUS_CHECK_LT(index, objects_.size());
-    return objects_[index];
   }
 
   // --- Sparse shims ---

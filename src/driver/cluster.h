@@ -87,8 +87,6 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  TransportKind transport_kind() const { return options_.transport; }
-
   // The shared simulation / simulator network. Sim transport only — TCP nodes run on
   // real time over a real network (CHECK-fails).
   sim::Simulation& simulation();
@@ -132,7 +130,6 @@ class Cluster {
 
   Worker* worker(WorkerId id);
   std::vector<WorkerId> worker_ids() const;
-  int worker_count() const { return static_cast<int>(workers_.size()); }
   int partitions() const { return options_.partitions; }
 
   // Injects a hard worker failure at the current virtual time (fault-recovery tests).

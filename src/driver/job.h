@@ -103,7 +103,6 @@ class Job {
 
   // Fig 9's "manually disabled templates" switch. Off => RunBlock always re-submits.
   void SetTemplatesEnabled(bool enabled) { templates_enabled_ = enabled; }
-  bool templates_enabled() const { return templates_enabled_; }
 
   // kSuspectNotice envelopes received (controller suspected a worker without declaring
   // it failed). Read under Cluster::WithDriver when the TCP backend is active.

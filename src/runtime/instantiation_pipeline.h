@@ -44,7 +44,7 @@ using ParamList = std::vector<std::pair<std::int32_t, ParameterBlob>>;
 struct WorkerMessage {
   WorkerId worker;
   std::uint32_t half_index = 0;  // index into set.halves()
-  std::size_t entry_count = 0;   // table size incl. tombstones (O(1); live_count is O(n))
+  std::size_t entry_count = 0;   // table size incl. tombstones
   ParamList params;  // only slots whose entry lives on this worker
   const std::vector<core::WorkerEditOp>* edits = nullptr;  // borrowed from the EditPlan
   // Modeled message size: 64 B, plus 8 B + the blob per parameter, plus

@@ -12,7 +12,6 @@ TimePoint Simulation::RunUntil(TimePoint deadline) {
     queue_.pop();
     NIMBUS_CHECK_GE(event.when, now_);
     now_ = event.when;
-    ++executed_;
     event.fn();
   }
   if (queue_.empty() && deadline != kForever) {
@@ -29,7 +28,6 @@ bool Simulation::RunUntilCondition(const std::function<bool()>& predicate) {
     Event event = std::move(const_cast<Event&>(queue_.top()));
     queue_.pop();
     now_ = event.when;
-    ++executed_;
     event.fn();
     if (predicate()) {
       return true;

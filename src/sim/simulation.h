@@ -61,7 +61,6 @@ class Simulation {
   bool RunUntilCondition(const std::function<bool()>& predicate);
 
   std::size_t pending_events() const { return queue_.size(); }
-  std::uint64_t executed_events() const { return executed_; }
 
   static constexpr TimePoint kForever = INT64_MAX;
 
@@ -82,7 +81,6 @@ class Simulation {
 
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
   std::priority_queue<Event> queue_;
 };
 

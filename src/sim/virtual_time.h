@@ -22,7 +22,6 @@ constexpr Duration Micros(double us) { return static_cast<Duration>(us * 1e3); }
 constexpr Duration Millis(double ms) { return static_cast<Duration>(ms * 1e6); }
 constexpr Duration Seconds(double s) { return static_cast<Duration>(s * 1e9); }
 
-constexpr double ToMicros(Duration d) { return static_cast<double>(d) / 1e3; }
 constexpr double ToMillis(Duration d) { return static_cast<double>(d) / 1e6; }
 constexpr double ToSeconds(Duration d) { return static_cast<double>(d) / 1e9; }
 

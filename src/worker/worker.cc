@@ -125,7 +125,9 @@ void Worker::OnEnvelope(net::NodeAddress src, MessageKind kind, ParameterBlob by
       OnHalt();
       break;
     case wire::EnvelopeType::kHeartbeatAck:
-      OnHeartbeatAck(wire::DecodeHeartbeatAckEnvelope(bytes).seq);
+      // The controller's echo of a beat (failure detection armed): counted only.
+      wire::DecodeHeartbeatAckEnvelope(bytes);
+      ++failure_counters_.heartbeat_acks;
       break;
     case wire::EnvelopeType::kDataCopy: {
       wire::DataCopyEnvelope e = wire::DecodeDataCopyEnvelope(bytes);
@@ -149,11 +151,6 @@ void Worker::StartHeartbeats(sim::Duration period) {
                    wire::EncodeHeartbeatEnvelope(beat), /*cost_bytes=*/16);
   ++failure_counters_.heartbeats_sent;
   timers_->Schedule(period, [this, period]() { StartHeartbeats(period); });
-}
-
-void Worker::OnHeartbeatAck(std::uint64_t seq) {
-  last_acked_heartbeat_ = std::max(last_acked_heartbeat_, seq);
-  ++failure_counters_.heartbeat_acks;
 }
 
 Worker::Group& Worker::GetOrCreateGroup(std::uint64_t seq) {

@@ -128,10 +128,6 @@ class Worker {
   // Sends a heartbeat now and one every `period` after it until the worker fails. The
   // cluster calls it once, when it arms failure detection (DESIGN.md §14.2).
   void StartHeartbeats(sim::Duration period);
-  // Controller's echo of a heartbeat's sequence number (failure detection armed).
-  void OnHeartbeatAck(std::uint64_t seq);
-  // Highest heartbeat sequence the controller has acknowledged (0 before any ack).
-  std::uint64_t last_acked_heartbeat() const { return last_acked_heartbeat_; }
   const FailureCounters& failure_counters() const { return failure_counters_; }
 
  private:
@@ -310,7 +306,6 @@ class Worker {
 
   bool failed_ = false;
   std::uint64_t heartbeat_seq_ = 0;        // sequence stamped into each beat
-  std::uint64_t last_acked_heartbeat_ = 0;  // highest seq echoed back by the controller
   FailureCounters failure_counters_;
   std::uint64_t tasks_executed_ = 0;
 

@@ -13,6 +13,7 @@
 #include "src/common/logging.h"
 #include "src/driver/cluster.h"
 #include "src/driver/job.h"
+#include "src/net/fault_injector.h"
 #include "src/task/wire.h"
 
 namespace nimbus {
@@ -525,6 +526,68 @@ TEST(FaultRecoveryTest, DetectionFiresAtTheFirstSweepThatSeesTheSilence) {
       static_cast<sim::TimePoint>(beats - 1) * options.heartbeat_period;
   EXPECT_EQ(simulation.now(), last_beat + options.miss_threshold * options.heartbeat_timeout +
                                   options.heartbeat_period / 2);
+}
+
+struct SuspicionRun {
+  std::vector<double> coefficients;
+  FailureCounters counters;  // the controller's
+  std::uint64_t suspect_notices = 0;
+  std::uint64_t recoveries = 0;
+};
+
+// Runs six LR iterations with 25 ms beats, a 100 ms timeout and a miss threshold of 3. A
+// hand-written schedule drops the next `dropped_beats` beats of worker 1 in epoch 1, which
+// starts after iteration 3; the driver then idles 400 ms of virtual time, long enough for
+// the silence, the suspicion and the beat that ends it.
+SuspicionRun RunWithDroppedBeats(int dropped_beats) {
+  net::FaultSchedule schedule;
+  schedule.events.push_back(net::FaultEvent{net::FaultKind::kDropHeartbeat, /*epoch=*/1,
+                                            WorkerId(1), dropped_beats});
+  net::FaultInjector injector(schedule);
+
+  ClusterOptions options;
+  options.workers = 4;
+  options.partitions = 8;
+  options.mode = ControlMode::kTemplates;
+  options.failure_detection = true;
+  options.heartbeat_period = sim::Millis(25);
+  options.heartbeat_timeout = sim::Millis(100);
+  options.miss_threshold = 3;
+  options.fault_injector = &injector;
+  Cluster cluster(options);
+  Job job(&cluster);
+
+  LogisticRegressionApp app(&job, SmallConfig());
+  app.Setup();
+  app.RunInnerLoop(3);
+  injector.AdvanceEpoch();
+  sim::Simulation& simulation = cluster.simulation();
+  simulation.RunUntil(simulation.now() + sim::Millis(400));
+  app.RunInnerLoop(3);
+
+  SuspicionRun out;
+  out.coefficients = app.CoeffSnapshot();
+  out.counters = cluster.controller().failure_counters();
+  out.suspect_notices = job.suspect_notices();
+  out.recoveries = cluster.controller().counters().recoveries;
+  return out;
+}
+
+// A false suspicion: six dropped beats silence worker 1 for about 175 ms, past one 100 ms
+// timeout but short of the three that declare it failed. The controller suspects it once,
+// tells the driver once and clears the suspicion at the next beat; nothing fails, nothing
+// recovers, and the result is the fault-free run's, bit for bit.
+TEST(FaultRecoveryTest, FalseSuspicionClearsWithoutRecovery) {
+  const SuspicionRun clean = RunWithDroppedBeats(0);
+  const SuspicionRun suspected = RunWithDroppedBeats(6);
+
+  EXPECT_EQ(clean.counters.suspects_marked, 0u);
+  EXPECT_EQ(suspected.counters.suspects_marked, 1u);
+  EXPECT_EQ(suspected.counters.suspects_cleared, 1u);
+  EXPECT_EQ(suspected.suspect_notices, 1u);
+  EXPECT_EQ(suspected.counters.workers_failed, 0u);
+  EXPECT_EQ(suspected.recoveries, 0u);
+  EXPECT_EQ(suspected.coefficients, clean.coefficients);
 }
 
 // Every block leaves the controller's pending list once it finishes or is abandoned: a
